@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Expression, Monomial, Ring
+from .errors import StructuralTheoremViolation
 from .gaussian import GR_ZERO, GaussianRational
 
 
@@ -183,7 +184,8 @@ def antiderivative(a: Expression, max_widen: int = 3) -> Optional[Expression]:
     total = parts[0]
     for p in parts[1:]:
         total = total + p
-    assert total.differentiate() == a, "certificate failed re-check"
+    if total.differentiate() != a:
+        raise StructuralTheoremViolation("certificate failed re-check")
     return total
 
 

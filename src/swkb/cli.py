@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 1 property violation, 2 usage error (argparse),
 3 numerical non-convergence.  Output is deterministic for a fixed set of
-flags; SWKB_THREADS (default 1) parallelizes independent level solves.
+flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -42,13 +41,6 @@ from .spectrum import compare_report, degeneracy_report, solve_levels
 from .wkb import MAX_SUBSTITUTION_ORDER, wkb_series_and_substitute
 
 DEFAULT_VERIFY_ORDER = 8
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SWKB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit_expr(x: Expression, fmt: str) -> str:
@@ -254,7 +246,7 @@ def _load_sp(args) -> PolynomialSuperpotential:
 def cmd_quantize(args) -> int:
     sp = _load_sp(args)
     levels = list(range(args.levels + 1))
-    sols = solve_levels(sp, args.order, levels, args.partner, workers=_workers())
+    sols = solve_levels(sp, args.order, levels, args.partner)
     if args.json:
         print(json.dumps({
             "superpotential": sp.to_json_dict(),
@@ -276,7 +268,7 @@ def cmd_compare(args) -> int:
     count = args.levels + 2
     grid = default_grid(sp.v_minus, count, sp.hbar)
     oracle_vals = eigenvalues(sp.v_minus, grid, count, sp.hbar)
-    rep = compare_report(sp, orders, args.levels, oracle_vals, workers=_workers())
+    rep = compare_report(sp, orders, args.levels, oracle_vals)
     deg = degeneracy_report(sp, orders[-1], max(args.levels, 1), orders=orders)
     rep.degeneracy = deg.degeneracy
     print(rep.to_json() if args.json else rep.to_text())

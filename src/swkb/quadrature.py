@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import Expression
+from .algebra import Expression, Monomial
 from .errors import (
     AmbiguousRegionError,
     BranchTrackingError,
@@ -29,6 +30,7 @@ DEFAULT_TOL = 1e-10
 MAX_SAMPLES = 2 ** 20
 DEFAULT_ASPECT = 0.5
 DEFAULT_CLEARANCE = 0.2  # fraction of the semi-major axis
+SUM_BLOCK = 4096  # sample points per block of monomial evaluation
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,15 @@ def turning_points(sp: PolynomialSuperpotential, E: float):
     return float(xl), float(xr), excluded
 
 
+@lru_cache(maxsize=8)
+def _unit_circle(samples: int, shift: float):
+    """cos and sin of the angles 2 pi (j + shift) / samples, j < samples."""
+    theta = 2.0 * np.pi * (np.arange(samples) + shift) / samples
+    cos, sin = np.cos(theta), np.sin(theta)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
 @dataclass(frozen=True)
 class Contour:
     """Counterclockwise ellipse around the classical turning pair.
@@ -141,10 +152,12 @@ class Contour:
     b: float  # semi-axis along the imaginary direction
     samples: int = 256
 
-    def points(self, samples: int):
-        theta = 2.0 * np.pi * np.arange(samples) / samples
-        z = self.center + self.a * np.cos(theta) + 1j * self.b * np.sin(theta)
-        dz = -self.a * np.sin(theta) + 1j * self.b * np.cos(theta)
+    def points(self, samples: int, shift: float = 0.0):
+        """``samples`` equispaced points and dz/dtheta; ``shift = 0.5`` gives
+        the midpoints, i.e. the points that doubling ``samples`` adds."""
+        cos, sin = _unit_circle(samples, shift)
+        z = self.center + self.a * cos + 1j * self.b * sin
+        dz = -self.a * sin + 1j * self.b * cos
         return z, dz
 
     def min_distance(self, w: complex, probe: int = 720) -> float:
@@ -186,13 +199,10 @@ def build_contour(
 
 @dataclass
 class BranchState:
-    """Continuation record for sqrt(u) along the sampled contour: the chosen
-    roots, whether the initial-sign convention forced a global flip, and
-    whether the loop closed on the starting branch."""
+    """Continuation record for sqrt(u) along the sampled contour: the
+    chosen root at every sample."""
 
     sqrt_u: np.ndarray
-    flipped_global: bool = False
-    wrap_consistent: bool = True
 
     def validate(self, u: np.ndarray):
         s = self.sqrt_u
@@ -232,59 +242,174 @@ class IntegralResult:
         }
 
 
-def _evaluate_terms(expr: Expression, phi_vals: Dict[int, np.ndarray], s: np.ndarray, E: float):
-    total = np.zeros_like(s, dtype=complex)
-    for m, c in expr.terms.items():
-        val = np.full_like(s, complex(c), dtype=complex)
-        for k, a in m.derivs:
-            val = val * phi_vals[k] ** a
-        if m.h:
-            val = val * s ** m.h
-        if m.e:
-            val = val * E ** m.e
-        total = total + val
-    return total
+@dataclass(frozen=True, eq=False)
+class IntegrandTable:
+    """Several integrands compiled for one shared quadrature pass.
+
+    The distinct monomials of all integrands are stored once, as exponent
+    data over a stack of powers that is evaluated once per sample set and
+    shared by every monomial and row.  Stack row 0 is the constant 1, then
+    come phi^(orders[j])^a for a = 1..phi_top (row 1 + (a - 1) *
+    len(orders) + j), then sqrt(u)^a for a = 1..s_top, then sqrt(u)^-a for
+    a = 1..s_bottom.  Monomial m is E^e[m] times the product of the stack
+    rows ``factor_index[m]`` (padded with row 0) and carries sqrt(u)^h[m].
+    ``coeffs[r, m]`` is the coefficient of monomial m in integrand r.
+    """
+
+    orders: Tuple[int, ...]
+    phi_top: int
+    s_top: int
+    s_bottom: int
+    h: np.ndarray
+    e: np.ndarray
+    coeffs: np.ndarray
+    factor_index: np.ndarray
+
+    def monomial_sums(self, phi_vals: np.ndarray, s: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        """sum_j m(z_j) dz_j for every monomial m, without its E factor;
+        ``phi_vals`` holds one row per entry of ``orders``.  Points are taken
+        in blocks so that memory stays bounded at large sample counts."""
+        n_phi = len(self.orders) * self.phi_top
+        total = np.zeros(len(self.h), dtype=complex)
+        for j in range(0, len(s), SUM_BLOCK):
+            phi_b, s_b, dz_b = phi_vals[:, j:j + SUM_BLOCK], s[j:j + SUM_BLOCK], dz[j:j + SUM_BLOCK]
+            stack = np.empty((1 + n_phi + self.s_top + self.s_bottom, len(s_b)), dtype=complex)
+            stack[0] = 1.0
+            _powers(phi_b, stack[1:1 + n_phi].reshape(self.phi_top, len(self.orders), len(s_b)))
+            _powers(s_b, stack[1 + n_phi:1 + n_phi + self.s_top])
+            _powers(1.0 / s_b, stack[1 + n_phi + self.s_top:])
+            vals = stack[self.factor_index[:, 0]] * dz_b
+            for col in self.factor_index.T[1:]:
+                vals *= stack[col]
+            total += vals.sum(axis=1)
+        return total
+
+
+def _powers(x: np.ndarray, out: np.ndarray):
+    """out[a - 1] = x^a for a = 1..len(out), by repeated multiplication."""
+    if len(out):
+        out[0] = x
+    for a in range(1, len(out)):
+        np.multiply(out[a - 1], x, out=out[a])
+
+
+def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
+    """One table row per expression, over the union of their monomials."""
+    monos = sorted({m for x in exprs for m in x.terms}, key=Monomial.sort_key)
+    orders = tuple(sorted({k for m in monos for k, _ in m.derivs} | {0}))
+    phi_top = max([0] + [a for m in monos for _, a in m.derivs])
+    s_top = max([0] + [m.h for m in monos])
+    s_bottom = max([0] + [-m.h for m in monos])
+    col = {k: j for j, k in enumerate(orders)}
+
+    def s_row(h: int) -> int:
+        return len(orders) * phi_top + (h if h > 0 else s_top - h)
+
+    index = [[1 + (a - 1) * len(orders) + col[k] for k, a in m.derivs]
+             + ([s_row(m.h)] if m.h else []) for m in monos]
+    factor_index = np.zeros((len(monos), max([1] + [len(ix) for ix in index])), dtype=int)
+    for i, ix in enumerate(index):
+        factor_index[i, :len(ix)] = ix
+    pos = {m: i for i, m in enumerate(monos)}
+    coeffs = np.zeros((len(exprs), len(monos)), dtype=complex)
+    for r, x in enumerate(exprs):
+        for m, c in x.terms.items():
+            coeffs[r, pos[m]] = complex(c)
+    return IntegrandTable(
+        orders,
+        phi_top,
+        s_top,
+        s_bottom,
+        np.array([m.h for m in monos], dtype=int),
+        np.array([m.e for m in monos], dtype=int),
+        coeffs,
+        factor_index,
+    )
+
+
+@lru_cache(maxsize=64)
+def _derivative_rows(sp: PolynomialSuperpotential, orders: Tuple[int, ...]) -> np.ndarray:
+    """Coefficients of phi^(k) for every k in ``orders``, one zero-padded row each."""
+    rows = np.zeros((len(orders), len(sp.coefficients)))
+    for i, k in enumerate(orders):
+        c = sp.deriv_coefficients(k)
+        rows[i, :len(c)] = c
+    rows.flags.writeable = False
+    return rows
+
+
+def _horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Every polynomial of ``rows`` (ascending coefficients) at ``z``."""
+    acc = np.zeros((len(rows), len(z)), dtype=complex)
+    for j in range(rows.shape[1] - 1, -1, -1):
+        acc = acc * z + rows[:, j:j + 1]
+    return acc
 
 
 def contour_integrate(
-    expr: Expression,
+    integrands: Union[Expression, IntegrandTable],
     sp: PolynomialSuperpotential,
     E: float,
     tol: float = DEFAULT_TOL,
     contour: Optional[Contour] = None,
     check_real: bool = True,
     start_samples: int = 256,
+    weights: Optional[Sequence[float]] = None,
 ) -> IntegralResult:
-    """Closed-contour integral of ``expr`` with sample doubling to ``tol``.
+    """Closed-contour integrals of every row of ``integrands`` (a plain
+    expression is a one-row table) on one contour and one sample set.
 
-    Quantization integrands are real up to branch-tracking noise; with
-    ``check_real`` the imaginary part is required to stay below 10 * tol
-    (disable it to integrate deliberately non-real quantities)."""
+    Sample doubling is nested: level 2N evaluates only the N new midpoints
+    and adds them to the running monomial sums; sqrt(u) is re-tracked over
+    the whole loop.  Every row must change by less than ``tol`` between
+    levels.  Quantization integrands are real up to branch-tracking noise;
+    with ``check_real`` each row's imaginary part is required to stay below
+    10 * tol (disable it to integrate deliberately non-real quantities).
+    ``value`` is the ``weights``-weighted sum of the rows (all ones by
+    default)."""
+    table = integrands if isinstance(integrands, IntegrandTable) else compile_integrands([integrands])
+    w = np.ones(len(table.coeffs)) if weights is None else np.asarray(weights, dtype=float)
     if contour is None:
         contour = build_contour(sp, E)
-    orders = sorted({k for m in expr.terms for k, _ in m.derivs} | {0})
-    prev = None
+    coeffs = table.coeffs * float(E) ** table.e
+    deriv_rows = _derivative_rows(sp, table.orders)
     samples = max(start_samples, contour.samples)
-    while samples <= MAX_SAMPLES:
-        z, dz = contour.points(samples)
-        phi_vals = {k: np.asarray(sp.phi_deriv(k, z)) for k in orders}
-        u = E - phi_vals[0] ** 2
-        branch = track_sqrt_u(u)
-        s = branch.sqrt_u
-        weight = 2.0 * np.pi / samples
-        action0 = weight * np.sum(s * dz)
-        if action0.real < 0:
-            s = -s
-            branch.sqrt_u = s
-            branch.flipped_global = True
-        vals = _evaluate_terms(expr, phi_vals, s, E)
-        total = weight * np.sum(vals * dz)
-        if prev is not None and abs(total - prev) < tol:
-            if check_real and abs(total.imag) >= 10.0 * tol:
+    z, dz = contour.points(samples)
+    phi_vals = _horner(deriv_rows, z)
+    u = E - phi_vals[0] ** 2
+    branch = track_sqrt_u(u)
+    s = branch.sqrt_u
+    sums = action0 = 0.0
+    prev = None
+    while True:
+        sums = sums + table.monomial_sums(phi_vals, s, dz)
+        action0 = action0 + np.sum(s * dz)
+        # global sign: the leading action has positive real part
+        flip = (-1.0) ** table.h if action0.real < 0 else 1.0
+        rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums), axis=1)
+        if prev is not None and np.all(np.abs(rows - prev) < tol):
+            bad = np.flatnonzero(np.abs(rows.imag) >= 10.0 * tol) if check_real else ()
+            if len(bad):
                 raise BranchTrackingError(
-                    f"quantization integral has imaginary part {total.imag:.3e}"
+                    f"quantization integral {bad[0]} has imaginary part {rows[bad[0]].imag:.3e}"
                 )
-            return IntegralResult(complex(total), samples)
-        prev = total
-        samples *= 2
-    raise ConvergenceError(f"contour integral did not converge within {MAX_SAMPLES} samples")
+            branch.validate(u)
+            return IntegralResult(complex(np.sum(w * rows)), samples)
+        if 2 * samples > MAX_SAMPLES:
+            raise ConvergenceError(f"contour integral did not converge within {MAX_SAMPLES} samples")
+        prev = rows
+        z, dz = contour.points(samples, shift=0.5)
+        phi_vals = _horner(deriv_rows, z)
+        fine_u = np.empty(2 * samples, dtype=complex)
+        fine_u[0::2] = u
+        fine_u[1::2] = E - phi_vals[0] ** 2
+        fine = track_sqrt_u(fine_u)
+        if np.array_equal(fine.sqrt_u[0::2], branch.sqrt_u):
+            s = fine.sqrt_u[1::2]
+        else:
+            # the finer loop chose another branch at old samples: start over
+            z, dz = contour.points(2 * samples)
+            phi_vals = _horner(deriv_rows, z)
+            s = fine.sqrt_u
+            sums = action0 = 0.0
+        u, branch, samples = fine_u, fine, 2 * samples

@@ -156,7 +156,8 @@ def residual_sweep(
     if x.is_zero():
         return x, Expression.zero(x.ring)
     kept, cert = DerivativeSweep(x, min_e=min_e).normal_form(x)
-    assert kept + cert.differentiate() == x
+    if kept + cert.differentiate() != x:
+        raise StructuralTheoremViolation("residual sweep certificate failed re-check")
     return kept, cert
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .algebra import Expression, PHI_RING, Ring, i_times
+from .errors import StructuralTheoremViolation
 from .gaussian import GR_I
 
 HALF = Fraction(1, 2)
@@ -37,7 +38,8 @@ def series_inverse(a: List[Expression], lead_inv: Expression, order: int) -> Lis
     has the exact inverse ``lead_inv`` (checked)."""
     ring = a[0].ring
     one = Expression.const(1, ring)
-    assert a[0] * lead_inv == one, "lead_inv is not the exact inverse of a[0]"
+    if a[0] * lead_inv != one:
+        raise StructuralTheoremViolation("lead_inv is not the exact inverse of a[0]")
     inv = [lead_inv]
     for n in range(1, order + 1):
         acc = Expression.zero(ring)

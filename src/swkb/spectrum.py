@@ -18,23 +18,32 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, OutOfValidatedRangeError
-from .quadrature import DEFAULT_TOL, PolynomialSuperpotential, contour_integrate
+from .quadrature import (
+    DEFAULT_TOL,
+    IntegrandTable,
+    PolynomialSuperpotential,
+    compile_integrands,
+    contour_integrate,
+)
 from .reduction import QuantizationCondition, quantization_integrands
 
 DEFAULT_TOL_E = 1e-9
 MIN_VALIDATED_E_FACTOR = 1e-8  # in units of hbar
 
-_qc_cache: Dict[int, QuantizationCondition] = {}
+_qc_cache: Dict[int, Tuple[QuantizationCondition, IntegrandTable]] = {}
 
 
-def _condition(order: int) -> QuantizationCondition:
+def _condition(order: int) -> Tuple[QuantizationCondition, IntegrandTable]:
+    """The reduced condition up to ``order`` and its integrands compiled
+    into one table, one row per correction."""
     if order not in _qc_cache:
-        _qc_cache[order] = quantization_integrands(order)
+        qc = quantization_integrands(order)
+        _qc_cache[order] = (qc, compile_integrands([c.integrand for c in qc.corrections]))
     return _qc_cache[order]
 
 
@@ -61,20 +70,16 @@ def action(
     tol: float = DEFAULT_TOL,
 ) -> float:
     """sum over even orders 2k <= order of sign * hbar^(2k) * contour
-    integral of the reduced integrand; the imaginary parts are checked and
-    discarded inside the quadrature."""
+    integral of the reduced integrand, all integrated in one pass on one
+    contour; the imaginary parts are checked per integrand and discarded
+    inside the quadrature."""
     if E <= MIN_VALIDATED_E_FACTOR * sp.hbar:
         raise OutOfValidatedRangeError(
             f"E = {E} below the validated range (turning points coalesce)"
         )
-    qc = _condition(order)
-    total = 0.0
-    for corr in qc.corrections:
-        if corr.integrand.is_zero():
-            continue
-        val = contour_integrate(corr.integrand, sp, E, tol=tol)
-        total += corr.sign_factor * sp.hbar ** corr.order * val.value.real
-    return total
+    qc, table = _condition(order)
+    weights = [corr.sign_factor * sp.hbar ** corr.order for corr in qc.corrections]
+    return contour_integrate(table, sp, E, tol=tol, weights=weights).value.real
 
 
 def _rhs(problem: QuantizationProblem) -> float:
@@ -246,17 +251,8 @@ def solve_levels(
     levels: Sequence[int],
     partner: str = "minus",
     tol_e: float = DEFAULT_TOL_E,
-    workers: int = 1,
 ) -> Dict[int, float]:
-    problems = [QuantizationProblem(sp, order, n, partner) for n in levels]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(lambda p: solve_level(p, tol_e=tol_e), problems))
-    else:
-        vals = [solve_level(p, tol_e=tol_e) for p in problems]
-    return dict(zip(levels, vals))
+    return {n: solve_level(QuantizationProblem(sp, order, n, partner), tol_e=tol_e) for n in levels}
 
 
 def degeneracy_report(
@@ -285,15 +281,13 @@ def compare_report(
     n_max: int,
     oracle_values: Optional[Sequence[float]] = None,
     tol_e: float = DEFAULT_TOL_E,
-    workers: int = 1,
 ) -> SpectrumReport:
     """Per-level SWKB estimates at each truncation order, with oracle
     eigenvalues attached when provided."""
     report = SpectrumReport(sp)
+    by_order = {ordr: solve_levels(sp, ordr, range(n_max + 1), "minus", tol_e) for ordr in orders}
     for n in range(n_max + 1):
-        rec = LevelRecord(n, "minus", {})
-        for ordr in orders:
-            rec.e_by_order[ordr] = solve_levels(sp, ordr, [n], "minus", tol_e, workers)[n]
+        rec = LevelRecord(n, "minus", {ordr: by_order[ordr][n] for ordr in orders})
         if oracle_values is not None and n < len(oracle_values):
             rec.e_oracle = float(oracle_values[n])
         report.levels.append(rec)

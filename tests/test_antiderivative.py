@@ -1,8 +1,12 @@
+import importlib
 import random
 from fractions import Fraction as Fr
 
+import pytest
+
 from swkb.algebra import E_pow, Expression, phi, u_half
 from swkb.antiderivative import antiderivative, is_total_derivative
+from swkb.errors import StructuralTheoremViolation
 
 from conftest import random_expression
 
@@ -22,6 +26,14 @@ def test_widening_finds_shifted_half_power():
     x = E_pow(1) * phi(1) * u_half(-3)
     y = antiderivative(x)
     assert y == phi() * u_half(-1)
+
+
+def test_failed_recheck_raises(monkeypatch):
+    # a solver that returns a wrong certificate is caught by the exact re-check
+    module = importlib.import_module("swkb.antiderivative")
+    monkeypatch.setattr(module, "_solve_component", lambda comp, widen: phi())
+    with pytest.raises(StructuralTheoremViolation):
+        antiderivative(E_pow(1) * phi(1) * u_half(-3))
 
 
 def test_sqrt_u_has_no_antiderivative():

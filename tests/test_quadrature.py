@@ -7,12 +7,20 @@ import pytest
 from scipy.integrate import quad
 
 from swkb.algebra import E_pow, phi, u_half
-from swkb.errors import AmbiguousRegionError, ContourError, NoClassicalRegionError
+from swkb.errors import (
+    AmbiguousRegionError,
+    BranchTrackingError,
+    ContourError,
+    NoClassicalRegionError,
+)
 from swkb.quadrature import (
+    BranchState,
     Contour,
     PolynomialSuperpotential,
     build_contour,
+    compile_integrands,
     contour_integrate,
+    track_sqrt_u,
     turning_points,
 )
 from swkb.reduction import reduce_even_order
@@ -123,6 +131,50 @@ class TestContourIntegrate:
         # it cannot be a derivative of any ring element
         r = contour_integrate(P1, cubic, 1.0, check_real=False)
         assert abs(r.value + 1j * math.pi) < 1e-10
+        # in a table the realness check applies to that row, even when its
+        # weight in the sum is zero
+        table = compile_integrands([u_half(1), P1])
+        with pytest.raises(BranchTrackingError):
+            contour_integrate(table, cubic, 1.0, weights=[1.0, 0.0])
+        r = contour_integrate(table, cubic, 1.0, check_real=False, weights=[0.0, 1.0])
+        assert abs(r.value + 1j * math.pi) < 1e-10
+
+    def test_nested_doubling_matches_direct_rule(self, cubic, mixed_cubic, split10, lseq9):
+        # the running sums of the nested rule equal one trapezoid sum over
+        # the final sample set
+        def loop(sp, E, c, samples):
+            z, dz = c.points(samples)
+            s = track_sqrt_u(E - sp.phi(z) ** 2).sqrt_u
+            return z, dz, (s if np.sum(s * dz).real > 0 else -s)
+
+        expr = reduce_even_order(4, split10, lseq9).integrand
+        c = build_contour(mixed_cubic, 1.5)
+        r = contour_integrate(expr, mixed_cubic, 1.5, contour=c)
+        z, dz, s = loop(mixed_cubic, 1.5, c, r.samples_used)
+        vals = [expr.evaluate([mixed_cubic.phi_deriv(k, zj) for k in range(4)],
+                              1.5 - mixed_cubic.phi(zj) ** 2, sj, 1.5) for zj, sj in zip(z, s)]
+        assert abs(r.value) > 1e-3
+        assert abs(r.value - 2.0 * np.pi / len(z) * np.sum(np.array(vals) * dz)) < 1e-12
+        # an ellipse grazing an excluded branch point: at 512 samples the
+        # whole-loop tracking picks a different branch at the old samples
+        # than the 256-sample loop did, so the sums restart from scratch
+        c = Contour(0.0, 1.8, 1.3635)
+        r = contour_integrate(u_half(1), cubic, 1.0, contour=c)
+        _, dz, s = loop(cubic, 1.0, c, r.samples_used)
+        assert abs(r.value - 2.0 * np.pi / len(s) * np.sum(s * dz)) < 1e-12
+
+    def test_every_row_must_converge(self, cubic):
+        # on a flat ellipse the u^(-5/2) row needs more samples than the
+        # leading action; a zero weight does not let the table stop early
+        xl, xr, _ = turning_points(cubic, 1.0)
+        c = Contour(0.5 * (xl + xr), 0.55 * (xr - xl), 0.05 * (xr - xl))
+        slow = phi(1, 2) * u_half(-5)
+        table = compile_integrands([u_half(1), slow])
+        r = contour_integrate(table, cubic, 1.0, contour=c, weights=[1.0, 0.0])
+        alone = contour_integrate(slow, cubic, 1.0, contour=c)
+        lead = contour_integrate(u_half(1), cubic, 1.0, contour=c)
+        assert r.samples_used == alone.samples_used > lead.samples_used
+        assert abs(r.value - lead.value) < 1e-10
 
     def test_derivative_annihilation(self, cubic, split10, lseq9):
         r2 = reduce_even_order(2, split10, lseq9)
@@ -167,6 +219,11 @@ class TestContourIntegrate:
         v3 = contour_integrate(phi(1, 2) * u_half(-5) * E_pow(1), cubic, 1.0, contour=c3).value
         v4 = contour_integrate(phi(1, 2) * u_half(-5) * E_pow(1), cubic, 1.0, contour=c4).value
         assert abs(v3 - v4) < 1e-9
+        # a clockwise loop: the global sign flips sqrt(u), so the value
+        # does not depend on the orientation either
+        c5 = Contour(c3.center, c3.a, -c3.b)
+        v5 = contour_integrate(phi(1, 2) * u_half(-5) * E_pow(1), cubic, 1.0, contour=c5).value
+        assert abs(v3 - v5) < 1e-9
 
     def test_positive_leading_action(self, cubic):
         for E in (0.5, 1.0, 2.0):
@@ -179,12 +236,19 @@ class TestContourIntegrate:
         assert set(d) == {"value_re", "value_im", "samples_used"}
         assert d["samples_used"] == r.samples_used
 
-    def test_branch_state_invariants(self, cubic):
-        from swkb.quadrature import track_sqrt_u
-
+    def test_branch_state_invariants(self, cubic, monkeypatch):
         c = build_contour(cubic, 1.0)
         z, _ = c.points(1024)
         u = 1.0 - cubic.phi(z) ** 2
         branch = track_sqrt_u(u)
         branch.validate(u)
         assert branch.sqrt_u[0].imag > 0  # initial sign convention
+        broken = BranchState(branch.sqrt_u.copy())
+        broken.sqrt_u[100] *= -1.0
+        with pytest.raises(BranchTrackingError):
+            broken.validate(u)
+        # the quadrature validates its converged sample set, once
+        seen = []
+        monkeypatch.setattr(BranchState, "validate", lambda self, u: seen.append(len(u)))
+        r = contour_integrate(u_half(1), cubic, 1.0, contour=c)
+        assert seen == [r.samples_used]

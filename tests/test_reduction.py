@@ -2,9 +2,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from swkb.algebra import Expression, phi, u_half
+from swkb.algebra import E_pow, Expression, phi, u_half
 from swkb.errors import StructuralTheoremViolation
 from swkb.reduction import (
+    DerivativeSweep,
     decompose,
     equivalent_mod_derivative,
     known_integrand_order2,
@@ -143,3 +144,10 @@ class TestQuantizationIntegrands:
     def test_odd_max_order_rejected(self):
         with pytest.raises(ValueError):
             quantization_integrands(3)
+
+
+def test_residual_sweep_recheck_raises(monkeypatch):
+    # a normal form whose certificate does not account for the input is caught
+    monkeypatch.setattr(DerivativeSweep, "normal_form", lambda self, x: (x, phi() * u_half(-1)))
+    with pytest.raises(StructuralTheoremViolation):
+        residual_sweep(E_pow(1) * phi(1) * u_half(-3))

@@ -4,6 +4,7 @@ import pytest
 
 from swkb.algebra import E_pow, Expression, i_times, phi, u_half
 from swkb.antiderivative import antiderivative
+from swkb.errors import StructuralTheoremViolation
 from swkb.series import (
     SplitSeries,
     check_l_identity,
@@ -13,6 +14,7 @@ from swkb.series import (
     l_sequence,
     partner_via_imag_shift,
     partner_via_log_identity,
+    series_inverse,
 )
 
 S1_MINUS = (phi() * phi(1) * u_half(-2)).scale(Fr(1, 2)) + i_times(
@@ -169,3 +171,8 @@ class TestSystemChecks:
         assert I[1] == split10.p[1].scale(-1)
         log_d = series_log_deriv(R, u_half(-1), 1)
         assert log_d[0].scale(Fr(1, 2)) == I[1]
+
+
+def test_series_inverse_rejects_wrong_lead_inverse():
+    with pytest.raises(StructuralTheoremViolation):
+        series_inverse([u_half(1)], u_half(1), 2)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import swkb.quadrature
+import swkb.spectrum
 from swkb.errors import OutOfValidatedRangeError
 from swkb.oracle import oracle_eigenvalues
-from swkb.quadrature import PolynomialSuperpotential
+from swkb.quadrature import PolynomialSuperpotential, contour_integrate
+from swkb.reduction import quantization_integrands
 from swkb.spectrum import (
     QuantizationProblem,
     action,
@@ -37,6 +40,35 @@ class TestAction:
     def test_below_validated_range(self, cubic):
         with pytest.raises(OutOfValidatedRangeError):
             action(cubic, 0, 0.0)
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize(
+        "coefficients, hbar, order, energies",
+        [
+            ([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0, 8, (1.0, 3.0, 7.5)),
+            ([0.0, 1.0, 0.0, 0.2], 0.5, 4, (0.6, 2.0, 5.0)),
+        ],
+    )
+    def test_action_is_weighted_sum_of_single_integrals(self, coefficients, hbar, order, energies):
+        sp = PolynomialSuperpotential(coefficients, hbar)
+        qc = quantization_integrands(order)
+        for E in energies:
+            expect = sum(c.sign_factor * hbar ** c.order * contour_integrate(c.integrand, sp, E).value.real
+                         for c in qc.corrections)
+            assert abs(action(sp, order, E) - expect) < 1e-12
+
+    def test_one_contour_and_one_pass_per_energy(self, cubic, monkeypatch):
+        calls = {"build_contour": 0, "contour_integrate": 0}
+        for module, name in ((swkb.quadrature, "build_contour"), (swkb.spectrum, "contour_integrate")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        for E in (1.0, 2.0, 4.0):
+            action(cubic, 8, E)
+        assert calls == {"build_contour": 3, "contour_integrate": 3}
 
 
 class TestSolveLevel:
