@@ -5,8 +5,14 @@ preserves the scaling grade (symbol = 1 resp. 2, u and E = 2), so an
 antiderivative of a bigraded component (w, g) can only live in the finite
 set of canonical monomials with weight w - 1 and grade g.  Within that set
 the u half-power is pinned by the grade once the E-exponent and symbol
-count are chosen, which keeps the candidate bases small enough for dense
-exact elimination.
+count are chosen, which keeps the candidate bases small.
+
+The ansatz derivatives are eliminated by ``DerivativeSweep``, a sparse
+incremental echelon over exact rationals that ``reduction`` also uses for
+its residual sweep.  Columns are taken in ``sort_key`` order and dependent
+ones dropped, so a certificate is the unique combination of the first
+independent columns: the solution a dense elimination with free variables
+set to zero would give.
 
 A returned certificate Y always satisfies differentiate(Y) == input
 exactly (re-checked before returning); absence is reported only after the
@@ -20,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .algebra import Expression, Monomial, Ring
 from .errors import StructuralTheoremViolation
-from .gaussian import GR_ZERO, GaussianRational
+from .gaussian import GR_ONE, GaussianRational
 
 
 def _partitions(n: int, max_part: int):
@@ -35,11 +41,13 @@ def _partitions(n: int, max_part: int):
             yield (first,) + rest
 
 
-def _bigrade_components(a: Expression) -> Dict[Tuple[int, int], Expression]:
+def bigrade_components(a: Expression) -> List[Expression]:
+    """The parts of ``a`` homogeneous in (derivative weight, scaling grade);
+    d/dx maps each bigrade to its own, so each part is integrated alone."""
     buckets: Dict[Tuple[int, int], list] = {}
     for m, c in a.terms.items():
         buckets.setdefault((m.weight(), m.gdeg(a.ring)), []).append((m, c))
-    return {key: Expression(a.ring, pairs) for key, pairs in buckets.items()}
+    return [Expression(a.ring, pairs) for pairs in buckets.values()]
 
 
 def candidate_monomials(
@@ -84,86 +92,95 @@ def candidate_monomials(
     return out
 
 
-def _solve_exact(
-    columns: List[Dict[Monomial, Fraction]],
-    rhs_re: Dict[Monomial, Fraction],
-    rhs_im: Dict[Monomial, Fraction],
-) -> Optional[List[GaussianRational]]:
-    """Solve sum_j c_j * col_j = rhs over the rationals (both components).
+def _pivot_key(m: Monomial):
+    """Elimination priority (larger sorts first = eliminated first).
 
-    Dense Gaussian elimination on the (rows x cols) system; free variables
-    are set to zero.  Returns None when inconsistent.
+    Preference for surviving monomials: no bare symbol factor, then as much
+    first-derivative content as possible concentrated in a single higher
+    derivative (pure f'^k and f' f^(k) forms survive; mixed middle-order
+    products are rewritten away).  Deterministic tie-break on the full key.
     """
-    row_index: Dict[Monomial, int] = {}
-    for col in columns:
-        for m in col:
-            row_index.setdefault(m, len(row_index))
-    for m in list(rhs_re) + list(rhs_im):
-        row_index.setdefault(m, len(row_index))
-    nrows, ncols = len(row_index), len(columns)
-    mat = [[Fraction(0)] * (ncols + 2) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for m, v in col.items():
-            mat[row_index[m]][j] = v
-    for m, v in rhs_re.items():
-        mat[row_index[m]][ncols] = v
-    for m, v in rhs_im.items():
-        mat[row_index[m]][ncols + 1] = v
+    a0 = m.deriv_exp(0)
+    higher = sorted((k for k, a in m.derivs if k >= 2 for _ in range(a)), reverse=True)
+    n_higher = len(higher)
+    second = higher[1] if n_higher >= 2 else 0
+    top = higher[0] if higher else 0
+    return (a0, n_higher, second, -top, m.derivs, -m.h, m.e)
 
-    pivot_of_col: Dict[int, int] = {}
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(prow, nrows):
-            if mat[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[prow], mat[sel] = mat[sel], mat[prow]
-        inv = 1 / mat[prow][col]
-        mat[prow] = [v * inv for v in mat[prow]]
-        for r in range(nrows):
-            if r != prow and mat[r][col] != 0:
-                f = mat[r][col]
-                row_r, row_p = mat[r], mat[prow]
-                mat[r] = [vr - f * vp for vr, vp in zip(row_r, row_p)]
-        pivot_of_col[col] = prow
-        prow += 1
-        if prow == nrows:
-            break
-    for r in range(prow, nrows):
-        if mat[r][ncols] != 0 or mat[r][ncols + 1] != 0:
-            return None
-    sol = [GR_ZERO] * ncols
-    for col, r in pivot_of_col.items():
-        sol[col] = GaussianRational(mat[r][ncols], mat[r][ncols + 1])
-    return sol
+
+def _axpy(acc: dict, c: Fraction, src: dict) -> None:
+    """acc += c * src in place, storing no zero entries."""
+    for key, v in src.items():
+        new = acc.get(key, 0) + c * v
+        if new:
+            acc[key] = new
+        else:
+            del acc[key]
+
+
+class DerivativeSweep:
+    """Sparse incremental echelon of the derivatives of ansatz monomials: the
+    one exact elimination engine behind certificates and residual sweeps.
+
+    The generators are taken in the order given (callers pass ``sort_key``
+    order).  A generator whose derivative is zero or lies in the span of the
+    earlier ones is dropped.  Each row is a real vector normalized at the
+    pivot that ``_pivot_key`` picks, with its antiderivative kept as a
+    combination over generator indices.
+    """
+
+    def __init__(self, ring: Ring, generators: List[Monomial]):
+        self.ring = ring
+        self.generators = generators
+        self.rows: List[Tuple[Monomial, Dict[Monomial, Fraction], Dict[int, Fraction]]] = []
+        for j, m in enumerate(generators):
+            d = Expression(ring, [(m, GR_ONE)]).differentiate()
+            # derivatives of a unit-coefficient monomial stay real
+            vec = {mm: c.re for mm, c in d.terms.items()}
+            taken = self._reduce(vec)
+            if not vec:
+                continue
+            pivot = max(vec, key=_pivot_key)
+            inv = 1 / vec[pivot]
+            comb = {i: -c * inv for i, c in taken.items()}
+            comb[j] = inv
+            self.rows.append((pivot, {mm: c * inv for mm, c in vec.items()}, comb))
+
+    def _reduce(self, vec: Dict[Monomial, Fraction]) -> Dict[int, Fraction]:
+        """Clear every pivot from ``vec`` in place; return the combination of
+        generators whose derivative was subtracted."""
+        taken: Dict[int, Fraction] = {}
+        for pivot, pvec, pcomb in self.rows:
+            c = vec.get(pivot)
+            if c is None:
+                continue
+            _axpy(vec, -c, pvec)
+            _axpy(taken, c, pcomb)
+        return taken
+
+    def normal_form(self, x: Expression) -> Tuple[Expression, Expression]:
+        """Return (kept, cert) with x = kept + differentiate(cert) and kept
+        free of every pivot monomial.  The real and imaginary parts of x are
+        reduced separately, since every row is real."""
+        re = {m: c.re for m, c in x.terms.items() if c.re}
+        im = {m: c.im for m, c in x.terms.items() if c.im}
+        cert_re, cert_im = self._reduce(re), self._reduce(im)
+        kept = Expression(
+            self.ring, [(m, GaussianRational(re.get(m, 0), im.get(m, 0))) for m in re.keys() | im.keys()]
+        )
+        cert = Expression(
+            self.ring,
+            [
+                (self.generators[i], GaussianRational(cert_re.get(i, 0), cert_im.get(i, 0)))
+                for i in cert_re.keys() | cert_im.keys()
+            ],
+        )
+        return kept, cert
 
 
 def _solve_component(comp: Expression, widen: int) -> Optional[Expression]:
-    ring = comp.ring
-    cands = candidate_monomials(comp, widen=widen)
-    columns: List[Dict[Monomial, Fraction]] = []
-    kept: List[Monomial] = []
-    for m in cands:
-        d = Expression(ring, [(m, GaussianRational(1))]).differentiate()
-        if d.is_zero():
-            continue
-        col: Dict[Monomial, Fraction] = {}
-        for mm, cc in d.terms.items():
-            # derivatives of a unit-coefficient monomial stay real
-            col[mm] = cc.re
-        columns.append(col)
-        kept.append(m)
-    if not columns:
-        return None
-    rhs_re = {m: c.re for m, c in comp.terms.items() if c.re != 0}
-    rhs_im = {m: c.im for m, c in comp.terms.items() if c.im != 0}
-    sol = _solve_exact(columns, rhs_re, rhs_im)
-    if sol is None:
-        return None
-    return Expression(ring, [(m, c) for m, c in zip(kept, sol) if not c.is_zero()])
+    kept, cert = DerivativeSweep(comp.ring, candidate_monomials(comp, widen=widen)).normal_form(comp)
+    return cert if kept.is_zero() else None
 
 
 def antiderivative(a: Expression, max_widen: int = 3) -> Optional[Expression]:
@@ -172,7 +189,7 @@ def antiderivative(a: Expression, max_widen: int = 3) -> Optional[Expression]:
     if a.is_zero():
         return Expression.zero(a.ring)
     parts: List[Expression] = []
-    for comp in _bigrade_components(a).values():
+    for comp in bigrade_components(a):
         y = None
         for widen in range(max_widen + 1):
             y = _solve_component(comp, widen)

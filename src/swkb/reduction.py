@@ -21,9 +21,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Expression, Monomial, PHI_RING, Ring
-from .antiderivative import antiderivative, candidate_monomials
+from .antiderivative import DerivativeSweep, antiderivative, bigrade_components, candidate_monomials
 from .errors import StructuralTheoremViolation
-from .gaussian import GR_ONE, GaussianRational
 from .series import (
     HbarSeries,
     LSequence,
@@ -62,87 +61,17 @@ def decompose(n: int, split: SplitSeries, ring: Ring = PHI_RING) -> Tuple[Expres
 # -- deterministic residual sweep ---------------------------------------------
 
 
-def _pivot_key(m: Monomial):
-    """Elimination priority (larger sorts first = eliminated first).
-
-    Preference for surviving monomials: no bare symbol factor, then as much
-    first-derivative content as possible concentrated in a single higher
-    derivative (pure f'^k and f' f^(k) forms survive; mixed middle-order
-    products are rewritten away).  Deterministic tie-break on the full key.
-    """
-    a0 = m.deriv_exp(0)
-    higher = sorted((k for k, a in m.derivs if k >= 2 for _ in range(a)), reverse=True)
-    n_higher = len(higher)
-    second = higher[1] if n_higher >= 2 else 0
-    top = higher[0] if higher else 0
-    return (a0, n_higher, second, -top, m.derivs, -m.h, m.e)
-
-
-class DerivativeSweep:
-    """Echelonized span of derivatives of ansatz monomials, used to compute
-    a canonical representative of an expression modulo exact derivatives.
-
-    ``min_e``: when set, only generators whose antiderivative monomial has
-    at least that E-exponent are used, so sweeping preserves manifest
-    E-divisibility of the input.
-    """
-
-    def __init__(self, target: Expression, min_e: Optional[int] = None, widen: int = 1):
-        self.ring = target.ring
-        gens: List[Tuple[Monomial, Expression]] = []
-        seen = set()
-        for (w, g) in sorted({(m.weight(), m.gdeg(target.ring)) for m in target.terms}):
-            comp = Expression(
-                target.ring,
-                [(m, c) for m, c in target.terms.items() if (m.weight(), m.gdeg(target.ring)) == (w, g)],
-            )
-            for cand in candidate_monomials(comp, widen=widen):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if min_e is not None and cand.e < min_e:
-                    continue
-                d = Expression(self.ring, [(cand, GR_ONE)]).differentiate()
-                if not d.is_zero():
-                    gens.append((cand, d))
-        gens.sort(key=lambda t: t[0].sort_key())
-        # echelon rows: (pivot monomial, vector, antiderivative combination)
-        self.rows: List[Tuple[Monomial, Dict[Monomial, GaussianRational], Expression]] = []
-        for cand, d in gens:
-            vec = dict(d.terms)
-            comb = Expression(self.ring, [(cand, GR_ONE)])
-            vec, comb = self._reduce(vec, comb)
-            if not vec:
-                continue
-            pivot = max(vec, key=_pivot_key)
-            inv = GR_ONE / vec[pivot]
-            vec = {m: c * inv for m, c in vec.items()}
-            comb = comb.scale(inv)
-            self.rows.append((pivot, vec, comb))
-
-    def _reduce(self, vec: Dict[Monomial, GaussianRational], comb: Expression):
-        for pivot, pvec, pcomb in self.rows:
-            c = vec.get(pivot)
-            if c is None or c.is_zero():
-                continue
-            for m, v in pvec.items():
-                new = vec.get(m, GaussianRational(0)) - c * v
-                if new.is_zero():
-                    vec.pop(m, None)
-                else:
-                    vec[m] = new
-            comb = comb - pcomb.scale(c)
-        return vec, comb
-
-    def normal_form(self, x: Expression) -> Tuple[Expression, Expression]:
-        """Return (kept, cert) with x = kept + differentiate(cert) and kept
-        free of every pivot monomial."""
-        vec = dict(x.terms)
-        comb = Expression.zero(self.ring)
-        vec, comb = self._reduce(vec, comb)
-        kept = Expression(self.ring, list(vec.items()))
-        cert = -comb
-        return kept, cert
+def _sweep_generators(x: Expression, min_e: Optional[int]) -> List[Monomial]:
+    """Ansatz monomials of every bigraded component of ``x``, in ``sort_key``
+    order.  ``min_e``: when set, only monomials with at least that E-exponent
+    are kept, so sweeping preserves manifest E-divisibility of the input."""
+    gens = {
+        cand
+        for comp in bigrade_components(x)
+        for cand in candidate_monomials(comp, widen=1)
+        if min_e is None or cand.e >= min_e
+    }
+    return sorted(gens, key=Monomial.sort_key)
 
 
 def residual_sweep(
@@ -155,7 +84,7 @@ def residual_sweep(
     """
     if x.is_zero():
         return x, Expression.zero(x.ring)
-    kept, cert = DerivativeSweep(x, min_e=min_e).normal_form(x)
+    kept, cert = DerivativeSweep(x.ring, _sweep_generators(x, min_e)).normal_form(x)
     if kept + cert.differentiate() != x:
         raise StructuralTheoremViolation("residual sweep certificate failed re-check")
     return kept, cert
@@ -216,13 +145,19 @@ def reduce_even_order(
 
 
 def reduce_via_pbar(
-    order: int, split: SplitSeries, pbar: HbarSeries, reference: Optional[ReducedCorrection] = None
+    order: int,
+    split: SplitSeries,
+    pbar: HbarSeries,
+    reference: Optional[ReducedCorrection] = None,
+    pbar_cert: Optional[Expression] = None,
 ) -> ReducedCorrection:
     """Reduce by subtracting the log-fixed-point coefficient instead.
 
     The subtraction removes exactly the terms the integration-by-parts
     route removes; after the same residual sweep the result must agree
-    with ``reference`` (the F*Q route) exactly.
+    with ``reference`` (the F*Q route) exactly.  ``pbar_cert`` is a
+    certificate of ``pbar.coeffs[order]`` the caller already holds; it is
+    computed when not given, and the bookkeeping identity re-checks it.
     """
     if order % 2:
         raise ValueError("even order required")
@@ -231,7 +166,8 @@ def reduce_via_pbar(
         zero = Expression.zero(ring)
         return ReducedCorrection(0, 1, zero, zero)
     raw = split.p[order] - pbar.coeffs[order]
-    pbar_cert = antiderivative(pbar.coeffs[order])
+    if pbar_cert is None:
+        pbar_cert = antiderivative(pbar.coeffs[order])
     if pbar_cert is None:
         raise StructuralTheoremViolation(
             f"log-fixed-point coefficient at order {order} has no certificate"

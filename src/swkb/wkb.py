@@ -17,6 +17,7 @@ from typing import Dict, List
 
 from .algebra import Expression, PHI_RING, V_RING
 from .antiderivative import antiderivative
+from .errors import StructuralTheoremViolation
 from .gaussian import GaussianRational
 from .series import (
     CheckReport,
@@ -133,7 +134,9 @@ def simplify_wkb_condition(max_order: int) -> SimplifiedWkbCondition:
         else:
             cert = antiderivative(w.coeffs[n])
             if cert is None:
-                raise RuntimeError(f"odd-order coefficient {n} unexpectedly not a derivative")
+                raise StructuralTheoremViolation(
+                    f"odd-order coefficient {n} unexpectedly not a derivative"
+                )
             dropped[n] = cert
     return SimplifiedWkbCondition(max_order, kept, w.coeffs[1], dropped, w)
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from swkb.algebra import Expression, Monomial, PHI_RING
 from swkb.gaussian import GaussianRational
@@ -64,3 +65,29 @@ def random_expression(rng: random.Random, ring=PHI_RING, max_terms: int = 4) -> 
         m = Monomial(derivs.items(), h=rng.randint(-6, 4), e=rng.randint(-2, 2))
         terms.append((m, coef))
     return Expression(ring, terms)
+
+
+def _derivs_from_orders(orders):
+    derivs = {}
+    for k in orders:
+        derivs[k] = derivs.get(k, 0) + 1
+    return derivs.items()
+
+
+_small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+ring_monomials = st.builds(
+    Monomial,
+    st.lists(st.integers(0, 3), max_size=3).map(_derivs_from_orders),
+    h=st.integers(-6, 4),
+    e=st.integers(-2, 2),
+)
+
+ring_coefficients = st.builds(GaussianRational, _small_fractions, _small_fractions)
+
+
+def ring_expressions(ring=PHI_RING, max_terms: int = 4):
+    """Hypothesis strategy over small canonical expressions of the kind
+    ``random_expression`` draws; failing cases shrink to fewer, simpler terms."""
+    return st.lists(st.tuples(ring_monomials, ring_coefficients), min_size=1,
+                    max_size=max_terms).map(lambda terms: Expression(ring, terms))

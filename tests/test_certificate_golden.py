@@ -1,0 +1,34 @@
+"""Golden fingerprints of the certificates ``antiderivative`` returns.
+
+The benchmark fingerprints cover the ``reduce`` output, whose certificates
+come from the residual sweep; these cover the certificates of the imaginary
+parts and of the dropped odd-order real parts.
+"""
+
+import hashlib
+import json
+
+from swkb.cli import main
+from swkb.reduction import quantization_integrands
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded with the dense elimination the certificates were first built by;
+# every certificate must stay byte-identical.
+SERIES8_CERTIFICATES_SHA256 = "96dcd9ddbe75f38230c92638d0a38a46946e90a851359ba58827c8b94a4b78df"
+DROPPED8_SHA256 = "0c3b15605c6f995e8cbccba69357f962614c8a66e6e0f880c5177bb93216821f"
+
+
+def test_golden_series_certificates(capsys):
+    assert main(["series", "--order", "8", "--show-certificates", "--format", "json"]) == 0
+    assert _sha256(capsys.readouterr().out) == SERIES8_CERTIFICATES_SHA256
+
+
+def test_golden_dropped_certificates():
+    dropped = quantization_integrands(8).dropped
+    text = json.dumps({f"{n}{part}": cert.to_json_dict()
+                       for (n, part), cert in sorted(dropped.items())}, sort_keys=True)
+    assert _sha256(text) == DROPPED8_SHA256

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from swkb import wkb
 from swkb.cli import main
 
 
@@ -131,3 +132,11 @@ def test_missing_required_flag():
     with pytest.raises(SystemExit) as exc:
         main(["quantize"])
     assert exc.value.code == 2
+
+
+def test_missing_odd_certificate_in_wkb_fails_verify(capsys, monkeypatch):
+    # a missing certificate is a structural failure: a FAIL line and exit 1
+    monkeypatch.setattr(wkb, "antiderivative", lambda a, max_widen=3: None)
+    code, out = run(capsys, ["verify", "--order", "4"])
+    assert code == 1
+    assert "FAIL odd-order coefficient 3 unexpectedly not a derivative" in out

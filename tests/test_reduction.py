@@ -1,8 +1,11 @@
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swkb.algebra import E_pow, Expression, phi, u_half
+from swkb.antiderivative import antiderivative
 from swkb.errors import StructuralTheoremViolation
 from swkb.reduction import (
     DerivativeSweep,
@@ -14,9 +17,12 @@ from swkb.reduction import (
     reconstruction_residual,
     reduce_even_order,
     reduce_via_pbar,
+    _sweep_generators,
     residual_sweep,
 )
 from swkb.series import SplitSeries
+
+from conftest import ring_expressions
 
 
 class TestDecompose:
@@ -80,6 +86,12 @@ class TestReduceViaPbar:
             alt = reduce_via_pbar(order, split10, pbar8, reference=ref)
             assert alt.integrand == ref.integrand
 
+    def test_given_certificate_is_rechecked(self, split10, pbar8):
+        cert = antiderivative(pbar8.coeffs[4])
+        assert reduce_via_pbar(4, split10, pbar8, pbar_cert=cert) == reduce_via_pbar(4, split10, pbar8)
+        with pytest.raises(StructuralTheoremViolation):
+            reduce_via_pbar(4, split10, pbar8, pbar_cert=cert + phi() * u_half(-1))
+
     def test_disagreement_raises(self, split10, lseq9, pbar8):
         ref = reduce_even_order(2, split10, lseq9)
         bad = Expression.from_terms(
@@ -117,6 +129,16 @@ class TestResidualSweep:
         kept, cert = residual_sweep(y.differentiate())
         assert kept.is_zero()
         assert cert.differentiate() == y.differentiate()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ring_expressions(), st.sampled_from([None, 0, 1]))
+def test_residual_sweep_normal_form(x, min_e):
+    kept, cert = residual_sweep(x, min_e=min_e)
+    assert kept + cert.differentiate() == x
+    if not x.is_zero():
+        pivots = {p for p, _, _ in DerivativeSweep(x.ring, _sweep_generators(x, min_e)).rows}
+        assert not pivots & kept.terms.keys()
 
 
 class TestQuantizationIntegrands:
