@@ -76,18 +76,18 @@ def _derivs_from_orders(orders):
 
 _small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
-ring_monomials = st.builds(
+_monomials = st.builds(
     Monomial,
     st.lists(st.integers(0, 3), max_size=3).map(_derivs_from_orders),
     h=st.integers(-6, 4),
     e=st.integers(-2, 2),
 )
 
-ring_coefficients = st.builds(GaussianRational, _small_fractions, _small_fractions)
+_coefficients = st.builds(GaussianRational, _small_fractions, _small_fractions)
 
 
 def ring_expressions(ring=PHI_RING, max_terms: int = 4):
     """Hypothesis strategy over small canonical expressions of the kind
     ``random_expression`` draws; failing cases shrink to fewer, simpler terms."""
-    return st.lists(st.tuples(ring_monomials, ring_coefficients), min_size=1,
+    return st.lists(st.tuples(_monomials, _coefficients), min_size=1,
                     max_size=max_terms).map(lambda terms: Expression(ring, terms))
