@@ -37,7 +37,7 @@ from .series import (
     imag_relation_check,
     SplitSeries,
 )
-from .spectrum import compare_report, degeneracy_report, solve_levels
+from .spectrum import compare_report, solve_levels
 from .wkb import MAX_SUBSTITUTION_ORDER, wkb_series_and_substitute
 
 DEFAULT_VERIFY_ORDER = 8
@@ -84,7 +84,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    qc = quantization_integrands(args.max_order)
+    s = generate_series(args.max_order, "minus")
+    lseq = l_sequence(max(args.max_order - 1, 0), s)
+    qc = quantization_integrands(args.max_order, s, split_series(s), lseq)
     records = []
     for corr in qc.corrections:
         records.append(
@@ -176,20 +178,20 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
             ok = False
         check(f"E-factorization order {n}", ok)
 
-    mutated = None
+    checked = split
     if mutate:
         # negative control: perturb one coefficient of q_2 and re-run
         bad_q = list(split.q)
         bad_q[2] = bad_q[2] + Expression.sym(2, 1) * Expression.u_pow(-2)
-        mutated = SplitSeries(split.p, bad_q)
-    gs = generating_system_check(min(order, 6), split=mutated)
+        checked = SplitSeries(split.p, bad_q)
+    gs = generating_system_check(min(order, 6), checked)
     for entry in gs.entries:
         check(f"generating system order {entry.order}", entry.ok, entry.detail)
-    ir = imag_relation_check(min(order, 6))
+    ir = imag_relation_check(min(order, 6), split)
     for entry in ir.entries:
         check(f"imaginary-part relation order {entry.order}", entry.ok, entry.detail)
 
-    qc = quantization_integrands(order if order % 2 == 0 else order - 1)
+    qc = quantization_integrands(order - order % 2, s, split, lseq)
     for corr in qc.corrections[1:]:
         check(
             f"reduced integrand order {corr.order} has overall E factor",
@@ -209,7 +211,7 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
     check("certificates + integrands reconstruct the series",
           all(r.is_zero() for r in res))
 
-    wk = wkb_series_and_substitute(min(MAX_SUBSTITUTION_ORDER, order))
+    wk = wkb_series_and_substitute(min(MAX_SUBSTITUTION_ORDER, order), s)
     check("substituted series matches", wk.series_match.all_ok)
     check("log-term corrections are certified derivatives", wk.log_term.all_ok)
     check("substituted simplified condition matches modulo derivatives",
@@ -270,8 +272,6 @@ def cmd_compare(args) -> int:
     grid = default_grid(sp.v_minus, count, sp.hbar)
     oracle_vals = eigenvalues(sp.v_minus, grid, count, sp.hbar)
     rep = compare_report(sp, orders, args.levels, oracle_vals)
-    deg = degeneracy_report(sp, orders[-1], max(args.levels, 1), orders=orders)
-    rep.degeneracy = deg.degeneracy
     print(rep.to_json() if args.json else rep.to_text())
     return 0
 

@@ -27,6 +27,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
+START_SAMPLES = 256  # first resolution; integration doubles it until the estimate settles
 MAX_SAMPLES = 2 ** 20
 DEFAULT_ASPECT = 0.5
 DEFAULT_CLEARANCE = 0.2  # fraction of the semi-major axis
@@ -142,15 +143,11 @@ def _unit_circle(samples: int, shift: float):
 
 @dataclass(frozen=True)
 class Contour:
-    """Counterclockwise ellipse around the classical turning pair.
-
-    ``samples`` is the starting resolution; integration doubles it until
-    the estimate settles."""
+    """Counterclockwise ellipse around the classical turning pair."""
 
     center: float
     a: float  # semi-axis along the real direction
     b: float  # semi-axis along the imaginary direction
-    samples: int = 256
 
     def points(self, samples: int, shift: float = 0.0):
         """``samples`` equispaced points and dz/dtheta; ``shift = 0.5`` gives
@@ -353,7 +350,6 @@ def contour_integrate(
     tol: float = DEFAULT_TOL,
     contour: Optional[Contour] = None,
     check_real: bool = True,
-    start_samples: int = 256,
     weights: Optional[Sequence[float]] = None,
 ) -> IntegralResult:
     """Closed-contour integrals of every row of ``integrands`` (a plain
@@ -373,7 +369,7 @@ def contour_integrate(
         contour = build_contour(sp, E)
     coeffs = table.coeffs * float(E) ** table.e
     deriv_rows = _derivative_rows(sp, table.orders)
-    samples = max(start_samples, contour.samples)
+    samples = START_SAMPLES
     z, dz = contour.points(samples)
     phi_vals = _horner(deriv_rows, z)
     u = E - phi_vals[0] ** 2

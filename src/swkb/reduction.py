@@ -20,18 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Expression, Monomial, PHI_RING, Ring
+from .algebra import Expression, Monomial
 from .antiderivative import DerivativeSweep, antiderivative, bigrade_components, candidate_monomials
 from .errors import StructuralTheoremViolation
-from .series import (
-    HbarSeries,
-    LSequence,
-    SplitSeries,
-    generate_series,
-    i_times,
-    l_sequence,
-    split_series,
-)
+from .series import HbarSeries, LSequence, SplitSeries, i_times
 
 HALF = Fraction(1, 2)
 
@@ -48,11 +40,11 @@ def divide_by_e(x: Expression, context: str = "") -> Expression:
     return x.shift_e(-1)
 
 
-def decompose(n: int, split: SplitSeries, ring: Ring = PHI_RING) -> Tuple[Expression, Expression]:
+def decompose(n: int, split: SplitSeries) -> Tuple[Expression, Expression]:
     """alpha_n, beta_n with p_n = F q_n + E alpha_n and q_n = -F p_n + E beta_n."""
     if n < 1:
         raise ValueError("decomposition starts at order 1")
-    F = Expression.sym(0, 1, ring) * Expression.u_pow(-1, ring)
+    F = Expression.sym(0, 1) * Expression.u_pow(-1)
     alpha = divide_by_e(split.p[n] - F * split.q[n], f"p_{n} - F q_{n}")
     beta = divide_by_e(split.q[n] + F * split.p[n], f"q_{n} + F p_{n}")
     return alpha, beta
@@ -113,30 +105,24 @@ class ReducedCorrection:
         return 0 if self.integrand.is_zero() else self.integrand.min_e_degree()
 
 
-def reduce_even_order(
-    order: int, split: SplitSeries, lseq: LSequence, sweep: bool = True
-) -> ReducedCorrection:
+def reduce_even_order(order: int, split: SplitSeries, lseq: LSequence) -> ReducedCorrection:
     """Reduce the real part at an even order >= 2 by the F*Q subtraction.
 
     Q = (i/2) l[order-1] integrates the even imaginary part; subtracting
     (F Q)' from p_order leaves E * (alpha - f' Q u^(-3/2)), manifestly
-    divisible by E.  The optional residual sweep then removes whatever
+    divisible by E.  The residual sweep then removes whatever
     exact-derivative content remains, keeping E-divisibility.
     """
     if order < 2 or order % 2:
         raise ValueError("even order >= 2 required")
     if lseq.order < order - 1:
         raise ValueError("certificate sequence not generated far enough")
-    ring = split.p[0].ring
     alpha, _ = decompose(order, split)
     Q = i_times(lseq.l[order - 1]).scale(HALF)
-    F = Expression.sym(0, 1, ring) * Expression.u_pow(-1, ring)
-    fprime_u32 = Expression.sym(1, 1, ring) * Expression.u_pow(-3, ring)
-    integrand = (alpha - fprime_u32 * Q).shift_e(1)
-    cert = F * Q
-    if sweep:
-        integrand, resid = residual_sweep(integrand, min_e=1)
-        cert = cert + resid
+    F = Expression.sym(0, 1) * Expression.u_pow(-1)
+    fprime_u32 = Expression.sym(1, 1) * Expression.u_pow(-3)
+    integrand, resid = residual_sweep((alpha - fprime_u32 * Q).shift_e(1), min_e=1)
+    cert = F * Q + resid
     if split.p[order] - integrand != cert.differentiate():
         raise StructuralTheoremViolation(f"bookkeeping identity failed at order {order}")
     if not integrand.is_zero() and integrand.min_e_degree() < 1:
@@ -196,7 +182,9 @@ class QuantizationCondition:
     certificate 0).  The first-order coefficient integrates to the constant
     pi; it is reported via ``constant_pi`` and converts the right-hand side
     from 2(n + 1/2) pi hbar to 2 n pi hbar.  ``dropped`` maps every other
-    omitted (order, part) to its derivative certificate.
+    omitted (order, part) to its derivative certificate.  ``series`` and
+    ``split`` are the ones the condition was built from and may run past
+    max_order.
     """
 
     max_order: int
@@ -207,18 +195,22 @@ class QuantizationCondition:
     split: SplitSeries
 
 
-def quantization_integrands(max_order: int, ring: Ring = PHI_RING) -> QuantizationCondition:
+def quantization_integrands(
+    max_order: int, s: HbarSeries, split: SplitSeries, lseq: LSequence
+) -> QuantizationCondition:
     """The reduced even-order integrands plus certificates for everything
     dropped: odd-order real and imaginary parts (order >= 3), even-order
-    imaginary parts, and the derivative parts of the even real parts."""
+    imaginary parts, and the derivative parts of the even real parts.
+
+    ``s`` is the minus series, ``split`` its parts and ``lseq`` its
+    certificate sequence, generated at least to max_order, max_order and
+    max_order - 1; only that prefix is read.
+    """
     if max_order % 2:
         raise ValueError("max_order must be even")
-    s = generate_series(max_order, "minus", ring)
-    split = split_series(s)
-    lseq = l_sequence(max_order - 1, s) if max_order >= 2 else LSequence([None])
-    corrections = [
-        ReducedCorrection(0, 1, Expression.u_pow(1, ring), Expression.zero(ring))
-    ]
+    if min(s.order, split.order, lseq.order + 1) < max_order:
+        raise ValueError("series not generated far enough")
+    corrections = [ReducedCorrection(0, 1, Expression.u_pow(1), Expression.zero())]
     dropped: Dict[Tuple[int, str], Expression] = {}
     for n in range(2, max_order + 1):
         if n % 2 == 0:
@@ -257,21 +249,19 @@ def reconstruction_residual(qc: QuantizationCondition) -> List[Expression]:
     return out
 
 
-def known_integrand_order2(ring: Ring = PHI_RING) -> Expression:
+def known_integrand_order2() -> Expression:
     """(E/8) f'^2 u^(-5/2): the known closed form of the second-order correction integrand."""
-    return (Expression.e_pow(1, ring) * Expression.sym(1, 2, ring) * Expression.u_pow(-5, ring)).scale(
-        Fraction(1, 8)
-    )
+    return (Expression.e_pow(1) * Expression.sym(1, 2) * Expression.u_pow(-5)).scale(Fraction(1, 8))
 
 
-def known_integrand_order4(ring: Ring = PHI_RING) -> Expression:
+def known_integrand_order4() -> Expression:
     """(E/128) (49 E f'^4 u^(-11/2) - 140/3 f'^4 u^(-9/2) - 4 f' f''' u^(-7/2)),
     the known closed form of the fourth-order bracket (quantization sign -hbar^4)."""
-    e1 = Expression.e_pow(1, ring)
-    f1_4 = Expression.sym(1, 4, ring)
-    t1 = (Expression.e_pow(2, ring) * f1_4 * Expression.u_pow(-11, ring)).scale(Fraction(49, 128))
-    t2 = (e1 * f1_4 * Expression.u_pow(-9, ring)).scale(Fraction(-140, 3 * 128))
-    t3 = (e1 * Expression.sym(1, 1, ring) * Expression.sym(3, 1, ring) * Expression.u_pow(-7, ring)).scale(
+    e1 = Expression.e_pow(1)
+    f1_4 = Expression.sym(1, 4)
+    t1 = (Expression.e_pow(2) * f1_4 * Expression.u_pow(-11)).scale(Fraction(49, 128))
+    t2 = (e1 * f1_4 * Expression.u_pow(-9)).scale(Fraction(-140, 3 * 128))
+    t3 = (e1 * Expression.sym(1, 1) * Expression.sym(3, 1) * Expression.u_pow(-7)).scale(
         Fraction(-4, 128)
     )
     return t1 + t2 + t3

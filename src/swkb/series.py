@@ -158,11 +158,9 @@ def split_series(s: HbarSeries) -> SplitSeries:
     return SplitSeries(p, q)
 
 
-def inverse_lead_factor(ring: Ring = PHI_RING) -> Expression:
+def inverse_lead_factor() -> Expression:
     """(f + i u^(1/2))^(-1) realized exactly as (f - i u^(1/2)) / E."""
-    return (Expression.sym(0, 1, ring) - i_times(Expression.u_pow(1, ring))) * Expression.e_pow(
-        -1, ring
-    )
+    return (Expression.sym(0, 1) - i_times(Expression.u_pow(1))) * Expression.e_pow(-1)
 
 
 def l_sequence(order: int, s: HbarSeries) -> LSequence:
@@ -180,7 +178,7 @@ def l_sequence(order: int, s: HbarSeries) -> LSequence:
         raise ValueError("the derivative-certificate sequence is built from the minus series")
     if s.order < order:
         raise ValueError("series not generated far enough")
-    inv = inverse_lead_factor(s.ring)
+    inv = inverse_lead_factor()
     l: List[Optional[Expression]] = [None]
     for n in range(1, order + 1):
         inner = s.coeffs[n].scale(n)
@@ -208,7 +206,7 @@ def partner_via_log_identity(s: HbarSeries, order: int) -> HbarSeries:
     g: List[Expression] = [Expression.sym(0, 1, ring) + i_times(s.coeffs[0])]
     for n in range(1, order + 1):
         g.append(i_times(s.coeffs[n]))
-    log_d = series_log_deriv(g, inverse_lead_factor(ring), order)
+    log_d = series_log_deriv(g, inverse_lead_factor(), order)
     out = [s.coeffs[0]]
     for n in range(1, order + 1):
         out.append(s.coeffs[n] + log_d[n - 1])
@@ -223,7 +221,7 @@ def partner_via_imag_shift(s: HbarSeries, split: SplitSeries, order: int) -> Hba
     return HbarSeries(out, "plus")
 
 
-def pbar_series(order: int, ring: Ring = PHI_RING) -> HbarSeries:
+def pbar_series(order: int) -> HbarSeries:
     """Fixed point of  X = u^(1/2) - (nu/2) X'/X  expanded in nu.
 
     The log-derivative is realized by exact series division, so the
@@ -233,8 +231,8 @@ def pbar_series(order: int, ring: Ring = PHI_RING) -> HbarSeries:
     so it is exempt from certification (only even orders >= 2 ever enter
     the quantization integrands).
     """
-    pb = [Expression.u_pow(1, ring)]
-    um12 = Expression.u_pow(-1, ring)
+    pb = [Expression.u_pow(1)]
+    um12 = Expression.u_pow(-1)
     d: List[Expression] = []  # log-derivative coefficients
     for n in range(1, order + 1):
         m = n - 1
@@ -269,27 +267,23 @@ class CheckReport:
         self.entries.append(OrderReport(order, ok, detail))
 
 
-def generating_system_check(
-    order: int, split: Optional[SplitSeries] = None, ring: Ring = PHI_RING
-) -> CheckReport:
+def generating_system_check(order: int, split: SplitSeries) -> CheckReport:
     """Order-by-order verification of the coupled first-order system for
     P = sum nu^n p_n, Q = sum nu^n q_n:
 
         nu P' = -P^2 + Q^2 + p_0^2,   -nu Q' = 2 P Q - nu f',
 
     plus the structural statement that P - p_0 - F Q is divisible by E at
-    every order.  ``split`` can be injected (e.g. mutated) for negative
-    controls; by default it comes from the minus-sign recursion.
+    every order 1..``order``, on the parts ``split`` of the minus series
+    (or a mutated copy of them, for negative controls).
     """
-    if split is None:
-        split = split_series(generate_series(order, "minus", ring))
     p, q = split.p, split.q
-    F = Expression.sym(0, 1, ring) * Expression.u_pow(-1, ring)
+    F = Expression.sym(0, 1) * Expression.u_pow(-1)
     report = CheckReport("generating-system")
     for n in range(1, order + 1):
-        conv_pp = Expression.zero(ring)
-        conv_qq = Expression.zero(ring)
-        conv_pq = Expression.zero(ring)
+        conv_pp = Expression.zero()
+        conv_qq = Expression.zero()
+        conv_pq = Expression.zero()
         for k in range(n + 1):
             conv_pp = conv_pp + p[k] * p[n - k]
             conv_qq = conv_qq + q[k] * q[n - k]
@@ -297,7 +291,7 @@ def generating_system_check(
         r1 = p[n - 1].differentiate() + conv_pp - conv_qq
         r2 = q[n - 1].differentiate() + conv_pq.scale(2)
         if n == 1:
-            r2 = r2 - Expression.sym(1, 1, ring)
+            r2 = r2 - Expression.sym(1, 1)
         efq = p[n] - F * q[n]
         e_ok = efq.is_zero() or efq.min_e_degree() >= 1
         ok = r1.is_zero() and r2.is_zero() and e_ok
@@ -323,19 +317,16 @@ def real_imag_hbar_series(split: SplitSeries, order: int):
     return R, I
 
 
-def imag_relation_check(
-    order: int, split: Optional[SplitSeries] = None, ring: Ring = PHI_RING
-) -> CheckReport:
-    """Verify I = (hbar/2) (ln R)' order by order in hbar.
+def imag_relation_check(order: int, split: SplitSeries) -> CheckReport:
+    """Verify I = (hbar/2) (ln R)' order by order in hbar, up to ``order``,
+    on the parts ``split`` of the minus series.
 
     The order-0 entry is vacuous (I_0 = 0 and the relation starts at order
     1); all higher orders are exact ring identities once (ln R)' is taken
     as R'/R by series division.
     """
-    if split is None:
-        split = split_series(generate_series(order, "minus", ring))
     R, I = real_imag_hbar_series(split, order)
-    log_d = series_log_deriv(R, Expression.u_pow(-1, ring), max(order - 1, 0))
+    log_d = series_log_deriv(R, Expression.u_pow(-1), max(order - 1, 0))
     report = CheckReport("imag-relation")
     report.add(0, I[0].is_zero(), "vacuous")
     for m in range(1, order + 1):

@@ -8,9 +8,12 @@ of writing the right-hand side, leaving
     action(E) = 2 n pi hbar          (minus partner)
     action(E) = 2 (n + 1) pi hbar    (plus partner)
 
-so the exact partner degeneracy E_n^(-) = E_{n-1}^(+) holds at every
-truncation order by construction; the report measures it through two
-independent root solves.
+The integrands reduce the real parts p_n alone, and the plus series
+has the same real parts (c_n^(+) = c_n - 2 i q_n), so both partners share
+one action and the degeneracy E_n^(-) = E_{n-1}^(+) holds at every
+truncation order.  The report rests on that identity: it checks
+p_n^(+) = p_n exactly and then reads E_{n-1}^(+) off the minus root already
+solved for level n.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from scipy.optimize import brentq
 
-from .errors import ConvergenceError, OutOfValidatedRangeError
+from .errors import ConvergenceError, OutOfValidatedRangeError, StructuralTheoremViolation
 from .quadrature import (
     DEFAULT_TOL,
     IntegrandTable,
@@ -31,6 +34,7 @@ from .quadrature import (
     contour_integrate,
 )
 from .reduction import QuantizationCondition, quantization_integrands
+from .series import generate_series, l_sequence, split_series
 
 DEFAULT_TOL_E = 1e-9
 MIN_VALIDATED_E_FACTOR = 1e-8  # in units of hbar
@@ -42,7 +46,8 @@ def _condition(order: int) -> Tuple[QuantizationCondition, IntegrandTable]:
     """The reduced condition up to ``order`` and its integrands compiled
     into one table, one row per correction."""
     if order not in _qc_cache:
-        qc = quantization_integrands(order)
+        s = generate_series(order, "minus")
+        qc = quantization_integrands(order, s, split_series(s), l_sequence(max(order - 1, 0), s))
         _qc_cache[order] = (qc, compile_integrands([c.integrand for c in qc.corrections]))
     return _qc_cache[order]
 
@@ -127,24 +132,8 @@ def solve_level(
         if doublings > 60:
             raise ConvergenceError("no upper bracket found")
         fhi = f(hi)
-    try:
-        root = brentq(f, lo, hi, xtol=tol_e, rtol=8.881784197001252e-16, maxiter=200)
-    except ValueError:
-        root = _fine_scan_root(f, lo, hi, tol_e)
-    return float(root)
-
-
-def _fine_scan_root(f, lo: float, hi: float, tol_e: float, points: int = 256) -> float:
-    """Fallback for a non-monotone action inside the bracket: locate the
-    first sign change on a fine grid, then bisect."""
-    xs = [lo + (hi - lo) * i / points for i in range(points + 1)]
-    prev_x, prev_f = xs[0], f(xs[0])
-    for x in xs[1:]:
-        fx = f(x)
-        if prev_f <= 0.0 <= fx:
-            return brentq(f, prev_x, x, xtol=tol_e, maxiter=200)
-        prev_x, prev_f = x, fx
-    raise ConvergenceError("fine scan found no sign change")
+    # f(lo) < 0 <= f(hi): a sign change, which is all brentq needs
+    return float(brentq(f, lo, hi, xtol=tol_e, rtol=8.881784197001252e-16, maxiter=200))
 
 
 @dataclass
@@ -255,6 +244,28 @@ def solve_levels(
     return {n: solve_level(QuantizationProblem(sp, order, n, partner), tol_e=tol_e) for n in levels}
 
 
+def _degeneracy_rows(
+    by_order: Dict[int, Dict[int, float]], n_max: int
+) -> List[DegeneracyRecord]:
+    """Degeneracy rows for n = 1..n_max at each order of ``by_order`` (minus
+    roots by order and level).
+
+    The plus root for level n - 1 solves the same action for the same
+    target as the minus root for level n, so it is that root, once the plus
+    series is checked to have the same real parts as the minus series up to
+    the highest order (a prefix check covers every lower order)."""
+    order = max(by_order)
+    minus_p = _condition(order)[0].split.p
+    plus_p = split_series(generate_series(order, "plus")).p
+    for k in range(order + 1):
+        if plus_p[k] != minus_p[k]:
+            raise StructuralTheoremViolation(
+                f"real part p_{k} of the plus series differs from the minus one"
+            )
+    return [DegeneracyRecord(n, ordr, roots[n], roots[n])
+            for ordr, roots in by_order.items() for n in range(1, n_max + 1)]
+
+
 def degeneracy_report(
     sp: PolynomialSuperpotential,
     order: int,
@@ -262,16 +273,15 @@ def degeneracy_report(
     tol_e: float = DEFAULT_TOL_E,
     orders: Optional[Sequence[int]] = None,
 ) -> SpectrumReport:
-    """Solve both partners independently and tabulate the gaps
-    |E_n^(-) - E_{n-1}^(+)| for n = 1..n_max at each truncation order."""
+    """Tabulate E_n^(-) against E_{n-1}^(+) for n = 1..n_max at each
+    truncation order; the pairing rests on the checked identity
+    p_n^(+) = p_n, so each row needs one root solve, not two."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     report = SpectrumReport(sp)
-    for ordr in orders if orders is not None else [order]:
-        minus = solve_levels(sp, ordr, range(1, n_max + 1), "minus", tol_e)
-        plus = solve_levels(sp, ordr, range(0, n_max), "plus", tol_e)
-        for n in range(1, n_max + 1):
-            report.degeneracy.append(DegeneracyRecord(n, ordr, minus[n], plus[n - 1]))
+    by_order = {ordr: solve_levels(sp, ordr, range(1, n_max + 1), "minus", tol_e)
+                for ordr in (orders if orders is not None else [order])}
+    report.degeneracy = _degeneracy_rows(by_order, n_max)
     return report
 
 
@@ -283,9 +293,13 @@ def compare_report(
     tol_e: float = DEFAULT_TOL_E,
 ) -> SpectrumReport:
     """Per-level SWKB estimates at each truncation order, with oracle
-    eigenvalues attached when provided."""
+    eigenvalues attached when provided, and the degeneracy rows for
+    n = 1..max(n_max, 1) built from the same roots (level 1 is solved for
+    them when n_max is 0)."""
     report = SpectrumReport(sp)
-    by_order = {ordr: solve_levels(sp, ordr, range(n_max + 1), "minus", tol_e) for ordr in orders}
+    deg_max = max(n_max, 1)
+    by_order = {ordr: solve_levels(sp, ordr, range(deg_max + 1), "minus", tol_e) for ordr in orders}
+    report.degeneracy = _degeneracy_rows(by_order, deg_max)
     for n in range(n_max + 1):
         rec = LevelRecord(n, "minus", {ordr: by_order[ordr][n] for ordr in orders})
         if oracle_values is not None and n < len(oracle_values):

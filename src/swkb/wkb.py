@@ -122,8 +122,8 @@ class SimplifiedWkbCondition:
     series: HbarSeries
 
 
-def simplify_wkb_condition(max_order: int) -> SimplifiedWkbCondition:
-    w = wkb_series(max_order)
+def simplify_wkb_condition(w: HbarSeries, max_order: int) -> SimplifiedWkbCondition:
+    """Simplified condition of the potential-ring series ``w`` up to ``max_order``."""
     kept: Dict[int, Expression] = {0: w.coeffs[0]}
     dropped: Dict[int, Expression] = {}
     for n in range(2, max_order + 1):
@@ -141,14 +141,13 @@ def simplify_wkb_condition(max_order: int) -> SimplifiedWkbCondition:
     return SimplifiedWkbCondition(max_order, kept, w.coeffs[1], dropped, w)
 
 
-def log_term_expansion_check(order: int) -> CheckReport:
+def log_term_expansion_check(sub: Substitution) -> CheckReport:
     """Expand V'/(E - V) under the substitution and verify each correction
     is the stated closed-form total derivative:
 
         nu^n coefficient = (-i)^n (1/n) d/dx (f' / u)^n,   n >= 1,
 
     with the antiderivative certificate written down explicitly."""
-    sub = Substitution(order)
     expr = Expression.sym(1, 1, V_RING) * Expression.u_pow(-2, V_RING)
     got = sub.apply(expr)
     report = CheckReport("log-term-expansion")
@@ -156,7 +155,7 @@ def log_term_expansion_check(order: int) -> CheckReport:
     report.add(0, got[0] == lead, "leading term 2 f f' / u")
     base = Expression.sym(1, 1) * Expression.u_pow(-2)
     pw = base
-    for n in range(1, order + 1):
+    for n in range(1, sub.order + 1):
         if n > 1:
             pw = pw * base
         closed = pw.scale(_I_POW[(-n) % 4] * GaussianRational(Fraction(1, n)))
@@ -166,12 +165,11 @@ def log_term_expansion_check(order: int) -> CheckReport:
     return report
 
 
-def substitution_series_check(order: int) -> CheckReport:
-    """Substituted full potential-ring series == supersymmetric series,
-    exactly, order by order (solution uniqueness of the shared identity)."""
-    sub = Substitution(order)
-    w = wkb_series(order)
-    s = generate_series(order, "minus")
+def substitution_series_check(sub: Substitution, w: HbarSeries, s: HbarSeries) -> CheckReport:
+    """Substituted full potential-ring series ``w`` == supersymmetric series
+    ``s``, exactly, order by order up to ``sub.order`` (solution uniqueness
+    of the shared identity)."""
+    order = sub.order
     total = [Expression.zero(PHI_RING) for _ in range(order + 1)]
     for m in range(order + 1):
         piece = sub.apply(w.coeffs[m])
@@ -183,13 +181,13 @@ def substitution_series_check(order: int) -> CheckReport:
     return report
 
 
-def substituted_condition_check(order: int) -> CheckReport:
-    """Substitute the *simplified* potential-ring condition and compare with
-    the supersymmetric series: the order-n difference must be a certified
-    total derivative (exactly zero at orders 0 and 1)."""
-    simp = simplify_wkb_condition(order)
-    sub = Substitution(order)
-    s = generate_series(order, "minus")
+def substituted_condition_check(sub: Substitution, w: HbarSeries, s: HbarSeries) -> CheckReport:
+    """Substitute the *simplified* condition of the potential-ring series
+    ``w`` and compare with the supersymmetric series ``s`` up to
+    ``sub.order``: the order-n difference must be a certified total
+    derivative (exactly zero at orders 0 and 1)."""
+    order = sub.order
+    simp = simplify_wkb_condition(w, order)
     total = [Expression.zero(PHI_RING) for _ in range(order + 1)]
     pieces = dict(simp.kept)
     pieces[1] = simp.first_order
@@ -219,16 +217,20 @@ class WkbSubstitutionReport:
         return self.series_match.all_ok and self.log_term.all_ok and self.condition.all_ok
 
 
-def wkb_series_and_substitute(order: int) -> WkbSubstitutionReport:
-    """Bundle of the three substitution checks, bounded at order 4 (the
-    potential-ring condition is only simplified that far here)."""
+def wkb_series_and_substitute(order: int, s: HbarSeries) -> WkbSubstitutionReport:
+    """Bundle of the three substitution checks against the minus series
+    ``s``, bounded at order 4 (the potential-ring condition is only
+    simplified that far here).  The potential-ring series and the
+    substitution are built once and shared by the three checks."""
     if order > MAX_SUBSTITUTION_ORDER:
         raise ValueError(
             f"substitution overflow: order {order} exceeds the configured bound "
             f"{MAX_SUBSTITUTION_ORDER}"
         )
+    sub = Substitution(order)
+    w = wkb_series(order)
     return WkbSubstitutionReport(
-        substitution_series_check(order),
-        log_term_expansion_check(order),
-        substituted_condition_check(order),
+        substitution_series_check(sub, w, s),
+        log_term_expansion_check(sub),
+        substituted_condition_check(sub, w, s),
     )

@@ -8,6 +8,7 @@ from swkb.algebra import Expression, Monomial, PHI_RING
 from swkb.gaussian import GaussianRational
 from swkb.quadrature import PolynomialSuperpotential
 from swkb.series import generate_series, l_sequence, pbar_series, split_series
+from swkb.wkb import Substitution, wkb_series
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,16 @@ def plus8():
 
 
 @pytest.fixture(scope="session")
+def wkb4():
+    return wkb_series(4)
+
+
+@pytest.fixture(scope="session")
+def substitution4():
+    return Substitution(4)
+
+
+@pytest.fixture(scope="session")
 def oscillator():
     return PolynomialSuperpotential([0.0, 1.0], 1.0, "oscillator")
 
@@ -48,6 +59,15 @@ def cubic():
 @pytest.fixture(scope="session")
 def mixed_cubic():
     return PolynomialSuperpotential([0.0, 1.0, 0.0, 0.2], 1.0, "x + x^3/5")
+
+
+def broken_plus_series(order, sign="minus"):
+    """generate_series with a real term added to the plus series at order 2,
+    to break the identity p_n^(+) = p_n."""
+    s = generate_series(order, sign)
+    if sign == "plus" and order >= 2:
+        s.coeffs[2] = s.coeffs[2] + Expression.sym(2, 1) * Expression.u_pow(-2)
+    return s
 
 
 def random_expression(rng: random.Random, ring=PHI_RING, max_terms: int = 4) -> Expression:

@@ -132,16 +132,16 @@ def test_criterion_06_e_factorization(split10, lseq9):
     print("\ncriterion 6: PASS (explicit E factor, orders 1..8 and reduced 2..8)")
 
 
-def test_criterion_07_system_identities():
-    assert generating_system_check(6).all_ok
-    assert imag_relation_check(6).all_ok
+def test_criterion_07_system_identities(split10):
+    assert generating_system_check(6, split10).all_ok
+    assert imag_relation_check(6, split10).all_ok
     print("\ncriterion 7: PASS (coupled system and imaginary-part relation, orders <= 6)")
 
 
-def test_criterion_08_wkb_substitution():
-    log_rep = log_term_expansion_check(4)
+def test_criterion_08_wkb_substitution(substitution4, wkb4, series10):
+    log_rep = log_term_expansion_check(substitution4)
     assert log_rep.all_ok, "log-derivative corrections must be certified derivatives"
-    cond = substituted_condition_check(4)
+    cond = substituted_condition_check(substitution4, wkb4, series10)
     assert cond.all_ok
     by_order = {e.order: e.ok for e in cond.entries}
     assert by_order[2] and by_order[4]

@@ -27,8 +27,8 @@ def test_golden_series_certificates(capsys):
     assert _sha256(capsys.readouterr().out) == SERIES8_CERTIFICATES_SHA256
 
 
-def test_golden_dropped_certificates():
-    dropped = quantization_integrands(8).dropped
+def test_golden_dropped_certificates(series10, split10, lseq9):
+    dropped = quantization_integrands(8, series10, split10, lseq9).dropped
     text = json.dumps({f"{n}{part}": cert.to_json_dict()
                        for (n, part), cert in sorted(dropped.items())}, sort_keys=True)
     assert _sha256(text) == DROPPED8_SHA256

@@ -1,9 +1,14 @@
 import json
+import sys
 
 import pytest
 
+import swkb.series
+import swkb.spectrum
 from swkb import wkb
-from swkb.cli import main
+from swkb.cli import _verify_lines, main
+
+from conftest import broken_plus_series
 
 
 @pytest.fixture()
@@ -89,6 +94,7 @@ def test_verify_fast_order(capsys):
 def test_verify_mutation_negative_control(capsys):
     code, out = run(capsys, ["verify", "--order", "2", "--mutate"])
     assert code == 1
+    assert "FAIL generating system order 2" in out
     assert "verification FAILED" in out
 
 
@@ -140,3 +146,51 @@ def test_missing_odd_certificate_in_wkb_fails_verify(capsys, monkeypatch):
     code, out = run(capsys, ["verify", "--order", "4"])
     assert code == 1
     assert "FAIL odd-order coefficient 3 unexpectedly not a derivative" in out
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` through every swkb namespace that
+    bound it; returns the list the calls are appended to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "swkb" or mod_name.startswith("swkb.")) and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_verify_builds_each_series_once(monkeypatch):
+    # the minus series to order + 1, the plus series, the potential-ring series
+    series_calls = _count_calls(monkeypatch, swkb.series, "generate_series")
+    lseq_calls = _count_calls(monkeypatch, swkb.series, "l_sequence")
+    lines = _verify_lines(4, False)
+    assert not any(line.startswith("FAIL") for line in lines)
+    assert len(series_calls) == 3
+    assert len(lseq_calls) == 1
+
+
+@pytest.mark.parametrize("levels", [2, 0])
+def test_compare_solves_each_root_once(capsys, cubic_config, monkeypatch, levels):
+    # --levels 0 also solves level 1, for the degeneracy row n = 1
+    solves = _count_calls(monkeypatch, swkb.spectrum, "solve_level")
+    code, out = run(capsys, ["compare", "--config", cubic_config, "--orders", "0,2",
+                             "--levels", str(levels), "--json"])
+    assert code == 0
+    assert len(solves) == (max(levels, 1) + 1) * 2
+    data = json.loads(out)
+    assert [row["n"] for row in data["levels"]] == list(range(levels + 1))
+    assert [(row["n"], row["order"]) for row in data["degeneracy"]] == [
+        (n, order) for order in (0, 2) for n in range(1, max(levels, 1) + 1)
+    ]
+
+
+def test_compare_fails_when_plus_real_parts_differ(capsys, cubic_config, monkeypatch):
+    monkeypatch.setattr(swkb.spectrum, "generate_series", broken_plus_series)
+    code = main(["compare", "--config", cubic_config, "--orders", "0,2", "--levels", "1"])
+    assert code == 1
+    assert "real part p_2 of the plus series" in capsys.readouterr().err

@@ -142,30 +142,30 @@ def test_residual_sweep_normal_form(x, min_e):
 
 
 class TestQuantizationIntegrands:
-    def test_orders_and_signs(self):
-        qc = quantization_integrands(4)
+    def test_orders_and_signs(self, series10, split10, lseq9):
+        qc = quantization_integrands(4, series10, split10, lseq9)
         assert [c.order for c in qc.corrections] == [0, 2, 4]
         assert [c.sign_factor for c in qc.corrections] == [1, -1, 1]
         assert qc.corrections[0].integrand == u_half(1)
         assert qc.constant_pi
 
-    def test_max_order_zero(self):
-        qc = quantization_integrands(0)
+    def test_max_order_zero(self, series10, split10, lseq9):
+        qc = quantization_integrands(0, series10, split10, lseq9)
         assert len(qc.corrections) == 1
         assert qc.corrections[0].integrand == u_half(1)
 
-    def test_known_forms(self):
-        qc = quantization_integrands(4)
+    def test_known_forms(self, series10, split10, lseq9):
+        qc = quantization_integrands(4, series10, split10, lseq9)
         assert qc.corrections[1].integrand == known_integrand_order2()
         assert qc.corrections[2].integrand == -known_integrand_order4()
 
-    def test_reconstruction_exact(self):
-        qc = quantization_integrands(6)
+    def test_reconstruction_exact(self, series10, split10, lseq9):
+        qc = quantization_integrands(6, series10, split10, lseq9)
         assert all(r.is_zero() for r in reconstruction_residual(qc))
 
-    def test_odd_max_order_rejected(self):
+    def test_odd_max_order_rejected(self, series10, split10, lseq9):
         with pytest.raises(ValueError):
-            quantization_integrands(3)
+            quantization_integrands(3, series10, split10, lseq9)
 
 
 def test_residual_sweep_recheck_raises(monkeypatch):

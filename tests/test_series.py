@@ -149,8 +149,8 @@ class TestPbar:
 
 
 class TestSystemChecks:
-    def test_generating_system_low_orders(self):
-        assert generating_system_check(6).all_ok
+    def test_generating_system_low_orders(self, split10):
+        assert generating_system_check(6, split10).all_ok
 
     def test_generating_system_mutation_fails_at_order_two(self, split10):
         bad_q = list(split10.q)
@@ -159,8 +159,8 @@ class TestSystemChecks:
         assert not rep.entries[0].ok or not rep.entries[1].ok
         assert rep.entries[1].order == 2 and not rep.entries[1].ok
 
-    def test_imag_relation(self):
-        rep = imag_relation_check(6)
+    def test_imag_relation(self, split10):
+        rep = imag_relation_check(6, split10)
         assert rep.all_ok
         assert rep.entries[0].detail == "vacuous"
 

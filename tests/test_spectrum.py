@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import swkb.quadrature
 import swkb.spectrum
-from swkb.errors import OutOfValidatedRangeError
+from swkb.errors import OutOfValidatedRangeError, StructuralTheoremViolation
 from swkb.oracle import oracle_eigenvalues
 from swkb.quadrature import PolynomialSuperpotential, contour_integrate
 from swkb.reduction import quantization_integrands
@@ -18,6 +18,8 @@ from swkb.spectrum import (
     solve_level,
     solve_levels,
 )
+
+from conftest import broken_plus_series
 
 
 class TestAction:
@@ -50,9 +52,10 @@ class TestSharedPass:
             ([0.0, 1.0, 0.0, 0.2], 0.5, 4, (0.6, 2.0, 5.0)),
         ],
     )
-    def test_action_is_weighted_sum_of_single_integrals(self, coefficients, hbar, order, energies):
+    def test_action_is_weighted_sum_of_single_integrals(self, coefficients, hbar, order, energies,
+                                                        series10, split10, lseq9):
         sp = PolynomialSuperpotential(coefficients, hbar)
-        qc = quantization_integrands(order)
+        qc = quantization_integrands(order, series10, split10, lseq9)
         for E in energies:
             expect = sum(c.sign_factor * hbar ** c.order * contour_integrate(c.integrand, sp, E).value.real
                          for c in qc.corrections)
@@ -117,6 +120,13 @@ class TestDegeneracy:
         assert len(rep.degeneracy) == 9
         for rec in rep.degeneracy:
             assert rec.gap < 1e-8
+
+    def test_report_checks_plus_real_parts(self, cubic, monkeypatch):
+        monkeypatch.setattr(swkb.spectrum, "generate_series", broken_plus_series)
+        with pytest.raises(StructuralTheoremViolation, match="p_2"):
+            degeneracy_report(cubic, 2, 1)
+        with pytest.raises(StructuralTheoremViolation, match="p_2"):
+            compare_report(cubic, [0, 2], 1)
 
     def test_report_serialization(self, cubic):
         rep = degeneracy_report(cubic, 0, 1)

@@ -45,8 +45,8 @@ def test_first_potential_coefficients():
     assert w.coeffs[1] == w1
 
 
-def test_simplified_second_order_integrand():
-    simp = simplify_wkb_condition(4)
+def test_simplified_second_order_integrand(wkb4):
+    simp = simplify_wkb_condition(wkb4, 4)
     k2 = (Expression.sym(1, 2, V_RING) * Expression.u_pow(-5, V_RING)).scale(Fr(1, 32))
     assert simp.kept[2] == k2
 
@@ -66,25 +66,25 @@ def test_substitution_commutes_with_differentiation():
         assert lhs == rhs
 
 
-def test_substituted_series_matches_exactly():
-    assert substitution_series_check(4).all_ok
+def test_substituted_series_matches_exactly(substitution4, wkb4, series10):
+    assert substitution_series_check(substitution4, wkb4, series10).all_ok
 
 
-def test_log_term_expansion_certified():
-    rep = log_term_expansion_check(4)
+def test_log_term_expansion_certified(substitution4):
+    rep = log_term_expansion_check(substitution4)
     assert rep.all_ok
 
 
-def test_substituted_condition_certified():
-    rep = substituted_condition_check(4)
+def test_substituted_condition_certified(substitution4, wkb4, series10):
+    rep = substituted_condition_check(substitution4, wkb4, series10)
     assert rep.all_ok
     # orders 0 and 1 agree exactly, not just modulo derivatives
     assert rep.entries[0].detail == "exact"
     assert rep.entries[1].detail == "exact"
 
 
-def test_bundle_and_order_bound():
-    rep = wkb_series_and_substitute(2)
+def test_bundle_and_order_bound(series10):
+    rep = wkb_series_and_substitute(2, series10)
     assert rep.all_ok
     with pytest.raises(ValueError):
-        wkb_series_and_substitute(MAX_SUBSTITUTION_ORDER + 2)
+        wkb_series_and_substitute(MAX_SUBSTITUTION_ORDER + 2, series10)
