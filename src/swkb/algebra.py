@@ -14,6 +14,14 @@ Two ring flavours are used:
   is eliminated entirely; it hosts the plain semiclassical series that gets
   substituted back into the main ring.
 
+Only raw input is normalized: ``Monomial(...)`` sorts and validates its
+factors, and ``Expression(ring, raw)`` applies the relation and merges.
+Arithmetic on canonical operands stays canonical without that pass: sums
+merge into a copy of the left term map, negation and nonzero scaling map
+coefficients one to one, and products and derivatives build their monomials
+from derivative tuples that are already sorted and positive, so only the
+relation step and the merge run on them.
+
 Everything here is immutable and pure; no floating point enters except in
 ``evaluate``.
 """
@@ -26,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import PoleError, UndefinedDegreeError
-from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational
+from .gaussian import GR_I, GR_ONE, GaussianRational
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,16 @@ class Monomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
+
+    @staticmethod
+    def _canonical(derivs: Tuple[Tuple[int, int], ...], h: int, e: int) -> "Monomial":
+        """A monomial from a sorted tuple of positive (order, exponent) pairs."""
+        m = object.__new__(Monomial)
+        object.__setattr__(m, "derivs", derivs)
+        object.__setattr__(m, "h", h)
+        object.__setattr__(m, "e", e)
+        object.__setattr__(m, "_hash", hash((derivs, h, e)))
+        return m
 
     def __eq__(self, other):
         return (
@@ -145,6 +163,14 @@ class Expression:
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
 
+    @staticmethod
+    def _canonical(ring: Ring, terms: Dict[Monomial, GaussianRational]) -> "Expression":
+        """An expression over an already canonical term map."""
+        x = object.__new__(Expression)
+        object.__setattr__(x, "ring", ring)
+        object.__setattr__(x, "terms", terms)
+        return x
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
@@ -170,38 +196,30 @@ class Expression:
     def e_pow(e: int, ring: Ring = PHI_RING) -> "Expression":
         return Expression(ring, [(Monomial(e=e), GR_ONE)])
 
-    @staticmethod
-    def from_terms(ring: Ring, pairs) -> "Expression":
-        return Expression(ring, pairs)
-
     # -- ring arithmetic -------------------------------------------------
 
     def __add__(self, other: "Expression") -> "Expression":
         self._check(other)
-        raw = list(self.terms.items()) + list(other.terms.items())
-        return Expression(self.ring, raw)
+        return Expression._canonical(self.ring, _merge(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Expression") -> "Expression":
         self._check(other)
-        raw = list(self.terms.items()) + [(m, -c) for m, c in other.terms.items()]
-        return Expression(self.ring, raw)
+        negated = ((m, -c) for m, c in other.terms.items())
+        return Expression._canonical(self.ring, _merge(dict(self.terms), negated))
 
     def __neg__(self) -> "Expression":
-        return Expression(self.ring, [(m, -c) for m, c in self.terms.items()])
+        return Expression._canonical(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         self._check(other)
-        raw = []
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                raw.append(
-                    (
-                        Monomial(_merge_derivs(m1.derivs, m2.derivs), m1.h + m2.h, m1.e + m2.e),
-                        c1 * c2,
-                    )
-                )
+        mono = Monomial._canonical
+        raw = [
+            (mono(_merge_derivs(m1.derivs, m2.derivs), m1.h + m2.h, m1.e + m2.e), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        ]
         return Expression(self.ring, raw)
 
     def __rmul__(self, other):
@@ -213,7 +231,8 @@ class Expression:
         c = GaussianRational.coerce(c)
         if c.is_zero():
             return Expression(self.ring)
-        return Expression(self.ring, [(m, cc * c) for m, cc in self.terms.items()])
+        # a product of nonzero Gaussian rationals is nonzero
+        return Expression._canonical(self.ring, {m: cc * c for m, cc in self.terms.items()})
 
     def _check(self, other: "Expression"):
         if not isinstance(other, Expression):
@@ -240,16 +259,17 @@ class Expression:
         """d/dx with E constant: d f^(k) = f^(k+1), d u^(h/2) follows from
         u' = -r f^(r-1) f'.  Exact Leibniz rule, result normalized."""
         r = self.ring.relation_power
+        mono = Monomial._canonical
         raw: List[Tuple[Monomial, GaussianRational]] = []
         for m, c in self.terms.items():
             for k, a in m.derivs:
                 ds = _with_exp(_with_exp(m.derivs, k, -1), k + 1, +1)
-                raw.append((Monomial(ds, m.h, m.e), c * a))
+                raw.append((mono(ds, m.h, m.e), c * a))
             if m.h != 0:
                 # (h/2) u^((h-2)/2) * (-r f^(r-1) f')
                 coeff = c * Fraction(-m.h * r, 2)
                 ds = _with_exp(_with_exp(m.derivs, 0, r - 1), 1, +1)
-                raw.append((Monomial(ds, m.h - 2, m.e), coeff))
+                raw.append((mono(ds, m.h - 2, m.e), coeff))
         return Expression(self.ring, raw)
 
     def split_real_imag(self) -> Tuple["Expression", "Expression"]:
@@ -414,27 +434,38 @@ class Expression:
         return f"<Expr[{self.ring.name}] {self.to_text()}>"
 
 
+def _merge(acc: Dict[Monomial, GaussianRational], pairs) -> Dict[Monomial, GaussianRational]:
+    """Add nonzero (canonical monomial, coefficient) pairs into ``acc``,
+    dropping every coefficient that cancels to zero."""
+    for m, c in pairs:
+        old = acc.get(m)
+        if old is None:
+            acc[m] = c
+        else:
+            c = old + c
+            if c.is_zero():
+                del acc[m]
+            else:
+                acc[m] = c
+    return acc
+
+
 def _normalize(ring: Ring, raw_terms) -> Dict[Monomial, GaussianRational]:
     """Apply f^r = E - u until every bare-symbol exponent is < r, then merge."""
     r = ring.relation_power
-    acc: Dict[Monomial, GaussianRational] = {}
+    reduced = []
     stack = [(m, GaussianRational.coerce(c)) for m, c in raw_terms]
     while stack:
         m, c = stack.pop()
         if c.is_zero():
             continue
-        a0 = m.deriv_exp(0)
-        if a0 >= r:
+        if m.deriv_exp(0) >= r:
             ds = _with_exp(m.derivs, 0, -r)
-            stack.append((Monomial(ds, m.h, m.e + 1), c))
-            stack.append((Monomial(ds, m.h + 2, m.e), -c))
-            continue
-        new = acc.get(m, GR_ZERO) + c
-        if new.is_zero():
-            acc.pop(m, None)
+            stack.append((Monomial._canonical(ds, m.h, m.e + 1), c))
+            stack.append((Monomial._canonical(ds, m.h + 2, m.e), -c))
         else:
-            acc[m] = new
-    return acc
+            reduced.append((m, c))
+    return _merge({}, reduced)
 
 
 def _half_str(h: int) -> str:

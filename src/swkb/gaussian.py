@@ -12,6 +12,8 @@ from typing import Union
 
 RationalLike = Union[int, Fraction]
 
+_F_ZERO = Fraction(0)
+
 
 class GaussianRational:
     """a + b*i with a, b exact rationals.  Immutable and hashable."""
@@ -19,8 +21,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction is already in lowest terms; only other inputs are coerced
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -34,8 +37,14 @@ class GaussianRational:
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not (b or d):
+            return GaussianRational(a + c, _F_ZERO)
+        if not (a or c):
+            return GaussianRational(_F_ZERO, b + d)
+        return GaussianRational(a + c, b + d)
 
     __radd__ = __add__
 
@@ -47,11 +56,21 @@ class GaussianRational:
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # series coefficients are purely real or purely imaginary
+        if not b:
+            if not d:
+                return GaussianRational(a * c, _F_ZERO)
+            if not c:
+                return GaussianRational(_F_ZERO, a * d)
+        elif not a:
+            if not d:
+                return GaussianRational(_F_ZERO, b * c)
+            if not c:
+                return GaussianRational(-(b * d), _F_ZERO)
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -75,7 +94,7 @@ class GaussianRational:
         return GaussianRational(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def is_real(self) -> bool:
         return self.im == 0

@@ -1,14 +1,32 @@
 import cmath
-import random
+import operator
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from swkb.algebra import E_pow, Expression, F_factor, PHI_RING, const, i_times, phi, u_half
+from swkb.algebra import (
+    E_pow,
+    Expression,
+    F_factor,
+    Monomial,
+    PHI_RING,
+    V_RING,
+    const,
+    i_times,
+    phi,
+    u_half,
+)
 from swkb.errors import PoleError, UndefinedDegreeError
-from swkb.gaussian import gr
+from swkb.gaussian import GaussianRational, gr
 
-from conftest import random_expression
+from conftest import coefficients, ring_expressions
+
+
+def examples(n):
+    return settings(max_examples=n, deadline=None, derandomize=True, database=None)
 
 
 class TestNormalize:
@@ -21,22 +39,20 @@ class TestNormalize:
     def test_phi_cube_single_step(self):
         assert phi(0, 3) * u_half(-2) == E_pow(1) * phi() * u_half(-2) - phi()
 
-    def test_idempotent_on_random_terms(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            x = random_expression(rng)
-            again = Expression(PHI_RING, list(x.terms.items()))
-            assert again == x
+    @examples(50)
+    @given(ring_expressions())
+    def test_idempotent_on_random_terms(self, x):
+        again = Expression(PHI_RING, list(x.terms.items()))
+        assert again == x
 
     def test_no_zero_coefficients_stored(self):
         x = phi() - phi()
         assert x.terms == {}
 
-    def test_canonical_phi_exponent(self):
-        rng = random.Random(12)
-        for _ in range(30):
-            x = random_expression(rng)
-            assert all(m.deriv_exp(0) <= 1 for m in x.terms)
+    @examples(30)
+    @given(ring_expressions())
+    def test_canonical_phi_exponent(self, x):
+        assert all(m.deriv_exp(0) <= 1 for m in x.terms)
 
 
 class TestArithmetic:
@@ -50,19 +66,18 @@ class TestArithmetic:
         x = phi(1) * u_half(-3)
         assert (x + x.scale(-1)).is_zero()
 
-    def test_scale_distributes(self):
-        rng = random.Random(13)
-        for _ in range(20):
-            a, b = random_expression(rng), random_expression(rng)
-            c = gr(Fr(3, 7), Fr(-1, 2))
-            assert (a + b).scale(c) == a.scale(c) + b.scale(c)
+    @examples(20)
+    @given(ring_expressions(), ring_expressions())
+    def test_scale_distributes(self, a, b):
+        c = gr(Fr(3, 7), Fr(-1, 2))
+        assert (a + b).scale(c) == a.scale(c) + b.scale(c)
 
-    def test_mul_commutative_associative(self):
-        rng = random.Random(14)
-        for _ in range(10):
-            a, b, c = (random_expression(rng, max_terms=3) for _ in range(3))
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
+    @examples(10)
+    @given(ring_expressions(max_terms=3), ring_expressions(max_terms=3),
+           ring_expressions(max_terms=3))
+    def test_mul_commutative_associative(self, a, b, c):
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
 
 
 class TestDifferentiate:
@@ -76,13 +91,12 @@ class TestDifferentiate:
         # the derivative of f/sqrt(u) carries the whole E factor
         assert F_factor().differentiate() == E_pow(1) * phi(1) * u_half(-3)
 
-    def test_leibniz_on_random_pairs(self):
-        rng = random.Random(15)
-        for _ in range(25):
-            a, b = random_expression(rng, max_terms=3), random_expression(rng, max_terms=3)
-            lhs = (a * b).differentiate()
-            rhs = a.differentiate() * b + a * b.differentiate()
-            assert lhs == rhs
+    @examples(25)
+    @given(ring_expressions(max_terms=3), ring_expressions(max_terms=3))
+    def test_leibniz_on_random_pairs(self, a, b):
+        lhs = (a * b).differentiate()
+        rhs = a.differentiate() * b + a * b.differentiate()
+        assert lhs == rhs
 
     def test_e_is_constant(self):
         assert E_pow(3).differentiate().is_zero()
@@ -107,12 +121,11 @@ class TestSplit:
         re, im = i_times(phi(1)).split_real_imag()
         assert re.is_zero() and im == phi(1)
 
-    def test_reassembly_on_random(self):
-        rng = random.Random(16)
-        for _ in range(40):
-            x = random_expression(rng)
-            re, im = x.split_real_imag()
-            assert re + i_times(im) == x
+    @examples(40)
+    @given(ring_expressions())
+    def test_reassembly_on_random(self, x):
+        re, im = x.split_real_imag()
+        assert re + i_times(im) == x
 
 
 class TestStructureQueries:
@@ -149,22 +162,19 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             u_half(1).evaluate({0: 0.0}, 4.0, 1.0, 5.0)
 
-    def test_ring_homomorphism_at_consistent_points(self):
+    @examples(25)
+    @given(ring_expressions(max_terms=3), ring_expressions(max_terms=3),
+           st.floats(-1.5, 1.5), st.floats(-1.0, 1.0), st.floats(1.0, 3.0))
+    def test_ring_homomorphism_at_consistent_points(self, a, b, x, y, E):
         # points must satisfy the defining relation: u = E - z^2
-        rng = random.Random(17)
-        for _ in range(25):
-            a = random_expression(rng, max_terms=3)
-            b = random_expression(rng, max_terms=3)
-            z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0))
-            E = rng.uniform(1.0, 3.0)
-            u = E - z * z
-            if abs(u) < 1e-3 or abs(E) < 1e-3:
-                continue
-            sqrt_u = cmath.sqrt(u)
-            point = ({0: z, 1: 0.7 + 0.2j, 2: -0.3 + 0.1j, 3: 0.5 - 0.4j}, u, sqrt_u, E)
-            va, vb, vab = a.evaluate(*point), b.evaluate(*point), (a * b).evaluate(*point)
-            scale = max(1.0, abs(va * vb))
-            assert abs(vab - va * vb) < 1e-12 * scale
+        z = complex(x, y)
+        u = E - z * z
+        assume(abs(u) >= 1e-3 and abs(E) >= 1e-3)
+        sqrt_u = cmath.sqrt(u)
+        point = ({0: z, 1: 0.7 + 0.2j, 2: -0.3 + 0.1j, 3: 0.5 - 0.4j}, u, sqrt_u, E)
+        va, vb, vab = a.evaluate(*point), b.evaluate(*point), (a * b).evaluate(*point)
+        scale = max(1.0, abs(va * vb))
+        assert abs(vab - va * vb) < 1e-12 * scale
 
 
 class TestSerialization:
@@ -177,11 +187,10 @@ class TestSerialization:
         # ordering key is (E exponent, u half-power, derivative exponents)
         assert x.to_text() == "1*d1 + 1*u^1/2 + 1*E^1*u^-1/2"
 
-    def test_json_roundtrip_random(self):
-        rng = random.Random(18)
-        for _ in range(30):
-            x = random_expression(rng)
-            assert Expression.from_json(x.to_json()) == x
+    @examples(30)
+    @given(ring_expressions())
+    def test_json_roundtrip_random(self, x):
+        assert Expression.from_json(x.to_json()) == x
 
     def test_json_shape(self):
         x = (E_pow(1) * u_half(-5) * phi(1, 2)).scale(Fr(3, 8))
@@ -212,3 +221,138 @@ class TestGaussianRational:
         assert (x / y) * y == x
         assert x * gr(1) == x
         assert (x - x).is_zero()
+
+
+# -- the exact kernel against textbook definitions ---------------------------
+#
+# Arithmetic on canonical expressions skips renormalization, so each result
+# is compared with the public constructor applied to the textbook raw term
+# list, and checked to be canonical itself.  Coefficient products use the
+# textbook formula, not GaussianRational.__mul__.
+
+
+def gr_parts(x):
+    return (x.re, x.im) if isinstance(x, GaussianRational) else (Fr(x), Fr(0))
+
+
+TEXTBOOK = {
+    operator.add: lambda a, b, c, d: (a + c, b + d),
+    operator.sub: lambda a, b, c, d: (a - c, b - d),
+    operator.mul: lambda a, b, c, d: (a * c - b * d, a * d + b * c),
+    operator.truediv: lambda a, b, c, d: ((a * c + b * d) / (c * c + d * d),
+                                          (b * c - a * d) / (c * c + d * d)),
+}
+
+
+def textbook_mul(x, y):
+    return GaussianRational(*TEXTBOOK[operator.mul](*gr_parts(x), *gr_parts(y)))
+
+
+def merged_derivs(*parts):
+    total = Counter()
+    for derivs in parts:
+        total.update(dict(derivs))
+    return total.items()
+
+
+def textbook_product(a, b):
+    return Expression(a.ring, [
+        (Monomial(merged_derivs(m1.derivs, m2.derivs), m1.h + m2.h, m1.e + m2.e),
+         textbook_mul(c1, c2))
+        for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()
+    ])
+
+
+def textbook_derivative(x):
+    r = x.ring.relation_power
+    raw = []
+    for m, c in x.terms.items():
+        for k, a in m.derivs:
+            raw.append((Monomial(merged_derivs(m.derivs, [(k, -1), (k + 1, 1)]), m.h, m.e),
+                        textbook_mul(c, a)))
+        if m.h:
+            # (h/2) u^((h-2)/2) * (-r f^(r-1) f')
+            raw.append((Monomial(merged_derivs(m.derivs, [(0, r - 1), (1, 1)]), m.h - 2, m.e),
+                        textbook_mul(c, Fr(-m.h * r, 2))))
+    return Expression(x.ring, raw)
+
+
+def assert_canonical(x):
+    r = x.ring.relation_power
+    for m, c in x.terms.items():
+        assert not c.is_zero()
+        assert type(c.re) is Fr and type(c.im) is Fr
+        assert m.deriv_exp(0) < r
+        orders = [k for k, _ in m.derivs]
+        assert orders == sorted(set(orders)) and all(k >= 0 for k in orders)
+        assert all(a > 0 for _, a in m.derivs)
+        assert m._hash == hash((m.derivs, m.h, m.e))
+
+
+@st.composite
+def operand_pairs(draw):
+    """(a, b) over one ring; b repeats some of a's terms, with one sign, so
+    that sums or differences cancel terms."""
+    ring = draw(st.sampled_from([PHI_RING, V_RING]))
+    a = draw(ring_expressions(ring, max_terms=3))
+    b = draw(ring_expressions(ring, max_terms=3))
+    negate = draw(st.booleans())
+    shared = [(m, -c if negate else c) for m, c in a.terms.items() if draw(st.booleans())]
+    return a, Expression(ring, shared + list(b.terms.items()))
+
+
+scalars = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6), coefficients)
+
+
+class TestCanonicalKernel:
+    @examples(80)
+    @given(operand_pairs())
+    def test_sum_difference_negation(self, pair):
+        a, b = pair
+        cases = [
+            (a + b, list(a.terms.items()) + list(b.terms.items())),
+            (a - b, list(a.terms.items()) + [(m, textbook_mul(c, -1)) for m, c in b.terms.items()]),
+            (-a, [(m, textbook_mul(c, -1)) for m, c in a.terms.items()]),
+        ]
+        for got, raw in cases:
+            assert got == Expression(a.ring, raw)
+            assert_canonical(got)
+
+    @examples(60)
+    @given(operand_pairs())
+    def test_product(self, pair):
+        a, b = pair
+        got = a * b
+        assert got == textbook_product(a, b)
+        assert_canonical(got)
+
+    @examples(60)
+    @given(operand_pairs(), scalars)
+    def test_scale(self, pair, c):
+        a, _ = pair
+        got = a.scale(c)
+        assert got == Expression(a.ring, [(m, textbook_mul(cc, c)) for m, cc in a.terms.items()])
+        assert_canonical(got)
+
+    @examples(60)
+    @given(operand_pairs())
+    def test_derivative(self, pair):
+        a, _ = pair
+        got = a.differentiate()
+        assert got == textbook_derivative(a)
+        assert_canonical(got)
+
+    @examples(100)
+    @given(coefficients, scalars)
+    def test_gaussian_operators(self, x, y):
+        for op, formula in TEXTBOOK.items():
+            for lhs, rhs in ((x, y), (y, x)):
+                (a, b), (c, d) = gr_parts(lhs), gr_parts(rhs)
+                if op is operator.truediv and not (c or d):
+                    with pytest.raises(ZeroDivisionError):
+                        op(lhs, rhs)
+                    continue
+                got = op(lhs, rhs)
+                assert isinstance(got, GaussianRational)
+                assert (got.re, got.im) == formula(a, b, c, d)
+                assert type(got.re) is Fr and type(got.im) is Fr

@@ -1,9 +1,9 @@
 import math
-import random
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import quad
 
 from swkb.algebra import E_pow, phi, u_half
@@ -24,6 +24,8 @@ from swkb.quadrature import (
     turning_points,
 )
 from swkb.reduction import reduce_even_order
+
+from conftest import ring_expressions
 
 Q1 = (phi(1) * u_half(-1)).scale(Fr(1, 2))
 P1 = (phi() * phi(1) * u_half(-2)).scale(Fr(1, 2))
@@ -182,18 +184,15 @@ class TestContourIntegrate:
         r = contour_integrate(cert_d, cubic, 1.0, check_real=False)
         assert abs(r.value) < 1e-9
 
-    def test_random_certificates_annihilate(self, cubic):
-        rng = random.Random(41)
-        from conftest import random_expression
-
-        for _ in range(5):
-            y = random_expression(rng, max_terms=2)
-            re, _ = y.split_real_imag()
-            d = re.differentiate()
-            if d.is_zero():
-                continue
-            r = contour_integrate(d, cubic, 1.0, check_real=False)
-            assert abs(r.value) < 1e-8
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(ring_expressions(max_terms=2))
+    def test_random_certificates_annihilate(self, cubic, y):
+        re, _ = y.split_real_imag()
+        d = re.differentiate()
+        if d.is_zero():
+            return
+        r = contour_integrate(d, cubic, 1.0, check_real=False)
+        assert abs(r.value) < 1e-8
 
     def test_dropped_parts_integrate_to_zero(self, cubic, split10):
         for expr in (split10.q[2], split10.p[3], split10.q[3]):

@@ -94,9 +94,7 @@ class TestReduceViaPbar:
 
     def test_disagreement_raises(self, split10, lseq9, pbar8):
         ref = reduce_even_order(2, split10, lseq9)
-        bad = Expression.from_terms(
-            ref.integrand.ring, [(m, c * 2) for m, c in ref.integrand.terms.items()]
-        )
+        bad = Expression(ref.integrand.ring, [(m, c * 2) for m, c in ref.integrand.terms.items()])
         from dataclasses import replace
 
         with pytest.raises(StructuralTheoremViolation):
