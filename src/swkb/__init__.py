@@ -53,13 +53,12 @@ from .series import (
     split_series,
 )
 from .spectrum import (
-    QuantizationProblem,
+    Condition,
     SpectrumReport,
     action,
+    build_conditions,
     compare_report,
-    degeneracy_report,
     solve_level,
-    solve_levels,
 )
 from .wkb import (
     Substitution,

@@ -50,22 +50,17 @@ def bigrade_components(a: Expression) -> List[Expression]:
     return [Expression(a.ring, pairs) for pairs in buckets.values()]
 
 
-def candidate_monomials(
-    a: Expression, widen: int = 0, weight: Optional[int] = None, gdeg: Optional[int] = None
-) -> List[Monomial]:
+def candidate_monomials(a: Expression, widen: int = 0) -> List[Monomial]:
     """Ansatz monomials whose derivative can overlap ``a``.
 
     Windows: derivative orders up to the maximum in ``a``; E-exponents in
     [min_e-1, max_e+1]; u half-powers in [min_h-1, max_h+2]; both windows
-    grow by ``widen`` on each side.  ``weight``/``gdeg`` select a single
-    bigraded component (default: the component grades of ``a`` itself,
-    which must then be homogeneous).
+    grow by ``widen`` on each side.  ``a`` must be homogeneous in
+    (derivative weight, scaling grade): one bigraded component.
     """
     ring = a.ring
-    if weight is None:
-        (weight,) = a.weights()
-    if gdeg is None:
-        (gdeg,) = a.gdegs()
+    (weight,) = a.weights()
+    (gdeg,) = a.gdegs()
     wt = weight - 1
     if wt < 0:
         return []

@@ -1,7 +1,8 @@
 """Command-line surface: series / reduce / verify / quantize / compare / oracle.
 
-Exit codes: 0 success, 1 property violation, 2 usage error (argparse),
-3 numerical non-convergence.  Output is deterministic for a fixed set of
+Exit codes: 0 success, 1 property violation, 2 usage error (an invalid
+argument value or an unreadable ``--config`` file), 3 numerical
+non-convergence.  Output is deterministic for a fixed set of
 flags.
 """
 
@@ -37,7 +38,7 @@ from .series import (
     imag_relation_check,
     SplitSeries,
 )
-from .spectrum import compare_report, solve_levels
+from .spectrum import build_conditions, compare_report, solve_level
 from .wkb import MAX_SUBSTITUTION_ORDER, wkb_series_and_substitute
 
 DEFAULT_VERIFY_ORDER = 8
@@ -242,42 +243,37 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _load_sp(args) -> PolynomialSuperpotential:
-    return PolynomialSuperpotential.load(args.config)
-
-
 def cmd_quantize(args) -> int:
-    sp = _load_sp(args)
-    levels = list(range(args.levels + 1))
-    sols = solve_levels(sp, args.order, levels, args.partner)
+    sp = args.sp
+    cond = build_conditions([args.order])[args.order]
+    energies = [solve_level(cond, sp, n, args.partner) for n in range(args.levels + 1)]
     if args.json:
         print(json.dumps({
             "superpotential": sp.to_json_dict(),
             "order": args.order,
             "partner": args.partner,
-            "levels": {str(n): sols[n] for n in levels},
+            "levels": {str(n): e for n, e in enumerate(energies)},
         }, indent=2, sort_keys=True))
         return 0
     print(f"superpotential {sp.name or sp.coefficients}  hbar={sp.hbar}  "
           f"partner={args.partner}  order={args.order}")
-    for n in levels:
-        print(f"  n={n:2d}  E = {sols[n]:.10f}")
+    for n, e in enumerate(energies):
+        print(f"  n={n:2d}  E = {e:.10f}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    sp = _load_sp(args)
-    orders = [int(t) for t in args.orders.split(",")]
+    sp = args.sp
     count = args.levels + 2
     grid = default_grid(sp.v_minus, count, sp.hbar)
     oracle_vals = eigenvalues(sp.v_minus, grid, count, sp.hbar)
-    rep = compare_report(sp, orders, args.levels, oracle_vals)
+    rep = compare_report(sp, args.orders, args.levels, oracle_vals)
     print(rep.to_json() if args.json else rep.to_text())
     return 0
 
 
 def cmd_oracle(args) -> int:
-    sp = _load_sp(args)
+    sp = args.sp
     out = {}
     for partner in ("minus", "plus") if args.potential == "both" else (args.potential,):
         V = sp.potential(partner)
@@ -299,46 +295,76 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+# -- argument values -------------------------------------------------------------
+
+
+def _at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _even_order(text: str) -> int:
+    """argparse type: an even truncation order >= 0."""
+    value = _at_least(0)(text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(f"truncation order must be even, got {value}")
+    return value
+
+
+def _even_orders(text: str) -> List[int]:
+    """argparse type: a non-empty comma list of even truncation orders."""
+    return [_even_order(t) for t in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="swkb", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("series", help="print series coefficients and their parts")
-    ps.add_argument("--order", type=int, default=4)
+    ps.add_argument("--order", type=_at_least(0), default=4)
     ps.add_argument("--sign", choices=("minus", "plus"), default="minus")
     ps.add_argument("--show-certificates", action="store_true")
     ps.add_argument("--format", choices=("text", "json", "latex"), default="text")
     ps.set_defaults(fn=cmd_series)
 
     pr = sub.add_parser("reduce", help="print reduced quantization integrands")
-    pr.add_argument("--max-order", type=int, default=4)
+    pr.add_argument("--max-order", type=_even_order, default=4)
     pr.add_argument("--format", choices=("text", "json", "latex"), default="text")
     pr.set_defaults(fn=cmd_reduce)
 
     pv = sub.add_parser("verify", help="run the exact property suite")
-    pv.add_argument("--order", type=int, default=DEFAULT_VERIFY_ORDER)
+    pv.add_argument("--order", type=_at_least(2), default=DEFAULT_VERIFY_ORDER)
     pv.add_argument("--mutate", action="store_true",
                     help="inject a wrong coefficient (negative control, must fail)")
     pv.set_defaults(fn=cmd_verify)
 
     pq = sub.add_parser("quantize", help="solve levels of the truncated condition")
     pq.add_argument("--config", required=True, help="superpotential JSON file")
-    pq.add_argument("--order", type=int, default=4)
-    pq.add_argument("--levels", type=int, default=4, help="highest level index")
+    pq.add_argument("--order", type=_even_order, default=4)
+    pq.add_argument("--levels", type=_at_least(0), default=4, help="highest level index")
     pq.add_argument("--partner", choices=("minus", "plus"), default="minus")
     pq.add_argument("--json", action="store_true")
     pq.set_defaults(fn=cmd_quantize)
 
     pc = sub.add_parser("compare", help="levels vs the grid oracle, plus degeneracy")
     pc.add_argument("--config", required=True)
-    pc.add_argument("--orders", default="0,2,4", help="comma-separated even orders")
-    pc.add_argument("--levels", type=int, default=3)
+    pc.add_argument("--orders", type=_even_orders, default="0,2,4",
+                    help="comma-separated even orders")
+    pc.add_argument("--levels", type=_at_least(0), default=3)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(fn=cmd_compare)
 
     po = sub.add_parser("oracle", help="grid eigenvalues of the partner potentials")
     po.add_argument("--config", required=True)
-    po.add_argument("--count", type=int, default=5)
+    po.add_argument("--count", type=_at_least(1), default=5)
     po.add_argument("--potential", choices=("minus", "plus", "both"), default="both")
     po.add_argument("--json", action="store_true")
     po.set_defaults(fn=cmd_oracle)
@@ -346,7 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "config"):
+        try:
+            args.sp = PolynomialSuperpotential.load(args.config)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            parser.error(f"cannot load --config {args.config}: {exc}")
     try:
         return args.fn(args)
     except StructuralTheoremViolation as exc:

@@ -24,15 +24,12 @@ DECAY_LIMIT = 1e-6
 class GridSpec:
     half_width: float
     points: int = DEFAULT_POINTS
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if self.points < 64:
             raise ValueError("need at least 64 grid points")
         if self.half_width <= 0:
             raise ValueError("half width must be positive")
-        if self.boundary != "dirichlet":
-            raise ValueError("only Dirichlet walls are supported")
 
 
 def _solve_grid(V: Callable, X: float, n_interior: int, count: int, hbar: float):

@@ -170,7 +170,6 @@ def build_contour(
     E: float,
     aspect: float = DEFAULT_ASPECT,
     clearance: float = DEFAULT_CLEARANCE,
-    scale: float = 1.0,
 ) -> Contour:
     """Ellipse enclosing exactly the real turning pair, with every excluded
     branch point at least ``clearance * a`` away from the curve.  The
@@ -178,7 +177,7 @@ def build_contour(
     xl, xr, excluded = turning_points(sp, E)
     center = 0.5 * (xl + xr)
     half_gap = 0.5 * (xr - xl)
-    for factor in (1.25 * scale, 1.15 * scale, 1.08 * scale):
+    for factor in (1.25, 1.15, 1.08):
         a = factor * half_gap
         b = aspect * a
         c = Contour(center, a, b)

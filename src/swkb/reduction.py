@@ -90,15 +90,19 @@ class ReducedCorrection:
     """One even-order quantization correction.
 
     The quantization term is sign_factor * hbar^order * contour-integral of
-    ``integrand``; sign_factor is (-1)^(order/2), the real value of
-    (-i*hbar)^order with hbar^order pulled out.  ``certificate`` satisfies
-    p_order - integrand = differentiate(certificate) exactly.
+    ``integrand``.  ``certificate`` satisfies p_order - integrand =
+    differentiate(certificate) exactly.
     """
 
     order: int
-    sign_factor: int
     integrand: Expression
     certificate: Expression
+
+    @property
+    def sign_factor(self) -> int:
+        """(-1)^(order/2): the real value of (-i*hbar)^order with hbar^order
+        pulled out."""
+        return (-1) ** (self.order // 2)
 
     @property
     def e_degree(self) -> int:
@@ -127,7 +131,7 @@ def reduce_even_order(order: int, split: SplitSeries, lseq: LSequence) -> Reduce
         raise StructuralTheoremViolation(f"bookkeeping identity failed at order {order}")
     if not integrand.is_zero() and integrand.min_e_degree() < 1:
         raise StructuralTheoremViolation(f"no overall E factor at order {order}")
-    return ReducedCorrection(order, (-1) ** (order // 2), integrand, cert)
+    return ReducedCorrection(order, integrand, cert)
 
 
 def reduce_via_pbar(
@@ -150,7 +154,7 @@ def reduce_via_pbar(
     ring = split.p[0].ring
     if order == 0:
         zero = Expression.zero(ring)
-        return ReducedCorrection(0, 1, zero, zero)
+        return ReducedCorrection(0, zero, zero)
     raw = split.p[order] - pbar.coeffs[order]
     if pbar_cert is None:
         pbar_cert = antiderivative(pbar.coeffs[order])
@@ -166,7 +170,7 @@ def reduce_via_pbar(
         raise StructuralTheoremViolation(
             f"subtraction routes disagree at order {order} after canonical sweep"
         )
-    return ReducedCorrection(order, (-1) ** (order // 2), kept, cert)
+    return ReducedCorrection(order, kept, cert)
 
 
 def equivalent_mod_derivative(x: Expression, y: Expression) -> Optional[Expression]:
@@ -179,17 +183,15 @@ class QuantizationCondition:
     """Everything on the left of the quantization condition up to max_order.
 
     corrections[k] covers order 2k (order 0 is the classical term with
-    certificate 0).  The first-order coefficient integrates to the constant
-    pi; it is reported via ``constant_pi`` and converts the right-hand side
-    from 2(n + 1/2) pi hbar to 2 n pi hbar.  ``dropped`` maps every other
-    omitted (order, part) to its derivative certificate.  ``series`` and
-    ``split`` are the ones the condition was built from and may run past
-    max_order.
+    certificate 0).  The first-order coefficient always integrates to the
+    constant pi, which converts the right-hand side from 2(n + 1/2) pi hbar
+    to 2 n pi hbar.  ``dropped`` maps every other omitted (order, part) to
+    its derivative certificate.  ``series`` and ``split`` are the ones the
+    condition was built from and may run past max_order.
     """
 
     max_order: int
     corrections: List[ReducedCorrection]
-    constant_pi: bool
     dropped: Dict[Tuple[int, str], Expression]
     series: HbarSeries
     split: SplitSeries
@@ -210,7 +212,7 @@ def quantization_integrands(
         raise ValueError("max_order must be even")
     if min(s.order, split.order, lseq.order + 1) < max_order:
         raise ValueError("series not generated far enough")
-    corrections = [ReducedCorrection(0, 1, Expression.u_pow(1), Expression.zero())]
+    corrections = [ReducedCorrection(0, Expression.u_pow(1), Expression.zero())]
     dropped: Dict[Tuple[int, str], Expression] = {}
     for n in range(2, max_order + 1):
         if n % 2 == 0:
@@ -224,7 +226,7 @@ def quantization_integrands(
                     f"odd-order real part p_{n} has no derivative certificate"
                 )
             dropped[(n, "p")] = p_cert
-    return QuantizationCondition(max_order, corrections, True, dropped, s, split)
+    return QuantizationCondition(max_order, corrections, dropped, s, split)
 
 
 def reconstruction_residual(qc: QuantizationCondition) -> List[Expression]:

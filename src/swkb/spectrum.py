@@ -27,54 +27,52 @@ from scipy.optimize import brentq
 
 from .errors import ConvergenceError, OutOfValidatedRangeError, StructuralTheoremViolation
 from .quadrature import (
-    DEFAULT_TOL,
     IntegrandTable,
     PolynomialSuperpotential,
     compile_integrands,
     contour_integrate,
 )
-from .reduction import QuantizationCondition, quantization_integrands
-from .series import generate_series, l_sequence, split_series
+from .reduction import ReducedCorrection, quantization_integrands
+from .series import SplitSeries, generate_series, l_sequence, split_series
 
 DEFAULT_TOL_E = 1e-9
 MIN_VALIDATED_E_FACTOR = 1e-8  # in units of hbar
 
-_qc_cache: Dict[int, Tuple[QuantizationCondition, IntegrandTable]] = {}
-
-
-def _condition(order: int) -> Tuple[QuantizationCondition, IntegrandTable]:
-    """The reduced condition up to ``order`` and its integrands compiled
-    into one table, one row per correction."""
-    if order not in _qc_cache:
-        s = generate_series(order, "minus")
-        qc = quantization_integrands(order, s, split_series(s), l_sequence(max(order - 1, 0), s))
-        _qc_cache[order] = (qc, compile_integrands([c.integrand for c in qc.corrections]))
-    return _qc_cache[order]
-
 
 @dataclass(frozen=True)
-class QuantizationProblem:
-    superpotential: PolynomialSuperpotential
-    truncation_order: int
-    n: int
-    partner: str = "minus"
+class Condition:
+    """The truncated condition at one even ``order``: the reduced
+    corrections up to that order, their integrands compiled into one table
+    (one row per correction), and the split minus series they were reduced
+    from, which may run past ``order``."""
 
-    def __post_init__(self):
-        if self.truncation_order % 2:
-            raise ValueError("truncation order must be even")
-        if self.partner not in ("minus", "plus"):
-            raise ValueError("partner must be 'minus' or 'plus'")
-        if self.n < 0:
-            raise ValueError("level index must be >= 0")
+    order: int
+    corrections: Tuple[ReducedCorrection, ...]
+    table: IntegrandTable
+    split: SplitSeries
 
 
-def action(
-    sp: PolynomialSuperpotential,
-    order: int,
-    E: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """sum over even orders 2k <= order of sign * hbar^(2k) * contour
+def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
+    """One condition per requested order, all cut from a single reduction
+    at the highest order: each reduced correction depends only on the
+    series prefix up to its own order."""
+    for k in orders:
+        if k < 0 or k % 2:
+            raise ValueError(f"truncation order must be even and >= 0, got {k}")
+    top = max(orders)
+    s = generate_series(top, "minus")
+    split = split_series(s)
+    qc = quantization_integrands(top, s, split, l_sequence(max(top - 1, 0), s))
+    conds = {}
+    for k in orders:
+        corrections = tuple(qc.corrections[: k // 2 + 1])
+        table = compile_integrands([c.integrand for c in corrections])
+        conds[k] = Condition(k, corrections, table, split)
+    return conds
+
+
+def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> float:
+    """sum over even orders 2k <= cond.order of sign * hbar^(2k) * contour
     integral of the reduced integrand, all integrated in one pass on one
     contour; the imaginary parts are checked per integrand and discarded
     inside the quadrature."""
@@ -82,33 +80,30 @@ def action(
         raise OutOfValidatedRangeError(
             f"E = {E} below the validated range (turning points coalesce)"
         )
-    qc, table = _condition(order)
-    weights = [corr.sign_factor * sp.hbar ** corr.order for corr in qc.corrections]
-    return contour_integrate(table, sp, E, tol=tol, weights=weights).value.real
-
-
-def _rhs(problem: QuantizationProblem) -> float:
-    shift = problem.n if problem.partner == "minus" else problem.n + 1
-    return 2.0 * shift * math.pi * problem.superpotential.hbar
+    weights = [corr.sign_factor * sp.hbar ** corr.order for corr in cond.corrections]
+    return contour_integrate(cond.table, sp, E, weights=weights).value.real
 
 
 def solve_level(
-    problem: QuantizationProblem,
-    tol_e: float = DEFAULT_TOL_E,
-    quad_tol: float = DEFAULT_TOL,
+    cond: Condition, sp: PolynomialSuperpotential, n: int, partner: str = "minus"
 ) -> float:
-    """Root of action(E) = rhs by geometric bracket scan plus brentq polish.
+    """Root of action(E) = 2 n pi hbar (minus partner) or 2 (n + 1) pi hbar
+    (plus partner) by geometric bracket scan plus brentq polish.
 
     The minus-partner ground state sits at the E -> 0 edge where the
     turning points coalesce; the action decreases monotonically to zero
     there, so the analytic root E = 0 is returned without integrating."""
-    target = _rhs(problem)
-    sp = problem.superpotential
+    if n < 0:
+        raise ValueError("level index must be >= 0")
+    if partner not in ("minus", "plus"):
+        raise ValueError("partner must be 'minus' or 'plus'")
+    shift = n if partner == "minus" else n + 1
+    target = 2.0 * shift * math.pi * sp.hbar
     if target == 0.0:
         return 0.0
 
     def f(E: float) -> float:
-        return action(sp, problem.truncation_order, E, tol=quad_tol) - target
+        return action(cond, sp, E) - target
 
     lo = sp.hbar
     for _ in range(80):
@@ -133,7 +128,7 @@ def solve_level(
             raise ConvergenceError("no upper bracket found")
         fhi = f(hi)
     # f(lo) < 0 <= f(hi): a sign change, which is all brentq needs
-    return float(brentq(f, lo, hi, xtol=tol_e, rtol=8.881784197001252e-16, maxiter=200))
+    return float(brentq(f, lo, hi, xtol=DEFAULT_TOL_E, rtol=8.881784197001252e-16, maxiter=200))
 
 
 @dataclass
@@ -234,31 +229,21 @@ def _table(head: Sequence[str], rows: List[Sequence[str]]) -> List[str]:
     return out
 
 
-def solve_levels(
-    sp: PolynomialSuperpotential,
-    order: int,
-    levels: Sequence[int],
-    partner: str = "minus",
-    tol_e: float = DEFAULT_TOL_E,
-) -> Dict[int, float]:
-    return {n: solve_level(QuantizationProblem(sp, order, n, partner), tol_e=tol_e) for n in levels}
-
-
 def _degeneracy_rows(
-    by_order: Dict[int, Dict[int, float]], n_max: int
+    by_order: Dict[int, Dict[int, float]], n_max: int, minus: SplitSeries
 ) -> List[DegeneracyRecord]:
     """Degeneracy rows for n = 1..n_max at each order of ``by_order`` (minus
-    roots by order and level).
+    roots by order and level); ``minus`` is the split minus series, generated
+    at least to the highest order.
 
     The plus root for level n - 1 solves the same action for the same
     target as the minus root for level n, so it is that root, once the plus
     series is checked to have the same real parts as the minus series up to
     the highest order (a prefix check covers every lower order)."""
     order = max(by_order)
-    minus_p = _condition(order)[0].split.p
     plus_p = split_series(generate_series(order, "plus")).p
     for k in range(order + 1):
-        if plus_p[k] != minus_p[k]:
+        if plus_p[k] != minus.p[k]:
             raise StructuralTheoremViolation(
                 f"real part p_{k} of the plus series differs from the minus one"
             )
@@ -266,40 +251,23 @@ def _degeneracy_rows(
             for ordr, roots in by_order.items() for n in range(1, n_max + 1)]
 
 
-def degeneracy_report(
-    sp: PolynomialSuperpotential,
-    order: int,
-    n_max: int,
-    tol_e: float = DEFAULT_TOL_E,
-    orders: Optional[Sequence[int]] = None,
-) -> SpectrumReport:
-    """Tabulate E_n^(-) against E_{n-1}^(+) for n = 1..n_max at each
-    truncation order; the pairing rests on the checked identity
-    p_n^(+) = p_n, so each row needs one root solve, not two."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    report = SpectrumReport(sp)
-    by_order = {ordr: solve_levels(sp, ordr, range(1, n_max + 1), "minus", tol_e)
-                for ordr in (orders if orders is not None else [order])}
-    report.degeneracy = _degeneracy_rows(by_order, n_max)
-    return report
-
-
 def compare_report(
     sp: PolynomialSuperpotential,
     orders: Sequence[int],
     n_max: int,
     oracle_values: Optional[Sequence[float]] = None,
-    tol_e: float = DEFAULT_TOL_E,
 ) -> SpectrumReport:
     """Per-level SWKB estimates at each truncation order, with oracle
-    eigenvalues attached when provided, and the degeneracy rows for
-    n = 1..max(n_max, 1) built from the same roots (level 1 is solved for
-    them when n_max is 0)."""
+    eigenvalues attached when provided, and the degeneracy rows
+    E_n^(-) = E_{n-1}^(+) for n = 1..max(n_max, 1) built from the same roots
+    (level 1 is solved for them when n_max is 0); the pairing rests on the
+    checked identity p_n^(+) = p_n, so each row needs one root solve, not two."""
+    conds = build_conditions(orders)
     report = SpectrumReport(sp)
     deg_max = max(n_max, 1)
-    by_order = {ordr: solve_levels(sp, ordr, range(deg_max + 1), "minus", tol_e) for ordr in orders}
-    report.degeneracy = _degeneracy_rows(by_order, deg_max)
+    by_order = {ordr: {n: solve_level(conds[ordr], sp, n) for n in range(deg_max + 1)}
+                for ordr in orders}
+    report.degeneracy = _degeneracy_rows(by_order, deg_max, conds[max(orders)].split)
     for n in range(n_max + 1):
         rec = LevelRecord(n, "minus", {ordr: by_order[ordr][n] for ordr in orders})
         if oracle_values is not None and n < len(oracle_values):

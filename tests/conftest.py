@@ -7,6 +7,7 @@ from swkb.algebra import Expression, Monomial, PHI_RING
 from swkb.gaussian import GaussianRational
 from swkb.quadrature import PolynomialSuperpotential
 from swkb.series import generate_series, l_sequence, pbar_series, split_series
+from swkb.spectrum import build_conditions
 from swkb.wkb import Substitution, wkb_series
 
 
@@ -43,6 +44,11 @@ def wkb4():
 @pytest.fixture(scope="session")
 def substitution4():
     return Substitution(4)
+
+
+@pytest.fixture(scope="session")
+def conditions():
+    return build_conditions([0, 2, 4])
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from swkb.series import (
     partner_via_log_identity,
     split_series,
 )
-from swkb.spectrum import QuantizationProblem, degeneracy_report, solve_level
+from swkb.spectrum import compare_report, solve_level
 from swkb.wkb import log_term_expansion_check, substituted_condition_check
 
 
@@ -148,28 +148,28 @@ def test_criterion_08_wkb_substitution(substitution4, wkb4, series10):
     print("\ncriterion 8: PASS (substituted condition matches at hbar^2 and hbar^4)")
 
 
-def test_criterion_09_oscillator_spectrum(oscillator):
+def test_criterion_09_oscillator_spectrum(oscillator, conditions):
     t0 = time.perf_counter()
     for n in range(6):
-        e0 = solve_level(QuantizationProblem(oscillator, 0, n, "minus"))
+        e0 = solve_level(conditions[0], oscillator, n)
         assert abs(e0 - 2.0 * n) < 1e-8, f"level {n} at leading order"
-        e2 = solve_level(QuantizationProblem(oscillator, 2, n, "minus"))
-        e4 = solve_level(QuantizationProblem(oscillator, 4, n, "minus"))
+        e2 = solve_level(conditions[2], oscillator, n)
+        e4 = solve_level(conditions[4], oscillator, n)
         assert abs(e2 - e0) < 1e-8 and abs(e4 - e0) < 1e-8, "corrections must vanish"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     print(f"\ncriterion 9: PASS (oscillator levels 2n, corrections inert; {elapsed:.2f}s)")
 
 
-def test_criterion_10_anharmonic_benchmark(cubic):
+def test_criterion_10_anharmonic_benchmark(cubic, conditions):
     t0 = time.perf_counter()
     oracle = oracle_eigenvalues(cubic.v_minus, 4, 1.0)
     assert abs(oracle[0]) < 1e-6, "unbroken-SUSY ground state"
     for n in (1, 2, 3):
-        e0 = solve_level(QuantizationProblem(cubic, 0, n, "minus"))
-        e4 = solve_level(QuantizationProblem(cubic, 4, n, "minus"))
+        e0 = solve_level(conditions[0], cubic, n)
+        e4 = solve_level(conditions[4], cubic, n)
         assert abs(e4 - oracle[n]) <= abs(e0 - oracle[n]) + 1e-8
-    rep = degeneracy_report(cubic, 4, 3, orders=[0, 2, 4])
+    rep = compare_report(cubic, [0, 2, 4], 3)
     for rec in rep.degeneracy:
         assert rec.gap < 1e-7, f"degeneracy gap at n={rec.n}, order {rec.order}"
     elapsed = time.perf_counter() - t0

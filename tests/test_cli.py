@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import swkb.reduction
 import swkb.series
 import swkb.spectrum
 from swkb import wkb
@@ -140,6 +141,36 @@ def test_missing_required_flag():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--config", "{cubic}", "--order", "3"],
+    ["quantize", "--config", "{cubic}", "--levels", "-1"],
+    ["compare", "--config", "{cubic}", "--orders", "0,3"],
+    ["compare", "--config", "{cubic}", "--orders", "0,x"],
+    ["compare", "--config", "{cubic}", "--orders", ""],
+    ["reduce", "--max-order", "3"],
+    ["series", "--order", "-1"],
+    ["verify", "--order", "-1"],
+    ["verify", "--order", "0"],
+    ["verify", "--order", "1"],
+    ["oracle", "--config", "{cubic}", "--count", "0"],
+    ["quantize", "--config", "{missing}"],
+    ["quantize", "--config", "{not_json}"],
+    ["quantize", "--config", "{no_coefficients}"],
+    ["oracle", "--config", "{constant}"],
+])
+def test_usage_errors_exit_2(capsys, tmp_path, cubic_config, argv):
+    configs = {"cubic": cubic_config, "missing": str(tmp_path / "missing.json")}
+    for name, text in (("not_json", "{coefficients"), ("no_coefficients", '{"hbar": 1.0}'),
+                       ("constant", '{"coefficients": [1.0]}')):
+        configs[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**configs) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_missing_odd_certificate_in_wkb_fails_verify(capsys, monkeypatch):
     # a missing certificate is a structural failure: a FAIL line and exit 1
     monkeypatch.setattr(wkb, "antiderivative", lambda a, max_widen=3: None)
@@ -187,6 +218,18 @@ def test_compare_solves_each_root_once(capsys, cubic_config, monkeypatch, levels
     assert [(row["n"], row["order"]) for row in data["degeneracy"]] == [
         (n, order) for order in (0, 2) for n in range(1, max(levels, 1) + 1)
     ]
+
+
+def test_compare_reduces_the_series_once(capsys, cubic_config, monkeypatch):
+    # the minus series once for every order, plus the plus series for the
+    # degeneracy check
+    series_calls = _count_calls(monkeypatch, swkb.series, "generate_series")
+    lseq_calls = _count_calls(monkeypatch, swkb.series, "l_sequence")
+    qc_calls = _count_calls(monkeypatch, swkb.reduction, "quantization_integrands")
+    code, _ = run(capsys, ["compare", "--config", cubic_config, "--orders", "0,2,4",
+                           "--levels", "1", "--json"])
+    assert code == 0
+    assert [len(series_calls), len(lseq_calls), len(qc_calls)] == [2, 1, 1]
 
 
 def test_compare_fails_when_plus_real_parts_differ(capsys, cubic_config, monkeypatch):

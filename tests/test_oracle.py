@@ -50,8 +50,6 @@ def test_grid_validation():
         GridSpec(5.0, 32)
     with pytest.raises(ValueError):
         GridSpec(-1.0, 256)
-    with pytest.raises(ValueError):
-        GridSpec(5.0, 256, boundary="periodic")
 
 
 def test_count_bounded_by_grid():

@@ -145,7 +145,6 @@ class TestQuantizationIntegrands:
         assert [c.order for c in qc.corrections] == [0, 2, 4]
         assert [c.sign_factor for c in qc.corrections] == [1, -1, 1]
         assert qc.corrections[0].integrand == u_half(1)
-        assert qc.constant_pi
 
     def test_max_order_zero(self, series10, split10, lseq9):
         qc = quantization_integrands(0, series10, split10, lseq9)
