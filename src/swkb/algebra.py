@@ -272,6 +272,19 @@ class Expression:
                 raw.append((mono(ds, m.h - 2, m.e), coeff))
         return Expression(self.ring, raw)
 
+    def diff_E(self) -> "Expression":
+        """d/dE with x held fixed: the symbols do not move, u' = 1, so
+        d u^(h/2) = (h/2) u^((h-2)/2) and d E^e = e E^(e-1).  The derivative
+        tuples are untouched, so only the merge runs."""
+        mono = Monomial._canonical
+        raw: List[Tuple[Monomial, GaussianRational]] = []
+        for m, c in self.terms.items():
+            if m.e:
+                raw.append((mono(m.derivs, m.h, m.e - 1), c * m.e))
+            if m.h:
+                raw.append((mono(m.derivs, m.h - 2, m.e), c * Fraction(m.h, 2)))
+        return Expression._canonical(self.ring, _merge({}, raw))
+
     def split_real_imag(self) -> Tuple["Expression", "Expression"]:
         """(re, im) with all symbols treated as real; self == re + i*im."""
         re_terms = []

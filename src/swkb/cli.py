@@ -246,7 +246,11 @@ def cmd_verify(args) -> int:
 def cmd_quantize(args) -> int:
     sp = args.sp
     cond = build_conditions([args.order])[args.order]
-    energies = [solve_level(cond, sp, n, args.partner) for n in range(args.levels + 1)]
+    energies: List[float] = []
+    for n in range(args.levels + 1):
+        # each level starts from the one below it
+        energies.append(solve_level(cond, sp, n, args.partner,
+                                    start=energies[-1] if energies else None))
     if args.json:
         print(json.dumps({
             "superpotential": sp.to_json_dict(),

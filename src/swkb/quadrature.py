@@ -227,8 +227,12 @@ def track_sqrt_u(u: np.ndarray) -> BranchState:
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """``rows`` holds the integral of each row of the table and ``value``
+    their sum; ``to_json_dict`` keeps the sum only."""
+
     value: complex
     samples_used: int
+    rows: Tuple[complex, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,6 +254,8 @@ class IntegrandTable:
     a = 1..s_bottom.  Monomial m is E^e[m] times the product of the stack
     rows ``factor_index[m]`` (padded with row 0) and carries sqrt(u)^h[m].
     ``coeffs[r, m]`` is the coefficient of monomial m in integrand r.
+    Row r has settled when it moves by less than max(tol, rel_tol[r] *
+    |row|) between sample levels.
     """
 
     orders: Tuple[int, ...]
@@ -260,6 +266,7 @@ class IntegrandTable:
     e: np.ndarray
     coeffs: np.ndarray
     factor_index: np.ndarray
+    rel_tol: np.ndarray
 
     def monomial_sums(self, phi_vals: np.ndarray, s: np.ndarray, dz: np.ndarray) -> np.ndarray:
         """sum_j m(z_j) dz_j for every monomial m, without its E factor;
@@ -289,8 +296,12 @@ def _powers(x: np.ndarray, out: np.ndarray):
         np.multiply(out[a - 1], x, out=out[a])
 
 
-def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
-    """One table row per expression, over the union of their monomials."""
+def compile_integrands(
+    exprs: Sequence[Expression], rel_tol: Optional[Sequence[float]] = None
+) -> IntegrandTable:
+    """One table row per expression, over the union of their monomials;
+    ``rel_tol`` gives each row a relative settling tolerance (none by
+    default: every row is held to the absolute ``tol``)."""
     monos = sorted({m for x in exprs for m in x.terms}, key=Monomial.sort_key)
     orders = tuple(sorted({k for m in monos for k, _ in m.derivs} | {0}))
     phi_top = max([0] + [a for m in monos for _, a in m.derivs])
@@ -320,6 +331,7 @@ def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
         np.array([m.e for m in monos], dtype=int),
         coeffs,
         factor_index,
+        np.zeros(len(exprs)) if rel_tol is None else np.asarray(rel_tol, dtype=float),
     )
 
 
@@ -349,21 +361,19 @@ def contour_integrate(
     tol: float = DEFAULT_TOL,
     contour: Optional[Contour] = None,
     check_real: bool = True,
-    weights: Optional[Sequence[float]] = None,
 ) -> IntegralResult:
     """Closed-contour integrals of every row of ``integrands`` (a plain
     expression is a one-row table) on one contour and one sample set.
 
     Sample doubling is nested: level 2N evaluates only the N new midpoints
     and adds them to the running monomial sums; sqrt(u) is re-tracked over
-    the whole loop.  Every row must change by less than ``tol`` between
-    levels.  Quantization integrands are real up to branch-tracking noise;
-    with ``check_real`` each row's imaginary part is required to stay below
-    10 * tol (disable it to integrate deliberately non-real quantities).
-    ``value`` is the ``weights``-weighted sum of the rows (all ones by
-    default)."""
+    the whole loop.  Every row must change by less than its tolerance
+    max(tol, rel_tol * |row|) between levels.  Quantization integrands are
+    real up to branch-tracking noise; with ``check_real`` each row's
+    imaginary part is required to stay below 10 times its tolerance
+    (disable it to integrate deliberately non-real quantities).  ``rows``
+    holds every row's integral and ``value`` their sum."""
     table = integrands if isinstance(integrands, IntegrandTable) else compile_integrands([integrands])
-    w = np.ones(len(table.coeffs)) if weights is None else np.asarray(weights, dtype=float)
     if contour is None:
         contour = build_contour(sp, E)
     coeffs = table.coeffs * float(E) ** table.e
@@ -382,16 +392,23 @@ def contour_integrate(
         # global sign: the leading action has positive real part
         flip = (-1.0) ** table.h if action0.real < 0 else 1.0
         rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums), axis=1)
-        if prev is not None and np.all(np.abs(rows - prev) < tol):
-            bad = np.flatnonzero(np.abs(rows.imag) >= 10.0 * tol) if check_real else ()
+        row_tol = np.maximum(tol, table.rel_tol * np.abs(rows))
+        # a NaN row never counts as settled
+        moving = () if prev is None else np.flatnonzero(~(np.abs(rows - prev) < row_tol))
+        if prev is not None and not len(moving):
+            bad = np.flatnonzero(np.abs(rows.imag) >= 10.0 * row_tol) if check_real else ()
             if len(bad):
                 raise BranchTrackingError(
                     f"quantization integral {bad[0]} has imaginary part {rows[bad[0]].imag:.3e}"
                 )
             branch.validate(u)
-            return IntegralResult(complex(np.sum(w * rows)), samples)
+            return IntegralResult(complex(np.sum(rows)), samples, tuple(rows.tolist()))
         if 2 * samples > MAX_SAMPLES:
-            raise ConvergenceError(f"contour integral did not converge within {MAX_SAMPLES} samples")
+            r = moving[0]
+            raise ConvergenceError(
+                f"contour integral at E = {E} did not converge within {samples} samples: "
+                f"row {r} still moved by {abs(rows[r] - prev[r]):.3e}"
+            )
         prev = rows
         z, dz = contour.points(samples, shift=0.5)
         phi_vals = _horner(deriv_rows, z)

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, OutOfValidatedRangeError, StructuralTheoremViolation
 from .quadrature import (
@@ -37,6 +36,10 @@ from .series import SplitSeries, generate_series, l_sequence, split_series
 
 DEFAULT_TOL_E = 1e-9
 MIN_VALIDATED_E_FACTOR = 1e-8  # in units of hbar
+SLOPE_REL_TOL = 1e-8  # relative settling tolerance of the dA/dE rows
+MAX_SOLVE_STEPS = 200
+MAX_LOG_STEP = 20.0  # a Newton step may scale E by at most e^20
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,8 @@ class Condition:
 def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     """One condition per requested order, all cut from a single reduction
     at the highest order: each reduced correction depends only on the
-    series prefix up to its own order."""
+    series prefix up to its own order.  The table holds the corrections'
+    integrands, then their exact E-derivatives in the same order."""
     for k in orders:
         if k < 0 or k % 2:
             raise ValueError(f"truncation order must be even and >= 0, got {k}")
@@ -66,29 +70,51 @@ def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     conds = {}
     for k in orders:
         corrections = tuple(qc.corrections[: k // 2 + 1])
-        table = compile_integrands([c.integrand for c in corrections])
+        integrands = [c.integrand for c in corrections]
+        table = compile_integrands(
+            integrands + [x.diff_E() for x in integrands],
+            rel_tol=[0.0] * len(integrands) + [SLOPE_REL_TOL] * len(integrands),
+        )
         conds[k] = Condition(k, corrections, table, split)
     return conds
 
 
-def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> float:
-    """sum over even orders 2k <= cond.order of sign * hbar^(2k) * contour
-    integral of the reduced integrand, all integrated in one pass on one
-    contour; the imaginary parts are checked per integrand and discarded
-    inside the quadrature."""
+def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[float, float]:
+    """(A, dA/dE): A is the sum over even orders 2k <= cond.order of
+    sign * hbar^(2k) * the contour integral of the reduced integrand, and
+    dA/dE the same sum over the integrands' E-derivatives (the contour
+    encloses the moving turning points, so d/dE passes under the integral).
+    Both come from one pass on one contour; the imaginary parts are checked
+    per row and discarded inside the quadrature."""
     if E <= MIN_VALIDATED_E_FACTOR * sp.hbar:
         raise OutOfValidatedRangeError(
             f"E = {E} below the validated range (turning points coalesce)"
         )
+    rows = contour_integrate(cond.table, sp, E).rows
+    k = len(cond.corrections)
     weights = [corr.sign_factor * sp.hbar ** corr.order for corr in cond.corrections]
-    return contour_integrate(cond.table, sp, E, weights=weights).value.real
+    return (sum(w * r for w, r in zip(weights, rows[:k])).real,
+            sum(w * r for w, r in zip(weights, rows[k:])).real)
 
 
 def solve_level(
-    cond: Condition, sp: PolynomialSuperpotential, n: int, partner: str = "minus"
+    cond: Condition,
+    sp: PolynomialSuperpotential,
+    n: int,
+    partner: str = "minus",
+    start: Optional[float] = None,
 ) -> float:
     """Root of action(E) = 2 n pi hbar (minus partner) or 2 (n + 1) pi hbar
-    (plus partner) by geometric bracket scan plus brentq polish.
+    (plus partner) by Newton's method in ln E, from ``start`` (a nearby
+    root, say) or else from hbar.
+
+    A ~ c E^alpha makes ln A nearly linear in ln E, so each step is
+    ln E += ln(target / A) * A / (E A').  Every evaluation narrows the
+    bracket lo < root <= hi; a step that leaves it, or a point where A or
+    A' is not positive, falls back to bisection once both ends are known
+    and to doubling or halving E before that (safeguarded Newton, as in
+    Numerical Recipes' rtsafe).  The loop stops when a Newton step or the
+    bracket is within DEFAULT_TOL_E + 4 eps |E|.
 
     The minus-partner ground state sits at the E -> 0 edge where the
     turning points coalesce; the action decreases monotonically to zero
@@ -101,34 +127,38 @@ def solve_level(
     target = 2.0 * shift * math.pi * sp.hbar
     if target == 0.0:
         return 0.0
+    floor = MIN_VALIDATED_E_FACTOR * sp.hbar
+    E = start if start is not None and start > floor else sp.hbar
+    lo, hi = 0.0, math.inf
 
-    def f(E: float) -> float:
-        return action(cond, sp, E) - target
+    def failure(why: str) -> ConvergenceError:
+        return ConvergenceError(f"level {n} ({partner}): {why}; last E = {E}, bracket [{lo}, {hi}]")
 
-    lo = sp.hbar
-    for _ in range(80):
+    for _ in range(MAX_SOLVE_STEPS):
         try:
-            flo = f(lo)
-        except OutOfValidatedRangeError:
-            break
-        if flo < 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise ConvergenceError("no lower bracket found")
-    if flo >= 0.0:
-        raise ConvergenceError("no lower bracket found above the validated range")
-    hi = max(lo * 2.0, sp.hbar)
-    fhi = f(hi)
-    doublings = 0
-    while fhi < 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise ConvergenceError("no upper bracket found")
-        fhi = f(hi)
-    # f(lo) < 0 <= f(hi): a sign change, which is all brentq needs
-    return float(brentq(f, lo, hi, xtol=DEFAULT_TOL_E, rtol=8.881784197001252e-16, maxiter=200))
+            A, slope = action(cond, sp, E)
+        except ConvergenceError as exc:
+            raise failure(str(exc)) from exc
+        if A < target:
+            lo = E
+        else:
+            hi = E
+        tol = DEFAULT_TOL_E + 4.0 * _EPS * E
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        step = math.log(target / A) * A / (E * slope) if A > 0.0 and slope > 0.0 else math.nan
+        nxt = E * math.exp(step) if abs(step) < MAX_LOG_STEP else math.nan
+        if max(lo, floor) < nxt <= hi:
+            if abs(nxt - E) <= tol:
+                return nxt
+        elif lo and hi < math.inf:
+            nxt = 0.5 * (lo + hi)
+        else:
+            nxt = 2.0 * E if A < target else 0.5 * E
+            if nxt <= floor:
+                raise failure("no lower bracket above the validated range")
+        E = nxt
+    raise failure(f"no root within {MAX_SOLVE_STEPS} steps")
 
 
 @dataclass
@@ -265,8 +295,11 @@ def compare_report(
     conds = build_conditions(orders)
     report = SpectrumReport(sp)
     deg_max = max(n_max, 1)
-    by_order = {ordr: {n: solve_level(conds[ordr], sp, n) for n in range(deg_max + 1)}
-                for ordr in orders}
+    by_order = {}
+    for ordr in orders:
+        roots = by_order[ordr] = {}
+        for n in range(deg_max + 1):
+            roots[n] = solve_level(conds[ordr], sp, n, start=roots.get(n - 1))
     report.degeneracy = _degeneracy_rows(by_order, deg_max, conds[max(orders)].split)
     for n in range(n_max + 1):
         rec = LevelRecord(n, "minus", {ordr: by_order[ordr][n] for ordr in orders})

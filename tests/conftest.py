@@ -52,6 +52,11 @@ def conditions():
 
 
 @pytest.fixture(scope="session")
+def condition8():
+    return build_conditions([8])[8]
+
+
+@pytest.fixture(scope="session")
 def oscillator():
     return PolynomialSuperpotential([0.0, 1.0], 1.0, "oscillator")
 

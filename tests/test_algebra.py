@@ -103,6 +103,37 @@ class TestDifferentiate:
         assert E_pow(-2).differentiate().is_zero()
 
 
+class TestDiffE:
+    @examples(40)
+    @given(st.sampled_from([PHI_RING, V_RING]).flatmap(
+        lambda ring: st.tuples(ring_expressions(ring, 3), ring_expressions(ring, 3))))
+    def test_leibniz(self, pair):
+        a, b = pair
+        assert (a * b).diff_E() == a.diff_E() * b + a * b.diff_E()
+
+    @examples(40)
+    @given(st.sampled_from([PHI_RING, V_RING]).flatmap(ring_expressions))
+    def test_commutes_with_differentiate(self, x):
+        assert x.differentiate().diff_E() == x.diff_E().differentiate()
+
+    @pytest.mark.parametrize("h", range(-5, 6))
+    def test_u_power(self, h):
+        # u = E - phi^2, so du/dE = 1
+        expect = u_half(h - 2).scale(Fr(h, 2)) if h else Expression.zero()
+        assert u_half(h).diff_E() == expect
+
+    @pytest.mark.parametrize("e", range(-3, 4))
+    def test_e_power(self, e):
+        expect = E_pow(e - 1).scale(e) if e else Expression.zero()
+        assert E_pow(e).diff_E() == expect
+
+    def test_symbols_are_constant_in_e(self):
+        # phi^2 = E - u is x-dependent only: its E-derivative 1 - 1 vanishes
+        assert phi(0, 2).diff_E().is_zero()
+        assert (phi(1, 3) * phi(2)).diff_E().is_zero()
+        assert Expression.sym(0, 1, V_RING).diff_E().is_zero()
+
+
 class TestSplit:
     def test_first_order_coefficient(self):
         s1 = (phi() * phi(1) * u_half(-2)).scale(Fr(1, 2)) + i_times(

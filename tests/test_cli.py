@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import swkb.cli
 import swkb.reduction
 import swkb.series
 import swkb.spectrum
@@ -218,6 +219,24 @@ def test_compare_solves_each_root_once(capsys, cubic_config, monkeypatch, levels
     assert [(row["n"], row["order"]) for row in data["degeneracy"]] == [
         (n, order) for order in (0, 2) for n in range(1, max(levels, 1) + 1)
     ]
+
+
+def test_quantize_starts_each_level_from_the_one_below(capsys, cubic_config, monkeypatch):
+    honest = swkb.cli.solve_level
+    starts = []
+
+    def spy(cond, sp, n, partner="minus", start=None):
+        starts.append(start)
+        return honest(cond, sp, n, partner, start)
+
+    monkeypatch.setattr(swkb.cli, "solve_level", spy)
+    actions = _count_calls(monkeypatch, swkb.spectrum, "action")
+    code, out = run(capsys, ["quantize", "--config", cubic_config, "--order", "8",
+                             "--levels", "30", "--json"])
+    assert code == 0
+    levels = json.loads(out)["levels"]
+    assert starts == [None] + [levels[str(n)] for n in range(30)]
+    assert len(actions) <= 6 * 30
 
 
 def test_compare_reduces_the_series_once(capsys, cubic_config, monkeypatch):

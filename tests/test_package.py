@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "swkb"
@@ -14,3 +17,14 @@ def test_no_assert_statements_in_package():
     ]
     assert sorted(SRC.glob("*.py")), "package sources not found"
     assert found == []
+
+
+def test_cli_does_not_import_scipy_optimize():
+    # levels are solved without a scipy root finder; importing one would
+    # load about four times as many scipy modules at start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, swkb.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad
 
+import swkb.quadrature
 from swkb.algebra import E_pow, phi, u_half
 from swkb.errors import (
     AmbiguousRegionError,
     BranchTrackingError,
     ContourError,
+    ConvergenceError,
     NoClassicalRegionError,
 )
 from swkb.quadrature import (
@@ -133,13 +135,12 @@ class TestContourIntegrate:
         # it cannot be a derivative of any ring element
         r = contour_integrate(P1, cubic, 1.0, check_real=False)
         assert abs(r.value + 1j * math.pi) < 1e-10
-        # in a table the realness check applies to that row, even when its
-        # weight in the sum is zero
+        # in a table the realness check applies to that row on its own
         table = compile_integrands([u_half(1), P1])
         with pytest.raises(BranchTrackingError):
-            contour_integrate(table, cubic, 1.0, weights=[1.0, 0.0])
-        r = contour_integrate(table, cubic, 1.0, check_real=False, weights=[0.0, 1.0])
-        assert abs(r.value + 1j * math.pi) < 1e-10
+            contour_integrate(table, cubic, 1.0)
+        r = contour_integrate(table, cubic, 1.0, check_real=False)
+        assert abs(r.rows[1] + 1j * math.pi) < 1e-10
 
     def test_nested_doubling_matches_direct_rule(self, cubic, mixed_cubic, split10, lseq9):
         # the running sums of the nested rule equal one trapezoid sum over
@@ -167,16 +168,40 @@ class TestContourIntegrate:
 
     def test_every_row_must_converge(self, cubic):
         # on a flat ellipse the u^(-5/2) row needs more samples than the
-        # leading action; a zero weight does not let the table stop early
+        # leading action, and the table stops only when both have settled
         xl, xr, _ = turning_points(cubic, 1.0)
         c = Contour(0.5 * (xl + xr), 0.55 * (xr - xl), 0.05 * (xr - xl))
         slow = phi(1, 2) * u_half(-5)
         table = compile_integrands([u_half(1), slow])
-        r = contour_integrate(table, cubic, 1.0, contour=c, weights=[1.0, 0.0])
+        r = contour_integrate(table, cubic, 1.0, contour=c)
         alone = contour_integrate(slow, cubic, 1.0, contour=c)
         lead = contour_integrate(u_half(1), cubic, 1.0, contour=c)
         assert r.samples_used == alone.samples_used > lead.samples_used
-        assert abs(r.value - lead.value) < 1e-10
+        assert abs(r.rows[0] - lead.value) < 1e-10
+
+    def test_nonconvergence_names_energy_samples_and_row(self, cubic, monkeypatch):
+        # the flat ellipse of test_every_row_must_converge: the lead row
+        # settles at 512 samples, the u^(-5/2) row only at 1024
+        xl, xr, _ = turning_points(cubic, 1.0)
+        c = Contour(0.5 * (xl + xr), 0.55 * (xr - xl), 0.05 * (xr - xl))
+        table = compile_integrands([u_half(1), phi(1, 2) * u_half(-5)])
+        monkeypatch.setattr(swkb.quadrature, "MAX_SAMPLES", 512)
+        with pytest.raises(ConvergenceError,
+                           match=r"at E = 1.0 did not converge within 512 samples: row 1 still moved"):
+            contour_integrate(table, cubic, 1.0, contour=c)
+
+    def test_relative_row_tolerance(self, cubic):
+        # on the same flat ellipse, a row held to max(tol, rel_tol * |row|)
+        # stops where the absolute tolerance alone keeps doubling
+        xl, xr, _ = turning_points(cubic, 1.0)
+        c = Contour(0.5 * (xl + xr), 0.55 * (xr - xl), 0.05 * (xr - xl))
+        exprs = [u_half(1), phi(1, 2) * u_half(-5)]
+        strict = contour_integrate(compile_integrands(exprs), cubic, 1.0, contour=c)
+        loose = contour_integrate(compile_integrands(exprs, rel_tol=[0.0, 1e-3]), cubic, 1.0,
+                                  contour=c)
+        assert loose.samples_used == 512 < strict.samples_used
+        assert abs(loose.rows[1] - strict.rows[1]) < 1e-3 * abs(strict.rows[1])
+        assert abs(loose.rows[0] - strict.rows[0]) < 1e-10
 
     def test_derivative_annihilation(self, cubic, split10, lseq9):
         r2 = reduce_even_order(2, split10, lseq9)

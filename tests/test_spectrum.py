@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.integrate import quad
 
 import swkb.quadrature
 import swkb.spectrum
-from swkb.errors import OutOfValidatedRangeError, StructuralTheoremViolation
+from swkb.algebra import Expression
+from swkb.errors import ConvergenceError, OutOfValidatedRangeError, StructuralTheoremViolation
 from swkb.oracle import oracle_eigenvalues
 from swkb.quadrature import PolynomialSuperpotential, contour_integrate
 from swkb.reduction import quantization_integrands
@@ -18,19 +20,19 @@ from conftest import broken_plus_series
 
 class TestAction:
     def test_oscillator_is_pi_e(self, oscillator, conditions):
-        assert abs(action(conditions[0], oscillator, 4.0) - 4.0 * math.pi) < 1e-9
+        assert abs(action(conditions[0], oscillator, 4.0)[0] - 4.0 * math.pi) < 1e-9
 
     def test_oscillator_corrections_vanish(self, oscillator, conditions):
-        assert abs(action(conditions[4], oscillator, 4.0) - 4.0 * math.pi) < 1e-9
+        assert abs(action(conditions[4], oscillator, 4.0)[0] - 4.0 * math.pi) < 1e-9
 
     def test_cubic_leading_matches_real_axis(self, cubic, conditions):
         a = 9.0 ** (1.0 / 6.0)
         expect, _ = quad(lambda x: math.sqrt(max(1.0 - x**6 / 9.0, 0.0)), -a, a, limit=200)
-        assert abs(action(conditions[0], cubic, 1.0) - 2.0 * expect) < 1e-9
+        assert abs(action(conditions[0], cubic, 1.0)[0] - 2.0 * expect) < 1e-9
 
     def test_monotone_increasing_at_leading_order(self, cubic, oscillator, conditions):
         for sp in (cubic, oscillator):
-            vals = [action(conditions[0], sp, E) for E in np.linspace(0.25, 6.0, 24)]
+            vals = [action(conditions[0], sp, E)[0] for E in np.linspace(0.25, 6.0, 24)]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_below_validated_range(self, cubic, conditions):
@@ -54,7 +56,7 @@ class TestSharedPass:
         for E in energies:
             expect = sum(c.sign_factor * hbar ** c.order * contour_integrate(c.integrand, sp, E).value.real
                          for c in qc.corrections)
-            assert abs(action(cond, sp, E) - expect) < 1e-12
+            assert abs(action(cond, sp, E)[0] - expect) < 1e-12
 
     def test_one_contour_and_one_pass_per_energy(self, cubic, monkeypatch):
         cond = build_conditions([8])[8]
@@ -68,6 +70,42 @@ class TestSharedPass:
         for E in (1.0, 2.0, 4.0):
             action(cond, cubic, E)
         assert calls == {"build_contour": 3, "contour_integrate": 3}
+
+
+class TestSlope:
+    def test_order0_slope_row_is_dunham_half_period(self, conditions):
+        lead = conditions[0].corrections[0].integrand
+        assert lead == Expression.u_pow(1)
+        assert lead.diff_E() == Expression.u_pow(-1).scale(Fraction(1, 2))
+
+    def test_slope_rows_follow_action_rows(self, conditions):
+        cond = conditions[4]
+        integrands = [c.integrand for c in cond.corrections]
+        table = swkb.quadrature.compile_integrands(integrands + [x.diff_E() for x in integrands])
+        assert np.array_equal(cond.table.coeffs, table.coeffs)
+        assert list(cond.table.rel_tol) == [0.0] * 3 + [swkb.spectrum.SLOPE_REL_TOL] * 3
+
+    def test_oscillator_slope_is_pi(self, oscillator, conditions):
+        # A(E) = pi E at every order for phi = x
+        for k in (0, 4):
+            A, slope = action(conditions[k], oscillator, 4.0)
+            assert abs(A - 4.0 * math.pi) < 1e-9 and abs(slope - math.pi) < 1e-9
+
+    @pytest.mark.parametrize(
+        "coefficients, hbar, order, energies",
+        [
+            ([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0, 8, (1.0, 3.0, 7.5)),
+            ([0.0, 1.0, 0.0, 0.2], 0.5, 4, (0.6, 2.0, 5.0)),
+        ],
+    )
+    def test_slope_matches_central_difference(self, coefficients, hbar, order, energies):
+        sp = PolynomialSuperpotential(coefficients, hbar)
+        cond = build_conditions([order])[order]
+        for E in energies:
+            h = 1e-4 * E
+            slope = action(cond, sp, E)[1]
+            diff = (action(cond, sp, E + h)[0] - action(cond, sp, E - h)[0]) / (2.0 * h)
+            assert abs(slope - diff) < 1e-6 * abs(slope)
 
 
 class TestBuildConditions:
@@ -111,6 +149,88 @@ class TestSolveLevel:
             solve_level(conditions[2], cubic, -1)
         with pytest.raises(ValueError):
             solve_level(conditions[2], cubic, 1, "up")
+
+
+# order-8 roots of the cubic with hbar = 1 found by the bracket scan and
+# brentq that preceded the Newton solver
+CUBIC8_ROOTS = {3: 6.7433734370973415, 20: 116.94855796860404}
+
+
+class TestNewton:
+    @pytest.mark.parametrize(
+        "coefficients, hbar, n, root",
+        [
+            ([0.0, 1.0, 0.0, 0.0, 0.0, 0.2], 0.7, 1, 1.6771828461264175),
+            ([0.0, 1.0, 0.0, 0.0, 0.0, 0.2], 0.7, 7, 23.679238469733516),
+            ([0.0, 1.0, 0.0, 0.0, 0.0, 0.2], 0.7, 30, 235.33088084836385),
+            ([0.0, 0.0, 0.0, 1.0 / 3.0], 0.3, 2, 0.5976854464919498),
+            ([0.0, 0.0, 0.0, 1.0 / 3.0], 0.3, 30, 35.30654503672196),
+        ],
+    )
+    def test_order8_envelope(self, condition8, coefficients, hbar, n, root):
+        # the first evaluation is at E = hbar, where the slope rows need a
+        # relative tolerance to settle
+        sp = PolynomialSuperpotential(coefficients, hbar)
+        assert abs(solve_level(condition8, sp, n) - root) < 1e-9
+
+    @pytest.mark.parametrize("bad_slope", [-1.0, 0.0])
+    def test_bisection_when_the_slope_is_unusable(self, cubic, condition8, monkeypatch, bad_slope):
+        honest = swkb.spectrum.action
+        calls = []
+
+        def no_slope(cond, sp, E):
+            calls.append(E)
+            return honest(cond, sp, E)[0], bad_slope
+
+        monkeypatch.setattr(swkb.spectrum, "action", no_slope)
+        for n, root in CUBIC8_ROOTS.items():
+            calls.clear()
+            assert abs(solve_level(condition8, cubic, n) - root) < 1e-9
+            assert len(calls) > 20  # doubling then bisection, no Newton steps
+
+    def test_start_does_not_change_the_root(self, cubic, condition8):
+        warm = []
+        for n in range(31):
+            warm.append(solve_level(condition8, cubic, n, start=warm[-1] if warm else None))
+        for n, root in CUBIC8_ROOTS.items():
+            assert abs(warm[n] - root) < 1e-9
+        # below about E = 0.2 the order-8 rows of this cubic are too large
+        # for the absolute quadrature tolerance, so "far below" is 0.5
+        for n, root in enumerate(warm):
+            for start in (None, 100.0 * root, 0.5):
+                assert abs(solve_level(condition8, cubic, n, start=start) - root) < 1e-9
+
+    def test_failures_name_level_partner_energy_and_bracket(self, cubic, condition8, monkeypatch):
+        honest = swkb.spectrum.action
+        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (0.0, 0.0))
+        with pytest.raises(ConvergenceError,
+                           match=r"level 3 \(plus\): no root within 200 steps; last E = .*, bracket \["):
+            solve_level(condition8, cubic, 3, "plus")
+        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (1e9, 1.0))
+        with pytest.raises(ConvergenceError, match=r"level 2 \(minus\): no lower bracket above the "
+                                                   r"validated range; last E = .*, bracket \[0.0, "):
+            solve_level(condition8, cubic, 2)
+        # a quadrature failure keeps its own message inside the level's
+        monkeypatch.setattr(swkb.spectrum, "action", honest)
+        monkeypatch.setattr(swkb.quadrature, "MAX_SAMPLES", 4096)
+        with pytest.raises(ConvergenceError, match=r"level 1 \(minus\): contour integral at E = 0.01 "
+                                                   r"did not converge within 4096 samples: row \d+ "
+                                                   r"still moved by .*; last E = 0.01, bracket"):
+            solve_level(condition8, cubic, 1, start=0.01)
+
+    def test_compare_starts_each_level_from_the_one_below(self, cubic, monkeypatch):
+        honest = swkb.spectrum.solve_level
+        starts = []
+
+        def spy(cond, sp, n, partner="minus", start=None):
+            starts.append((cond.order, start))
+            return honest(cond, sp, n, partner, start)
+
+        monkeypatch.setattr(swkb.spectrum, "solve_level", spy)
+        rep = compare_report(cubic, [0, 2], 2)
+        for k in (0, 2):
+            roots = [r.e_by_order[k] for r in rep.levels]
+            assert [s for o, s in starts if o == k] == [None] + roots[:2]
 
 
 class TestDegeneracy:
