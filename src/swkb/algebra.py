@@ -36,6 +36,8 @@ from typing import Dict, Iterable, List, Tuple
 from .errors import PoleError, UndefinedDegreeError
 from .gaussian import GR_I, GR_ONE, GaussianRational
 
+SQRT_TOL = 1e-9  # relative mismatch allowed between sqrt_u**2 and u in ``evaluate``
+
 
 @dataclass(frozen=True)
 class Ring:
@@ -356,16 +358,16 @@ class Expression:
 
     # -- numerics ----------------------------------------------------------
 
-    def evaluate(self, deriv_values, u, sqrt_u, e_value, sqrt_tol: float = 1e-9):
+    def evaluate(self, deriv_values, u, sqrt_u, e_value):
         """Evaluate at a point using the caller's square-root branch.
 
         ``deriv_values`` maps derivative order -> complex value (a sequence
         indexed by order also works).  ``sqrt_u`` must square to ``u`` within
-        ``sqrt_tol`` relative; u^(h/2) is computed as sqrt_u**h so the branch
+        ``SQRT_TOL`` relative; u^(h/2) is computed as sqrt_u**h so the branch
         is exactly the caller's.
         """
         scale = max(abs(u), 1.0)
-        if abs(sqrt_u * sqrt_u - u) > sqrt_tol * scale:
+        if abs(sqrt_u * sqrt_u - u) > SQRT_TOL * scale:
             raise ValueError("sqrt_u does not square to u within tolerance")
         total = 0j
         for m, c in self.terms.items():

@@ -201,5 +201,5 @@ def antiderivative(a: Expression, max_widen: int = 3) -> Optional[Expression]:
     return total
 
 
-def is_total_derivative(a: Expression, max_widen: int = 3) -> bool:
-    return antiderivative(a, max_widen=max_widen) is not None
+def is_total_derivative(a: Expression) -> bool:
+    return antiderivative(a) is not None

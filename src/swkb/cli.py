@@ -16,7 +16,7 @@ from typing import List, Optional
 from .algebra import Expression
 from .antiderivative import antiderivative
 from .errors import SwkbError, StructuralTheoremViolation
-from .oracle import default_grid, eigenvalues
+from .oracle import default_grid, eigenvalues, oracle_eigenvalues
 from .quadrature import PolynomialSuperpotential
 from .reduction import (
     decompose,
@@ -269,8 +269,7 @@ def cmd_quantize(args) -> int:
 def cmd_compare(args) -> int:
     sp = args.sp
     count = args.levels + 2
-    grid = default_grid(sp.v_minus, count, sp.hbar)
-    oracle_vals = eigenvalues(sp.v_minus, grid, count, sp.hbar)
+    oracle_vals = oracle_eigenvalues(sp.v_minus, count, sp.hbar)
     rep = compare_report(sp, args.orders, args.levels, oracle_vals)
     print(rep.to_json() if args.json else rep.to_text())
     return 0

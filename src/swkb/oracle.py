@@ -9,7 +9,7 @@ Nothing here touches the series machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -18,6 +18,7 @@ from .errors import DomainTooSmallError
 
 DEFAULT_POINTS = 4096
 DECAY_LIMIT = 1e-6
+MAX_HALF_WIDTH = 60.0
 
 
 @dataclass(frozen=True)
@@ -78,18 +79,12 @@ def eigenvalues(
     return (4.0 * w2 - w1) / 3.0
 
 
-def default_grid(
-    V: Callable,
-    count: int,
-    hbar: float = 1.0,
-    points: int = DEFAULT_POINTS,
-    max_half_width: float = 60.0,
-) -> GridSpec:
+def default_grid(V: Callable, count: int, hbar: float = 1.0) -> GridSpec:
     """March the half width outward until the wall potential clears the
     estimated top eigenvalue by a 20 hbar^2 margin on both sides and the
     coarse-grid eigenstates already decay comfortably at the walls."""
     X = 2.0
-    while X <= max_half_width:
+    while X <= MAX_HALF_WIDTH:
         w_coarse, v_coarse = _solve_grid(V, X, 1024, count, hbar)
         e_max = float(w_coarse[-1])
         wall = min(float(V(np.array([-X]))[0]), float(V(np.array([X]))[0]))
@@ -97,19 +92,11 @@ def default_grid(
             edge = np.maximum(np.abs(v_coarse[0, :]), np.abs(v_coarse[-1, :]))
             rel = float(np.max(edge / np.max(np.abs(v_coarse), axis=0)))
             if rel < 0.01 * DECAY_LIMIT:
-                return GridSpec(X, points)
+                return GridSpec(X)
         X += 1.0
-    raise DomainTooSmallError(f"no adequate half width below {max_half_width}")
+    raise DomainTooSmallError(f"no adequate half width below {MAX_HALF_WIDTH}")
 
 
-def oracle_eigenvalues(
-    potential: Callable,
-    count: int,
-    hbar: float = 1.0,
-    grid: Optional[GridSpec] = None,
-    points: int = DEFAULT_POINTS,
-) -> np.ndarray:
+def oracle_eigenvalues(potential: Callable, count: int, hbar: float = 1.0) -> np.ndarray:
     """Convenience wrapper: pick a grid automatically and solve."""
-    if grid is None:
-        grid = default_grid(potential, count, hbar, points)
-    return eigenvalues(potential, grid, count, hbar)
+    return eigenvalues(potential, default_grid(potential, count, hbar), count, hbar)

@@ -11,6 +11,7 @@ is fixed so the leading action integral has positive real part.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
@@ -26,10 +27,11 @@ from .errors import (
     NoClassicalRegionError,
 )
 
-DEFAULT_TOL = 1e-10
+TOL = 1e-10  # absolute settling tolerance of every row
 START_SAMPLES = 256  # first resolution; integration doubles it until the estimate settles
 MAX_SAMPLES = 2 ** 20
-DEFAULT_ASPECT = 0.5
+ASPECT = 0.5  # semi-minor over semi-major axis of the contour
+DISTANCE_PROBES = 720  # curve points a branch point's distance is measured over
 DEFAULT_CLEARANCE = 0.2  # fraction of the semi-major axis
 SUM_BLOCK = 4096  # sample points per block of monomial evaluation
 
@@ -44,6 +46,8 @@ class PolynomialSuperpotential:
 
     def __init__(self, coefficients, hbar: float = 1.0, name: str = ""):
         coeffs = tuple(float(c) for c in coefficients)
+        if not all(math.isfinite(c) for c in coeffs + (float(hbar),)):
+            raise ValueError("coefficients and hbar must be finite")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
         if len(coeffs) < 2 or coeffs[-1] == 0.0:
@@ -157,8 +161,8 @@ class Contour:
         dz = -self.a * sin + 1j * self.b * cos
         return z, dz
 
-    def min_distance(self, w: complex, probe: int = 720) -> float:
-        z, _ = self.points(probe)
+    def min_distance(self, w: complex) -> float:
+        z, _ = self.points(DISTANCE_PROBES)
         return float(np.min(np.abs(z - w)))
 
     def contains(self, w: complex) -> bool:
@@ -168,7 +172,6 @@ class Contour:
 def build_contour(
     sp: PolynomialSuperpotential,
     E: float,
-    aspect: float = DEFAULT_ASPECT,
     clearance: float = DEFAULT_CLEARANCE,
 ) -> Contour:
     """Ellipse enclosing exactly the real turning pair, with every excluded
@@ -179,7 +182,7 @@ def build_contour(
     half_gap = 0.5 * (xr - xl)
     for factor in (1.25, 1.15, 1.08):
         a = factor * half_gap
-        b = aspect * a
+        b = ASPECT * a
         c = Contour(center, a, b)
         ok = True
         for w in excluded:
@@ -254,7 +257,7 @@ class IntegrandTable:
     a = 1..s_bottom.  Monomial m is E^e[m] times the product of the stack
     rows ``factor_index[m]`` (padded with row 0) and carries sqrt(u)^h[m].
     ``coeffs[r, m]`` is the coefficient of monomial m in integrand r.
-    Row r has settled when it moves by less than max(tol, rel_tol[r] *
+    Row r has settled when it moves by less than max(TOL, rel_tol[r] *
     |row|) between sample levels.
     """
 
@@ -301,7 +304,7 @@ def compile_integrands(
 ) -> IntegrandTable:
     """One table row per expression, over the union of their monomials;
     ``rel_tol`` gives each row a relative settling tolerance (none by
-    default: every row is held to the absolute ``tol``)."""
+    default: every row is held to the absolute ``TOL``)."""
     monos = sorted({m for x in exprs for m in x.terms}, key=Monomial.sort_key)
     orders = tuple(sorted({k for m in monos for k, _ in m.derivs} | {0}))
     phi_top = max([0] + [a for m in monos for _, a in m.derivs])
@@ -358,7 +361,6 @@ def contour_integrate(
     integrands: Union[Expression, IntegrandTable],
     sp: PolynomialSuperpotential,
     E: float,
-    tol: float = DEFAULT_TOL,
     contour: Optional[Contour] = None,
     check_real: bool = True,
 ) -> IntegralResult:
@@ -368,7 +370,7 @@ def contour_integrate(
     Sample doubling is nested: level 2N evaluates only the N new midpoints
     and adds them to the running monomial sums; sqrt(u) is re-tracked over
     the whole loop.  Every row must change by less than its tolerance
-    max(tol, rel_tol * |row|) between levels.  Quantization integrands are
+    max(TOL, rel_tol * |row|) between levels.  Quantization integrands are
     real up to branch-tracking noise; with ``check_real`` each row's
     imaginary part is required to stay below 10 times its tolerance
     (disable it to integrate deliberately non-real quantities).  ``rows``
@@ -392,7 +394,7 @@ def contour_integrate(
         # global sign: the leading action has positive real part
         flip = (-1.0) ** table.h if action0.real < 0 else 1.0
         rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums), axis=1)
-        row_tol = np.maximum(tol, table.rel_tol * np.abs(rows))
+        row_tol = np.maximum(TOL, table.rel_tol * np.abs(rows))
         # a NaN row never counts as settled
         moving = () if prev is None else np.flatnonzero(~(np.abs(rows - prev) < row_tol))
         if prev is not None and not len(moving):

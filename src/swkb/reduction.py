@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Expression, Monomial
+from .algebra import Expression, F_factor, Monomial
 from .antiderivative import DerivativeSweep, antiderivative, bigrade_components, candidate_monomials
 from .errors import StructuralTheoremViolation
 from .series import HbarSeries, LSequence, SplitSeries, i_times
@@ -44,7 +44,7 @@ def decompose(n: int, split: SplitSeries) -> Tuple[Expression, Expression]:
     """alpha_n, beta_n with p_n = F q_n + E alpha_n and q_n = -F p_n + E beta_n."""
     if n < 1:
         raise ValueError("decomposition starts at order 1")
-    F = Expression.sym(0, 1) * Expression.u_pow(-1)
+    F = F_factor()
     alpha = divide_by_e(split.p[n] - F * split.q[n], f"p_{n} - F q_{n}")
     beta = divide_by_e(split.q[n] + F * split.p[n], f"q_{n} + F p_{n}")
     return alpha, beta
@@ -123,7 +123,7 @@ def reduce_even_order(order: int, split: SplitSeries, lseq: LSequence) -> Reduce
         raise ValueError("certificate sequence not generated far enough")
     alpha, _ = decompose(order, split)
     Q = i_times(lseq.l[order - 1]).scale(HALF)
-    F = Expression.sym(0, 1) * Expression.u_pow(-1)
+    F = F_factor()
     fprime_u32 = Expression.sym(1, 1) * Expression.u_pow(-3)
     integrand, resid = residual_sweep((alpha - fprime_u32 * Q).shift_e(1), min_e=1)
     cert = F * Q + resid

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
-from .algebra import Expression, PHI_RING, Ring, i_times
+from .algebra import Expression, F_factor, PHI_RING, Ring, i_times
 from .errors import StructuralTheoremViolation
 from .gaussian import GR_I
 
@@ -33,31 +33,29 @@ def series_mul(a: List[Expression], b: List[Expression], order: int) -> List[Exp
     return out
 
 
-def series_inverse(a: List[Expression], lead_inv: Expression, order: int) -> List[Expression]:
-    """Multiplicative inverse of a truncated series whose leading coefficient
-    has the exact inverse ``lead_inv`` (checked)."""
-    ring = a[0].ring
-    one = Expression.const(1, ring)
-    if a[0] * lead_inv != one:
-        raise StructuralTheoremViolation("lead_inv is not the exact inverse of a[0]")
-    inv = [lead_inv]
-    for n in range(1, order + 1):
-        acc = Expression.zero(ring)
-        for k in range(1, n + 1):
-            if k < len(a):
-                acc = acc + a[k] * inv[n - k]
-        inv.append(-(lead_inv * acc))
-    return inv
+def _log_deriv_term(a: List[Expression], L: List[Expression], lead_inv: Expression,
+                    n: int) -> Expression:
+    """L_n of (ln a)' = a'/a = sum_n nu^n L_n, given L_0..L_(n-1), from
 
+        a_0 L_n = a_n' - sum_{k=1}^{n} a_k L_(n-k),
 
-def series_diff(a: List[Expression]) -> List[Expression]:
-    return [c.differentiate() for c in a]
+    where ``lead_inv`` is 1/a_0 and coefficients past ``len(a)`` are zero."""
+    acc = a[n].differentiate() if n < len(a) else Expression.zero(a[0].ring)
+    for k in range(1, min(n, len(a) - 1) + 1):
+        acc = acc - a[k] * L[n - k]
+    return lead_inv * acc
 
 
 def series_log_deriv(a: List[Expression], lead_inv: Expression, order: int) -> List[Expression]:
-    """(ln a)' = a'/a as a truncated series; the order-0 coefficient is the
-    non-exact logarithmic derivative of the leading term."""
-    return series_mul(series_diff(a), series_inverse(a, lead_inv, order), order)
+    """(ln a)' = a'/a as a truncated series, where ``lead_inv`` is the exact
+    inverse of a[0] (checked); the order-0 coefficient is the non-exact
+    logarithmic derivative of the leading term."""
+    if a[0] * lead_inv != Expression.const(1, a[0].ring):
+        raise StructuralTheoremViolation("lead_inv is not the exact inverse of a[0]")
+    L: List[Expression] = []
+    for n in range(order + 1):
+        L.append(_log_deriv_term(a, L, lead_inv, n))
+    return L
 
 
 # -- the main recursions ------------------------------------------------------
@@ -196,8 +194,8 @@ def check_l_identity(lseq: LSequence, split: SplitSeries, n: int) -> bool:
 
 def partner_via_log_identity(s: HbarSeries, order: int) -> HbarSeries:
     """Plus-sign series from the minus one through the exact expansion of
-    d/dx ln(f + i S'), using geometric inversion with the (f - i sqrt(u))/E
-    leading factor."""
+    d/dx ln(f + i S'), by the log-derivative recurrence with the exact
+    (f - i sqrt(u))/E inverse of the leading factor."""
     if s.sign != "minus":
         raise ValueError("input must be the minus-sign series")
     if s.order < order:
@@ -224,8 +222,9 @@ def partner_via_imag_shift(s: HbarSeries, split: SplitSeries, order: int) -> Hba
 def pbar_series(order: int) -> HbarSeries:
     """Fixed point of  X = u^(1/2) - (nu/2) X'/X  expanded in nu.
 
-    The log-derivative is realized by exact series division, so the
-    logarithm itself is never represented.  Coefficients from order 2 on
+    The log-derivative X'/X is built one coefficient per step by the same
+    recurrence as ``series_log_deriv``, so the logarithm itself is never
+    represented.  Coefficients from order 2 on
     are total derivatives of ring elements; the order-1 coefficient equals
     the first-order real part and carries the same logarithmic constant,
     so it is exempt from certification (only even orders >= 2 ever enter
@@ -233,14 +232,10 @@ def pbar_series(order: int) -> HbarSeries:
     """
     pb = [Expression.u_pow(1)]
     um12 = Expression.u_pow(-1)
-    d: List[Expression] = []  # log-derivative coefficients
-    for n in range(1, order + 1):
-        m = n - 1
-        acc = pb[m].differentiate()
-        for k in range(1, m + 1):
-            acc = acc - pb[k] * d[m - k]
-        d.append(um12 * acc)
-        pb.append(d[m].scale(-HALF))
+    L: List[Expression] = []  # coefficients of (ln X)'
+    for m in range(order):
+        L.append(_log_deriv_term(pb, L, um12, m))
+        pb.append(L[m].scale(-HALF))
     return HbarSeries(pb, "minus")
 
 
@@ -278,7 +273,7 @@ def generating_system_check(order: int, split: SplitSeries) -> CheckReport:
     (or a mutated copy of them, for negative controls).
     """
     p, q = split.p, split.q
-    F = Expression.sym(0, 1) * Expression.u_pow(-1)
+    F = F_factor()
     report = CheckReport("generating-system")
     for n in range(1, order + 1):
         conv_pp = Expression.zero()
@@ -323,7 +318,7 @@ def imag_relation_check(order: int, split: SplitSeries) -> CheckReport:
 
     The order-0 entry is vacuous (I_0 = 0 and the relation starts at order
     1); all higher orders are exact ring identities once (ln R)' is taken
-    as R'/R by series division.
+    as R'/R by the log-derivative recurrence.
     """
     R, I = real_imag_hbar_series(split, order)
     log_d = series_log_deriv(R, Expression.u_pow(-1), max(order - 1, 0))

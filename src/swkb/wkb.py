@@ -165,16 +165,22 @@ def log_term_expansion_check(sub: Substitution) -> CheckReport:
     return report
 
 
+def _substitute_orders(sub: Substitution, pieces: Dict[int, Expression]) -> List[Expression]:
+    """sum_m nu^m * sub(pieces[m]) as a nu-series truncated at ``sub.order``."""
+    total = [Expression.zero(PHI_RING) for _ in range(sub.order + 1)]
+    for m, expr in pieces.items():
+        piece = sub.apply(expr)
+        for n in range(m, sub.order + 1):
+            total[n] = total[n] + piece[n - m]
+    return total
+
+
 def substitution_series_check(sub: Substitution, w: HbarSeries, s: HbarSeries) -> CheckReport:
     """Substituted full potential-ring series ``w`` == supersymmetric series
     ``s``, exactly, order by order up to ``sub.order`` (solution uniqueness
     of the shared identity)."""
     order = sub.order
-    total = [Expression.zero(PHI_RING) for _ in range(order + 1)]
-    for m in range(order + 1):
-        piece = sub.apply(w.coeffs[m])
-        for n in range(m, order + 1):
-            total[n] = total[n] + piece[n - m]
+    total = _substitute_orders(sub, dict(enumerate(w.coeffs[:order + 1])))
     report = CheckReport("substituted-series")
     for n in range(order + 1):
         report.add(n, total[n] == s.coeffs[n])
@@ -188,13 +194,7 @@ def substituted_condition_check(sub: Substitution, w: HbarSeries, s: HbarSeries)
     derivative (exactly zero at orders 0 and 1)."""
     order = sub.order
     simp = simplify_wkb_condition(w, order)
-    total = [Expression.zero(PHI_RING) for _ in range(order + 1)]
-    pieces = dict(simp.kept)
-    pieces[1] = simp.first_order
-    for m, expr in pieces.items():
-        piece = sub.apply(expr)
-        for n in range(m, order + 1):
-            total[n] = total[n] + piece[n - m]
+    total = _substitute_orders(sub, {**simp.kept, 1: simp.first_order})
     report = CheckReport("substituted-condition")
     for n in range(order + 1):
         diff = total[n] - s.coeffs[n]

@@ -2,7 +2,8 @@
 
 The benchmark fingerprints cover the ``reduce`` output, whose certificates
 come from the residual sweep; these cover the certificates of the imaginary
-parts and of the dropped odd-order real parts.
+parts and of the dropped odd-order real parts.  The ``verify --order 8``
+fingerprint covers the whole exact property suite.
 """
 
 import hashlib
@@ -20,6 +21,8 @@ def _sha256(text: str) -> str:
 # every certificate must stay byte-identical.
 SERIES8_CERTIFICATES_SHA256 = "96dcd9ddbe75f38230c92638d0a38a46946e90a851359ba58827c8b94a4b78df"
 DROPPED8_SHA256 = "0c3b15605c6f995e8cbccba69357f962614c8a66e6e0f880c5177bb93216821f"
+# The whole ``verify --order 8`` report: every PASS line of the exact suite.
+VERIFY8_SHA256 = "608a9c1925a240becc8e739c218f040c79ca05b7b12eca647eed46933ab18341"
 
 
 def test_golden_series_certificates(capsys):
@@ -32,3 +35,8 @@ def test_golden_dropped_certificates(series10, split10, lseq9):
     text = json.dumps({f"{n}{part}": cert.to_json_dict()
                        for (n, part), cert in sorted(dropped.items())}, sort_keys=True)
     assert _sha256(text) == DROPPED8_SHA256
+
+
+def test_golden_verify_report(capsys):
+    assert main(["verify", "--order", "8"]) == 0
+    assert _sha256(capsys.readouterr().out) == VERIFY8_SHA256

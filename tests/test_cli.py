@@ -172,6 +172,26 @@ def test_usage_errors_exit_2(capsys, tmp_path, cubic_config, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["quantize", "compare", "oracle"])
+@pytest.mark.parametrize("config", [
+    '{"coefficients": [0, 0, 1], "hbar": NaN}',
+    '{"coefficients": [0, NaN, 1]}',
+    '{"coefficients": [0, 0, Infinity]}',
+    '{"coefficients": [0, 0, 1], "hbar": Infinity}',
+])
+def test_non_finite_config_values_are_usage_errors(capsys, tmp_path, command, config):
+    # json accepts NaN and Infinity; they must not reach the numerics
+    path = tmp_path / "bad.json"
+    path.write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"swkb: error: cannot load --config {path}: coefficients and hbar must be finite"]
+    assert "Traceback" not in err
+
+
 def test_missing_odd_certificate_in_wkb_fails_verify(capsys, monkeypatch):
     # a missing certificate is a structural failure: a FAIL line and exit 1
     monkeypatch.setattr(wkb, "antiderivative", lambda a, max_widen=3: None)

@@ -1,6 +1,8 @@
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swkb.algebra import E_pow, Expression, i_times, phi, u_half
 from swkb.antiderivative import antiderivative
@@ -11,11 +13,15 @@ from swkb.series import (
     generate_series,
     generating_system_check,
     imag_relation_check,
+    inverse_lead_factor,
     l_sequence,
     partner_via_imag_shift,
     partner_via_log_identity,
-    series_inverse,
+    series_log_deriv,
+    series_mul,
 )
+
+from conftest import ring_expressions
 
 S1_MINUS = (phi() * phi(1) * u_half(-2)).scale(Fr(1, 2)) + i_times(
     (phi(1) * u_half(-1)).scale(Fr(1, 2))
@@ -173,6 +179,38 @@ class TestSystemChecks:
         assert log_d[0].scale(Fr(1, 2)) == I[1]
 
 
-def test_series_inverse_rejects_wrong_lead_inverse():
+def test_series_log_deriv_rejects_wrong_lead_inverse():
     with pytest.raises(StructuralTheoremViolation):
-        series_inverse([u_half(1)], u_half(1), 2)
+        series_log_deriv([u_half(1)], u_half(1), 2)
+
+
+def test_series_log_deriv_pads_a_short_series():
+    # a = u^(1/2) alone: (ln a)' = u'/(2u) at order 0 and nothing above it
+    L = series_log_deriv([u_half(1)], u_half(-1), 2)
+    assert L[0] == u_half(1).differentiate() * u_half(-1)
+    assert L[1].is_zero() and L[2].is_zero()
+
+
+# Leading coefficients with their exact inverses: the pbar lead and the lead
+# f + i u^(1/2) of the partner identity.
+_LEADS = [(u_half(1), u_half(-1)), (phi() + i_times(u_half(1)), inverse_lead_factor())]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_LEADS), st.lists(ring_expressions(max_terms=2), min_size=4, max_size=4))
+def test_log_deriv_times_series_is_the_derivative(lead, tail):
+    # a * (ln a)' = a', checked through the plain product
+    a = [lead[0]] + tail
+    prod = series_mul(a, series_log_deriv(a, lead[1], 4), 4)
+    for n in range(5):
+        assert prod[n] == a[n].differentiate()
+
+
+def test_pbar_fixed_point_residual(pbar8):
+    # X^2 = u^(1/2) X - (nu/2) X' order by order, with no log-derivative
+    X = pbar8.coeffs
+    for n in range(1, 9):
+        conv = Expression.zero()
+        for k in range(n + 1):
+            conv = conv + X[k] * X[n - k]
+        assert (conv - u_half(1) * X[n] + X[n - 1].differentiate().scale(Fr(1, 2))).is_zero()
