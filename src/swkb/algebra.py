@@ -298,9 +298,6 @@ class Expression:
                 im_terms.append((m, GaussianRational(c.im)))
         return Expression(self.ring, re_terms), Expression(self.ring, im_terms)
 
-    def conjugate(self) -> "Expression":
-        return Expression(self.ring, [(m, c.conjugate()) for m, c in self.terms.items()])
-
     # -- structure queries -------------------------------------------------
 
     def min_e_degree(self) -> int:

@@ -199,8 +199,7 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
             corr.e_degree >= 1,
             f"e_degree={corr.e_degree}",
         )
-        alt = reduce_via_pbar(corr.order, split, pb, reference=corr,
-                              pbar_cert=pbar_certs[corr.order])
+        alt = reduce_via_pbar(corr.order, split, pb, pbar_cert=pbar_certs[corr.order])
         check(f"subtraction routes agree at order {corr.order}",
               alt.integrand == corr.integrand)
     check("order-2 integrand equals the known closed form",

@@ -74,30 +74,11 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = GaussianRational.coerce(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) / self
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return not (self.re or self.im)
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

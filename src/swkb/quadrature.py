@@ -196,22 +196,7 @@ def build_contour(
     )
 
 
-@dataclass
-class BranchState:
-    """Continuation record for sqrt(u) along the sampled contour: the
-    chosen root at every sample."""
-
-    sqrt_u: np.ndarray
-
-    def validate(self, u: np.ndarray):
-        s = self.sqrt_u
-        if np.any(np.abs(s * s - u) > 1e-10 * np.abs(u)):
-            raise BranchTrackingError("tracked root does not square back to u")
-        if np.any(np.real(s[1:] * np.conj(s[:-1])) < 0.0):
-            raise BranchTrackingError("tracked root is not continuous sample-to-sample")
-
-
-def track_sqrt_u(u: np.ndarray) -> BranchState:
+def track_sqrt_u(u: np.ndarray) -> np.ndarray:
     """Continuous square root along the closed sample loop: start from the
     principal root with nonnegative imaginary part at the first sample and
     flip sign wherever the principal value jumps branches (nearest-root
@@ -223,26 +208,17 @@ def track_sqrt_u(u: np.ndarray) -> BranchState:
     if np.real(w[0] * np.conj(sign[-1] * w[-1])) < 0.0:
         raise BranchTrackingError("sqrt(u) continuation does not close around the contour")
     s = sign * w
-    if s[0].imag < 0:
-        s = -s
-    return BranchState(s)
+    return -s if s[0].imag < 0 else s
 
 
 @dataclass(frozen=True)
 class IntegralResult:
     """``rows`` holds the integral of each row of the table and ``value``
-    their sum; ``to_json_dict`` keeps the sum only."""
+    their sum."""
 
     value: complex
     samples_used: int
     rows: Tuple[complex, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "value_re": self.value.real,
-            "value_im": self.value.imag,
-            "samples_used": self.samples_used,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,10 +227,11 @@ class IntegrandTable:
 
     The distinct monomials of all integrands are stored once, as exponent
     data over a stack of powers that is evaluated once per sample set and
-    shared by every monomial and row.  Stack row 0 is the constant 1, then
-    come phi^(orders[j])^a for a = 1..phi_top (row 1 + (a - 1) *
-    len(orders) + j), then sqrt(u)^a for a = 1..s_top, then sqrt(u)^-a for
-    a = 1..s_bottom.  Monomial m is E^e[m] times the product of the stack
+    shared by every monomial and row.  ``factors`` is the sorted tuple of
+    the distinct powers (base, a) the monomials use: base j < len(orders)
+    is phi^(orders[j]), base len(orders) is sqrt(u), the only base with a
+    negative a.  Stack row 0 is the constant 1 and row i + 1 is
+    ``factors[i]``.  Monomial m is E^e[m] times the product of the stack
     rows ``factor_index[m]`` (padded with row 0) and carries sqrt(u)^h[m].
     ``coeffs[r, m]`` is the coefficient of monomial m in integrand r.
     Row r has settled when it moves by less than max(TOL, rel_tol[r] *
@@ -262,9 +239,7 @@ class IntegrandTable:
     """
 
     orders: Tuple[int, ...]
-    phi_top: int
-    s_top: int
-    s_bottom: int
+    factors: Tuple[Tuple[int, int], ...]
     h: np.ndarray
     e: np.ndarray
     coeffs: np.ndarray
@@ -275,28 +250,18 @@ class IntegrandTable:
         """sum_j m(z_j) dz_j for every monomial m, without its E factor;
         ``phi_vals`` holds one row per entry of ``orders``.  Points are taken
         in blocks so that memory stays bounded at large sample counts."""
-        n_phi = len(self.orders) * self.phi_top
+        base, power = np.array(self.factors, dtype=int).reshape(-1, 2).T
         total = np.zeros(len(self.h), dtype=complex)
         for j in range(0, len(s), SUM_BLOCK):
-            phi_b, s_b, dz_b = phi_vals[:, j:j + SUM_BLOCK], s[j:j + SUM_BLOCK], dz[j:j + SUM_BLOCK]
-            stack = np.empty((1 + n_phi + self.s_top + self.s_bottom, len(s_b)), dtype=complex)
+            bases = np.vstack([phi_vals[:, j:j + SUM_BLOCK], s[j:j + SUM_BLOCK]])
+            stack = np.empty((1 + len(base), bases.shape[1]), dtype=complex)
             stack[0] = 1.0
-            _powers(phi_b, stack[1:1 + n_phi].reshape(self.phi_top, len(self.orders), len(s_b)))
-            _powers(s_b, stack[1 + n_phi:1 + n_phi + self.s_top])
-            _powers(1.0 / s_b, stack[1 + n_phi + self.s_top:])
-            vals = stack[self.factor_index[:, 0]] * dz_b
+            stack[1:] = bases[base] ** power[:, None]
+            vals = stack[self.factor_index[:, 0]] * dz[j:j + SUM_BLOCK]
             for col in self.factor_index.T[1:]:
                 vals *= stack[col]
             total += vals.sum(axis=1)
         return total
-
-
-def _powers(x: np.ndarray, out: np.ndarray):
-    """out[a - 1] = x^a for a = 1..len(out), by repeated multiplication."""
-    if len(out):
-        out[0] = x
-    for a in range(1, len(out)):
-        np.multiply(out[a - 1], x, out=out[a])
 
 
 def compile_integrands(
@@ -307,19 +272,14 @@ def compile_integrands(
     default: every row is held to the absolute ``TOL``)."""
     monos = sorted({m for x in exprs for m in x.terms}, key=Monomial.sort_key)
     orders = tuple(sorted({k for m in monos for k, _ in m.derivs} | {0}))
-    phi_top = max([0] + [a for m in monos for _, a in m.derivs])
-    s_top = max([0] + [m.h for m in monos])
-    s_bottom = max([0] + [-m.h for m in monos])
     col = {k: j for j, k in enumerate(orders)}
-
-    def s_row(h: int) -> int:
-        return len(orders) * phi_top + (h if h > 0 else s_top - h)
-
-    index = [[1 + (a - 1) * len(orders) + col[k] for k, a in m.derivs]
-             + ([s_row(m.h)] if m.h else []) for m in monos]
-    factor_index = np.zeros((len(monos), max([1] + [len(ix) for ix in index])), dtype=int)
-    for i, ix in enumerate(index):
-        factor_index[i, :len(ix)] = ix
+    used = [[(col[k], a) for k, a in m.derivs] + ([(len(orders), m.h)] if m.h else [])
+            for m in monos]
+    factors = tuple(sorted({f for fs in used for f in fs}))
+    row = {f: i for i, f in enumerate(factors, 1)}
+    factor_index = np.zeros((len(monos), max([1] + [len(fs) for fs in used])), dtype=int)
+    for i, fs in enumerate(used):
+        factor_index[i, :len(fs)] = [row[f] for f in fs]
     pos = {m: i for i, m in enumerate(monos)}
     coeffs = np.zeros((len(exprs), len(monos)), dtype=complex)
     for r, x in enumerate(exprs):
@@ -327,9 +287,7 @@ def compile_integrands(
             coeffs[r, pos[m]] = complex(c)
     return IntegrandTable(
         orders,
-        phi_top,
-        s_top,
-        s_bottom,
+        factors,
         np.array([m.h for m in monos], dtype=int),
         np.array([m.e for m in monos], dtype=int),
         coeffs,
@@ -384,8 +342,7 @@ def contour_integrate(
     z, dz = contour.points(samples)
     phi_vals = _horner(deriv_rows, z)
     u = E - phi_vals[0] ** 2
-    branch = track_sqrt_u(u)
-    s = branch.sqrt_u
+    s = root = track_sqrt_u(u)
     sums = action0 = 0.0
     prev = None
     while True:
@@ -403,7 +360,6 @@ def contour_integrate(
                 raise BranchTrackingError(
                     f"quantization integral {bad[0]} has imaginary part {rows[bad[0]].imag:.3e}"
                 )
-            branch.validate(u)
             return IntegralResult(complex(np.sum(rows)), samples, tuple(rows.tolist()))
         if 2 * samples > MAX_SAMPLES:
             r = moving[0]
@@ -418,12 +374,12 @@ def contour_integrate(
         fine_u[0::2] = u
         fine_u[1::2] = E - phi_vals[0] ** 2
         fine = track_sqrt_u(fine_u)
-        if np.array_equal(fine.sqrt_u[0::2], branch.sqrt_u):
-            s = fine.sqrt_u[1::2]
+        if np.array_equal(fine[0::2], root):
+            s = fine[1::2]
         else:
             # the finer loop chose another branch at old samples: start over
             z, dz = contour.points(2 * samples)
             phi_vals = _horner(deriv_rows, z)
-            s = fine.sqrt_u
+            s = fine
             sums = action0 = 0.0
-        u, branch, samples = fine_u, fine, 2 * samples
+        u, root, samples = fine_u, fine, 2 * samples

@@ -113,32 +113,24 @@ class SimplifiedWkbCondition:
 
     kept[k] is the canonical even-order integrand (k = 0 is u_V^(1/2));
     ``first_order`` is the order-1 coefficient, kept whole as the carrier
-    of the constant term; everything else dropped with certificates."""
+    of the constant term; everything else is dropped as a certified
+    derivative."""
 
-    max_order: int
     kept: Dict[int, Expression]
     first_order: Expression
-    dropped_certs: Dict[int, Expression]
-    series: HbarSeries
 
 
 def simplify_wkb_condition(w: HbarSeries, max_order: int) -> SimplifiedWkbCondition:
     """Simplified condition of the potential-ring series ``w`` up to ``max_order``."""
     kept: Dict[int, Expression] = {0: w.coeffs[0]}
-    dropped: Dict[int, Expression] = {}
     for n in range(2, max_order + 1):
         if n % 2 == 0:
-            nf, cert = residual_sweep(w.coeffs[n])
-            kept[n] = nf
-            dropped[n] = cert
-        else:
-            cert = antiderivative(w.coeffs[n])
-            if cert is None:
-                raise StructuralTheoremViolation(
-                    f"odd-order coefficient {n} unexpectedly not a derivative"
-                )
-            dropped[n] = cert
-    return SimplifiedWkbCondition(max_order, kept, w.coeffs[1], dropped, w)
+            kept[n] = residual_sweep(w.coeffs[n])[0]
+        elif antiderivative(w.coeffs[n]) is None:
+            raise StructuralTheoremViolation(
+                f"odd-order coefficient {n} unexpectedly not a derivative"
+            )
+    return SimplifiedWkbCondition(kept, w.coeffs[1])
 
 
 def log_term_expansion_check(sub: Substitution) -> CheckReport:

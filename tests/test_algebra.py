@@ -243,13 +243,8 @@ class TestSerialization:
 
 
 class TestGaussianRational:
-    def test_conjugation_involution(self):
-        x = gr(Fr(2, 3), Fr(-5, 7))
-        assert x.conjugate().conjugate() == x
-
     def test_field_ops(self):
-        x, y = gr(1, 2), gr(Fr(-1, 3), Fr(1, 6))
-        assert (x / y) * y == x
+        x = gr(1, 2)
         assert x * gr(1) == x
         assert (x - x).is_zero()
 
@@ -270,8 +265,6 @@ TEXTBOOK = {
     operator.add: lambda a, b, c, d: (a + c, b + d),
     operator.sub: lambda a, b, c, d: (a - c, b - d),
     operator.mul: lambda a, b, c, d: (a * c - b * d, a * d + b * c),
-    operator.truediv: lambda a, b, c, d: ((a * c + b * d) / (c * c + d * d),
-                                          (b * c - a * d) / (c * c + d * d)),
 }
 
 
@@ -379,10 +372,6 @@ class TestCanonicalKernel:
         for op, formula in TEXTBOOK.items():
             for lhs, rhs in ((x, y), (y, x)):
                 (a, b), (c, d) = gr_parts(lhs), gr_parts(rhs)
-                if op is operator.truediv and not (c or d):
-                    with pytest.raises(ZeroDivisionError):
-                        op(lhs, rhs)
-                    continue
                 got = op(lhs, rhs)
                 assert isinstance(got, GaussianRational)
                 assert (got.re, got.im) == formula(a, b, c, d)

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -198,6 +199,21 @@ def test_missing_odd_certificate_in_wkb_fails_verify(capsys, monkeypatch):
     code, out = run(capsys, ["verify", "--order", "4"])
     assert code == 1
     assert "FAIL odd-order coefficient 3 unexpectedly not a derivative" in out
+
+
+def test_disagreeing_subtraction_routes_fail_verify(capsys, monkeypatch):
+    # the verify line itself compares the two routes: a log-fixed-point
+    # route that returns another integrand prints FAIL and exits 1
+    original = swkb.cli.reduce_via_pbar
+
+    def doubled(*args, **kwargs):
+        corr = original(*args, **kwargs)
+        return replace(corr, integrand=corr.integrand + corr.integrand)
+
+    monkeypatch.setattr(swkb.cli, "reduce_via_pbar", doubled)
+    code, out = run(capsys, ["verify", "--order", "4"])
+    assert code == 1
+    assert "FAIL subtraction routes agree at order 2" in out
 
 
 def _count_calls(monkeypatch, module, name):

@@ -4,10 +4,11 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import swkb.quadrature
-from swkb.algebra import E_pow, phi, u_half
+from swkb.algebra import E_pow, Expression, phi, u_half
 from swkb.errors import (
     AmbiguousRegionError,
     BranchTrackingError,
@@ -16,7 +17,6 @@ from swkb.errors import (
     NoClassicalRegionError,
 )
 from swkb.quadrature import (
-    BranchState,
     Contour,
     PolynomialSuperpotential,
     build_contour,
@@ -147,7 +147,7 @@ class TestContourIntegrate:
         # the final sample set
         def loop(sp, E, c, samples):
             z, dz = c.points(samples)
-            s = track_sqrt_u(E - sp.phi(z) ** 2).sqrt_u
+            s = track_sqrt_u(E - sp.phi(z) ** 2)
             return z, dz, (s if np.sum(s * dz).real > 0 else -s)
 
         expr = reduce_even_order(4, split10, lseq9).integrand
@@ -254,25 +254,63 @@ class TestContourIntegrate:
             r = contour_integrate(u_half(1), cubic, E)
             assert r.value.real > 0
 
-    def test_result_json_shape(self, oscillator):
-        r = contour_integrate(u_half(1), oscillator, 4.0)
-        d = r.to_json_dict()
-        assert set(d) == {"value_re", "value_im", "samples_used"}
-        assert d["samples_used"] == r.samples_used
+    def test_branch_state_invariants(self, cubic):
+        z, _ = build_contour(cubic, 1.0).points(1024)
+        assert track_sqrt_u(1.0 - cubic.phi(z) ** 2)[0].imag > 0  # initial sign convention
 
-    def test_branch_state_invariants(self, cubic, monkeypatch):
+    def test_open_branch_loop_raises(self):
+        # u = e^(i theta) winds once around u = 0: the continued root comes
+        # back with the other sign, so the loop cannot close
+        theta = 2.0 * np.pi * np.arange(64) / 64
+        with pytest.raises(BranchTrackingError, match="does not close"):
+            track_sqrt_u(np.exp(1j * theta))
+
+    def test_start_over_when_the_finer_loop_changes_branch(self, cubic, monkeypatch):
+        # the first tracking flips the root on a contiguous arc, so the loop
+        # still closes; the finer loop disagrees at the old samples, and the
+        # sums must start over instead of keeping the flipped arc
         c = build_contour(cubic, 1.0)
-        z, _ = c.points(1024)
-        u = 1.0 - cubic.phi(z) ** 2
-        branch = track_sqrt_u(u)
-        branch.validate(u)
-        assert branch.sqrt_u[0].imag > 0  # initial sign convention
-        broken = BranchState(branch.sqrt_u.copy())
-        broken.sqrt_u[100] *= -1.0
-        with pytest.raises(BranchTrackingError):
-            broken.validate(u)
-        # the quadrature validates its converged sample set, once
-        seen = []
-        monkeypatch.setattr(BranchState, "validate", lambda self, u: seen.append(len(u)))
-        r = contour_integrate(u_half(1), cubic, 1.0, contour=c)
-        assert seen == [r.samples_used]
+        table = compile_integrands([u_half(1), phi(1, 2) * u_half(-5) * E_pow(1)])
+        plain = contour_integrate(table, cubic, 1.0, contour=c)
+        calls = []
+
+        def flipped_first(u):
+            s = track_sqrt_u(u)
+            if not calls:
+                s[40:90] *= -1.0
+            calls.append(len(u))
+            return s
+
+        monkeypatch.setattr(swkb.quadrature, "track_sqrt_u", flipped_first)
+        r = contour_integrate(table, cubic, 1.0, contour=c)
+        assert len(calls) >= 2
+        assert max(abs(a - b) for a, b in zip(r.rows, plain.rows)) < 1e-12
+
+
+class TestIntegrandTable:
+    def test_stack_holds_only_the_factor_powers_in_use(self, condition8, conditions):
+        # one stack row per distinct (base, power) the monomials use, plus
+        # the constant row; every row is read by some monomial
+        for table, n in ((condition8.table, 27), (conditions[4].table, 11)):
+            assert len(table.factors) == n == len(set(table.factors))
+            assert set(table.factor_index.ravel()) == set(range(n + 1))
+            assert all(a > 0 for b, a in table.factors if b < len(table.orders))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(ring_expressions(max_terms=4), min_size=2, max_size=4))
+    def test_rows_match_evaluate(self, mixed_cubic, exprs):
+        # rows that share monomials: the last one is the sum of the first two
+        exprs = exprs + [exprs[0] + exprs[1]]
+        table = compile_integrands(exprs)
+        E = 1.5
+        z, _ = build_contour(mixed_cubic, E).points(16)
+        phi_vals = np.array([mixed_cubic.phi_deriv(k, z) for k in table.orders])
+        s = track_sqrt_u(E - phi_vals[0] ** 2)
+        derivs = {k: mixed_cubic.phi_deriv(k, z) for k in range(4)}
+        for j in range(len(z)):
+            monos = table.monomial_sums(phi_vals[:, j:j + 1], s[j:j + 1], np.ones(1))
+            rows = table.coeffs @ (monos * E ** table.e)
+            point = ({k: v[j] for k, v in derivs.items()}, E - phi_vals[0, j] ** 2, s[j], E)
+            for x, got in zip(exprs, rows):
+                scale = sum(abs(Expression(x.ring, [mc]).evaluate(*point)) for mc in x.terms.items())
+                assert abs(got - x.evaluate(*point)) <= 1e-12 * scale
