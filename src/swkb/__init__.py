@@ -15,7 +15,7 @@ from .algebra import (
     phi,
     u_half,
 )
-from .antiderivative import antiderivative, is_total_derivative
+from .antiderivative import antiderivative
 from .gaussian import GaussianRational, gr
 from .oracle import GridSpec, default_grid, eigenvalues, oracle_eigenvalues
 from .quadrature import (

@@ -199,7 +199,3 @@ def antiderivative(a: Expression, max_widen: int = 3) -> Optional[Expression]:
     if total.differentiate() != a:
         raise StructuralTheoremViolation("certificate failed re-check")
     return total
-
-
-def is_total_derivative(a: Expression) -> bool:
-    return antiderivative(a) is not None

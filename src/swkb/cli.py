@@ -164,10 +164,10 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
         check(f"odd imaginary part q_{n} is a total derivative",
               antiderivative(split.q[n]) is not None)
     pb = pbar_series(order)
-    check("log-fixed-point leading coefficient", pb.coeffs[0] == Expression.u_pow(1))
+    check("log-fixed-point leading coefficient", pb[0] == Expression.u_pow(1))
     check("log-fixed-point first coefficient equals first real part",
-          pb.coeffs[1] == split.p[1])
-    pbar_certs = {n: antiderivative(pb.coeffs[n]) for n in range(2, order + 1)}
+          pb[1] == split.p[1])
+    pbar_certs = {n: antiderivative(pb[n]) for n in range(2, order + 1)}
     for n, cert in pbar_certs.items():
         check(f"log-fixed-point coefficient {n} is a total derivative", cert is not None)
 

@@ -27,12 +27,13 @@ from .errors import (
     NoClassicalRegionError,
 )
 
-TOL = 1e-10  # absolute settling tolerance of every row
+TOL = 1e-10  # absolute floor of every row's settling tolerance
+REL_TOL = 1e-8  # a row settles once it moves by less than max(TOL, REL_TOL * |row|)
 START_SAMPLES = 256  # first resolution; integration doubles it until the estimate settles
 MAX_SAMPLES = 2 ** 20
 ASPECT = 0.5  # semi-minor over semi-major axis of the contour
 DISTANCE_PROBES = 720  # curve points a branch point's distance is measured over
-DEFAULT_CLEARANCE = 0.2  # fraction of the semi-major axis
+CLEARANCE = 0.2  # least branch-point distance, as a fraction of the semi-major axis
 SUM_BLOCK = 4096  # sample points per block of monomial evaluation
 
 
@@ -169,13 +170,9 @@ class Contour:
         return ((w.real - self.center) / self.a) ** 2 + (w.imag / self.b) ** 2 < 1.0
 
 
-def build_contour(
-    sp: PolynomialSuperpotential,
-    E: float,
-    clearance: float = DEFAULT_CLEARANCE,
-) -> Contour:
+def build_contour(sp: PolynomialSuperpotential, E: float) -> Contour:
     """Ellipse enclosing exactly the real turning pair, with every excluded
-    branch point at least ``clearance * a`` away from the curve.  The
+    branch point at least ``CLEARANCE * a`` away from the curve.  The
     semi-major factor shrinks step by step when an excluded root is close."""
     xl, xr, excluded = turning_points(sp, E)
     center = 0.5 * (xl + xr)
@@ -186,7 +183,7 @@ def build_contour(
         c = Contour(center, a, b)
         ok = True
         for w in excluded:
-            if c.contains(w) or c.min_distance(w) < clearance * a:
+            if c.contains(w) or c.min_distance(w) < CLEARANCE * a:
                 ok = False
                 break
         if ok:
@@ -234,8 +231,6 @@ class IntegrandTable:
     ``factors[i]``.  Monomial m is E^e[m] times the product of the stack
     rows ``factor_index[m]`` (padded with row 0) and carries sqrt(u)^h[m].
     ``coeffs[r, m]`` is the coefficient of monomial m in integrand r.
-    Row r has settled when it moves by less than max(TOL, rel_tol[r] *
-    |row|) between sample levels.
     """
 
     orders: Tuple[int, ...]
@@ -244,7 +239,6 @@ class IntegrandTable:
     e: np.ndarray
     coeffs: np.ndarray
     factor_index: np.ndarray
-    rel_tol: np.ndarray
 
     def monomial_sums(self, phi_vals: np.ndarray, s: np.ndarray, dz: np.ndarray) -> np.ndarray:
         """sum_j m(z_j) dz_j for every monomial m, without its E factor;
@@ -264,12 +258,8 @@ class IntegrandTable:
         return total
 
 
-def compile_integrands(
-    exprs: Sequence[Expression], rel_tol: Optional[Sequence[float]] = None
-) -> IntegrandTable:
-    """One table row per expression, over the union of their monomials;
-    ``rel_tol`` gives each row a relative settling tolerance (none by
-    default: every row is held to the absolute ``TOL``)."""
+def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
+    """One table row per expression, over the union of their monomials."""
     monos = sorted({m for x in exprs for m in x.terms}, key=Monomial.sort_key)
     orders = tuple(sorted({k for m in monos for k, _ in m.derivs} | {0}))
     col = {k: j for j, k in enumerate(orders)}
@@ -292,7 +282,6 @@ def compile_integrands(
         np.array([m.e for m in monos], dtype=int),
         coeffs,
         factor_index,
-        np.zeros(len(exprs)) if rel_tol is None else np.asarray(rel_tol, dtype=float),
     )
 
 
@@ -328,7 +317,7 @@ def contour_integrate(
     Sample doubling is nested: level 2N evaluates only the N new midpoints
     and adds them to the running monomial sums; sqrt(u) is re-tracked over
     the whole loop.  Every row must change by less than its tolerance
-    max(TOL, rel_tol * |row|) between levels.  Quantization integrands are
+    max(TOL, REL_TOL * |row|) between levels.  Quantization integrands are
     real up to branch-tracking noise; with ``check_real`` each row's
     imaginary part is required to stay below 10 times its tolerance
     (disable it to integrate deliberately non-real quantities).  ``rows``
@@ -351,7 +340,7 @@ def contour_integrate(
         # global sign: the leading action has positive real part
         flip = (-1.0) ** table.h if action0.real < 0 else 1.0
         rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums), axis=1)
-        row_tol = np.maximum(TOL, table.rel_tol * np.abs(rows))
+        row_tol = np.maximum(TOL, REL_TOL * np.abs(rows))
         # a NaN row never counts as settled
         moving = () if prev is None else np.flatnonzero(~(np.abs(rows - prev) < row_tol))
         if prev is not None and not len(moving):

@@ -137,7 +137,7 @@ def reduce_even_order(order: int, split: SplitSeries, lseq: LSequence) -> Reduce
 def reduce_via_pbar(
     order: int,
     split: SplitSeries,
-    pbar: HbarSeries,
+    pbar: List[Expression],
     pbar_cert: Optional[Expression] = None,
 ) -> ReducedCorrection:
     """Reduce by subtracting the log-fixed-point coefficient instead.
@@ -146,7 +146,7 @@ def reduce_via_pbar(
     route removes, so after the same residual sweep the result should
     equal the F*Q route's integrand exactly (``swkb verify`` compares the
     two).  ``pbar_cert`` is a
-    certificate of ``pbar.coeffs[order]`` the caller already holds; it is
+    certificate of ``pbar[order]`` the caller already holds; it is
     computed when not given, and the bookkeeping identity re-checks it.
     """
     if order % 2:
@@ -155,9 +155,9 @@ def reduce_via_pbar(
     if order == 0:
         zero = Expression.zero(ring)
         return ReducedCorrection(0, zero, zero)
-    raw = split.p[order] - pbar.coeffs[order]
+    raw = split.p[order] - pbar[order]
     if pbar_cert is None:
-        pbar_cert = antiderivative(pbar.coeffs[order])
+        pbar_cert = antiderivative(pbar[order])
     if pbar_cert is None:
         raise StructuralTheoremViolation(
             f"log-fixed-point coefficient at order {order} has no certificate"

@@ -219,8 +219,9 @@ def partner_via_imag_shift(s: HbarSeries, split: SplitSeries, order: int) -> Hba
     return HbarSeries(out, "plus")
 
 
-def pbar_series(order: int) -> HbarSeries:
-    """Fixed point of  X = u^(1/2) - (nu/2) X'/X  expanded in nu.
+def pbar_series(order: int) -> List[Expression]:
+    """Coefficients X_0..X_order of the fixed point of
+    X = u^(1/2) - (nu/2) X'/X, expanded in nu.
 
     The log-derivative X'/X is built one coefficient per step by the same
     recurrence as ``series_log_deriv``, so the logarithm itself is never
@@ -236,7 +237,7 @@ def pbar_series(order: int) -> HbarSeries:
     for m in range(order):
         L.append(_log_deriv_term(pb, L, um12, m))
         pb.append(L[m].scale(-HALF))
-    return HbarSeries(pb, "minus")
+    return pb
 
 
 # -- order-by-order verification reports --------------------------------------

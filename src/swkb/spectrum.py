@@ -36,7 +36,6 @@ from .series import SplitSeries, generate_series, l_sequence, split_series
 
 DEFAULT_TOL_E = 1e-9
 MIN_VALIDATED_E_FACTOR = 1e-8  # in units of hbar
-SLOPE_REL_TOL = 1e-8  # relative settling tolerance of the dA/dE rows
 MAX_SOLVE_STEPS = 200
 MAX_LOG_STEP = 20.0  # a Newton step may scale E by at most e^20
 _EPS = sys.float_info.epsilon
@@ -71,10 +70,7 @@ def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     for k in orders:
         corrections = tuple(qc.corrections[: k // 2 + 1])
         integrands = [c.integrand for c in corrections]
-        table = compile_integrands(
-            integrands + [x.diff_E() for x in integrands],
-            rel_tol=[0.0] * len(integrands) + [SLOPE_REL_TOL] * len(integrands),
-        )
+        table = compile_integrands(integrands + [x.diff_E() for x in integrands])
         conds[k] = Condition(k, corrections, table, split)
     return conds
 

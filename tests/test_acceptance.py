@@ -81,9 +81,9 @@ def test_criterion_04_total_derivative_certificates(split10, pbar8):
         assert y is not None, f"q_{n} must be a certified total derivative"
         assert y.differentiate() == split10.q[n]
     for n in range(2, 9):
-        y = antiderivative(pbar8.coeffs[n])
+        y = antiderivative(pbar8[n])
         assert y is not None, f"log-fixed-point coefficient {n} must be certified"
-        assert y.differentiate() == pbar8.coeffs[n]
+        assert y.differentiate() == pbar8[n]
     print(
         "\ncriterion 4: PASS (certificates for q_3, q_5, q_7, q_9 and the"
         " log-fixed-point coefficients 2..8; coefficient 1 is the log carrier,"
@@ -100,13 +100,13 @@ def test_criterion_04_total_derivative_certificates(split10, pbar8):
     ),
 )
 def test_criterion_04_first_pbar_coefficient_literal(pbar8):
-    assert antiderivative(pbar8.coeffs[1]) is not None
+    assert antiderivative(pbar8[1]) is not None
 
 
 def test_criterion_04_first_pbar_obstruction(pbar8, cubic):
     # why the xfail above must fail: a total derivative integrates to zero
     # around the contour, but this coefficient integrates to -i pi
-    r = contour_integrate(pbar8.coeffs[1], cubic, 1.0, check_real=False)
+    r = contour_integrate(pbar8[1], cubic, 1.0, check_real=False)
     assert abs(r.value + 1j * math.pi) < 1e-9
     print("\ncriterion 4 (obstruction): PASS (first coefficient integrates to -i pi)")
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from swkb.algebra import E_pow, Expression, Monomial, PHI_RING, phi, u_half
-from swkb.antiderivative import DerivativeSweep, antiderivative, is_total_derivative
+from swkb.antiderivative import DerivativeSweep, antiderivative
 from swkb.errors import StructuralTheoremViolation
 from swkb.gaussian import gr
 
@@ -60,11 +60,6 @@ def test_mixed_weight_inputs():
     a = y0.differentiate()
     y = antiderivative(a)
     assert y is not None and y.differentiate() == a
-
-
-def test_is_total_derivative_wrapper(split10):
-    assert is_total_derivative(split10.q[3])
-    assert not is_total_derivative(u_half(1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

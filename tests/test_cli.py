@@ -287,6 +287,32 @@ def test_compare_reduces_the_series_once(capsys, cubic_config, monkeypatch):
     assert [len(series_calls), len(lseq_calls), len(qc_calls)] == [2, 1, 1]
 
 
+def test_quantize_small_hbar_at_order_8(capsys, tmp_path):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({"coefficients": [0.0, 0.0, 0.0, 1.0 / 3.0], "hbar": 0.05}))
+    code, _ = run(capsys, ["quantize", "--config", str(path), "--order", "8", "--levels", "5"])
+    assert code == 0
+
+
+def test_workload_integrals_settle_at_512_samples(capsys, tmp_path, cubic_config, monkeypatch):
+    # a settling rule that adds samples would show here before any benchmark
+    honest = swkb.spectrum.contour_integrate
+    samples = []
+
+    def spy(*args, **kwargs):
+        result = honest(*args, **kwargs)
+        samples.append(result.samples_used)
+        return result
+
+    monkeypatch.setattr(swkb.spectrum, "contour_integrate", spy)
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"coefficients": [0.0, 1.0, 0.0, 0.2], "hbar": 0.5}))
+    for argv in (["quantize", "--config", cubic_config, "--order", "8", "--levels", "5"],
+                 ["compare", "--config", str(mixed), "--orders", "0,2,4", "--levels", "3"]):
+        assert run(capsys, argv)[0] == 0
+    assert samples and set(samples) == {512}
+
+
 def test_compare_fails_when_plus_real_parts_differ(capsys, cubic_config, monkeypatch):
     monkeypatch.setattr(swkb.spectrum, "generate_series", broken_plus_series)
     code = main(["compare", "--config", cubic_config, "--orders", "0,2", "--levels", "1"])

@@ -87,7 +87,7 @@ class TestReduceViaPbar:
             assert alt.integrand == ref.integrand
 
     def test_given_certificate_is_rechecked(self, split10, pbar8):
-        cert = antiderivative(pbar8.coeffs[4])
+        cert = antiderivative(pbar8[4])
         assert reduce_via_pbar(4, split10, pbar8, pbar_cert=cert) == reduce_via_pbar(4, split10, pbar8)
         with pytest.raises(StructuralTheoremViolation):
             reduce_via_pbar(4, split10, pbar8, pbar_cert=cert + phi() * u_half(-1))

@@ -83,7 +83,17 @@ class TestSlope:
         integrands = [c.integrand for c in cond.corrections]
         table = swkb.quadrature.compile_integrands(integrands + [x.diff_E() for x in integrands])
         assert np.array_equal(cond.table.coeffs, table.coeffs)
-        assert list(cond.table.rel_tol) == [0.0] * 3 + [swkb.spectrum.SLOPE_REL_TOL] * 3
+
+    @pytest.mark.parametrize("E", [2.0, 4.0, 7.0])
+    def test_oscillator_rows_vanish_one_by_one(self, oscillator, condition8, E):
+        # SWKB is exact for phi = x: A = pi E at every order, so each
+        # correction row and each slope row after the first must vanish on
+        # its own, not only in the weighted sum that fixes a level
+        rows = contour_integrate(condition8.table, oscillator, E).rows
+        k = len(condition8.corrections)
+        assert abs(rows[0] - math.pi * E) < 1e-9 and abs(rows[k] - math.pi) < 1e-9
+        for r in rows[1:k] + rows[k + 1:]:
+            assert abs(r) < 1e-9
 
     def test_oscillator_slope_is_pi(self, oscillator, conditions):
         # A(E) = pi E at every order for phi = x
@@ -172,6 +182,16 @@ class TestNewton:
         # relative tolerance to settle
         sp = PolynomialSuperpotential(coefficients, hbar)
         assert abs(solve_level(condition8, sp, n) - root) < 1e-9
+
+    @pytest.mark.parametrize("hbar", [0.05, 0.1])
+    def test_small_hbar_scaling(self, condition8, hbar):
+        # for phi = x^3/3, x = hbar^(1/2) y gives E_n(hbar) = hbar^(3/2) E_n(1)
+        # at every order
+        one = PolynomialSuperpotential([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0)
+        small = PolynomialSuperpotential([0.0, 0.0, 0.0, 1.0 / 3.0], hbar)
+        for n in (3, 10, 20):
+            expect = hbar ** 1.5 * solve_level(condition8, one, n)
+            assert abs(solve_level(condition8, small, n) - expect) < 1e-9 * expect
 
     @pytest.mark.parametrize("bad_slope", [-1.0, 0.0])
     def test_bisection_when_the_slope_is_unusable(self, cubic, condition8, monkeypatch, bad_slope):
