@@ -30,7 +30,6 @@ from .reduction import (
     QuantizationCondition,
     ReducedCorrection,
     decompose,
-    equivalent_mod_derivative,
     known_integrand_order2,
     known_integrand_order4,
     quantization_integrands,

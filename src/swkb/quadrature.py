@@ -101,30 +101,35 @@ class PolynomialSuperpotential:
         return {"coefficients": list(self.coefficients), "hbar": self.hbar, "name": self.name}
 
 
+def _value_and_slope(coeffs: Sequence[float], x: complex) -> Tuple[complex, complex]:
+    """p(x) and p'(x) of the polynomial with ``coeffs`` (highest power
+    first), from one Horner pass."""
+    p = dp = 0.0
+    for c in coeffs:
+        dp = dp * x + p
+        p = p * x + c
+    return p, dp
+
+
 def turning_points(sp: PolynomialSuperpotential, E: float):
     """All roots of phi(x)^2 = E, split into the real classical pair and the
     excluded rest.  Roots are Newton-polished on phi^2 - E."""
     if E <= 0:
         raise NoClassicalRegionError(f"E = {E} is not above the well bottom")
-    phi_c = np.asarray(sp.coefficients, dtype=float)
-    p2 = np.polynomial.polynomial.polymul(phi_c, phi_c)
+    p2 = np.convolve(sp.coefficients, sp.coefficients)
     p2[0] -= E
-    roots = np.polynomial.polynomial.polyroots(p2)
-    dp2 = np.polynomial.polynomial.polyder(p2)
-    for _ in range(3):
-        val = np.polynomial.polynomial.polyval(roots, p2)
-        der = np.polynomial.polynomial.polyval(roots, dp2)
-        step = np.where(np.abs(der) > 1e-300, val / np.where(der == 0, 1, der), 0.0)
-        roots = roots - step
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    is_real = np.abs(roots.imag) < 1e-9 * scale
-    real_roots = np.sort(roots[is_real].real)
-    pairs = []
-    for i in range(len(real_roots) - 1):
-        xl, xr = real_roots[i], real_roots[i + 1]
-        mid = 0.5 * (xl + xr)
-        if sp.phi(mid) ** 2 < E:
-            pairs.append((xl, xr))
+    descending = p2[::-1].tolist()
+    roots = []
+    for r in np.polynomial.polynomial.polyroots(p2).tolist():
+        for _ in range(3):
+            val, der = _value_and_slope(descending, r)
+            if abs(der) > 1e-300:
+                r -= val / der
+        roots.append(complex(r))
+    scale = max(1.0, max(abs(r) for r in roots))
+    real_roots = sorted(r.real for r in roots if abs(r.imag) < 1e-9 * scale)
+    pairs = [(xl, xr) for xl, xr in zip(real_roots, real_roots[1:])
+             if sp.phi(0.5 * (xl + xr)) ** 2 < E]
     if not pairs:
         raise NoClassicalRegionError(f"no real classical region at E = {E}")
     if len(pairs) > 1:
@@ -132,9 +137,9 @@ def turning_points(sp: PolynomialSuperpotential, E: float):
     xl, xr = pairs[0]
     if xr - xl < 1e-8 * scale:
         raise AmbiguousRegionError(f"nearly degenerate turning points at E = {E}")
-    excluded = [complex(r) for r in roots if not (abs(r.imag) < 1e-9 * scale
-                                                  and xl - 1e-12 * scale <= r.real <= xr + 1e-12 * scale)]
-    return float(xl), float(xr), excluded
+    excluded = [r for r in roots if not (abs(r.imag) < 1e-9 * scale
+                                         and xl - 1e-12 * scale <= r.real <= xr + 1e-12 * scale)]
+    return xl, xr, excluded
 
 
 @lru_cache(maxsize=8)
@@ -162,9 +167,11 @@ class Contour:
         dz = -self.a * sin + 1j * self.b * cos
         return z, dz
 
-    def min_distance(self, w: complex) -> float:
+    def min_distance(self, ws: Sequence[complex]) -> np.ndarray:
+        """Least distance from the curve, probed once at DISTANCE_PROBES
+        points, to each point of ``ws``."""
         z, _ = self.points(DISTANCE_PROBES)
-        return float(np.min(np.abs(z - w)))
+        return np.min(np.abs(z - np.asarray(ws, dtype=complex).reshape(-1, 1)), axis=1)
 
     def contains(self, w: complex) -> bool:
         return ((w.real - self.center) / self.a) ** 2 + (w.imag / self.b) ** 2 < 1.0
@@ -179,14 +186,9 @@ def build_contour(sp: PolynomialSuperpotential, E: float) -> Contour:
     half_gap = 0.5 * (xr - xl)
     for factor in (1.25, 1.15, 1.08):
         a = factor * half_gap
-        b = ASPECT * a
-        c = Contour(center, a, b)
-        ok = True
-        for w in excluded:
-            if c.contains(w) or c.min_distance(w) < CLEARANCE * a:
-                ok = False
-                break
-        if ok:
+        c = Contour(center, a, ASPECT * a)
+        if not (any(c.contains(w) for w in excluded)
+                or np.any(c.min_distance(excluded) < CLEARANCE * a)):
             return c
     raise ContourError(
         f"no admissible contour at E = {E}: excluded branch points too close"

@@ -169,11 +169,6 @@ def reduce_via_pbar(
     return ReducedCorrection(order, kept, cert)
 
 
-def equivalent_mod_derivative(x: Expression, y: Expression) -> Optional[Expression]:
-    """Certificate Y with differentiate(Y) = x - y, or None."""
-    return antiderivative(x - y)
-
-
 @dataclass(frozen=True)
 class QuantizationCondition:
     """Everything on the left of the quantization condition up to max_order.

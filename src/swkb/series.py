@@ -136,9 +136,14 @@ def generate_series(order: int, sign: str = "minus", ring: Ring = PHI_RING) -> H
     um12 = Expression.u_pow(-1, ring)
     coeffs = [Expression.u_pow(1, ring)]
     for n in range(1, order + 1):
+        # each product c_k c_(n-k) once: twice the k < n - k half, plus
+        # the middle square when n is even
         acc = Expression.zero(ring)
-        for k in range(1, n):
+        for k in range(1, (n + 1) // 2):
             acc = acc + coeffs[k] * coeffs[n - k]
+        acc = acc.scale(2)
+        if n % 2 == 0:
+            acc = acc + coeffs[n // 2] * coeffs[n // 2]
         acc = -acc - coeffs[n - 1].differentiate()
         if n == 1 and ring.relation_power == 2:
             src = Expression.sym(1, 1, ring).scale(GR_I)

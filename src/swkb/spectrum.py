@@ -93,6 +93,22 @@ def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[flo
             sum(w * r for w, r in zip(weights, rows[k:])).real)
 
 
+class Level(float):
+    """A root found by ``solve_level``: the energy as a float, carrying the
+    last (E, A, A') the solve evaluated and the (condition, superpotential,
+    partner) it belongs to.  Passed as the ``start`` of a solve of the same
+    problem, that evaluation serves as the first iteration, so the next
+    level starts one Newton step away without integrating again."""
+
+    __slots__ = ("source", "probe")
+
+    def __new__(cls, value: float, source: tuple, probe: Tuple[float, float, float]):
+        level = super().__new__(cls, value)
+        level.source = source
+        level.probe = probe
+        return level
+
+
 def solve_level(
     cond: Condition,
     sp: PolynomialSuperpotential,
@@ -102,7 +118,10 @@ def solve_level(
 ) -> float:
     """Root of action(E) = 2 n pi hbar (minus partner) or 2 (n + 1) pi hbar
     (plus partner) by Newton's method in ln E, from ``start`` (a nearby
-    root, say) or else from hbar.
+    root, say) or else from hbar.  A ``Level`` returned by a solve of the
+    same condition, superpotential and partner is not evaluated again: its
+    last evaluation is the first iteration, and any other start is a plain
+    energy.
 
     A ~ c E^alpha makes ln A nearly linear in ln E, so each step is
     ln E += ln(target / A) * A / (E A').  Every evaluation narrows the
@@ -110,7 +129,8 @@ def solve_level(
     A' is not positive, falls back to bisection once both ends are known
     and to doubling or halving E before that (safeguarded Newton, as in
     Numerical Recipes' rtsafe).  The loop stops when a Newton step or the
-    bracket is within DEFAULT_TOL_E + 4 eps |E|.
+    bracket is within DEFAULT_TOL_E + 4 eps |E|; the root is returned as a
+    ``Level`` holding the evaluation it stopped at.
 
     The minus-partner ground state sits at the E -> 0 edge where the
     turning points coalesce; the action decreases monotonically to zero
@@ -124,29 +144,35 @@ def solve_level(
     if target == 0.0:
         return 0.0
     floor = MIN_VALIDATED_E_FACTOR * sp.hbar
-    E = start if start is not None and start > floor else sp.hbar
+    source = (cond, sp, partner)
+    probe = start.probe if isinstance(start, Level) and start.source == source else None
+    E = float(start) if start is not None and start > floor else sp.hbar
     lo, hi = 0.0, math.inf
 
     def failure(why: str) -> ConvergenceError:
         return ConvergenceError(f"level {n} ({partner}): {why}; last E = {E}, bracket [{lo}, {hi}]")
 
     for _ in range(MAX_SOLVE_STEPS):
-        try:
-            A, slope = action(cond, sp, E)
-        except ConvergenceError as exc:
-            raise failure(str(exc)) from exc
+        if probe is None:
+            try:
+                A, slope = action(cond, sp, E)
+            except ConvergenceError as exc:
+                raise failure(str(exc)) from exc
+        else:
+            E, A, slope = probe
+            probe = None
         if A < target:
             lo = E
         else:
             hi = E
         tol = DEFAULT_TOL_E + 4.0 * _EPS * E
         if hi - lo <= tol:
-            return 0.5 * (lo + hi)
+            return Level(0.5 * (lo + hi), source, (E, A, slope))
         step = math.log(target / A) * A / (E * slope) if A > 0.0 and slope > 0.0 else math.nan
         nxt = E * math.exp(step) if abs(step) < MAX_LOG_STEP else math.nan
         if max(lo, floor) < nxt <= hi:
             if abs(nxt - E) <= tol:
-                return nxt
+                return Level(nxt, source, (E, A, slope))
         elif lo and hi < math.inf:
             nxt = 0.5 * (lo + hi)
         else:

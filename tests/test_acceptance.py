@@ -15,7 +15,6 @@ from swkb.oracle import oracle_eigenvalues
 from swkb.quadrature import contour_integrate
 from swkb.reduction import (
     decompose,
-    equivalent_mod_derivative,
     known_integrand_order2,
     known_integrand_order4,
     reduce_even_order,
@@ -41,7 +40,7 @@ def test_criterion_01_second_order_term():
     target = known_integrand_order2()
     assert r2.sign_factor == -1, "quantization sign must be -hbar^2"
     assert r2.integrand == target, "canonical representative must match exactly"
-    assert equivalent_mod_derivative(split.p[2], target) is not None
+    assert antiderivative(split.p[2] - target) is not None
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"\ncriterion 1: PASS (hbar^2 term = (E/8) f'^2 u^-5/2, sign -1; {elapsed:.2f}s)")
@@ -57,7 +56,7 @@ def test_criterion_02_fourth_order_bracket():
     # quantization sign -hbar^4: sign_factor (+1) times an integrand equal
     # to the negative of the displayed bracket
     assert r4.sign_factor == 1
-    cert = equivalent_mod_derivative(r4.integrand, -bracket)
+    cert = antiderivative(r4.integrand + bracket)
     assert cert is not None, "must be equivalent to the known bracket"
     assert cert.differentiate() == r4.integrand + bracket
     assert r4.integrand == -bracket, "canonical representative matches exactly"

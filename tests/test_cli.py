@@ -275,6 +275,18 @@ def test_quantize_starts_each_level_from_the_one_below(capsys, cubic_config, mon
     assert len(actions) <= 6 * 30
 
 
+def test_quantize_carries_each_root_into_the_next_solve(capsys, cubic_config, monkeypatch):
+    # level 0 is analytic and level 1 starts cold; every later level starts
+    # one Newton step off the last evaluation of the level below, so from
+    # level 6 on it needs two evaluations, not three (97 calls in all when
+    # each solve evaluates its start again)
+    actions = _count_calls(monkeypatch, swkb.spectrum, "action")
+    code, _ = run(capsys, ["quantize", "--config", cubic_config, "--order", "8",
+                           "--levels", "30", "--json"])
+    assert code == 0
+    assert len(actions) <= 68
+
+
 def test_compare_reduces_the_series_once(capsys, cubic_config, monkeypatch):
     # the minus series once for every order, plus the plus series for the
     # degeneracy check

@@ -89,14 +89,31 @@ class TestTurningPoints:
         with pytest.raises(AmbiguousRegionError):
             turning_points(oscillator, 1e-20)
 
+    @pytest.mark.parametrize("coefficients", [[0.0, 1.0], [0.0, 0.0, 0.0, 1.0 / 3.0],
+                                              [0.0, 1.0, 0.0, 0.2]])
+    def test_polished_roots_solve_phi_squared(self, coefficients):
+        # the residual must also sit within a few roundoffs of the size of
+        # phi^2 - E's terms at the root; the unpolished roots of polyroots
+        # reach about 40 roundoffs on the cubic
+        sp = PolynomialSuperpotential(coefficients)
+        for E in np.geomspace(0.05, 500.0, 25):
+            p2 = np.convolve(coefficients, coefficients)
+            p2[0] -= E
+            xl, xr, excluded = turning_points(sp, E)
+            for x in [xl, xr] + excluded:
+                residual = abs(sp.phi(x) ** 2 - E)
+                terms = sum(abs(c) * abs(x) ** k for k, c in enumerate(p2))
+                assert residual <= 1e-12 * max(1.0, E)
+                assert residual <= 8.0 * np.finfo(float).eps * terms
+
 
 class TestContour:
     def test_build_excludes_branch_points(self, cubic):
         c = build_contour(cubic, 1.0)
         _, _, excluded = turning_points(cubic, 1.0)
-        for w in excluded:
-            assert not c.contains(w)
-            assert c.min_distance(w) >= 0.2 * c.a
+        assert len(excluded) == 4
+        assert not any(c.contains(w) for w in excluded)
+        assert np.all(c.min_distance(excluded) >= 0.2 * c.a)
 
     def test_encloses_turning_points(self, cubic):
         c = build_contour(cubic, 1.0)
@@ -107,6 +124,37 @@ class TestContour:
         monkeypatch.setattr(swkb.quadrature, "CLEARANCE", 5.0)
         with pytest.raises(ContourError):
             build_contour(cubic, 1.0)
+
+    def test_build_matches_a_per_root_probe(self):
+        # the shrink rule written out with one probe sampling per excluded
+        # root; None where no shape is admissible
+        def per_root(sp, E):
+            xl, xr, excluded = turning_points(sp, E)
+            for factor in (1.25, 1.15, 1.08):
+                a = factor * 0.5 * (xr - xl)
+                c = Contour(0.5 * (xl + xr), a, swkb.quadrature.ASPECT * a)
+                z, _ = c.points(swkb.quadrature.DISTANCE_PROBES)
+                if not any(c.contains(w) or np.min(np.abs(z - w)) < swkb.quadrature.CLEARANCE * a
+                           for w in excluded):
+                    return c
+            return None
+
+        factors = set()
+        for coefficients in ([0.0, 1.0], [0.0, 0.0, 0.0, 1.0 / 3.0], [0.0, 1.0, 0.0, 0.2],
+                             [0.0] * 5 + [0.2], [0.0, 1.0, 0.0, 0.0, 0.0, 0.2]):
+            sp = PolynomialSuperpotential(coefficients)
+            for E in np.geomspace(0.05, 500.0, 25):
+                expect = per_root(sp, E)
+                if expect is None:
+                    with pytest.raises(ContourError):
+                        build_contour(sp, E)
+                    factors.add(None)
+                else:
+                    assert build_contour(sp, E) == expect
+                    xl, xr, _ = turning_points(sp, E)
+                    factors.add(round(expect.a / (0.5 * (xr - xl)), 2))
+        # every shape of the rule, and its failure, is exercised
+        assert factors == {1.25, 1.15, 1.08, None}
 
     @pytest.mark.xfail(strict=True, raises=ContourError,
                        reason="the fixed ellipse shape cannot clear the complex roots of phi^2 = E")

@@ -10,7 +10,6 @@ from swkb.errors import StructuralTheoremViolation
 from swkb.reduction import (
     DerivativeSweep,
     decompose,
-    equivalent_mod_derivative,
     known_integrand_order2,
     known_integrand_order4,
     quantization_integrands,
@@ -95,17 +94,17 @@ class TestReduceViaPbar:
 
 class TestEquivalence:
     def test_self_equivalence_zero_certificate(self, split10):
-        cert = equivalent_mod_derivative(split10.p[2], split10.p[2])
+        cert = antiderivative(split10.p[2] - split10.p[2])
         assert cert is not None and cert.is_zero()
 
     def test_reduced_vs_raw_second_order(self, split10, lseq9):
         r2 = reduce_even_order(2, split10, lseq9)
-        cert = equivalent_mod_derivative(split10.p[2], r2.integrand)
+        cert = antiderivative(split10.p[2] - r2.integrand)
         assert cert is not None
         assert cert.differentiate() == split10.p[2] - r2.integrand
 
     def test_inequivalence_detected(self):
-        assert equivalent_mod_derivative(u_half(1), Expression.zero()) is None
+        assert antiderivative(u_half(1) - Expression.zero()) is None
 
 
 class TestResidualSweep:

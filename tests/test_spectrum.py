@@ -220,6 +220,44 @@ class TestNewton:
             for start in (None, 100.0 * root, 0.5):
                 assert abs(solve_level(condition8, cubic, n, start=start) - root) < 1e-9
 
+    def test_next_level_starts_from_the_carried_evaluation(self, cubic, condition8, monkeypatch):
+        below = solve_level(condition8, cubic, 4)
+        honest = swkb.spectrum.action
+        calls = []
+
+        def counted(cond, sp, E):
+            calls.append(E)
+            return honest(cond, sp, E)
+
+        monkeypatch.setattr(swkb.spectrum, "action", counted)
+        root = solve_level(condition8, cubic, 5, start=below)
+        # the first evaluation is one Newton step off the carried (E, A, A')
+        E, A, slope = below.probe
+        assert calls[0] == E * math.exp(math.log(10.0 * math.pi / A) * A / (E * slope))
+        assert below not in calls
+        assert abs(root - solve_level(condition8, cubic, 5)) < 1e-9
+
+    @pytest.mark.parametrize("other", ["condition", "partner", "superpotential"])
+    def test_a_start_from_another_problem_is_a_plain_energy(self, cubic, conditions, condition8,
+                                                           monkeypatch, other):
+        if other == "condition":
+            start = solve_level(conditions[4], cubic, 4)
+        elif other == "partner":
+            start = solve_level(condition8, cubic, 3, "plus")
+        else:
+            start = solve_level(condition8, PolynomialSuperpotential(cubic.coefficients, 1.1), 4)
+        honest = swkb.spectrum.action
+        calls = []
+
+        def counted(cond, sp, E):
+            calls.append(E)
+            return honest(cond, sp, E)
+
+        monkeypatch.setattr(swkb.spectrum, "action", counted)
+        root = solve_level(condition8, cubic, 5, start=start)
+        assert calls[0] == start
+        assert abs(root - solve_level(condition8, cubic, 5)) < 1e-9
+
     def test_failures_name_level_partner_energy_and_bracket(self, cubic, condition8, monkeypatch):
         honest = swkb.spectrum.action
         monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (0.0, 0.0))
