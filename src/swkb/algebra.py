@@ -430,10 +430,6 @@ class Expression:
             raw.append((m, c))
         return Expression(ring, raw)
 
-    @staticmethod
-    def from_json(s: str, ring: Ring = PHI_RING) -> "Expression":
-        return Expression.from_json_dict(json.loads(s), ring)
-
     def to_latex(self) -> str:
         if not self.terms:
             return "0"

@@ -8,11 +8,13 @@ the u half-power is pinned by the grade once the E-exponent and symbol
 count are chosen, which keeps the candidate bases small.
 
 The ansatz derivatives are eliminated by ``DerivativeSweep``, a sparse
-incremental echelon over exact rationals that ``reduction`` also uses for
-its residual sweep.  Columns are taken in ``sort_key`` order and dependent
-ones dropped, so a certificate is the unique combination of the first
-independent columns: the solution a dense elimination with free variables
-set to zero would give.
+incremental echelon of primitive integer rows (twice each derivative, so
+the half-powers of u leave no denominator) that ``reduction`` also uses
+for its residual sweep; rationals appear only in its results.  Columns
+are taken in ``sort_key`` order and dependent ones dropped, so a
+certificate is the unique combination of the first independent columns:
+the solution a dense elimination with free variables set to zero would
+give.
 
 A returned certificate Y always satisfies differentiate(Y) == input
 exactly (re-checked before returning); absence is reported only after the
@@ -22,11 +24,12 @@ exponent windows have been widened ``max_widen`` times.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Expression, Monomial, Ring
+from .algebra import Expression, Monomial, Ring, _with_exp
 from .errors import StructuralTheoremViolation
-from .gaussian import GR_ONE, GaussianRational
+from .gaussian import GaussianRational
 
 
 def _partitions(n: int, max_part: int):
@@ -103,10 +106,43 @@ def _pivot_key(m: Monomial):
     return (a0, n_higher, second, -top, m.derivs, -m.h, m.e)
 
 
-def _axpy(acc: dict, c: Fraction, src: dict) -> None:
-    """acc += c * src in place, storing no zero entries."""
+def _derivative_row(ring: Ring, m: Monomial) -> Dict[Monomial, int]:
+    """2 * d/dx of the unit monomial ``m``, as integer coefficients.
+
+    The factor 2 clears the h/2 of d u^(h/2) = (h/2) u^((h-2)/2) (-r f^(r-1) f').
+    That term raises the bare-symbol exponent a0 by r - 1, so on a canonical
+    monomial (a0 < r) the relation f^r = E - u applies at most once, when
+    a0 >= 1.  Every other term moves one exponent from f^(k) to f^(k+1).
+    """
+    r = ring.relation_power
+    a0 = m.deriv_exp(0)
+    if a0 >= r:
+        raise StructuralTheoremViolation(f"generator {m!r} is not canonical")
+    terms = [(_with_exp(_with_exp(m.derivs, k, -1), k + 1, 1), m.h, m.e, 2 * a) for k, a in m.derivs]
+    if m.h:
+        c = -m.h * r
+        derivs = _with_exp(m.derivs, 1, 1)
+        if a0:
+            # f^(a0+r-1) = f^(a0-1) (E - u)
+            derivs = _with_exp(derivs, 0, -1)
+            terms += [(derivs, m.h - 2, m.e + 1, c), (derivs, m.h, m.e, -c)]
+        else:
+            terms.append((_with_exp(derivs, 0, r - 1), m.h - 2, m.e, c))
+    row: Dict[Monomial, int] = {}
+    for derivs, h, e, c in terms:
+        key = Monomial._canonical(derivs, h, e)
+        new = row.get(key, 0) + c
+        if new:
+            row[key] = new
+        else:
+            del row[key]
+    return row
+
+
+def _sub_multiple(acc: dict, c: int, src: dict) -> None:
+    """acc -= c * src in place, storing no zero entries."""
     for key, v in src.items():
-        new = acc.get(key, 0) + c * v
+        new = acc.get(key, 0) - c * v
         if new:
             acc[key] = new
         else:
@@ -119,47 +155,80 @@ class DerivativeSweep:
 
     The generators are taken in the order given (callers pass ``sort_key``
     order).  A generator whose derivative is zero or lies in the span of the
-    earlier ones is dropped.  Each row is a real vector normalized at the
-    pivot that ``_pivot_key`` picks, with its antiderivative kept as a
-    combination over generator indices.
+    earlier ones is dropped.  Each row is (pivot, vec, comb): ``vec`` is a
+    primitive integer vector, positive at the pivot that ``_pivot_key``
+    picks, and ``comb`` the integer combination of generator indices whose
+    ``_derivative_row``s sum to it.  Elimination is fraction-free, as in
+    Bareiss's integer-preserving elimination, but keeps each row primitive
+    instead of dividing by the previous pivot: a pivot is cleared by
+    vec <- d*vec - c*pvec, with c and d divided by their gcd first.
     """
 
     def __init__(self, ring: Ring, generators: List[Monomial]):
         self.ring = ring
         self.generators = generators
-        self.rows: List[Tuple[Monomial, Dict[Monomial, Fraction], Dict[int, Fraction]]] = []
+        self.rows: List[Tuple[Monomial, Dict[Monomial, int], Dict[int, int]]] = []
         for j, m in enumerate(generators):
-            d = Expression(ring, [(m, GR_ONE)]).differentiate()
-            # derivatives of a unit-coefficient monomial stay real
-            vec = {mm: c.re for mm, c in d.terms.items()}
-            taken = self._reduce(vec)
+            vec = _derivative_row(ring, m)
+            comb = {j: 1}
+            self._reduce(vec, comb)
             if not vec:
                 continue
             pivot = max(vec, key=_pivot_key)
-            inv = 1 / vec[pivot]
-            comb = {i: -c * inv for i, c in taken.items()}
-            comb[j] = inv
-            self.rows.append((pivot, {mm: c * inv for mm, c in vec.items()}, comb))
+            g = gcd(*vec.values(), *comb.values())
+            if vec[pivot] < 0:
+                g = -g
+            if g != 1:
+                vec = {mm: c // g for mm, c in vec.items()}
+                comb = {i: c // g for i, c in comb.items()}
+            self.rows.append((pivot, vec, comb))
 
-    def _reduce(self, vec: Dict[Monomial, Fraction]) -> Dict[int, Fraction]:
-        """Clear every pivot from ``vec`` in place; return the combination of
-        generators whose derivative was subtracted."""
-        taken: Dict[int, Fraction] = {}
+    def _reduce(self, vec: Dict[Monomial, int], comb: Dict[int, int]) -> int:
+        """Clear every pivot from ``vec`` in place, doing the same row steps
+        on ``comb``, and return the product S of the factors d.  Afterwards
+        vec - sum(comb[i] * derivative row of generator i) is S times what
+        it was before."""
+        scale = 1
         for pivot, pvec, pcomb in self.rows:
             c = vec.get(pivot)
             if c is None:
                 continue
-            _axpy(vec, -c, pvec)
-            _axpy(taken, c, pcomb)
-        return taken
+            d = pvec[pivot]
+            g = gcd(c, d)
+            c //= g
+            d //= g
+            if d != 1:
+                scale *= d
+                for key in vec:
+                    vec[key] *= d
+                for key in comb:
+                    comb[key] *= d
+            _sub_multiple(vec, c, pvec)
+            _sub_multiple(comb, c, pcomb)
+        return scale
+
+    def _reduce_part(
+        self, coeffs: Dict[Monomial, Fraction]
+    ) -> Tuple[Dict[Monomial, Fraction], Dict[int, Fraction]]:
+        """Reduce one real part of a right-hand side, scaled to integers by
+        the lcm of its denominators; return its (kept, cert) coefficients.
+        Fractions are formed only here: kept = vec/S and, as each row is
+        twice a derivative, cert = -2*comb/S."""
+        scale = lcm(*(c.denominator for c in coeffs.values()))
+        vec = {m: c.numerator * (scale // c.denominator) for m, c in coeffs.items()}
+        comb: Dict[int, int] = {}
+        scale *= self._reduce(vec, comb)
+        return (
+            {m: Fraction(c, scale) for m, c in vec.items()},
+            {i: Fraction(-2 * c, scale) for i, c in comb.items()},
+        )
 
     def normal_form(self, x: Expression) -> Tuple[Expression, Expression]:
         """Return (kept, cert) with x = kept + differentiate(cert) and kept
         free of every pivot monomial.  The real and imaginary parts of x are
         reduced separately, since every row is real."""
-        re = {m: c.re for m, c in x.terms.items() if c.re}
-        im = {m: c.im for m, c in x.terms.items() if c.im}
-        cert_re, cert_im = self._reduce(re), self._reduce(im)
+        re, cert_re = self._reduce_part({m: c.re for m, c in x.terms.items() if c.re})
+        im, cert_im = self._reduce_part({m: c.im for m, c in x.terms.items() if c.im})
         kept = Expression(
             self.ring, [(m, GaussianRational(re.get(m, 0), im.get(m, 0))) for m in re.keys() | im.keys()]
         )

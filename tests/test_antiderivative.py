@@ -2,12 +2,14 @@ import importlib
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from swkb.algebra import E_pow, Expression, Monomial, PHI_RING, phi, u_half
-from swkb.antiderivative import DerivativeSweep, antiderivative
+from swkb.algebra import E_pow, Expression, Monomial, PHI_RING, V_RING, phi, u_half
+from swkb.antiderivative import DerivativeSweep, _derivative_row, _pivot_key, antiderivative
 from swkb.errors import StructuralTheoremViolation
-from swkb.gaussian import gr
+from swkb.gaussian import GR_ONE, GaussianRational, gr
+from swkb.reduction import _sweep_generators
 
 from conftest import ring_expressions
 
@@ -106,3 +108,139 @@ class TestEngine:
         mixed = y_re.scale(gr(3, -1)) + imag
         assert antiderivative(mixed.differentiate()) == mixed
 
+
+# -- the integer kernel against Expression arithmetic and a Fraction oracle ----
+
+
+@st.composite
+def canonical_monomials(draw, ring):
+    """Canonical monomials of ``ring``: bare-symbol exponent below r, any
+    sign of h, possibly constant."""
+    derivs = {k: draw(st.integers(0, 2)) for k in range(1, 4)}
+    derivs[0] = draw(st.integers(0, ring.relation_power - 1))
+    return Monomial(derivs.items(), h=draw(st.integers(-7, 5)), e=draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([PHI_RING, V_RING]).flatmap(
+    lambda ring: st.tuples(st.just(ring), canonical_monomials(ring))))
+@example((PHI_RING, Monomial([(0, 1), (2, 1)], h=-3, e=1)))   # f^(r-1), h != 0: the fold fires
+@example((PHI_RING, Monomial([(0, 1)], h=2)))                 # fold whose terms cancel
+@example((V_RING, Monomial([(1, 2)], h=-5, e=-1)))            # negative h
+@example((PHI_RING, Monomial(e=-2)))                          # constants have an empty row
+@example((V_RING, Monomial()))
+def test_derivative_row_is_twice_the_derivative(case):
+    ring, m = case
+    row = _derivative_row(ring, m)
+    expect = Expression(ring, [(m, GR_ONE)]).differentiate().scale(2)
+    assert all(type(c) is int and c for c in row.values())
+    assert {mm: GaussianRational(c) for mm, c in row.items()} == expect.terms
+
+
+def test_derivative_row_rejects_non_canonical_generator():
+    with pytest.raises(StructuralTheoremViolation):
+        _derivative_row(PHI_RING, Monomial([(0, 2)], h=1))
+
+
+def _axpy(acc: dict, c: Fr, src: dict) -> None:
+    """acc += c * src in place, storing no zero entries."""
+    for key, v in src.items():
+        new = acc.get(key, 0) + c * v
+        if new:
+            acc[key] = new
+        else:
+            del acc[key]
+
+
+class FractionSweep:
+    """The elimination the integer kernel replaced, kept as its oracle: rows
+    of ``Fraction``s normalized to 1 at the pivot, reduced with ``_axpy``,
+    derivatives taken in ``Expression`` arithmetic."""
+
+    def __init__(self, ring, generators):
+        self.ring = ring
+        self.generators = generators
+        self.rows = []
+        for j, m in enumerate(generators):
+            d = Expression(ring, [(m, GR_ONE)]).differentiate()
+            vec = {mm: c.re for mm, c in d.terms.items()}
+            taken = self._reduce(vec)
+            if not vec:
+                continue
+            pivot = max(vec, key=_pivot_key)
+            inv = 1 / vec[pivot]
+            comb = {i: -c * inv for i, c in taken.items()}
+            comb[j] = inv
+            self.rows.append((pivot, {mm: c * inv for mm, c in vec.items()}, comb))
+
+    def _reduce(self, vec):
+        taken = {}
+        for pivot, pvec, pcomb in self.rows:
+            c = vec.get(pivot)
+            if c is None:
+                continue
+            _axpy(vec, -c, pvec)
+            _axpy(taken, c, pcomb)
+        return taken
+
+    def normal_form(self, x):
+        re = {m: c.re for m, c in x.terms.items() if c.re}
+        im = {m: c.im for m, c in x.terms.items() if c.im}
+        cert_re, cert_im = self._reduce(re), self._reduce(im)
+        kept = Expression(
+            self.ring, [(m, GaussianRational(re.get(m, 0), im.get(m, 0))) for m in re.keys() | im.keys()]
+        )
+        cert = Expression(
+            self.ring,
+            [(self.generators[i], GaussianRational(cert_re.get(i, 0), cert_im.get(i, 0)))
+             for i in cert_re.keys() | cert_im.keys()],
+        )
+        return kept, cert
+
+
+def _assert_engines_agree(ring, generators, rhs):
+    sweep, oracle = DerivativeSweep(ring, generators), FractionSweep(ring, generators)
+    assert [p for p, _, _ in sweep.rows] == [p for p, _, _ in oracle.rows]
+    for (_, vec, comb), (_, ovec, ocomb) in zip(sweep.rows, oracle.rows):
+        # each integer row is the normalized row times its pivot entry s, and
+        # its combination, doubled (a row is twice a derivative), the oracle's
+        # times s
+        s = vec[max(vec, key=_pivot_key)]
+        assert s > 0
+        assert vec == {m: c * s for m, c in ovec.items()}
+        assert {i: Fr(2 * c) for i, c in comb.items()} == {i: c * s for i, c in ocomb.items()}
+    for x in rhs:
+        kept, cert = sweep.normal_form(x)
+        assert (kept, cert) == oracle.normal_form(x)
+        assert kept + cert.differentiate() == x
+
+
+_rings_and_expressions = st.sampled_from([PHI_RING, V_RING]).flatmap(
+    lambda ring: st.tuples(st.just(ring), ring_expressions(ring, max_terms=3)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_rings_and_expressions, st.booleans())
+def test_engine_matches_fraction_oracle_on_sweep_generators(case, keep_e_divisible):
+    ring, x = case
+    min_e = x.min_e_degree() if keep_e_divisible and not x.is_zero() else None
+    _assert_engines_agree(ring, _sweep_generators(x, min_e), [x, x.differentiate()])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_rings_and_expressions, st.data())
+def test_engine_matches_fraction_oracle_with_duplicates_and_constants(case, data):
+    ring, x = case
+    gens = _sweep_generators(x, None)
+    constants = st.integers(-2, 2).map(lambda e: Monomial(e=e))
+    pool = st.one_of(st.sampled_from(gens), constants) if gens else constants
+    for m in data.draw(st.lists(pool, min_size=1, max_size=6)):
+        gens.insert(data.draw(st.integers(0, len(gens))), m)
+    _assert_engines_agree(ring, gens, [x, x.differentiate()])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_engine_matches_fraction_oracle_on_series_parts(split10, n):
+    # the long elimination chains of a real series coefficient
+    x = split10.p[n]
+    _assert_engines_agree(x.ring, _sweep_generators(x, None), [x, x.shift_e(1)])

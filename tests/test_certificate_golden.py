@@ -3,7 +3,9 @@
 The benchmark fingerprints cover the ``reduce`` output, whose certificates
 come from the residual sweep; these cover the certificates of the imaginary
 parts and of the dropped odd-order real parts.  The ``verify --order 8``
-fingerprint covers the whole exact property suite.
+fingerprint covers the whole exact property suite, and the ``reduce
+--max-order 10`` fingerprint the residual sweeps' longer elimination chains
+past the benchmark's order 8.
 """
 
 import hashlib
@@ -23,6 +25,8 @@ SERIES8_CERTIFICATES_SHA256 = "96dcd9ddbe75f38230c92638d0a38a46946e90a851359ba58
 DROPPED8_SHA256 = "0c3b15605c6f995e8cbccba69357f962614c8a66e6e0f880c5177bb93216821f"
 # The whole ``verify --order 8`` report: every PASS line of the exact suite.
 VERIFY8_SHA256 = "608a9c1925a240becc8e739c218f040c79ca05b7b12eca647eed46933ab18341"
+# The reduced integrands and their certificates through order 10.
+REDUCE10_SHA256 = "2bd4a825b6a18a1988226567e0429b13f2dbb02fac1454e77ce9f5d348cf5f02"
 
 
 def test_golden_series_certificates(capsys):
@@ -40,3 +44,8 @@ def test_golden_dropped_certificates(series10, split10, lseq9):
 def test_golden_verify_report(capsys):
     assert main(["verify", "--order", "8"]) == 0
     assert _sha256(capsys.readouterr().out) == VERIFY8_SHA256
+
+
+def test_golden_reduce_order10(capsys):
+    assert main(["reduce", "--max-order", "10", "--format", "json"]) == 0
+    assert _sha256(capsys.readouterr().out) == REDUCE10_SHA256
