@@ -29,10 +29,6 @@ class AmbiguousRegionError(SwkbError):
     turning points; the single-well contour construction does not apply."""
 
 
-class ContourError(SwkbError):
-    """No admissible contour: an excluded branch point is too close."""
-
-
 class BranchTrackingError(SwkbError):
     """sqrt(u) continuation around the contour failed its consistency
     checks, or a quantization integral came out non-real."""

@@ -105,7 +105,6 @@ class GaussianRational:
         return f"({self.re}{sign}{abs(self.im)}i)"
 
 
-GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 

@@ -1,6 +1,6 @@
 """Closed-contour integrals of ring expressions for polynomial superpotentials.
 
-The contour is an ellipse around the two real turning points, never
+The contour is an ellipse confocal with the two real turning points, never
 collapsed to the real axis: every integrand of interest is analytic (in
 particular single-valued in sqrt(u), which has an even number of branch
 points inside), so the periodic trapezoid rule converges exponentially.
@@ -22,7 +22,6 @@ from .algebra import Expression, Monomial
 from .errors import (
     AmbiguousRegionError,
     BranchTrackingError,
-    ContourError,
     ConvergenceError,
     NoClassicalRegionError,
 )
@@ -31,9 +30,10 @@ TOL = 1e-10  # absolute floor of every row's settling tolerance
 REL_TOL = 1e-8  # a row settles once it moves by less than max(TOL, REL_TOL * |row|)
 START_SAMPLES = 256  # first resolution; integration doubles it until the estimate settles
 MAX_SAMPLES = 2 ** 20
-ASPECT = 0.5  # semi-minor over semi-major axis of the contour
-DISTANCE_PROBES = 720  # curve points a branch point's distance is measured over
-CLEARANCE = 0.2  # least branch-point distance, as a fraction of the semi-major axis
+ETA_FREE = math.acosh(2.0)  # elliptic radius of the contour when no root is excluded
+# contour's share of the nearest excluded root's elliptic radius: at order 8,
+# 0.6 leaves phi = x^5/5 unsettled at E = 0.3 and 0.8 takes phi = x^3/3 to 1024 samples
+ROOT_SHARE = 0.7
 SUM_BLOCK = 4096  # sample points per block of monomial evaluation
 
 
@@ -167,32 +167,23 @@ class Contour:
         dz = -self.a * sin + 1j * self.b * cos
         return z, dz
 
-    def min_distance(self, ws: Sequence[complex]) -> np.ndarray:
-        """Least distance from the curve, probed once at DISTANCE_PROBES
-        points, to each point of ``ws``."""
-        z, _ = self.points(DISTANCE_PROBES)
-        return np.min(np.abs(z - np.asarray(ws, dtype=complex).reshape(-1, 1)), axis=1)
-
-    def contains(self, w: complex) -> bool:
-        return ((w.real - self.center) / self.a) ** 2 + (w.imag / self.b) ** 2 < 1.0
-
 
 def build_contour(sp: PolynomialSuperpotential, E: float) -> Contour:
-    """Ellipse enclosing exactly the real turning pair, with every excluded
-    branch point at least ``CLEARANCE * a`` away from the curve.  The
-    semi-major factor shrinks step by step when an excluded root is close."""
+    """Ellipse confocal with the real turning pair, in closed form.  With
+    center c and half-gap g, a point w lies on the confocal ellipse of
+    elliptic radius Re arccosh((w - c) / g); the turning points have radius
+    0.  The trapezoid rule on the ellipse of radius eta converges at a rate
+    set by the distance from eta to the nearest singular radius, so the
+    contour takes ROOT_SHARE of the least excluded root's radius, or
+    ETA_FREE when that is larger or nothing is excluded.  It cannot fail:
+    a root near the real axis pinches the contour and the integration,
+    not this rule, reports it."""
     xl, xr, excluded = turning_points(sp, E)
     center = 0.5 * (xl + xr)
     half_gap = 0.5 * (xr - xl)
-    for factor in (1.25, 1.15, 1.08):
-        a = factor * half_gap
-        c = Contour(center, a, ASPECT * a)
-        if not (any(c.contains(w) for w in excluded)
-                or np.any(c.min_distance(excluded) < CLEARANCE * a)):
-            return c
-    raise ContourError(
-        f"no admissible contour at E = {E}: excluded branch points too close"
-    )
+    radii = np.arccosh((np.array(excluded, dtype=complex) - center) / half_gap).real
+    eta = min(ETA_FREE, ROOT_SHARE * radii.min(initial=np.inf))
+    return Contour(center, half_gap * math.cosh(eta), half_gap * math.sinh(eta))
 
 
 def track_sqrt_u(u: np.ndarray) -> np.ndarray:

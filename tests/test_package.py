@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,25 @@ def test_cli_does_not_import_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_module_constant_is_read():
+    # a module-level ALL_CAPS name that nothing in the package reads is a
+    # knob that does nothing
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.rglob("*.py"))}
+    defined = {
+        f"{path.relative_to(SRC)}:{target.id}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id)
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert defined, "no module constants found"
+    assert sorted(d for d in defined if d.split(":")[1] not in read) == []

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction as Fr
 
@@ -9,10 +10,10 @@ from scipy.integrate import quad
 
 import swkb.quadrature
 from swkb.algebra import E_pow, Expression, phi, u_half
+from swkb.cli import main
 from swkb.errors import (
     AmbiguousRegionError,
     BranchTrackingError,
-    ContourError,
     ConvergenceError,
     NoClassicalRegionError,
 )
@@ -25,12 +26,18 @@ from swkb.quadrature import (
     track_sqrt_u,
     turning_points,
 )
+from swkb.oracle import oracle_eigenvalues
 from swkb.reduction import reduce_even_order
 
 from conftest import ring_expressions
 
 Q1 = (phi(1) * u_half(-1)).scale(Fr(1, 2))
 P1 = (phi() * phi(1) * u_half(-2)).scale(Fr(1, 2))
+# phi = x^3 - x at E = 0.5 and 1: the order-8 table's rows sit at a
+# roundoff floor of about the settling tolerance on every confocal ellipse
+# (measured: 2048-4096 samples at the best share of the root radius)
+ROUNDOFF_FLOOR = pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                                   reason="order-8 rows at the roundoff floor")
 
 
 class TestSuperpotential:
@@ -107,59 +114,74 @@ class TestTurningPoints:
                 assert residual <= 8.0 * np.finfo(float).eps * terms
 
 
+def _inside(c, w):
+    return ((w.real - c.center) / c.a) ** 2 + (w.imag / c.b) ** 2 < 1.0
+
+
 class TestContour:
-    def test_build_excludes_branch_points(self, cubic):
-        c = build_contour(cubic, 1.0)
-        _, _, excluded = turning_points(cubic, 1.0)
-        assert len(excluded) == 4
-        assert not any(c.contains(w) for w in excluded)
-        assert np.all(c.min_distance(excluded) >= 0.2 * c.a)
-
-    def test_encloses_turning_points(self, cubic):
-        c = build_contour(cubic, 1.0)
-        xl, xr, _ = turning_points(cubic, 1.0)
-        assert c.contains(complex(xl, 0.0)) and c.contains(complex(xr, 0.0))
-
-    def test_impossible_contour_raises(self, cubic, monkeypatch):
-        monkeypatch.setattr(swkb.quadrature, "CLEARANCE", 5.0)
-        with pytest.raises(ContourError):
-            build_contour(cubic, 1.0)
-
-    def test_build_matches_a_per_root_probe(self):
-        # the shrink rule written out with one probe sampling per excluded
-        # root; None where no shape is admissible
-        def per_root(sp, E):
-            xl, xr, excluded = turning_points(sp, E)
-            for factor in (1.25, 1.15, 1.08):
-                a = factor * 0.5 * (xr - xl)
-                c = Contour(0.5 * (xl + xr), a, swkb.quadrature.ASPECT * a)
-                z, _ = c.points(swkb.quadrature.DISTANCE_PROBES)
-                if not any(c.contains(w) or np.min(np.abs(z - w)) < swkb.quadrature.CLEARANCE * a
-                           for w in excluded):
-                    return c
-            return None
-
-        factors = set()
+    def test_build_excludes_branch_points(self):
+        # every contour is the ellipse confocal with the turning pair: it
+        # encloses xl and xr and leaves every excluded root of phi^2 = E
+        # outside, whether the nearest root limits it or not
+        free = set()
         for coefficients in ([0.0, 1.0], [0.0, 0.0, 0.0, 1.0 / 3.0], [0.0, 1.0, 0.0, 0.2],
                              [0.0] * 5 + [0.2], [0.0, 1.0, 0.0, 0.0, 0.0, 0.2]):
             sp = PolynomialSuperpotential(coefficients)
             for E in np.geomspace(0.05, 500.0, 25):
-                expect = per_root(sp, E)
-                if expect is None:
-                    with pytest.raises(ContourError):
-                        build_contour(sp, E)
-                    factors.add(None)
-                else:
-                    assert build_contour(sp, E) == expect
-                    xl, xr, _ = turning_points(sp, E)
-                    factors.add(round(expect.a / (0.5 * (xr - xl)), 2))
-        # every shape of the rule, and its failure, is exercised
-        assert factors == {1.25, 1.15, 1.08, None}
+                xl, xr, excluded = turning_points(sp, E)
+                c = build_contour(sp, E)
+                half_gap = 0.5 * (xr - xl)
+                assert c.center == 0.5 * (xl + xr) and c.b > 0.0
+                assert abs(c.a ** 2 - c.b ** 2 - half_gap ** 2) <= 1e-12 * c.a ** 2
+                assert _inside(c, complex(xl)) and _inside(c, complex(xr))
+                assert not any(_inside(c, w) for w in excluded)
+                free.add(math.isclose(c.a, 2.0 * half_gap))
+        assert free == {True, False}
 
-    @pytest.mark.xfail(strict=True, raises=ContourError,
-                       reason="the fixed ellipse shape cannot clear the complex roots of phi^2 = E")
-    def test_quintic_contour(self):
-        build_contour(PolynomialSuperpotential([0.0] * 5 + [0.2]), 1.0)
+    def test_encloses_turning_points(self, cubic):
+        c = build_contour(cubic, 1.0)
+        xl, xr, _ = turning_points(cubic, 1.0)
+        assert _inside(c, complex(xl, 0.0)) and _inside(c, complex(xr, 0.0))
+
+    def test_quintic_contour(self, condition8, capsys, tmp_path):
+        quintic = [0.0] * 5 + [0.2]
+        sp = PolynomialSuperpotential(quintic)
+        build_contour(sp, 1.0)
+        for E in (1.0, 5.0, 50.0):
+            assert contour_integrate(condition8.table, sp, E).samples_used <= 1024
+        # quantize solves it, and order 8 beats order 0 against the grid
+        # oracle by a factor of more than 100 at levels 5-10
+        path = tmp_path / "quintic.json"
+        path.write_text(json.dumps({"coefficients": quintic}))
+        levels = {}
+        for order in ("0", "8"):
+            assert main(["quantize", "--config", str(path), "--order", order,
+                         "--levels", "10", "--json"]) == 0
+            levels[order] = json.loads(capsys.readouterr().out)["levels"]
+        oracle = oracle_eigenvalues(sp.v_minus, 11, 1.0)
+        for n in range(5, 11):
+            err = {k: abs(v[str(n)] - oracle[n]) for k, v in levels.items()}
+            assert err["8"] < 0.01 * err["0"]
+
+    @pytest.mark.parametrize("coefficients, E", [
+        ([0.0, 1.0], 0.3), ([0.0, 1.0], 0.5), ([0.0, 1.0], 1.0),
+        ([0.0, 1.0, 0.0, 0.2], 0.3), ([0.0, 1.0, 0.0, 0.2], 0.5),
+        pytest.param([0.0, -1.0, 0.0, 1.0], 0.5, marks=ROUNDOFF_FLOOR),
+        pytest.param([0.0, -1.0, 0.0, 1.0], 1.0, marks=ROUNDOFF_FLOOR),
+    ])
+    def test_envelope_cells_settle(self, condition8, monkeypatch, coefficients, E):
+        # the order-8 table, rows that cancel included, within 1024 samples
+        monkeypatch.setattr(swkb.quadrature, "MAX_SAMPLES", 1024)
+        contour_integrate(condition8.table, PolynomialSuperpotential(coefficients), E)
+
+    def test_pinched_contour_fails_by_convergence(self, condition8, monkeypatch):
+        # phi = x^3 - x just above the barrier top 4/27 of phi^2: two
+        # excluded roots sit next to the real axis between the turning
+        # points and pinch the contour
+        monkeypatch.setattr(swkb.quadrature, "MAX_SAMPLES", 1024)
+        with pytest.raises(ConvergenceError, match=r"at E = 0.15 did not converge"):
+            contour_integrate(condition8.table, PolynomialSuperpotential([0.0, -1.0, 0.0, 1.0]),
+                              0.15)
 
 
 class TestContourIntegrate:
@@ -286,7 +308,7 @@ class TestContourIntegrate:
             b = contour_integrate(red.integrand, cubic, 1.0)
             assert abs(a.value - b.value) < 1e-9
 
-    def test_contour_independence(self, oscillator, cubic):
+    def test_contour_independence(self, oscillator, cubic, mixed_cubic, condition8):
         c1 = build_contour(oscillator, 4.0)
         c2 = Contour(c1.center, 2.0 * c1.a, 2.0 * c1.b)
         v1 = contour_integrate(u_half(1), oscillator, 4.0, contour=c1).value
@@ -303,6 +325,17 @@ class TestContourIntegrate:
         c5 = Contour(c3.center, c3.a, -c3.b)
         v5 = contour_integrate(phi(1, 2) * u_half(-5) * E_pow(1), cubic, 1.0, contour=c5).value
         assert abs(v3 - v5) < 1e-9
+        # the order-8 table on the fixed shape (1.25 g, 0.625 g) the contour
+        # used to have, against the confocal one: every row agrees within
+        # twice its settling tolerance
+        for sp, E in ((cubic, 1.0), (cubic, 5.0), (mixed_cubic, 1.5)):
+            xl, xr, _ = turning_points(sp, E)
+            half_gap = 0.5 * (xr - xl)
+            fixed = Contour(0.5 * (xl + xr), 1.25 * half_gap, 0.625 * half_gap)
+            rows = np.array(contour_integrate(condition8.table, sp, E, contour=fixed).rows)
+            confocal = np.array(contour_integrate(condition8.table, sp, E).rows)
+            tol = np.maximum(swkb.quadrature.TOL, swkb.quadrature.REL_TOL * np.abs(rows))
+            assert np.all(np.abs(rows - confocal) < 2.0 * tol)
 
     def test_positive_leading_action(self, cubic):
         for E in (0.5, 1.0, 2.0):
