@@ -138,6 +138,36 @@ class TestContour:
                 free.add(math.isclose(c.a, 2.0 * half_gap))
         assert free == {True, False}
 
+    def test_build_matches_a_per_root_probe(self):
+        # the radius rule written out with one probe per excluded root: the
+        # confocal ellipse through w has semi-major axis (|w - xl| + |w - xr|) / 2
+        # (the sum of the focal distances), so its elliptic radius is the
+        # arccosh of that over the half-gap
+        def per_root(sp, E):
+            xl, xr, excluded = turning_points(sp, E)
+            half_gap = 0.5 * (xr - xl)
+            eta = swkb.quadrature.ETA_FREE
+            for w in excluded:
+                major = 0.5 * (abs(w - xl) + abs(w - xr))
+                eta = min(eta, swkb.quadrature.ROOT_SHARE * math.acosh(max(major / half_gap, 1.0)))
+            return eta
+
+        regimes = set()
+        for coefficients in ([0.0, 1.0], [0.0, 0.0, 0.0, 1.0 / 3.0], [0.0, 1.0, 0.0, 0.2],
+                             [0.0] * 5 + [0.2], [0.0, 1.0, 0.0, 0.0, 0.0, 0.2]):
+            sp = PolynomialSuperpotential(coefficients)
+            for E in np.geomspace(0.05, 500.0, 25):
+                xl, xr, _ = turning_points(sp, E)
+                half_gap = 0.5 * (xr - xl)
+                eta = per_root(sp, E)
+                c = build_contour(sp, E)
+                assert c.center == 0.5 * (xl + xr)
+                assert math.isclose(c.a, half_gap * math.cosh(eta), rel_tol=1e-9)
+                assert math.isclose(c.b, half_gap * math.sinh(eta), rel_tol=1e-9)
+                regimes.add(eta == swkb.quadrature.ETA_FREE)
+        # both the free shape and the root-limited shape are exercised
+        assert regimes == {True, False}
+
     def test_encloses_turning_points(self, cubic):
         c = build_contour(cubic, 1.0)
         xl, xr, _ = turning_points(cubic, 1.0)
