@@ -9,16 +9,16 @@ count are chosen, which keeps the candidate bases small.
 
 The ansatz derivatives are eliminated by ``DerivativeSweep``, a sparse
 incremental echelon of primitive integer rows (twice each derivative, so
-the half-powers of u leave no denominator) that ``reduction`` also uses
-for its residual sweep; rationals appear only in its results.  Columns
-are taken in ``sort_key`` order and dependent ones dropped, so a
-certificate is the unique combination of the first independent columns:
-the solution a dense elimination with free variables set to zero would
-give.
+the half-powers of u leave no denominator); rationals appear only in its
+results.  One windowed sweep (generators, elimination, exact re-check)
+serves both ``antiderivative`` and ``reduction.residual_sweep``.
 
-A returned certificate Y always satisfies differentiate(Y) == input
-exactly (re-checked before returning); absence is reported only after the
-exponent windows have been widened ``max_widen`` times.
+d/dx is injective on every canonical monomial except the pure powers of
+E, which the sweep drops as zero columns.  So a certificate is unique:
+the window decides only whether the sweep finds it, never which one comes
+back.  A returned certificate Y always satisfies differentiate(Y) ==
+input exactly; absence is reported only after the windows have been
+widened ``MAX_WIDEN`` times.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import Expression, Monomial, Ring, _with_exp
 from .errors import StructuralTheoremViolation
 from .gaussian import GaussianRational
+
+# how many times the ansatz windows are widened before a certificate is
+# reported absent
+MAX_WIDEN = 3
 
 
 def _partitions(n: int, max_part: int):
@@ -46,7 +50,7 @@ def _partitions(n: int, max_part: int):
 
 def bigrade_components(a: Expression) -> List[Expression]:
     """The parts of ``a`` homogeneous in (derivative weight, scaling grade);
-    d/dx maps each bigrade to its own, so each part is integrated alone."""
+    d/dx maps each bigrade to its own, so each part gets its own ansatz."""
     buckets: Dict[Tuple[int, int], list] = {}
     for m, c in a.terms.items():
         buckets.setdefault((m.weight(), m.gdeg(a.ring)), []).append((m, c))
@@ -242,29 +246,33 @@ class DerivativeSweep:
         return kept, cert
 
 
-def _solve_component(comp: Expression, widen: int) -> Optional[Expression]:
-    kept, cert = DerivativeSweep(comp.ring, candidate_monomials(comp, widen=widen)).normal_form(comp)
-    return cert if kept.is_zero() else None
+def _window_generators(x: Expression, widen: int, min_e: Optional[int]) -> List[Monomial]:
+    """Ansatz monomials of every bigraded component of ``x``, in ``sort_key``
+    order.  ``min_e``: when set, only monomials with at least that E-exponent
+    are kept, so sweeping preserves manifest E-divisibility of the input."""
+    gens = {
+        cand
+        for comp in bigrade_components(x)
+        for cand in candidate_monomials(comp, widen)
+        if min_e is None or cand.e >= min_e
+    }
+    return sorted(gens, key=Monomial.sort_key)
 
 
-def antiderivative(a: Expression, max_widen: int = 3) -> Optional[Expression]:
-    """Return Y with differentiate(Y) == a, or None when the widened ansatz
-    has no solution.  A returned Y is always a sound certificate."""
-    if a.is_zero():
-        return Expression.zero(a.ring)
-    parts: List[Expression] = []
-    for comp in bigrade_components(a):
-        y = None
-        for widen in range(max_widen + 1):
-            y = _solve_component(comp, widen)
-            if y is not None:
-                break
-        if y is None:
-            return None
-        parts.append(y)
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    if total.differentiate() != a:
+def _sweep(x: Expression, widen: int, min_e: Optional[int] = None) -> Tuple[Expression, Expression]:
+    """(kept, cert) with x = kept + differentiate(cert), re-checked exactly,
+    from the ansatz windows of ``x`` widened by ``widen``."""
+    kept, cert = DerivativeSweep(x.ring, _window_generators(x, widen, min_e)).normal_form(x)
+    if kept + cert.differentiate() != x:
         raise StructuralTheoremViolation("certificate failed re-check")
-    return total
+    return kept, cert
+
+
+def antiderivative(a: Expression) -> Optional[Expression]:
+    """Return the Y free of pure E-powers with differentiate(Y) == a, or None
+    when no window up to ``MAX_WIDEN`` holds it."""
+    for widen in range(MAX_WIDEN + 1):
+        kept, cert = _sweep(a, widen)
+        if kept.is_zero():
+            return cert
+    return None

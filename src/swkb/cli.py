@@ -60,6 +60,8 @@ def cmd_series(args) -> int:
     split = split_series(s)
     out = []
     for n in range(args.order + 1):
+        certify = args.show_certificates and n >= 2 and not split.q[n].is_zero()
+        cert = antiderivative(split.q[n]) if certify else None
         if args.format == "json":
             rec = {
                 "order": n,
@@ -68,16 +70,14 @@ def cmd_series(args) -> int:
                 "p": split.p[n].to_json_dict(),
                 "q": split.q[n].to_json_dict(),
             }
-            if args.show_certificates and n >= 2 and not split.q[n].is_zero():
-                cert = antiderivative(split.q[n])
+            if certify:
                 rec["q_certificate"] = None if cert is None else cert.to_json_dict()
             out.append(rec)
         else:
             out.append(f"S_{n}' = {_emit_expr(s.coeffs[n], args.format)}")
             out.append(f"  p_{n} = {_emit_expr(split.p[n], args.format)}")
             out.append(f"  q_{n} = {_emit_expr(split.q[n], args.format)}")
-            if args.show_certificates and n >= 2 and not split.q[n].is_zero():
-                cert = antiderivative(split.q[n])
+            if certify:
                 shown = "none found" if cert is None else _emit_expr(cert, args.format)
                 out.append(f"  q_{n} antiderivative = {shown}")
     print(json.dumps(out, indent=2) if args.format == "json" else "\n".join(out))

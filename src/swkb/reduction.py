@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Expression, F_factor, Monomial
-from .antiderivative import DerivativeSweep, antiderivative, bigrade_components, candidate_monomials
+from .algebra import Expression, F_factor
+from .antiderivative import _sweep, antiderivative
 from .errors import StructuralTheoremViolation
 from .series import HbarSeries, LSequence, SplitSeries, i_times
 
@@ -53,33 +53,18 @@ def decompose(n: int, split: SplitSeries) -> Tuple[Expression, Expression]:
 # -- deterministic residual sweep ---------------------------------------------
 
 
-def _sweep_generators(x: Expression, min_e: Optional[int]) -> List[Monomial]:
-    """Ansatz monomials of every bigraded component of ``x``, in ``sort_key``
-    order.  ``min_e``: when set, only monomials with at least that E-exponent
-    are kept, so sweeping preserves manifest E-divisibility of the input."""
-    gens = {
-        cand
-        for comp in bigrade_components(x)
-        for cand in candidate_monomials(comp, widen=1)
-        if min_e is None or cand.e >= min_e
-    }
-    return sorted(gens, key=Monomial.sort_key)
-
-
 def residual_sweep(
     x: Expression, min_e: Optional[int] = None
 ) -> Tuple[Expression, Expression]:
     """Remove the exact-derivative content of ``x`` deterministically.
 
     Returns (kept, cert) with x = kept + differentiate(cert); kept is the
-    canonical quotient representative under the fixed basis ordering.
+    canonical quotient representative under the fixed basis ordering: the
+    certificate sweep with its windows widened once.  ``min_e``: when set,
+    only ansatz monomials with at least that E-exponent are used, so
+    sweeping preserves manifest E-divisibility of the input.
     """
-    if x.is_zero():
-        return x, Expression.zero(x.ring)
-    kept, cert = DerivativeSweep(x.ring, _sweep_generators(x, min_e)).normal_form(x)
-    if kept + cert.differentiate() != x:
-        raise StructuralTheoremViolation("residual sweep certificate failed re-check")
-    return kept, cert
+    return _sweep(x, 1, min_e)
 
 
 # -- reduced corrections -------------------------------------------------------
@@ -123,50 +108,44 @@ def reduce_even_order(order: int, split: SplitSeries, lseq: LSequence) -> Reduce
         raise ValueError("certificate sequence not generated far enough")
     alpha, _ = decompose(order, split)
     Q = i_times(lseq.l[order - 1]).scale(HALF)
-    F = F_factor()
     fprime_u32 = Expression.sym(1, 1) * Expression.u_pow(-3)
-    integrand, resid = residual_sweep((alpha - fprime_u32 * Q).shift_e(1), min_e=1)
-    cert = F * Q + resid
-    if split.p[order] - integrand != cert.differentiate():
-        raise StructuralTheoremViolation(f"bookkeeping identity failed at order {order}")
-    if not integrand.is_zero() and integrand.min_e_degree() < 1:
+    corr = _swept_correction(order, split, (alpha - fprime_u32 * Q).shift_e(1), F_factor() * Q)
+    if not corr.integrand.is_zero() and corr.integrand.min_e_degree() < 1:
         raise StructuralTheoremViolation(f"no overall E factor at order {order}")
-    return ReducedCorrection(order, integrand, cert)
+    return corr
 
 
 def reduce_via_pbar(
-    order: int,
-    split: SplitSeries,
-    pbar: List[Expression],
-    pbar_cert: Optional[Expression] = None,
+    order: int, split: SplitSeries, pbar: List[Expression], pbar_cert: Expression
 ) -> ReducedCorrection:
     """Reduce by subtracting the log-fixed-point coefficient instead.
 
     The subtraction removes exactly the terms the integration-by-parts
-    route removes, so after the same residual sweep the result should
-    equal the F*Q route's integrand exactly (``swkb verify`` compares the
-    two).  ``pbar_cert`` is a
-    certificate of ``pbar[order]`` the caller already holds; it is
-    computed when not given, and the bookkeeping identity re-checks it.
+    route removes, and certificates are unique, so after the same residual
+    sweep the result equals the F*Q route's correction exactly, certificate
+    included (``swkb verify`` compares the integrands).  ``pbar_cert`` is
+    the certificate of ``pbar[order]`` (unread at order 0); the bookkeeping
+    identity re-checks it.
     """
     if order % 2:
         raise ValueError("even order required")
-    ring = split.p[0].ring
     if order == 0:
-        zero = Expression.zero(ring)
+        zero = Expression.zero(split.p[0].ring)
         return ReducedCorrection(0, zero, zero)
-    raw = split.p[order] - pbar[order]
-    if pbar_cert is None:
-        pbar_cert = antiderivative(pbar[order])
-    if pbar_cert is None:
-        raise StructuralTheoremViolation(
-            f"log-fixed-point coefficient at order {order} has no certificate"
-        )
-    kept, resid = residual_sweep(raw, min_e=1)
-    cert = pbar_cert + resid
-    if split.p[order] - kept != cert.differentiate():
+    return _swept_correction(order, split, split.p[order] - pbar[order], pbar_cert)
+
+
+def _swept_correction(
+    order: int, split: SplitSeries, raw: Expression, base_cert: Expression
+) -> ReducedCorrection:
+    """The shared tail of both subtraction routes: ``raw`` = p_order minus
+    differentiate(base_cert), residual-swept keeping E-divisibility, with
+    the bookkeeping identity p_order - integrand = cert' re-checked."""
+    integrand, resid = residual_sweep(raw, min_e=1)
+    cert = base_cert + resid
+    if split.p[order] - integrand != cert.differentiate():
         raise StructuralTheoremViolation(f"bookkeeping identity failed at order {order}")
-    return ReducedCorrection(order, kept, cert)
+    return ReducedCorrection(order, integrand, cert)
 
 
 @dataclass(frozen=True)
@@ -177,15 +156,14 @@ class QuantizationCondition:
     certificate 0).  The first-order coefficient always integrates to the
     constant pi, which converts the right-hand side from 2(n + 1/2) pi hbar
     to 2 n pi hbar.  ``dropped`` maps every other omitted (order, part) to
-    its derivative certificate.  ``series`` and ``split`` are the ones the
-    condition was built from and may run past max_order.
+    its derivative certificate.  ``series`` is the one the condition was
+    built from and may run past max_order.
     """
 
     max_order: int
     corrections: List[ReducedCorrection]
     dropped: Dict[Tuple[int, str], Expression]
     series: HbarSeries
-    split: SplitSeries
 
 
 def quantization_integrands(
@@ -206,18 +184,17 @@ def quantization_integrands(
     corrections = [ReducedCorrection(0, Expression.u_pow(1), Expression.zero())]
     dropped: Dict[Tuple[int, str], Expression] = {}
     for n in range(2, max_order + 1):
+        dropped[(n, "q")] = i_times(lseq.l[n - 1]).scale(HALF)
         if n % 2 == 0:
             corrections.append(reduce_even_order(n, split, lseq))
-            dropped[(n, "q")] = i_times(lseq.l[n - 1]).scale(HALF)
         else:
-            dropped[(n, "q")] = i_times(lseq.l[n - 1]).scale(HALF)
             p_cert = antiderivative(split.p[n])
             if p_cert is None:
                 raise StructuralTheoremViolation(
                     f"odd-order real part p_{n} has no derivative certificate"
                 )
             dropped[(n, "p")] = p_cert
-    return QuantizationCondition(max_order, corrections, dropped, s, split)
+    return QuantizationCondition(max_order, corrections, dropped, s)
 
 
 def reconstruction_residual(qc: QuantizationCondition) -> List[Expression]:

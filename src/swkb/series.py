@@ -257,7 +257,6 @@ class OrderReport:
 
 @dataclass
 class CheckReport:
-    name: str
     entries: List[OrderReport] = field(default_factory=list)
 
     @property
@@ -280,7 +279,7 @@ def generating_system_check(order: int, split: SplitSeries) -> CheckReport:
     """
     p, q = split.p, split.q
     F = F_factor()
-    report = CheckReport("generating-system")
+    report = CheckReport()
     for n in range(1, order + 1):
         conv_pp = Expression.zero()
         conv_qq = Expression.zero()
@@ -328,7 +327,7 @@ def imag_relation_check(order: int, split: SplitSeries) -> CheckReport:
     """
     R, I = real_imag_hbar_series(split, order)
     log_d = series_log_deriv(R, Expression.u_pow(-1), max(order - 1, 0))
-    report = CheckReport("imag-relation")
+    report = CheckReport()
     report.add(0, I[0].is_zero(), "vacuous")
     for m in range(1, order + 1):
         ok = I[m] == log_d[m - 1].scale(HALF)

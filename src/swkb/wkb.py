@@ -142,7 +142,7 @@ def log_term_expansion_check(sub: Substitution) -> CheckReport:
     with the antiderivative certificate written down explicitly."""
     expr = Expression.sym(1, 1, V_RING) * Expression.u_pow(-2, V_RING)
     got = sub.apply(expr)
-    report = CheckReport("log-term-expansion")
+    report = CheckReport()
     lead = (Expression.sym(0, 1) * Expression.sym(1, 1) * Expression.u_pow(-2)).scale(2)
     report.add(0, got[0] == lead, "leading term 2 f f' / u")
     base = Expression.sym(1, 1) * Expression.u_pow(-2)
@@ -173,7 +173,7 @@ def substitution_series_check(sub: Substitution, w: HbarSeries, s: HbarSeries) -
     of the shared identity)."""
     order = sub.order
     total = _substitute_orders(sub, dict(enumerate(w.coeffs[:order + 1])))
-    report = CheckReport("substituted-series")
+    report = CheckReport()
     for n in range(order + 1):
         report.add(n, total[n] == s.coeffs[n])
     return report
@@ -187,7 +187,7 @@ def substituted_condition_check(sub: Substitution, w: HbarSeries, s: HbarSeries)
     order = sub.order
     simp = simplify_wkb_condition(w, order)
     total = _substitute_orders(sub, {**simp.kept, 1: simp.first_order})
-    report = CheckReport("substituted-condition")
+    report = CheckReport()
     for n in range(order + 1):
         diff = total[n] - s.coeffs[n]
         if n <= 1:

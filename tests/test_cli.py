@@ -131,6 +131,28 @@ def test_oracle_json(capsys, cubic_config):
     assert abs(data["oracle"]["minus"]["eigenvalues"][0]) < 1e-6
 
 
+def test_oracle_text(capsys, cubic_config):
+    code, out = run(capsys, ["oracle", "--config", cubic_config, "--count", "3"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 8
+    assert lines[0].startswith("minus: grid X=") and lines[4].startswith("plus: grid X=")
+    for block in (lines[1:4], lines[5:8]):
+        assert [line.split("E =")[0] for line in block] == [f"  n= {n}  " for n in range(3)]
+
+
+def test_numerical_failure_exits_3(capsys, tmp_path):
+    # phi = x^2 - 1 has two classical regions at E = 1, which the contour
+    # rule does not handle: a numerical failure, not a crash
+    path = tmp_path / "double_well.json"
+    path.write_text(json.dumps({"coefficients": [-1, 0, 1], "hbar": 1}))
+    code = main(["quantize", "--config", str(path), "--order", "0", "--levels", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "numerical failure: 2 classical regions at E = 1.0\n"
+    assert captured.out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
@@ -195,7 +217,7 @@ def test_non_finite_config_values_are_usage_errors(capsys, tmp_path, command, co
 
 def test_missing_odd_certificate_in_wkb_fails_verify(capsys, monkeypatch):
     # a missing certificate is a structural failure: a FAIL line and exit 1
-    monkeypatch.setattr(wkb, "antiderivative", lambda a, max_widen=3: None)
+    monkeypatch.setattr(wkb, "antiderivative", lambda a: None)
     code, out = run(capsys, ["verify", "--order", "4"])
     assert code == 1
     assert "FAIL odd-order coefficient 3 unexpectedly not a derivative" in out

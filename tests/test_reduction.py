@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swkb.algebra import E_pow, Expression, phi, u_half
-from swkb.antiderivative import antiderivative
+from swkb.antiderivative import DerivativeSweep, _window_generators, antiderivative
 from swkb.errors import StructuralTheoremViolation
 from swkb.reduction import (
-    DerivativeSweep,
     decompose,
     known_integrand_order2,
     known_integrand_order4,
@@ -16,7 +15,6 @@ from swkb.reduction import (
     reconstruction_residual,
     reduce_even_order,
     reduce_via_pbar,
-    _sweep_generators,
     residual_sweep,
 )
 from swkb.series import SplitSeries
@@ -76,18 +74,18 @@ class TestReduceEvenOrder:
 
 class TestReduceViaPbar:
     def test_order0_zero_correction(self, split10, pbar8):
-        r0 = reduce_via_pbar(0, split10, pbar8)
+        r0 = reduce_via_pbar(0, split10, pbar8, Expression.zero())
         assert r0.integrand.is_zero()
 
     def test_routes_agree_exactly(self, split10, lseq9, pbar8):
         for order in (2, 4, 6, 8):
             ref = reduce_even_order(order, split10, lseq9)
-            alt = reduce_via_pbar(order, split10, pbar8)
-            assert alt.integrand == ref.integrand
+            alt = reduce_via_pbar(order, split10, pbar8, antiderivative(pbar8[order]))
+            assert alt == ref
 
     def test_given_certificate_is_rechecked(self, split10, pbar8):
+        # the correct certificate is accepted in test_routes_agree_exactly
         cert = antiderivative(pbar8[4])
-        assert reduce_via_pbar(4, split10, pbar8, pbar_cert=cert) == reduce_via_pbar(4, split10, pbar8)
         with pytest.raises(StructuralTheoremViolation):
             reduce_via_pbar(4, split10, pbar8, pbar_cert=cert + phi() * u_half(-1))
 
@@ -126,7 +124,7 @@ def test_residual_sweep_normal_form(x, min_e):
     kept, cert = residual_sweep(x, min_e=min_e)
     assert kept + cert.differentiate() == x
     if not x.is_zero():
-        pivots = {p for p, _, _ in DerivativeSweep(x.ring, _sweep_generators(x, min_e)).rows}
+        pivots = {p for p, _, _ in DerivativeSweep(x.ring, _window_generators(x, 1, min_e)).rows}
         assert not pivots & kept.terms.keys()
 
 
