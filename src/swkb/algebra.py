@@ -14,13 +14,14 @@ Two ring flavours are used:
   is eliminated entirely; it hosts the plain semiclassical series that gets
   substituted back into the main ring.
 
-Only raw input is normalized: ``Monomial(...)`` sorts and validates its
-factors, and ``Expression(ring, raw)`` applies the relation and merges.
-Arithmetic on canonical operands stays canonical without that pass: sums
-merge into a copy of the left term map, negation and nonzero scaling map
-coefficients one to one, and products and derivatives build their monomials
-from derivative tuples that are already sorted and positive, so only the
-relation step and the merge run on them.
+``Monomial(...)`` sorts and validates its factors.  Sums merge into a copy
+of the left term map, and negation and nonzero scaling map coefficients one
+to one, so they stay canonical.  Products, derivatives and
+``Expression(ring, raw)`` run on Gaussian integers: each operand is scaled
+by the lcm d of its denominators, every term product (or Leibniz term,
+doubled so that h/2 stays an integer) is summed per raw (derivs, h, e), and
+one fold applies the relation, merges, and divides by the common
+denominator once per surviving term.
 
 Everything here is immutable and pure; no floating point enters except in
 ``evaluate``.
@@ -31,10 +32,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import PoleError, UndefinedDegreeError
-from .gaussian import GR_I, GR_ONE, GaussianRational
+from .gaussian import _F_ZERO, GR_I, GR_ONE, GaussianRational
 
 SQRT_TOL = 1e-9  # relative mismatch allowed between sqrt_u**2 and u in ``evaluate``
 
@@ -160,7 +162,13 @@ class Expression:
 
     def __init__(self, ring: Ring, raw_terms: Iterable[Tuple[Monomial, GaussianRational]] = ()):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", _normalize(ring, raw_terms))
+        raw: Dict[tuple, list] = {}
+        given: Dict[tuple, Monomial] = {}
+        d, scaled = _scaled(raw_terms)
+        for m, x, y in scaled:
+            given[(m.derivs, m.h, m.e)] = m
+            _accumulate(raw, (m.derivs, m.h, m.e), x, y)
+        object.__setattr__(self, "terms", _fold(ring, raw, d, given))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
@@ -216,13 +224,17 @@ class Expression:
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         self._check(other)
-        mono = Monomial._canonical
-        raw = [
-            (mono(_merge_derivs(m1.derivs, m2.derivs), m1.h + m2.h, m1.e + m2.e), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-        ]
-        return Expression(self.ring, raw)
+        d1, left = _by_derivs(self.terms)
+        d2, right = _by_derivs(other.terms)
+        raw: Dict[tuple, list] = {}
+        for ds1, terms1 in left:
+            for ds2, terms2 in right:
+                ds = _merge_derivs(ds1, ds2)
+                for h1, e1, x1, y1 in terms1:
+                    for h2, e2, x2, y2 in terms2:
+                        _accumulate(raw, (ds, h1 + h2, e1 + e2),
+                                    x1 * x2 - y1 * y2, x1 * y2 + y1 * x2)
+        return Expression._canonical(self.ring, _fold(self.ring, raw, d1 * d2, {}))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -259,20 +271,19 @@ class Expression:
 
     def differentiate(self) -> "Expression":
         """d/dx with E constant: d f^(k) = f^(k+1), d u^(h/2) follows from
-        u' = -r f^(r-1) f'.  Exact Leibniz rule, result normalized."""
+        u' = -r f^(r-1) f'; Leibniz terms are doubled so h/2 stays integral."""
         r = self.ring.relation_power
-        mono = Monomial._canonical
-        raw: List[Tuple[Monomial, GaussianRational]] = []
-        for m, c in self.terms.items():
+        d, scaled = _scaled(self.terms.items())
+        raw: Dict[tuple, list] = {}
+        for m, x, y in scaled:
             for k, a in m.derivs:
                 ds = _with_exp(_with_exp(m.derivs, k, -1), k + 1, +1)
-                raw.append((mono(ds, m.h, m.e), c * a))
+                _accumulate(raw, (ds, m.h, m.e), 2 * a * x, 2 * a * y)
             if m.h != 0:
-                # (h/2) u^((h-2)/2) * (-r f^(r-1) f')
-                coeff = c * Fraction(-m.h * r, 2)
+                # 2 (h/2) u^((h-2)/2) * (-r f^(r-1) f')
                 ds = _with_exp(_with_exp(m.derivs, 0, r - 1), 1, +1)
-                raw.append((mono(ds, m.h - 2, m.e), coeff))
-        return Expression(self.ring, raw)
+                _accumulate(raw, (ds, m.h - 2, m.e), -m.h * r * x, -m.h * r * y)
+        return Expression._canonical(self.ring, _fold(self.ring, raw, 2 * d, {}))
 
     def diff_E(self) -> "Expression":
         """d/dE with x held fixed: the symbols do not move, u' = 1, so
@@ -458,22 +469,55 @@ def _merge(acc: Dict[Monomial, GaussianRational], pairs) -> Dict[Monomial, Gauss
     return acc
 
 
-def _normalize(ring: Ring, raw_terms) -> Dict[Monomial, GaussianRational]:
-    """Apply f^r = E - u until every bare-symbol exponent is < r, then merge."""
+def _scaled(pairs) -> Tuple[int, List[Tuple[Monomial, int, int]]]:
+    """(d, [(m, x, y)]) with x + i y = d c for each (m, c): d is the lcm of
+    every denominator, so x and y are integers."""
+    pairs = [(m, GaussianRational.coerce(c)) for m, c in pairs]
+    d = lcm(*(q.denominator for _, c in pairs for q in (c.re, c.im)))
+    return d, [(m, c.re.numerator * (d // c.re.denominator),
+                c.im.numerator * (d // c.im.denominator)) for m, c in pairs]
+
+
+def _by_derivs(terms: Dict[Monomial, GaussianRational]):
+    """``_scaled`` terms grouped by derivative tuple, as (d, [(derivs,
+    [(h, e, x, y)])]), so that a product merges each pair of tuples once."""
+    d, scaled = _scaled(terms.items())
+    groups: Dict[tuple, list] = {}
+    for m, x, y in scaled:
+        groups.setdefault(m.derivs, []).append((m.h, m.e, x, y))
+    return d, groups.items()
+
+
+def _accumulate(raw: Dict[tuple, list], key: tuple, x: int, y: int) -> None:
+    acc = raw.get(key)
+    if acc is None:
+        raw[key] = [x, y]
+    else:
+        acc[0] += x
+        acc[1] += y
+
+
+def _fold(ring: Ring, raw: Dict[tuple, list], d: int,
+          given: Dict[tuple, Monomial]) -> Dict[Monomial, GaussianRational]:
+    """Canonical terms of the sum of (x + i y)/d times each raw ``(derivs, h,
+    e): [x, y]``: f^(qr + s) = f^s (E - u)^q expands binomially into ``raw``,
+    equal monomials merge as integers, and each surviving term gets one
+    Fraction pair and the Monomial ``given`` for its key, if any."""
     r = ring.relation_power
-    reduced = []
-    stack = [(m, GaussianRational.coerce(c)) for m, c in raw_terms]
-    while stack:
-        m, c = stack.pop()
-        if c.is_zero():
-            continue
-        if m.deriv_exp(0) >= r:
-            ds = _with_exp(m.derivs, 0, -r)
-            stack.append((Monomial._canonical(ds, m.h, m.e + 1), c))
-            stack.append((Monomial._canonical(ds, m.h + 2, m.e), -c))
-        else:
-            reduced.append((m, c))
-    return _merge({}, reduced)
+    for ds, h, e in [key for key in raw if key[0] and key[0][0][0] == 0 and key[0][0][1] >= r]:
+        x, y = raw.pop((ds, h, e))
+        q, s = divmod(ds[0][1], r)
+        ds = ((0, s),) + ds[1:] if s else ds[1:]
+        for j in range(q + 1):
+            b = comb(q, j) * (-1) ** j
+            _accumulate(raw, (ds, h + 2 * j, e + q - j), b * x, b * y)
+    mono = Monomial._canonical
+    return {
+        given.get(key) or mono(*key): GaussianRational(Fraction(x, d) if x else _F_ZERO,
+                                                        Fraction(y, d) if y else _F_ZERO)
+        for key, (x, y) in raw.items()
+        if x or y
+    }
 
 
 def _half_str(h: int) -> str:

@@ -22,6 +22,7 @@ from swkb.algebra import (
 )
 from swkb.errors import PoleError, UndefinedDegreeError
 from swkb.gaussian import GaussianRational, gr
+from swkb.series import generate_series
 
 from conftest import coefficients, ring_expressions
 
@@ -252,13 +253,17 @@ class TestGaussianRational:
 
 # -- the exact kernel against textbook definitions ---------------------------
 #
-# Arithmetic on canonical expressions skips renormalization, so each result
-# is compared with the public constructor applied to the textbook raw term
-# list, and checked to be canonical itself.  Coefficient products use the
-# textbook formula, not GaussianRational.__mul__.
+# Products, derivatives and the raw constructor share one integer kernel, so
+# the oracle stays out of it: each result's term dict is compared with the
+# textbook raw term list folded by f^r = E - u one step at a time and merged
+# in Fraction arithmetic here, and checked to be canonical itself.
+# Coefficient products use the textbook formula, not GaussianRational.__mul__.
 
 
 def gr_parts(x):
+    """(re, im) of a GaussianRational, a rational, or an (re, im) pair."""
+    if isinstance(x, tuple):
+        return x
     return (x.re, x.im) if isinstance(x, GaussianRational) else (Fr(x), Fr(0))
 
 
@@ -270,18 +275,39 @@ TEXTBOOK = {
 
 
 def textbook_mul(x, y):
-    return GaussianRational(*TEXTBOOK[operator.mul](*gr_parts(x), *gr_parts(y)))
+    return TEXTBOOK[operator.mul](*gr_parts(x), *gr_parts(y))
 
 
 def merged_derivs(*parts):
     total = Counter()
     for derivs in parts:
         total.update(dict(derivs))
-    return total.items()
+    return tuple(sorted((k, a) for k, a in total.items() if a))
+
+
+def term_dict(x):
+    return {(m.derivs, m.h, m.e): (c.re, c.im) for m, c in x.terms.items()}
+
+
+def textbook_terms(ring, raw):
+    """The term dict of sum c * m over raw (m, c) pairs: f^r = E - u applied
+    one step at a time, then equal monomials merged, all in Fraction pairs."""
+    r = ring.relation_power
+    merged = {}
+    todo = [(merged_derivs(m.derivs), m.h, m.e, gr_parts(c)) for m, c in raw]
+    while todo:
+        ds, h, e, (re, im) = todo.pop()
+        if dict(ds).get(0, 0) >= r:
+            rest = merged_derivs(ds, [(0, -r)])
+            todo += [(rest, h, e + 1, (re, im)), (rest, h + 2, e, (-re, -im))]
+            continue
+        old = merged.get((ds, h, e), (Fr(0), Fr(0)))
+        merged[(ds, h, e)] = (old[0] + re, old[1] + im)
+    return {key: c for key, c in merged.items() if c != (0, 0)}
 
 
 def textbook_product(a, b):
-    return Expression(a.ring, [
+    return textbook_terms(a.ring, [
         (Monomial(merged_derivs(m1.derivs, m2.derivs), m1.h + m2.h, m1.e + m2.e),
          textbook_mul(c1, c2))
         for m1, c1 in a.terms.items() for m2, c2 in b.terms.items()
@@ -299,7 +325,7 @@ def textbook_derivative(x):
             # (h/2) u^((h-2)/2) * (-r f^(r-1) f')
             raw.append((Monomial(merged_derivs(m.derivs, [(0, r - 1), (1, 1)]), m.h - 2, m.e),
                         textbook_mul(c, Fr(-m.h * r, 2))))
-    return Expression(x.ring, raw)
+    return textbook_terms(x.ring, raw)
 
 
 def assert_canonical(x):
@@ -340,7 +366,7 @@ class TestCanonicalKernel:
             (-a, [(m, textbook_mul(c, -1)) for m, c in a.terms.items()]),
         ]
         for got, raw in cases:
-            assert got == Expression(a.ring, raw)
+            assert term_dict(got) == textbook_terms(a.ring, raw)
             assert_canonical(got)
 
     @examples(60)
@@ -348,7 +374,7 @@ class TestCanonicalKernel:
     def test_product(self, pair):
         a, b = pair
         got = a * b
-        assert got == textbook_product(a, b)
+        assert term_dict(got) == textbook_product(a, b)
         assert_canonical(got)
 
     @examples(60)
@@ -356,7 +382,8 @@ class TestCanonicalKernel:
     def test_scale(self, pair, c):
         a, _ = pair
         got = a.scale(c)
-        assert got == Expression(a.ring, [(m, textbook_mul(cc, c)) for m, cc in a.terms.items()])
+        assert term_dict(got) == textbook_terms(a.ring, [(m, textbook_mul(cc, c))
+                                                         for m, cc in a.terms.items()])
         assert_canonical(got)
 
     @examples(60)
@@ -364,7 +391,7 @@ class TestCanonicalKernel:
     def test_derivative(self, pair):
         a, _ = pair
         got = a.differentiate()
-        assert got == textbook_derivative(a)
+        assert term_dict(got) == textbook_derivative(a)
         assert_canonical(got)
 
     @examples(100)
@@ -377,3 +404,60 @@ class TestCanonicalKernel:
                 assert isinstance(got, GaussianRational)
                 assert (got.re, got.im) == formula(a, b, c, d)
                 assert type(got.re) is Fr and type(got.im) is Fr
+
+
+@pytest.fixture(scope="module", params=[PHI_RING, V_RING], ids=["phi", "V"])
+def series12(request):
+    return generate_series(12, "minus", request.param)
+
+
+class TestKernelOnRealInputs:
+    def test_series_products(self, series12):
+        # the order-12 coefficients carry power-of-two denominators up to
+        # 2^22 (phi ring) and 2^34 (V ring)
+        c = series12.coeffs
+        dens = {q.denominator for x in c for cc in x.terms.values() for q in (cc.re, cc.im)}
+        assert max(dens) >= 2 ** 22
+        for n in range(2, 13):
+            for k in range(1, n // 2 + 1):
+                got = c[k] * c[n - k]
+                assert term_dict(got) == textbook_product(c[k], c[n - k])
+                assert_canonical(got)
+
+    def test_series_derivatives(self, series12):
+        for x in series12.coeffs:
+            got = x.differentiate()
+            assert term_dict(got) == textbook_derivative(x)
+            assert_canonical(got)
+
+    @pytest.mark.parametrize("ring", [PHI_RING, V_RING], ids=["phi", "V"])
+    def test_raw_constructor_coefficient_types(self, ring):
+        m1, m2 = Monomial([(1, 2)], h=-3), Monomial([(0, 3), (2, 1)], h=1, e=-1)
+        raw = [(m1, 3), (m2, Fr(5, 6)), (m1, gr(Fr(-1, 4), Fr(2, 3))),
+               (Monomial(e=2), gr(0, Fr(1, 9))), (m2, -2)]
+        got = Expression(ring, raw)
+        assert term_dict(got) == textbook_terms(ring, raw)
+        assert_canonical(got)
+
+    def test_product_cancellation(self):
+        # the ring is an integral domain, so only a zero factor makes a
+        # product vanish; (f + i u^(1/2)) (f - i u^(1/2)) / E = 1 cancels
+        # every other raw product, one of them only after the fold
+        lead = phi() + i_times(u_half(1))
+        inverse = (phi() - i_times(u_half(1))) * E_pow(-1)
+        assert (lead * inverse).terms == {Monomial(): GaussianRational(1)}
+        assert (lead * Expression.zero()).terms == {}
+        assert (Expression.zero(V_RING) * Expression.sym(1, 2, V_RING)).terms == {}
+        relation = [(Monomial([(0, 2)]), 1), (Monomial(e=1), -1), (Monomial(h=2), 1)]
+        assert Expression(PHI_RING, relation).terms == {}
+
+    def test_relation_folds_twice(self):
+        # phi^5 phi' = phi (E - u)^2 phi' and V^2 V' = (E - u)^2 V'
+        for ring, a0, rest in ((PHI_RING, 5, ((0, 1), (1, 1))), (V_RING, 2, ((1, 1),))):
+            got = Expression(ring, [(Monomial([(0, a0), (1, 1)]), Fr(1, 3))])
+            assert term_dict(got) == {
+                (rest, 0, 2): (Fr(1, 3), Fr(0)),
+                (rest, 2, 1): (Fr(-2, 3), Fr(0)),
+                (rest, 4, 0): (Fr(1, 3), Fr(0)),
+            }
+            assert_canonical(got)

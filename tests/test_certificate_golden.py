@@ -5,7 +5,8 @@ come from the residual sweep; these cover the certificates of the imaginary
 parts and of the dropped odd-order real parts.  The ``verify --order 8``
 fingerprint covers the whole exact property suite, and the ``reduce
 --max-order 10`` fingerprint the residual sweeps' longer elimination chains
-past the benchmark's order 8.
+past the benchmark's order 8.  The ``series --order 12`` fingerprint covers
+the longest products and derivatives of the exact ring arithmetic.
 """
 
 import hashlib
@@ -27,6 +28,8 @@ DROPPED8_SHA256 = "0c3b15605c6f995e8cbccba69357f962614c8a66e6e0f880c5177bb932168
 VERIFY8_SHA256 = "608a9c1925a240becc8e739c218f040c79ca05b7b12eca647eed46933ab18341"
 # The reduced integrands and their certificates through order 10.
 REDUCE10_SHA256 = "2bd4a825b6a18a1988226567e0429b13f2dbb02fac1454e77ce9f5d348cf5f02"
+# Every series coefficient and its parts through order 12.
+SERIES12_SHA256 = "883ee894cac88f58479422276f81e32575837f278b48f74eeef4bffc7865f691"
 
 
 def test_golden_series_certificates(capsys):
@@ -49,3 +52,8 @@ def test_golden_verify_report(capsys):
 def test_golden_reduce_order10(capsys):
     assert main(["reduce", "--max-order", "10", "--format", "json"]) == 0
     assert _sha256(capsys.readouterr().out) == REDUCE10_SHA256
+
+
+def test_golden_series_order12(capsys):
+    assert main(["series", "--order", "12", "--format", "json"]) == 0
+    assert _sha256(capsys.readouterr().out) == SERIES12_SHA256

@@ -264,6 +264,18 @@ def test_verify_builds_each_series_once(monkeypatch):
     assert len(lseq_calls) == 1
 
 
+def test_verify_reuses_the_odd_imaginary_certificates(monkeypatch):
+    # q_3 and q_5 are checked against (i/2) l[n-1]; the command searches
+    # only the log-fixed-point coefficients p-bar_2 .. p-bar_6
+    searched = []
+    original = swkb.cli.antiderivative
+    monkeypatch.setattr(swkb.cli, "antiderivative",
+                        lambda a: searched.append(a) or original(a))
+    lines = _verify_lines(6, False)
+    assert "PASS odd imaginary part q_5 is a total derivative" in lines
+    assert len(searched) == 5
+
+
 @pytest.mark.parametrize("levels", [2, 0])
 def test_compare_solves_each_root_once(capsys, cubic_config, monkeypatch, levels):
     # --levels 0 also solves level 1, for the degeneracy row n = 1
