@@ -21,7 +21,9 @@ to one, so they stay canonical.  Products, derivatives and
 by the lcm d of its denominators, every term product (or Leibniz term,
 doubled so that h/2 stays an integer) is summed per raw (derivs, h, e), and
 one fold applies the relation, merges, and divides by the common
-denominator once per surviving term.
+denominator once per surviving term.  ``Expression.sum_of_products`` is the
+one product loop: it sums w*a*b over weighted pairs, so a whole series
+convolution folds once, and ``a * b`` is its one-triple case.
 
 Everything here is immutable and pure; no floating point enters except in
 ``evaluate``.
@@ -209,11 +211,11 @@ class Expression:
     # -- ring arithmetic -------------------------------------------------
 
     def __add__(self, other: "Expression") -> "Expression":
-        self._check(other)
+        _check(self.ring, other)
         return Expression._canonical(self.ring, _merge(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Expression") -> "Expression":
-        self._check(other)
+        _check(self.ring, other)
         negated = ((m, -c) for m, c in other.terms.items())
         return Expression._canonical(self.ring, _merge(dict(self.terms), negated))
 
@@ -223,18 +225,35 @@ class Expression:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
-        self._check(other)
-        d1, left = _by_derivs(self.terms)
-        d2, right = _by_derivs(other.terms)
+        return Expression.sum_of_products(self.ring, [(1, self, other)])
+
+    @staticmethod
+    def sum_of_products(ring: Ring, triples: Iterable[tuple]) -> "Expression":
+        """sum w*a*b over (w, a, b) triples with rational weights w, the one
+        product loop of the ring: every operand is scaled to Gaussian
+        integers, every term product is summed as an int pair per raw
+        (derivs, h, e) over the common denominator D of all the products,
+        and one fold follows."""
+        scaled = []
+        for w, a, b in triples:
+            _check(ring, a)
+            _check(ring, b)
+            w = Fraction(w)
+            da, left = _by_derivs(a.terms)
+            db, right = _by_derivs(b.terms)
+            scaled.append((w.numerator, w.denominator * da * db, left, right))
+        d = lcm(*(dd for _, dd, _, _ in scaled))
         raw: Dict[tuple, list] = {}
-        for ds1, terms1 in left:
-            for ds2, terms2 in right:
-                ds = _merge_derivs(ds1, ds2)
-                for h1, e1, x1, y1 in terms1:
-                    for h2, e2, x2, y2 in terms2:
-                        _accumulate(raw, (ds, h1 + h2, e1 + e2),
-                                    x1 * x2 - y1 * y2, x1 * y2 + y1 * x2)
-        return Expression._canonical(self.ring, _fold(self.ring, raw, d1 * d2, {}))
+        for w, dd, left, right in scaled:
+            w *= d // dd
+            for ds1, terms1 in left:
+                for ds2, terms2 in right:
+                    ds = _merge_derivs(ds1, ds2)
+                    for h1, e1, x1, y1 in terms1:
+                        for h2, e2, x2, y2 in terms2:
+                            _accumulate(raw, (ds, h1 + h2, e1 + e2),
+                                        w * (x1 * x2 - y1 * y2), w * (x1 * y2 + y1 * x2))
+        return Expression._canonical(ring, _fold(ring, raw, d, {}))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -247,12 +266,6 @@ class Expression:
             return Expression(self.ring)
         # a product of nonzero Gaussian rationals is nonzero
         return Expression._canonical(self.ring, {m: cc * c for m, cc in self.terms.items()})
-
-    def _check(self, other: "Expression"):
-        if not isinstance(other, Expression):
-            raise TypeError(f"expected Expression, got {type(other).__name__}")
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise ValueError(f"ring mismatch: {self.ring.name} vs {other.ring.name}")
 
     def __eq__(self, other):
         return (
@@ -299,15 +312,12 @@ class Expression:
         return Expression._canonical(self.ring, _merge({}, raw))
 
     def split_real_imag(self) -> Tuple["Expression", "Expression"]:
-        """(re, im) with all symbols treated as real; self == re + i*im."""
-        re_terms = []
-        im_terms = []
-        for m, c in self.terms.items():
-            if c.re != 0:
-                re_terms.append((m, GaussianRational(c.re)))
-            if c.im != 0:
-                im_terms.append((m, GaussianRational(c.im)))
-        return Expression(self.ring, re_terms), Expression(self.ring, im_terms)
+        """(re, im) with all symbols treated as real; self == re + i*im.
+        The monomials are already canonical, so no fold runs."""
+        items = self.terms.items()
+        re = {m: GaussianRational(c.re, _F_ZERO) for m, c in items if c.re}
+        im = {m: GaussianRational(c.im, _F_ZERO) for m, c in items if c.im}
+        return Expression._canonical(self.ring, re), Expression._canonical(self.ring, im)
 
     # -- structure queries -------------------------------------------------
 
@@ -354,8 +364,9 @@ class Expression:
 
     def shift_e(self, delta: int) -> "Expression":
         """Multiply by E^delta (exact exponent shift)."""
-        return Expression(
-            self.ring, [(Monomial(m.derivs, m.h, m.e + delta), c) for m, c in self.terms.items()]
+        mono = Monomial._canonical
+        return Expression._canonical(
+            self.ring, {mono(m.derivs, m.h, m.e + delta): c for m, c in self.terms.items()}
         )
 
     def term_count(self) -> int:
@@ -451,6 +462,13 @@ class Expression:
 
     def __repr__(self):
         return f"<Expr[{self.ring.name}] {self.to_text()}>"
+
+
+def _check(ring: Ring, x: "Expression") -> None:
+    if not isinstance(x, Expression):
+        raise TypeError(f"expected Expression, got {type(x).__name__}")
+    if x.ring is not ring and x.ring != ring:
+        raise ValueError(f"ring mismatch: {ring.name} vs {x.ring.name}")
 
 
 def _merge(acc: Dict[Monomial, GaussianRational], pairs) -> Dict[Monomial, GaussianRational]:

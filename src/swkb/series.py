@@ -22,15 +22,9 @@ HALF = Fraction(1, 2)
 
 
 def series_mul(a: List[Expression], b: List[Expression], order: int) -> List[Expression]:
-    ring = a[0].ring
-    out = []
-    for n in range(order + 1):
-        acc = Expression.zero(ring)
-        for k in range(n + 1):
-            if k < len(a) and n - k < len(b):
-                acc = acc + a[k] * b[n - k]
-        out.append(acc)
-    return out
+    return [Expression.sum_of_products(a[0].ring, [(1, a[k], b[n - k]) for k in range(n + 1)
+                                                   if k < len(a) and n - k < len(b)])
+            for n in range(order + 1)]
 
 
 def _log_deriv_term(a: List[Expression], L: List[Expression], lead_inv: Expression,
@@ -40,9 +34,10 @@ def _log_deriv_term(a: List[Expression], L: List[Expression], lead_inv: Expressi
         a_0 L_n = a_n' - sum_{k=1}^{n} a_k L_(n-k),
 
     where ``lead_inv`` is 1/a_0 and coefficients past ``len(a)`` are zero."""
-    acc = a[n].differentiate() if n < len(a) else Expression.zero(a[0].ring)
-    for k in range(1, min(n, len(a) - 1) + 1):
-        acc = acc - a[k] * L[n - k]
+    acc = Expression.sum_of_products(a[0].ring, [(-1, a[k], L[n - k])
+                                                 for k in range(1, min(n, len(a) - 1) + 1)])
+    if n < len(a):
+        acc = acc + a[n].differentiate()
     return lead_inv * acc
 
 
@@ -81,10 +76,8 @@ class HbarSeries:
         zero exactly when the recursion is consistent at that order."""
         ring = self.ring
         c = self.coeffs
-        acc = Expression.zero(ring)
-        for k in range(n + 1):
-            if k <= self.order and n - k <= self.order:
-                acc = acc + c[k] * c[n - k]
+        acc = Expression.sum_of_products(ring, [(1, c[k], c[n - k]) for k in range(n + 1)
+                                                if k <= self.order and n - k <= self.order])
         if n == 0:
             return acc - Expression.u_pow(2, ring)
         acc = acc + c[n - 1].differentiate()
@@ -138,13 +131,10 @@ def generate_series(order: int, sign: str = "minus", ring: Ring = PHI_RING) -> H
     for n in range(1, order + 1):
         # each product c_k c_(n-k) once: twice the k < n - k half, plus
         # the middle square when n is even
-        acc = Expression.zero(ring)
-        for k in range(1, (n + 1) // 2):
-            acc = acc + coeffs[k] * coeffs[n - k]
-        acc = acc.scale(2)
+        pairs = [(-2, coeffs[k], coeffs[n - k]) for k in range(1, (n + 1) // 2)]
         if n % 2 == 0:
-            acc = acc + coeffs[n // 2] * coeffs[n // 2]
-        acc = -acc - coeffs[n - 1].differentiate()
+            pairs.append((-1, coeffs[n // 2], coeffs[n // 2]))
+        acc = Expression.sum_of_products(ring, pairs) - coeffs[n - 1].differentiate()
         if n == 1 and ring.relation_power == 2:
             src = Expression.sym(1, 1, ring).scale(GR_I)
             acc = acc + src if sign == "minus" else acc - src
@@ -184,9 +174,8 @@ def l_sequence(order: int, s: HbarSeries) -> LSequence:
     inv = inverse_lead_factor()
     l: List[Optional[Expression]] = [None]
     for n in range(1, order + 1):
-        inner = s.coeffs[n].scale(n)
-        for m in range(0, n - 1):
-            inner = inner - (l[m + 1] * s.coeffs[n - 1 - m]).scale(m + 1)
+        inner = s.coeffs[n].scale(n) + Expression.sum_of_products(
+            s.ring, [(-(m + 1), l[m + 1], s.coeffs[n - 1 - m]) for m in range(n - 1)])
         l.append(i_times(inv * inner).scale(Fraction(1, n)))
     return LSequence(l)
 
@@ -281,15 +270,12 @@ def generating_system_check(order: int, split: SplitSeries) -> CheckReport:
     F = F_factor()
     report = CheckReport()
     for n in range(1, order + 1):
-        conv_pp = Expression.zero()
-        conv_qq = Expression.zero()
-        conv_pq = Expression.zero()
-        for k in range(n + 1):
-            conv_pp = conv_pp + p[k] * p[n - k]
-            conv_qq = conv_qq + q[k] * q[n - k]
-            conv_pq = conv_pq + p[k] * q[n - k]
-        r1 = p[n - 1].differentiate() + conv_pp - conv_qq
-        r2 = q[n - 1].differentiate() + conv_pq.scale(2)
+        ks = range(n + 1)
+        conv_pp_qq = Expression.sum_of_products(
+            PHI_RING, [(1, p[k], p[n - k]) for k in ks] + [(-1, q[k], q[n - k]) for k in ks])
+        conv_2pq = Expression.sum_of_products(PHI_RING, [(2, p[k], q[n - k]) for k in ks])
+        r1 = p[n - 1].differentiate() + conv_pp_qq
+        r2 = q[n - 1].differentiate() + conv_2pq
         if n == 1:
             r2 = r2 - Expression.sym(1, 1)
         efq = p[n] - F * q[n]

@@ -352,7 +352,27 @@ def operand_pairs(draw):
     return a, Expression(ring, shared + list(b.terms.items()))
 
 
-scalars = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6), coefficients)
+weights = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6))
+scalars = st.one_of(weights, coefficients)
+
+
+@st.composite
+def weighted_triples(draw):
+    """(ring, [(w, a, b)]) with int and Fraction weights of both signs."""
+    ring = draw(st.sampled_from([PHI_RING, V_RING]))
+    exprs = ring_expressions(ring, max_terms=3)
+    return ring, draw(st.lists(st.tuples(weights, exprs, exprs), max_size=4))
+
+
+def textbook_sum_of_products(triples):
+    """sum w * textbook_product(a, b), merged in Fraction pairs."""
+    total = {}
+    for w, a, b in triples:
+        for key, c in textbook_product(a, b).items():
+            re, im = textbook_mul(c, w)
+            old = total.get(key, (Fr(0), Fr(0)))
+            total[key] = (old[0] + re, old[1] + im)
+    return {key: c for key, c in total.items() if c != (0, 0)}
 
 
 class TestCanonicalKernel:
@@ -376,6 +396,56 @@ class TestCanonicalKernel:
         got = a * b
         assert term_dict(got) == textbook_product(a, b)
         assert_canonical(got)
+
+    @examples(60)
+    @given(weighted_triples())
+    def test_sum_of_products(self, ring_triples):
+        ring, triples = ring_triples
+        got = Expression.sum_of_products(ring, triples)
+        assert got.ring == ring
+        assert term_dict(got) == textbook_sum_of_products(triples)
+        assert_canonical(got)
+
+    @examples(40)
+    @given(operand_pairs(), weights)
+    def test_sum_of_products_cancels_across_triples(self, pair, w):
+        # b repeats some terms of a, so a*a + a*b cancels in part, and the
+        # last two sums cancel whole
+        a, b = pair
+        for triples in ([(w, a, a), (w, a, b)], [(w, a, b), (-w, b, a)],
+                        [(w, a, b), (w, b, a), (-2 * w, a, b)]):
+            got = Expression.sum_of_products(a.ring, triples)
+            assert term_dict(got) == textbook_sum_of_products(triples)
+            assert_canonical(got)
+
+    def test_sum_of_products_series_convolutions(self, series12):
+        # the recursion's halved convolution, -2 * sum_(k < n-k) c_k c_(n-k)
+        # minus the middle square, through order 12, and the residual's
+        # full one at order 12
+        c = series12.coeffs
+        cases = [[(1, c[k], c[12 - k]) for k in range(13)]]
+        for n in range(2, 13):
+            cases.append([(-2, c[k], c[n - k]) for k in range(1, (n + 1) // 2)])
+            if n % 2 == 0:
+                cases[-1].append((-1, c[n // 2], c[n // 2]))
+        for triples in cases:
+            got = Expression.sum_of_products(series12.ring, triples)
+            assert term_dict(got) == textbook_sum_of_products(triples)
+            assert_canonical(got)
+
+    @pytest.mark.parametrize("ring", [PHI_RING, V_RING], ids=["phi", "V"])
+    def test_sum_of_products_of_no_triples(self, ring):
+        got = Expression.sum_of_products(ring, [])
+        assert got.ring is ring and got.terms == {}
+
+    def test_sum_of_products_checks_operands(self):
+        v = Expression.sym(1, 1, V_RING)
+        with pytest.raises(ValueError):
+            Expression.sum_of_products(PHI_RING, [(1, phi(), v)])
+        with pytest.raises(ValueError):
+            Expression.sum_of_products(PHI_RING, [(1, v, v)])
+        with pytest.raises(TypeError):
+            Expression.sum_of_products(PHI_RING, [(1, phi(), 3)])
 
     @examples(60)
     @given(operand_pairs(), scalars)

@@ -3,7 +3,9 @@
 The benchmark fingerprints cover the ``reduce`` output, whose certificates
 come from the residual sweep; these cover the certificates of the imaginary
 parts and of the dropped odd-order real parts.  The ``verify --order 8``
-fingerprint covers the whole exact property suite, and the ``reduce
+fingerprint covers the whole exact property suite, the ``verify --order 10``
+one its longer convolutions (the l-sequence, the log-derivative recurrences
+and the potential-ring substitution past order 8), and the ``reduce
 --max-order 10`` fingerprint the residual sweeps' longer elimination chains
 past the benchmark's order 8.  The ``series --order 12`` fingerprint covers
 the longest products and derivatives of the exact ring arithmetic.
@@ -26,6 +28,9 @@ SERIES8_CERTIFICATES_SHA256 = "96dcd9ddbe75f38230c92638d0a38a46946e90a851359ba58
 DROPPED8_SHA256 = "0c3b15605c6f995e8cbccba69357f962614c8a66e6e0f880c5177bb93216821f"
 # The whole ``verify --order 8`` report: every PASS line of the exact suite.
 VERIFY8_SHA256 = "608a9c1925a240becc8e739c218f040c79ca05b7b12eca647eed46933ab18341"
+# The same report through order 10, recorded before the series convolutions
+# moved to ``Expression.sum_of_products``.
+VERIFY10_SHA256 = "f70b1f31da8f1628eba1c67662080bd44843fe1545cc11f420ce4a766b3a6a3a"
 # The reduced integrands and their certificates through order 10.
 REDUCE10_SHA256 = "2bd4a825b6a18a1988226567e0429b13f2dbb02fac1454e77ce9f5d348cf5f02"
 # Every series coefficient and its parts through order 12.
@@ -47,6 +52,11 @@ def test_golden_dropped_certificates(series10, split10, lseq9):
 def test_golden_verify_report(capsys):
     assert main(["verify", "--order", "8"]) == 0
     assert _sha256(capsys.readouterr().out) == VERIFY8_SHA256
+
+
+def test_golden_verify_report_order10(capsys):
+    assert main(["verify", "--order", "10"]) == 0
+    assert _sha256(capsys.readouterr().out) == VERIFY10_SHA256
 
 
 def test_golden_reduce_order10(capsys):

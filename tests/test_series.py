@@ -8,6 +8,7 @@ from swkb.algebra import E_pow, Expression, i_times, phi, u_half
 from swkb.antiderivative import antiderivative
 from swkb.errors import StructuralTheoremViolation
 from swkb.series import (
+    HbarSeries,
     SplitSeries,
     check_l_identity,
     generate_series,
@@ -47,6 +48,17 @@ class TestGeneration:
             assert series10.riccati_residual(n).is_zero()
         for n in range(9):
             assert plus8.riccati_residual(n).is_zero()
+
+    def test_riccati_residuals_catch_a_broken_coefficient(self, series10, plus8):
+        # negative control: the residual forms its own products over all k,
+        # so one wrong term in c_5 shows at both orders that use c_5
+        for s in (series10, plus8):
+            coeffs = list(s.coeffs)
+            coeffs[5] = coeffs[5] + phi(2) * u_half(-2)
+            broken = HbarSeries(coeffs, s.sign)
+            assert broken.riccati_residual(4).is_zero()
+            assert not broken.riccati_residual(5).is_zero()
+            assert not broken.riccati_residual(6).is_zero()
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
