@@ -33,14 +33,16 @@ class GridSpec:
             raise ValueError("half width must be positive")
 
 
-def _solve_grid(V: Callable, X: float, n_interior: int, count: int, hbar: float):
+def _solve_grid(V: Callable, X: float, n_interior: int, count: int, hbar: float,
+                vectors: bool = True):
+    """Lowest ``count`` eigenvalues on ``n_interior`` points, and eigenvectors if ``vectors``."""
     x = np.linspace(-X, X, n_interior + 2)[1:-1]
     dx = x[1] - x[0]
     kin = hbar * hbar / (dx * dx)
     diag = 2.0 * kin + np.asarray(V(x), dtype=float)
     off = np.full(n_interior - 1, -kin)
-    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-    return w, v
+    return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
+                            select_range=(0, count - 1))
 
 
 def eigenvalues(
@@ -59,7 +61,7 @@ def eigenvalues(
     """
     if count > grid.points // 4:
         raise ValueError("count too large for the grid")
-    w1, _ = _solve_grid(V, grid.half_width, grid.points, count, hbar)
+    w1 = _solve_grid(V, grid.half_width, grid.points, count, hbar, vectors=False)
     if not richardson and not check_decay:
         return w1
     n2 = 2 * grid.points + 1

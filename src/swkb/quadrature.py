@@ -35,6 +35,10 @@ ETA_FREE = math.acosh(2.0)  # elliptic radius of the contour when no root is exc
 # 0.6 leaves phi = x^5/5 unsettled at E = 0.3 and 0.8 takes phi = x^3/3 to 1024 samples
 ROOT_SHARE = 0.7
 SUM_BLOCK = 4096  # sample points per block of monomial evaluation
+# samples the contraction sums in sequence before numpy adds the chunk sums
+# pairwise: on low-energy order-8 rows, chunks of 128 nearly double the
+# roundoff and one sum per block has ten times it; chunks of 32 cost 1.5x
+CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -215,39 +219,53 @@ class IntegralResult:
 class IntegrandTable:
     """Several integrands compiled for one shared quadrature pass.
 
-    The distinct monomials of all integrands are stored once, as exponent
-    data over a stack of powers that is evaluated once per sample set and
-    shared by every monomial and row.  ``factors`` is the sorted tuple of
-    the distinct powers (base, a) the monomials use: base j < len(orders)
-    is phi^(orders[j]), base len(orders) is sqrt(u), the only base with a
-    negative a.  Stack row 0 is the constant 1 and row i + 1 is
-    ``factors[i]``.  Monomial m is E^e[m] times the product of the stack
-    rows ``factor_index[m]`` (padded with row 0) and carries sqrt(u)^h[m].
+    Monomial m is E^e[m] times a phi part (powers of the phi^(k), k in
+    ``orders``) times sqrt(u)^h[m]; each distinct part and power is
+    evaluated once per sample set.  Row 0 is the constant 1 and rows from 1
+    on are the rungs of one multiplication ladder per entry of ``orders``,
+    ``ladder[j]`` rungs for phi^(orders[j]).  Part p is the product of the
+    rows ``parts[p]`` (padded with row 0); monomial m is part
+    ``part_index[m]`` times sqrt(u)^``powers[power_index[m]]``.
     ``coeffs[r, m]`` is the coefficient of monomial m in integrand r.
     """
 
     orders: Tuple[int, ...]
-    factors: Tuple[Tuple[int, int], ...]
+    ladder: Tuple[int, ...]
+    parts: np.ndarray
+    powers: np.ndarray
+    part_index: np.ndarray
+    power_index: np.ndarray
     h: np.ndarray
     e: np.ndarray
     coeffs: np.ndarray
-    factor_index: np.ndarray
 
     def monomial_sums(self, phi_vals: np.ndarray, s: np.ndarray, dz: np.ndarray) -> np.ndarray:
-        """sum_j m(z_j) dz_j for every monomial m, without its E factor;
-        ``phi_vals`` holds one row per entry of ``orders``.  Points are taken
-        in blocks so that memory stays bounded at large sample counts."""
-        base, power = np.array(self.factors, dtype=int).reshape(-1, 2).T
-        total = np.zeros(len(self.h), dtype=complex)
+        """M[p, k] = sum_j part_p(z_j) s_j^powers[k] dz_j for every phi part
+        and sqrt(u) power: monomial m sums to M[part_index[m], power_index[m]]
+        without its E factor.  ``phi_vals`` holds one row per entry of
+        ``orders``.  Points are taken in blocks so that memory stays bounded
+        at large sample counts, and contracted in chunks of CHUNK samples
+        (one chunk where CHUNK does not divide the block)."""
+        lo, hi = self.powers.min(initial=0), self.powers.max(initial=0)
+        total = np.zeros((len(self.parts), len(self.powers)), dtype=complex)
         for j in range(0, len(s), SUM_BLOCK):
-            bases = np.vstack([phi_vals[:, j:j + SUM_BLOCK], s[j:j + SUM_BLOCK]])
-            stack = np.empty((1 + len(base), bases.shape[1]), dtype=complex)
-            stack[0] = 1.0
-            stack[1:] = bases[base] ** power[:, None]
-            vals = stack[self.factor_index[:, 0]] * dz[j:j + SUM_BLOCK]
-            for col in self.factor_index.T[1:]:
-                vals *= stack[col]
-            total += vals.sum(axis=1)
+            phi_b, s_b, dz_b = phi_vals[:, j:j + SUM_BLOCK], s[j:j + SUM_BLOCK], dz[j:j + SUM_BLOCK]
+            n = len(s_b)
+            rungs = [np.ones(n, dtype=complex)]
+            for row, height in zip(phi_b, self.ladder):
+                for a in range(height):
+                    rungs.append(rungs[-1] * row if a else row)
+            part = np.prod(np.array(rungs)[self.parts], axis=1)
+            # row i is s^(lo + i): from s^0 = 1, up by s and down by 1/s
+            ladder, inv = np.ones((1 + hi - lo, n), dtype=complex), 1.0 / s_b
+            for i in range(1 - lo, len(ladder)):
+                np.multiply(ladder[i - 1], s_b, out=ladder[i])
+            for i in range(-lo - 1, -1, -1):
+                np.multiply(ladder[i + 1], inv, out=ladder[i])
+            sq = ladder[self.powers - lo] * dz_b
+            chunks = (n // CHUNK, CHUNK) if n % CHUNK == 0 else (1, n)
+            total += np.einsum("pbc,hbc->phb", part.reshape(len(part), *chunks),
+                               sq.reshape(len(sq), *chunks)).sum(axis=-1)
         return total
 
 
@@ -255,14 +273,13 @@ def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
     """One table row per expression, over the union of their monomials."""
     monos = sorted({m for x in exprs for m in x.terms}, key=Monomial.sort_key)
     orders = tuple(sorted({k for m in monos for k, _ in m.derivs} | {0}))
-    col = {k: j for j, k in enumerate(orders)}
-    used = [[(col[k], a) for k, a in m.derivs] + ([(len(orders), m.h)] if m.h else [])
-            for m in monos]
-    factors = tuple(sorted({f for fs in used for f in fs}))
-    row = {f: i for i, f in enumerate(factors, 1)}
-    factor_index = np.zeros((len(monos), max([1] + [len(fs) for fs in used])), dtype=int)
-    for i, fs in enumerate(used):
-        factor_index[i, :len(fs)] = [row[f] for f in fs]
+    ladder = tuple(max([a for m in monos for j, a in m.derivs if j == k], default=0) for k in orders)
+    first = dict(zip(orders, np.cumsum((1,) + ladder).tolist()))
+    parts = sorted({m.derivs for m in monos})
+    powers = sorted({m.h for m in monos})
+    part_rows = np.zeros((len(parts), max([1] + [len(d) for d in parts])), dtype=int)
+    for i, derivs in enumerate(parts):
+        part_rows[i, :len(derivs)] = [first[k] + a - 1 for k, a in derivs]
     pos = {m: i for i, m in enumerate(monos)}
     coeffs = np.zeros((len(exprs), len(monos)), dtype=complex)
     for r, x in enumerate(exprs):
@@ -270,11 +287,14 @@ def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
             coeffs[r, pos[m]] = complex(c)
     return IntegrandTable(
         orders,
-        factors,
+        ladder,
+        part_rows,
+        np.array(powers, dtype=int),
+        np.array([parts.index(m.derivs) for m in monos], dtype=int),
+        np.array([powers.index(m.h) for m in monos], dtype=int),
         np.array([m.h for m in monos], dtype=int),
         np.array([m.e for m in monos], dtype=int),
         coeffs,
-        factor_index,
     )
 
 
@@ -319,6 +339,7 @@ def contour_integrate(
     if contour is None:
         contour = build_contour(sp, E)
     coeffs = table.coeffs * float(E) ** table.e
+    mono = (table.part_index, table.power_index)
     deriv_rows = _derivative_rows(sp, table.orders)
     samples = START_SAMPLES
     z, dz = contour.points(samples)
@@ -332,7 +353,7 @@ def contour_integrate(
         action0 = action0 + np.sum(s * dz)
         # global sign: the leading action has positive real part
         flip = (-1.0) ** table.h if action0.real < 0 else 1.0
-        rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums), axis=1)
+        rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums[mono]), axis=1)
         row_tol = np.maximum(TOL, REL_TOL * np.abs(rows))
         # a NaN row never counts as settled
         moving = () if prev is None else np.flatnonzero(~(np.abs(rows - prev) < row_tol))

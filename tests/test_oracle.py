@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import swkb.oracle
 from swkb.errors import DomainTooSmallError
 from swkb.oracle import GridSpec, default_grid, eigenvalues, oracle_eigenvalues
 
@@ -61,3 +63,23 @@ def test_default_grid_clears_top_state():
     grid = default_grid(lambda x: x * x, 6, 1.0)
     wall = grid.half_width ** 2
     assert wall >= 11.0 + 20.0
+
+
+def test_coarse_richardson_solve_asks_for_no_vectors(monkeypatch):
+    # the N-point solve only feeds the extrapolation; the decay check reads
+    # the vectors of the 2N+1-point solve
+    calls = []
+    real = swkb.oracle.eigh_tridiagonal
+
+    def spy(d, e, **kw):
+        calls.append((len(d), kw.get("eigvals_only", False)))
+        return real(d, e, **kw)
+
+    monkeypatch.setattr(swkb.oracle, "eigh_tridiagonal", spy)
+    vals = eigenvalues(lambda x: x * x, GridSpec(6.0, 256), 3)
+    assert calls == [(256, True), (513, False)]
+    assert np.all(np.abs(vals - np.array([1.0, 3.0, 5.0])) < 1e-3)
+    # eigenvalues alone are bit-identical to those solved with vectors
+    V = lambda x: x * x + 0.3 * x ** 3
+    alone = swkb.oracle._solve_grid(V, 5.0, 1024, 4, 0.5, vectors=False)
+    assert np.array_equal(alone, swkb.oracle._solve_grid(V, 5.0, 1024, 4, 0.5)[0])

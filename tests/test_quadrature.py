@@ -4,7 +4,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -407,15 +407,47 @@ class TestContourIntegrate:
 
 class TestIntegrandTable:
     def test_stack_holds_only_the_factor_powers_in_use(self, condition8, conditions):
-        # one stack row per distinct (base, power) the monomials use, plus
-        # the constant row; every row is read by some monomial
-        for table, n in ((condition8.table, 27), (conditions[4].table, 11)):
-            assert len(table.factors) == n == len(set(table.factors))
-            assert set(table.factor_index.ravel()) == set(range(n + 1))
-            assert all(a > 0 for b, a in table.factors if b < len(table.orders))
+        # one row per distinct phi part and one entry per distinct sqrt(u)
+        # power, each used by some monomial; the top rung of every ladder
+        # is read by some part
+        for table, n_parts, n_powers in ((condition8.table, 15, 13), (conditions[4].table, 4, 7)):
+            assert len(table.parts) == len({tuple(p) for p in table.parts.tolist()}) == n_parts
+            assert len(table.powers) == len(set(table.powers.tolist())) == n_powers
+            assert set(table.part_index.tolist()) == set(range(n_parts))
+            assert set(table.power_index.tolist()) == set(range(n_powers))
+            assert np.array_equal(table.powers[table.power_index], table.h)
+            tops = np.cumsum(table.ladder)[np.array(table.ladder) > 0]
+            assert set(tops.tolist()) <= set(table.parts.ravel().tolist())
+            assert table.parts.max() == sum(table.ladder)
+
+    def test_roundoff_of_the_summation_order(self, condition8):
+        # phi = x^3/3 at low energies, where the order-8 rows cancel far
+        # below their terms: one trapezoid sum per sample count N, and the
+        # worst row's step from N/2 to N in settling tolerances.  Chunked
+        # sums added pairwise read about 3 here; one sequential sum per
+        # block of SUM_BLOCK samples reads about 38
+        table = condition8.table
+        sp = PolynomialSuperpotential([0.0, 0.0, 0.0, 1.0 / 3.0], 0.05)
+
+        def rows(E, samples):
+            z, dz = build_contour(sp, E).points(samples)
+            phi_vals = np.array([sp.phi_deriv(k, z) for k in table.orders])
+            s = track_sqrt_u(E - phi_vals[0] ** 2)
+            s = s if np.sum(s * dz).real > 0 else -s
+            sums = table.monomial_sums(phi_vals, s, dz)[table.part_index, table.power_index]
+            return 2.0 * np.pi / samples * np.sum(table.coeffs * (sums * E ** table.e), axis=1)
+
+        steps = []
+        for E in (0.01, 0.015, 0.02):
+            levels = [rows(E, 2 ** k) for k in range(13, 17)]
+            for coarse, fine in zip(levels, levels[1:]):
+                tol = np.maximum(swkb.quadrature.TOL, swkb.quadrature.REL_TOL * np.abs(fine))
+                steps.append(np.max(np.abs(fine - coarse) / tol))
+        assert np.median(steps) < 8.0
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.lists(ring_expressions(max_terms=4), min_size=2, max_size=4))
+    @example(exprs=[Expression.zero(), Expression.zero()])
     def test_rows_match_evaluate(self, mixed_cubic, exprs):
         # rows that share monomials: the last one is the sum of the first two
         exprs = exprs + [exprs[0] + exprs[1]]
@@ -426,7 +458,8 @@ class TestIntegrandTable:
         s = track_sqrt_u(E - phi_vals[0] ** 2)
         derivs = {k: mixed_cubic.phi_deriv(k, z) for k in range(4)}
         for j in range(len(z)):
-            monos = table.monomial_sums(phi_vals[:, j:j + 1], s[j:j + 1], np.ones(1))
+            sums = table.monomial_sums(phi_vals[:, j:j + 1], s[j:j + 1], np.ones(1))
+            monos = sums[table.part_index, table.power_index]
             rows = table.coeffs @ (monos * E ** table.e)
             point = ({k: v[j] for k, v in derivs.items()}, E - phi_vals[0, j] ** 2, s[j], E)
             for x, got in zip(exprs, rows):
