@@ -14,16 +14,22 @@ Two ring flavours are used:
   is eliminated entirely; it hosts the plain semiclassical series that gets
   substituted back into the main ring.
 
-``Monomial(...)`` sorts and validates its factors.  Sums merge into a copy
-of the left term map, and negation and nonzero scaling map coefficients one
-to one, so they stay canonical.  Products, derivatives and
-``Expression(ring, raw)`` run on Gaussian integers: each operand is scaled
-by the lcm d of its denominators, every term product (or Leibniz term,
-doubled so that h/2 stays an integer) is summed per raw (derivs, h, e), and
-one fold applies the relation, merges, and divides by the common
-denominator once per surviving term.  ``Expression.sum_of_products`` is the
-one product loop: it sums w*a*b over weighted pairs, so a whole series
-convolution folds once, and ``a * b`` is its one-triple case.
+``Monomial(...)`` sorts and validates its factors.  An ``Expression``
+stores Gaussian-integer numerators over one positive denominator, grouped
+by derivative tuple: {derivs: {(h, e): (x, y)}} over ``den``, canonical
+when gcd(den, every x and y) == 1 (the representation of FLINT's
+``fmpq_poly``), so equal expressions hold equal data.  Every operation runs
+on these integers.  Negation and E-shifts map numerators one to one.  Sums
+rescale both operands to the lcm of their denominators and merge, and
+scaling multiplies every numerator; both then divide out the common factor
+left with the denominator.  Products, derivatives and
+``Expression(ring, raw)`` sum every term product (or Leibniz term, doubled
+so that h/2 stays an integer) as an int pair per raw (derivs, h, e), and
+one fold applies the relation, merges and divides out the common factor.
+``Expression.sum_of_products`` is the one product loop: it sums w*a*b
+over weighted pairs, so a whole series convolution folds once, and
+``a * b`` is its one-triple case.  ``terms`` is a read-only
+{Monomial: GaussianRational} view for output, built on each access.
 
 Everything here is immutable and pure; no floating point enters except in
 ``evaluate``.
@@ -34,8 +40,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from typing import Dict, Iterable, List, Tuple
+from itertools import chain
+from math import comb, gcd, lcm
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import PoleError, UndefinedDegreeError
 from .gaussian import _F_ZERO, GR_I, GR_ONE, GaussianRational
@@ -153,35 +161,41 @@ def _with_exp(derivs: Tuple[Tuple[int, int], ...], k: int, delta: int):
 
 
 class Expression:
-    """Exact sum of canonical monomials with GaussianRational coefficients.
+    """Exact sum of canonical monomials with Gaussian-rational coefficients.
 
-    Instances are normalized on construction (defining relation applied,
-    zero coefficients dropped) and treated as immutable; equality is
-    equality of the normalized term maps.
+    Stored as Gaussian-integer numerators over one positive denominator
+    ``den``: ``num`` maps each derivative tuple to its {(h, e): (x, y)}
+    terms, the coefficient of f-derivatives^derivs u^(h/2) E^e being
+    (x + i y)/den.  Instances are normalized on construction (defining
+    relation applied, zero terms and empty groups dropped, gcd(den, every
+    x and y) == 1) and treated as immutable, so equality compares the
+    normalized data.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "den", "num")
 
     def __init__(self, ring: Ring, raw_terms: Iterable[Tuple[Monomial, GaussianRational]] = ()):
+        pairs = [(m, GaussianRational.coerce(c)) for m, c in raw_terms]
+        d = lcm(*(q.denominator for _, c in pairs for q in (c.re, c.im)))
+        x = _collect(ring, [(m, c.re.numerator * (d // c.re.denominator),
+                             c.im.numerator * (d // c.im.denominator)) for m, c in pairs], d)
         object.__setattr__(self, "ring", ring)
-        raw: Dict[tuple, list] = {}
-        given: Dict[tuple, Monomial] = {}
-        d, scaled = _scaled(raw_terms)
-        for m, x, y in scaled:
-            given[(m.derivs, m.h, m.e)] = m
-            _accumulate(raw, (m.derivs, m.h, m.e), x, y)
-        object.__setattr__(self, "terms", _fold(ring, raw, d, given))
+        object.__setattr__(self, "den", x.den)
+        object.__setattr__(self, "num", x.num)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
 
-    @staticmethod
-    def _canonical(ring: Ring, terms: Dict[Monomial, GaussianRational]) -> "Expression":
-        """An expression over an already canonical term map."""
-        x = object.__new__(Expression)
-        object.__setattr__(x, "ring", ring)
-        object.__setattr__(x, "terms", terms)
-        return x
+    @property
+    def terms(self) -> Mapping[Monomial, GaussianRational]:
+        """Read-only {Monomial: GaussianRational} map of the terms, built on
+        each access for output and inspection; arithmetic reads ``num``."""
+        d, mono = self.den, Monomial._canonical
+        return MappingProxyType({
+            mono(ds, h, e): GaussianRational(Fraction(x, d) if x else _F_ZERO,
+                                             Fraction(y, d) if y else _F_ZERO)
+            for ds, group in self.num.items() for (h, e), (x, y) in group.items()
+        })
 
     # -- constructors ---------------------------------------------------
 
@@ -211,16 +225,45 @@ class Expression:
     # -- ring arithmetic -------------------------------------------------
 
     def __add__(self, other: "Expression") -> "Expression":
-        _check(self.ring, other)
-        return Expression._canonical(self.ring, _merge(dict(self.terms), other.terms.items()))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Expression") -> "Expression":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Expression", sign: int) -> "Expression":
+        """self + sign*other over the lcm of the denominators.  Only a prime
+        with the same power in both denominators can divide every sum, so
+        the common factor left to divide out divides gcd(den, other.den)."""
         _check(self.ring, other)
-        negated = ((m, -c) for m, c in other.terms.items())
-        return Expression._canonical(self.ring, _merge(dict(self.terms), negated))
+        d1, d2 = self.den, other.den
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g * sign
+        num = (dict(self.num) if s1 == 1
+               else {ds: _times(group, s1) for ds, group in self.num.items()})
+        for ds, group in other.num.items():
+            old = num.get(ds)
+            if old is None:
+                num[ds] = group if s2 == 1 else _times(group, s2)
+                continue
+            new = dict(old)
+            for he, (x, y) in group.items():
+                xy = new.get(he)
+                if xy is None:
+                    new[he] = (x * s2, y * s2)
+                else:
+                    x, y = xy[0] + x * s2, xy[1] + y * s2
+                    if x or y:
+                        new[he] = (x, y)
+                    else:
+                        del new[he]
+            if new:
+                num[ds] = new
+            else:
+                del num[ds]
+        return _reduced(self.ring, num, d1 // g * d2, g)
 
     def __neg__(self) -> "Expression":
-        return Expression._canonical(self.ring, {m: -c for m, c in self.terms.items()})
+        return _make(self.ring, {ds: _times(group, -1) for ds, group in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -230,30 +273,38 @@ class Expression:
     @staticmethod
     def sum_of_products(ring: Ring, triples: Iterable[tuple]) -> "Expression":
         """sum w*a*b over (w, a, b) triples with rational weights w, the one
-        product loop of the ring: every operand is scaled to Gaussian
-        integers, every term product is summed as an int pair per raw
-        (derivs, h, e) over the common denominator D of all the products,
-        and one fold follows."""
+        product loop of the ring: every term product is summed as an int
+        pair per raw (derivs, h, e) over the lcm D of the triples'
+        denominators, each pair of derivative tuples merged once, and one
+        fold follows."""
         scaled = []
         for w, a, b in triples:
             _check(ring, a)
             _check(ring, b)
             w = Fraction(w)
-            da, left = _by_derivs(a.terms)
-            db, right = _by_derivs(b.terms)
-            scaled.append((w.numerator, w.denominator * da * db, left, right))
+            scaled.append((w.numerator, w.denominator * a.den * b.den, a.num, b.num))
         d = lcm(*(dd for _, dd, _, _ in scaled))
-        raw: Dict[tuple, list] = {}
+        raw: Dict[tuple, dict] = {}
         for w, dd, left, right in scaled:
             w *= d // dd
-            for ds1, terms1 in left:
-                for ds2, terms2 in right:
+            for ds1, group1 in left.items():
+                for ds2, group2 in right.items():
                     ds = _merge_derivs(ds1, ds2)
-                    for h1, e1, x1, y1 in terms1:
-                        for h2, e2, x2, y2 in terms2:
-                            _accumulate(raw, (ds, h1 + h2, e1 + e2),
-                                        w * (x1 * x2 - y1 * y2), w * (x1 * y2 + y1 * x2))
-        return Expression._canonical(ring, _fold(ring, raw, d, {}))
+                    out = raw.get(ds)
+                    if out is None:
+                        out = raw[ds] = {}
+                    for (h1, e1), (x1, y1) in group1.items():
+                        x1 *= w
+                        y1 *= w
+                        for (h2, e2), (x2, y2) in group2.items():
+                            key = (h1 + h2, e1 + e2)
+                            acc = out.get(key)
+                            if acc is None:
+                                out[key] = [x1 * x2 - y1 * y2, x1 * y2 + y1 * x2]
+                            else:
+                                acc[0] += x1 * x2 - y1 * y2
+                                acc[1] += x1 * y2 + y1 * x2
+        return _fold(ring, raw, d)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -264,78 +315,94 @@ class Expression:
         c = GaussianRational.coerce(c)
         if c.is_zero():
             return Expression(self.ring)
-        # a product of nonzero Gaussian rationals is nonzero
-        return Expression._canonical(self.ring, {m: cc * c for m, cc in self.terms.items()})
+        # c = (a + i b)/cd; a product of nonzero Gaussian rationals is nonzero
+        re, im = c.re, c.im
+        cd = lcm(re.denominator, im.denominator)
+        a, b = re.numerator * (cd // re.denominator), im.numerator * (cd // im.denominator)
+        num = {ds: {he: (x * a - y * b, x * b + y * a) for he, (x, y) in group.items()}
+               for ds, group in self.num.items()}
+        return _reduced(self.ring, num, self.den * cd)
 
     def __eq__(self, other):
         return (
             isinstance(other, Expression)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
         raise TypeError("Expression is not hashable")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     # -- calculus --------------------------------------------------------
 
     def differentiate(self) -> "Expression":
         """d/dx with E constant: d f^(k) = f^(k+1), d u^(h/2) follows from
-        u' = -r f^(r-1) f'; Leibniz terms are doubled so h/2 stays integral."""
+        u' = -r f^(r-1) f'; Leibniz terms are doubled so h/2 stays integral.
+        Each derivative tuple is rebuilt once for all the terms it holds."""
         r = self.ring.relation_power
-        d, scaled = _scaled(self.terms.items())
-        raw: Dict[tuple, list] = {}
-        for m, x, y in scaled:
-            for k, a in m.derivs:
-                ds = _with_exp(_with_exp(m.derivs, k, -1), k + 1, +1)
-                _accumulate(raw, (ds, m.h, m.e), 2 * a * x, 2 * a * y)
-            if m.h != 0:
-                # 2 (h/2) u^((h-2)/2) * (-r f^(r-1) f')
-                ds = _with_exp(_with_exp(m.derivs, 0, r - 1), 1, +1)
-                _accumulate(raw, (ds, m.h - 2, m.e), -m.h * r * x, -m.h * r * y)
-        return Expression._canonical(self.ring, _fold(self.ring, raw, 2 * d, {}))
+        raw: Dict[tuple, dict] = {}
+        for ds, group in self.num.items():
+            for k, a in ds:
+                out = raw.setdefault(_with_exp(_with_exp(ds, k, -1), k + 1, +1), {})
+                a *= 2
+                for he, (x, y) in group.items():
+                    _accumulate(out, he, a * x, a * y)
+            # 2 (h/2) u^((h-2)/2) * (-r f^(r-1) f')
+            out = raw.setdefault(_with_exp(_with_exp(ds, 0, r - 1), 1, +1), {})
+            for (h, e), (x, y) in group.items():
+                if h:
+                    _accumulate(out, (h - 2, e), -h * r * x, -h * r * y)
+        return _fold(self.ring, raw, 2 * self.den)
 
     def diff_E(self) -> "Expression":
         """d/dE with x held fixed: the symbols do not move, u' = 1, so
-        d u^(h/2) = (h/2) u^((h-2)/2) and d E^e = e E^(e-1).  The derivative
-        tuples are untouched, so only the merge runs."""
-        mono = Monomial._canonical
-        raw: List[Tuple[Monomial, GaussianRational]] = []
-        for m, c in self.terms.items():
-            if m.e:
-                raw.append((mono(m.derivs, m.h, m.e - 1), c * m.e))
-            if m.h:
-                raw.append((mono(m.derivs, m.h - 2, m.e), c * Fraction(m.h, 2)))
-        return Expression._canonical(self.ring, _merge({}, raw))
+        d u^(h/2) = (h/2) u^((h-2)/2) and d E^e = e E^(e-1), doubled over
+        twice the denominator.  The derivative tuples are untouched."""
+        raw: Dict[tuple, dict] = {}
+        for ds, group in self.num.items():
+            out = raw[ds] = {}
+            for (h, e), (x, y) in group.items():
+                if e:
+                    _accumulate(out, (h, e - 1), 2 * e * x, 2 * e * y)
+                if h:
+                    _accumulate(out, (h - 2, e), h * x, h * y)
+        return _fold(self.ring, raw, 2 * self.den)
 
     def split_real_imag(self) -> Tuple["Expression", "Expression"]:
         """(re, im) with all symbols treated as real; self == re + i*im.
         The monomials are already canonical, so no fold runs."""
-        items = self.terms.items()
-        re = {m: GaussianRational(c.re, _F_ZERO) for m, c in items if c.re}
-        im = {m: GaussianRational(c.im, _F_ZERO) for m, c in items if c.im}
-        return Expression._canonical(self.ring, re), Expression._canonical(self.ring, im)
+        re, im = {}, {}
+        for ds, group in self.num.items():
+            part = {he: (x, 0) for he, (x, _) in group.items() if x}
+            if part:
+                re[ds] = part
+            part = {he: (y, 0) for he, (_, y) in group.items() if y}
+            if part:
+                im[ds] = part
+        return _reduced(self.ring, re, self.den), _reduced(self.ring, im, self.den)
 
     # -- structure queries -------------------------------------------------
 
+    def _exponents(self, index: int, what: str) -> List[int]:
+        """The E-exponents (index 1) or u half-powers (index 0) of the terms;
+        the zero expression has none, which ``what`` names in the error."""
+        if not self.num:
+            raise UndefinedDegreeError(f"{what} of the zero expression")
+        return [he[index] for group in self.num.values() for he in group]
+
     def min_e_degree(self) -> int:
-        if not self.terms:
-            raise UndefinedDegreeError("min_e_degree of the zero expression")
-        return min(m.e for m in self.terms)
+        return min(self._exponents(1, "min_e_degree"))
 
     def max_e_degree(self) -> int:
-        if not self.terms:
-            raise UndefinedDegreeError("max_e_degree of the zero expression")
-        return max(m.e for m in self.terms)
+        return max(self._exponents(1, "max_e_degree"))
 
     def u_parity(self) -> str:
         """'all-odd-half' | 'all-even' | 'mixed' over the u half-powers."""
-        if not self.terms:
-            raise UndefinedDegreeError("u_parity of the zero expression")
-        parities = {m.h % 2 for m in self.terms}
+        parities = {h % 2 for h in self._exponents(0, "u_parity")}
         if parities == {1}:
             return "all-odd-half"
         if parities == {0}:
@@ -343,34 +410,29 @@ class Expression:
         return "mixed"
 
     def min_h(self) -> int:
-        if not self.terms:
-            raise UndefinedDegreeError("min_h of the zero expression")
-        return min(m.h for m in self.terms)
+        return min(self._exponents(0, "min_h"))
 
     def max_h(self) -> int:
-        if not self.terms:
-            raise UndefinedDegreeError("max_h of the zero expression")
-        return max(m.h for m in self.terms)
+        return max(self._exponents(0, "max_h"))
 
     def max_deriv_order(self) -> int:
-        orders = [k for m in self.terms for k, _ in m.derivs]
-        return max(orders) if orders else 0
+        return max((k for ds in self.num for k, _ in ds), default=0)
 
     def weights(self) -> set:
-        return {m.weight() for m in self.terms}
+        return {sum(k * a for k, a in ds) for ds in self.num}
 
     def gdegs(self) -> set:
-        return {m.gdeg(self.ring) for m in self.terms}
+        sym = self.ring.sym_gdeg
+        return {sym * sum(a for _, a in ds) + h + 2 * e
+                for ds, group in self.num.items() for h, e in group}
 
     def shift_e(self, delta: int) -> "Expression":
         """Multiply by E^delta (exact exponent shift)."""
-        mono = Monomial._canonical
-        return Expression._canonical(
-            self.ring, {mono(m.derivs, m.h, m.e + delta): c for m, c in self.terms.items()}
-        )
+        return _make(self.ring, {ds: {(h, e + delta): xy for (h, e), xy in group.items()}
+                                 for ds, group in self.num.items()}, self.den)
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return sum(map(len, self.num.values()))
 
     def sorted_terms(self) -> List[Tuple[Monomial, GaussianRational]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
@@ -389,26 +451,28 @@ class Expression:
         if abs(sqrt_u * sqrt_u - u) > SQRT_TOL * scale:
             raise ValueError("sqrt_u does not square to u within tolerance")
         total = 0j
-        for m, c in self.terms.items():
-            if m.h < 0 and u == 0:
-                raise PoleError("u = 0 with negative half-power")
-            if m.e < 0 and e_value == 0:
-                raise PoleError("E = 0 with negative E-exponent")
-            val = complex(c)
-            for k, a in m.derivs:
-                val *= deriv_values[k] ** a
-            if m.h:
-                val *= sqrt_u ** m.h
-            if m.e:
-                val *= e_value ** m.e
-            total += val
+        d = self.den
+        for ds, group in self.num.items():
+            for (h, e), (x, y) in group.items():
+                if h < 0 and u == 0:
+                    raise PoleError("u = 0 with negative half-power")
+                if e < 0 and e_value == 0:
+                    raise PoleError("E = 0 with negative E-exponent")
+                val = complex(x / d, y / d)
+                for k, a in ds:
+                    val *= deriv_values[k] ** a
+                if h:
+                    val *= sqrt_u ** h
+                if e:
+                    val *= e_value ** e
+                total += val
         return total
 
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
         """Deterministic text form, e.g. ``3/8*E^1*u^-5/2*d1^2``."""
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
@@ -453,7 +517,7 @@ class Expression:
         return Expression(ring, raw)
 
     def to_latex(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         out = []
         for idx, (m, c) in enumerate(self.sorted_terms()):
@@ -471,71 +535,73 @@ def _check(ring: Ring, x: "Expression") -> None:
         raise ValueError(f"ring mismatch: {ring.name} vs {x.ring.name}")
 
 
-def _merge(acc: Dict[Monomial, GaussianRational], pairs) -> Dict[Monomial, GaussianRational]:
-    """Add nonzero (canonical monomial, coefficient) pairs into ``acc``,
-    dropping every coefficient that cancels to zero."""
-    for m, c in pairs:
-        old = acc.get(m)
-        if old is None:
-            acc[m] = c
-        else:
-            c = old + c
-            if c.is_zero():
-                del acc[m]
-            else:
-                acc[m] = c
-    return acc
+def _times(group: dict, s: int) -> dict:
+    return {he: (x * s, y * s) for he, (x, y) in group.items()}
 
 
-def _scaled(pairs) -> Tuple[int, List[Tuple[Monomial, int, int]]]:
-    """(d, [(m, x, y)]) with x + i y = d c for each (m, c): d is the lcm of
-    every denominator, so x and y are integers."""
-    pairs = [(m, GaussianRational.coerce(c)) for m, c in pairs]
-    d = lcm(*(q.denominator for _, c in pairs for q in (c.re, c.im)))
-    return d, [(m, c.re.numerator * (d // c.re.denominator),
-                c.im.numerator * (d // c.im.denominator)) for m, c in pairs]
-
-
-def _by_derivs(terms: Dict[Monomial, GaussianRational]):
-    """``_scaled`` terms grouped by derivative tuple, as (d, [(derivs,
-    [(h, e, x, y)])]), so that a product merges each pair of tuples once."""
-    d, scaled = _scaled(terms.items())
-    groups: Dict[tuple, list] = {}
-    for m, x, y in scaled:
-        groups.setdefault(m.derivs, []).append((m.h, m.e, x, y))
-    return d, groups.items()
-
-
-def _accumulate(raw: Dict[tuple, list], key: tuple, x: int, y: int) -> None:
-    acc = raw.get(key)
+def _accumulate(out: Dict[tuple, list], key: tuple, x: int, y: int) -> None:
+    acc = out.get(key)
     if acc is None:
-        raw[key] = [x, y]
+        out[key] = [x, y]
     else:
         acc[0] += x
         acc[1] += y
 
 
-def _fold(ring: Ring, raw: Dict[tuple, list], d: int,
-          given: Dict[tuple, Monomial]) -> Dict[Monomial, GaussianRational]:
-    """Canonical terms of the sum of (x + i y)/d times each raw ``(derivs, h,
-    e): [x, y]``: f^(qr + s) = f^s (E - u)^q expands binomially into ``raw``,
-    equal monomials merge as integers, and each surviving term gets one
-    Fraction pair and the Monomial ``given`` for its key, if any."""
+def _make(ring: Ring, num: Dict[tuple, dict], den: int) -> "Expression":
+    """An expression over already canonical numerators and denominator."""
+    x = object.__new__(Expression)
+    object.__setattr__(x, "ring", ring)
+    object.__setattr__(x, "den", den)
+    object.__setattr__(x, "num", num)
+    return x
+
+
+def _reduced(ring: Ring, num: Dict[tuple, dict], den: int, g: Optional[int] = None) -> "Expression":
+    """The expression (x + i y)/den over canonical monomials with nonzero
+    numerators, divided by gcd(den, every x and y).  ``g``, when given, is a
+    multiple of that gcd that divides den."""
+    if not num:
+        return _make(ring, {}, 1)
+    g = den if g is None else g
+    for group in num.values():
+        if g == 1:
+            break
+        g = gcd(g, *chain.from_iterable(group.values()))
+    if g != 1:
+        num = {ds: {he: (x // g, y // g) for he, (x, y) in group.items()}
+               for ds, group in num.items()}
+        den //= g
+    return _make(ring, num, den)
+
+
+def _fold(ring: Ring, raw: Dict[tuple, dict], den: int) -> "Expression":
+    """The sum of (x + i y)/den over raw ``{derivs: {(h, e): [x, y]}}``:
+    f^(qr + s) = f^s (E - u)^q expands binomially into ``raw``, equal
+    monomials merge as integers, and zero terms and empty groups drop."""
     r = ring.relation_power
-    for ds, h, e in [key for key in raw if key[0] and key[0][0][0] == 0 and key[0][0][1] >= r]:
-        x, y = raw.pop((ds, h, e))
+    for ds in [ds for ds in raw if ds and ds[0][0] == 0 and ds[0][1] >= r]:
+        group = raw.pop(ds)
         q, s = divmod(ds[0][1], r)
-        ds = ((0, s),) + ds[1:] if s else ds[1:]
+        out = raw.setdefault(((0, s),) + ds[1:] if s else ds[1:], {})
         for j in range(q + 1):
             b = comb(q, j) * (-1) ** j
-            _accumulate(raw, (ds, h + 2 * j, e + q - j), b * x, b * y)
-    mono = Monomial._canonical
-    return {
-        given.get(key) or mono(*key): GaussianRational(Fraction(x, d) if x else _F_ZERO,
-                                                        Fraction(y, d) if y else _F_ZERO)
-        for key, (x, y) in raw.items()
-        if x or y
-    }
+            for (h, e), (x, y) in group.items():
+                _accumulate(out, (h + 2 * j, e + q - j), b * x, b * y)
+    num = {}
+    for ds, group in raw.items():
+        kept = {he: (x, y) for he, (x, y) in group.items() if x or y}
+        if kept:
+            num[ds] = kept
+    return _reduced(ring, num, den)
+
+
+def _collect(ring: Ring, items: Iterable[Tuple[Monomial, int, int]], den: int) -> "Expression":
+    """The sum of (x + i y)/den times m over (m, x, y) items."""
+    raw: Dict[tuple, dict] = {}
+    for m, x, y in items:
+        _accumulate(raw.setdefault(m.derivs, {}), (m.h, m.e), x, y)
+    return _fold(ring, raw, den)
 
 
 def _half_str(h: int) -> str:

@@ -23,13 +23,11 @@ widened ``MAX_WIDEN`` times.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Expression, Monomial, Ring, _with_exp
+from .algebra import Expression, Monomial, Ring, _collect, _reduced, _with_exp
 from .errors import StructuralTheoremViolation
-from .gaussian import GaussianRational
 
 # how many times the ansatz windows are widened before a certificate is
 # reported absent
@@ -51,10 +49,13 @@ def _partitions(n: int, max_part: int):
 def bigrade_components(a: Expression) -> List[Expression]:
     """The parts of ``a`` homogeneous in (derivative weight, scaling grade);
     d/dx maps each bigrade to its own, so each part gets its own ansatz."""
-    buckets: Dict[Tuple[int, int], list] = {}
-    for m, c in a.terms.items():
-        buckets.setdefault((m.weight(), m.gdeg(a.ring)), []).append((m, c))
-    return [Expression(a.ring, pairs) for pairs in buckets.values()]
+    sym = a.ring.sym_gdeg
+    buckets: Dict[Tuple[int, int], dict] = {}
+    for ds, group in a.num.items():
+        weight, nsym = sum(k * b for k, b in ds), sym * sum(b for _, b in ds)
+        for (h, e), xy in group.items():
+            buckets.setdefault((weight, nsym + h + 2 * e), {}).setdefault(ds, {})[(h, e)] = xy
+    return [_reduced(a.ring, num, a.den) for num in buckets.values()]
 
 
 def candidate_monomials(a: Expression, widen: int = 0) -> List[Monomial]:
@@ -211,39 +212,28 @@ class DerivativeSweep:
             _sub_multiple(comb, c, pcomb)
         return scale
 
-    def _reduce_part(
-        self, coeffs: Dict[Monomial, Fraction]
-    ) -> Tuple[Dict[Monomial, Fraction], Dict[int, Fraction]]:
-        """Reduce one real part of a right-hand side, scaled to integers by
-        the lcm of its denominators; return its (kept, cert) coefficients.
-        Fractions are formed only here: kept = vec/S and, as each row is
-        twice a derivative, cert = -2*comb/S."""
-        scale = lcm(*(c.denominator for c in coeffs.values()))
-        vec = {m: c.numerator * (scale // c.denominator) for m, c in coeffs.items()}
-        comb: Dict[int, int] = {}
-        scale *= self._reduce(vec, comb)
-        return (
-            {m: Fraction(c, scale) for m, c in vec.items()},
-            {i: Fraction(-2 * c, scale) for i, c in comb.items()},
-        )
-
     def normal_form(self, x: Expression) -> Tuple[Expression, Expression]:
         """Return (kept, cert) with x = kept + differentiate(cert) and kept
-        free of every pivot monomial.  The real and imaginary parts of x are
-        reduced separately, since every row is real."""
-        re, cert_re = self._reduce_part({m: c.re for m, c in x.terms.items() if c.re})
-        im, cert_im = self._reduce_part({m: c.im for m, c in x.terms.items() if c.im})
-        kept = Expression(
-            self.ring, [(m, GaussianRational(re.get(m, 0), im.get(m, 0))) for m in re.keys() | im.keys()]
-        )
-        cert = Expression(
-            self.ring,
-            [
-                (self.generators[i], GaussianRational(cert_re.get(i, 0), cert_im.get(i, 0)))
-                for i in cert_re.keys() | cert_im.keys()
-            ],
-        )
-        return kept, cert
+        free of every pivot monomial.  The integer numerators of the real
+        and imaginary parts of x are reduced separately, since every row is
+        real; with S the product of the factors of ``_reduce``, kept =
+        vec/(den*S) and, as each row is twice a derivative, cert =
+        -2*comb/(den*S)."""
+        mono = Monomial._canonical
+        items = [(mono(ds, h, e), re, im) for ds, group in x.num.items()
+                 for (h, e), (re, im) in group.items()]
+        vec_re = {m: re for m, re, _ in items if re}
+        vec_im = {m: im for m, _, im in items if im}
+        comb_re: Dict[int, int] = {}
+        comb_im: Dict[int, int] = {}
+        s_re, s_im = self._reduce(vec_re, comb_re), self._reduce(vec_im, comb_im)
+        s = lcm(s_re, s_im)
+        f_re, f_im, den = s // s_re, s // s_im, x.den * s
+        kept = [(m, c * f_re, 0) for m, c in vec_re.items()]
+        kept += [(m, 0, c * f_im) for m, c in vec_im.items()]
+        cert = [(self.generators[i], -2 * c * f_re, 0) for i, c in comb_re.items()]
+        cert += [(self.generators[i], 0, -2 * c * f_im) for i, c in comb_im.items()]
+        return _collect(self.ring, kept, den), _collect(self.ring, cert, den)
 
 
 def _window_generators(x: Expression, widen: int, min_e: Optional[int]) -> List[Monomial]:

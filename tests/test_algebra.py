@@ -3,6 +3,7 @@ import json
 import operator
 from collections import Counter
 from fractions import Fraction as Fr
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -330,6 +331,16 @@ def textbook_derivative(x):
 
 def assert_canonical(x):
     r = x.ring.relation_power
+    numerators = [v for group in x.num.values() for xy in group.values() for v in xy]
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *numerators) == 1
+    assert all(type(v) is int for v in numerators)
+    assert all(group for group in x.num.values())
+    assert all(xy != (0, 0) for group in x.num.values() for xy in group.values())
+    assert x.terms == {
+        Monomial(ds, h, e): GaussianRational(Fr(re, x.den), Fr(im, x.den))
+        for ds, group in x.num.items() for (h, e), (re, im) in group.items()
+    }
     for m, c in x.terms.items():
         assert not c.is_zero()
         assert type(c.re) is Fr and type(c.im) is Fr
@@ -531,3 +542,46 @@ class TestKernelOnRealInputs:
                 (rest, 4, 0): (Fr(1, 3), Fr(0)),
             }
             assert_canonical(got)
+
+
+class TestStorage:
+    """Numerators over one denominator: the terms view rebuilds the same
+    expression, and equality is equality of the printed form."""
+
+    @examples(80)
+    @given(operand_pairs())
+    def test_terms_view_round_trips(self, pair):
+        a, b = pair
+        for x in (a, b, a + b, a - b, a * b, a.differentiate(), a.diff_E(), *a.split_real_imag()):
+            assert_canonical(x)
+            assert Expression(x.ring, x.terms.items()) == x
+
+    @examples(80)
+    @given(operand_pairs(), scalars)
+    def test_equality_is_equality_of_json(self, pair, c):
+        a, b = pair
+        cases = [(a, b), (a, (a + b) - b), (a - b, -(b - a)), (a * b, b * a), (a + a, a.scale(2)),
+                 (a.scale(c), Expression(a.ring, [(m, cc * c) for m, cc in a.terms.items()]))]
+        for lhs, rhs in cases:
+            assert (lhs == rhs) == (lhs.to_json() == rhs.to_json())
+        assert (a + b) - b == a
+
+    def test_terms_view_is_read_only(self):
+        x = phi() * u_half(-1)
+        with pytest.raises(TypeError):
+            x.terms[Monomial()] = GaussianRational(1)
+        assert x.terms == x.terms and x.terms is not x.terms
+
+    @pytest.mark.parametrize("ring", [PHI_RING, V_RING], ids=["phi", "V"])
+    def test_zero_has_denominator_one(self, ring):
+        half = Expression.const(Fr(1, 2), ring)
+        zeros = (Expression.zero(ring), half - half, half.scale(0),
+                 Expression(ring, [(Monomial(), Fr(0))]))
+        for zero in zeros:
+            assert (zero.den, zero.num) == (1, {})
+            assert zero == Expression.zero(ring)
+
+    def test_series_denominator_is_the_lcm_of_the_coefficients(self, series12):
+        for x in series12.coeffs:
+            assert_canonical(x)
+            assert x.den == lcm(*(q.denominator for c in x.terms.values() for q in (c.re, c.im)))

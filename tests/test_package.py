@@ -51,3 +51,19 @@ def test_every_module_constant_is_read():
     }
     assert defined, "no module constants found"
     assert sorted(d for d in defined if d.split(":")[1] not in read) == []
+
+
+def test_verify_runs_the_same_under_python_O():
+    # python -O strips asserts: the run must print the same lines and its
+    # negative control must still fail
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+    cmd = ["-m", "swkb.cli", "verify", "--order", "6"]
+    plain, optimized, mutated = run(*cmd), run("-O", *cmd), run("-O", *cmd, "--mutate")
+    assert plain.returncode == optimized.returncode == 0
+    assert "PASS" in plain.stdout and optimized.stdout == plain.stdout
+    assert mutated.returncode == 1 and "FAIL" in mutated.stdout
