@@ -14,8 +14,9 @@ Two ring flavours are used:
   is eliminated entirely; it hosts the plain semiclassical series that gets
   substituted back into the main ring.
 
-``Monomial(...)`` sorts and validates its factors.  An ``Expression``
-stores Gaussian-integer numerators over one positive denominator, grouped
+``Monomial(...)`` sorts and validates its factors into the plain
+``(derivs, h, e)`` tuple that it is.  An ``Expression`` stores
+Gaussian-integer numerators over one positive denominator, grouped
 by derivative tuple: {derivs: {(h, e): (x, y)}} over ``den``, canonical
 when gcd(den, every x and y) == 1 (the representation of FLINT's
 ``fmpq_poly``), so equal expressions hold equal data.  Every operation runs
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd, lcm
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -69,63 +71,34 @@ PHI_RING = Ring("phi", 2, "d")
 V_RING = Ring("V", 1, "D")
 
 
-class Monomial:
+class Monomial(tuple):
     """Canonical monomial: product of derivative symbols, u^(h/2), E^e.
 
-    ``derivs`` maps derivative order k >= 0 to a positive exponent; the
-    order-0 exponent is < relation_power in canonical form.  ``h`` is the
-    integer such that the monomial carries u^(h/2); ``e`` the E-exponent.
+    The ``(derivs, h, e)`` tuple itself, so it equals and hashes as the raw
+    key that ``Expression.num`` splits into derivs -> (h, e).  ``derivs`` is
+    a sorted tuple of (order k >= 0, exponent > 0) pairs; the order-0
+    exponent is < relation_power in canonical form.  ``h`` is the integer
+    such that the monomial carries u^(h/2); ``e`` the E-exponent.
     """
 
-    __slots__ = ("derivs", "h", "e", "_hash")
+    __slots__ = ()
 
-    def __init__(self, derivs: Iterable[Tuple[int, int]] = (), h: int = 0, e: int = 0):
+    def __new__(cls, derivs: Iterable[Tuple[int, int]] = (), h: int = 0, e: int = 0):
         ds = tuple(sorted((int(k), int(a)) for k, a in derivs if a != 0))
         for k, a in ds:
             if k < 0 or a < 0:
                 raise ValueError("derivative orders and exponents must be >= 0")
-        object.__setattr__(self, "derivs", ds)
-        object.__setattr__(self, "h", int(h))
-        object.__setattr__(self, "e", int(e))
-        object.__setattr__(self, "_hash", hash((ds, self.h, self.e)))
+        return tuple.__new__(cls, (ds, int(h), int(e)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    @staticmethod
-    def _canonical(derivs: Tuple[Tuple[int, int], ...], h: int, e: int) -> "Monomial":
-        """A monomial from a sorted tuple of positive (order, exponent) pairs."""
-        m = object.__new__(Monomial)
-        object.__setattr__(m, "derivs", derivs)
-        object.__setattr__(m, "h", h)
-        object.__setattr__(m, "e", e)
-        object.__setattr__(m, "_hash", hash((derivs, h, e)))
-        return m
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.derivs == other.derivs
-            and self.h == other.h
-            and self.e == other.e
-        )
-
-    def __hash__(self):
-        return self._hash
+    derivs = property(itemgetter(0))
+    h = property(itemgetter(1))
+    e = property(itemgetter(2))
 
     def deriv_exp(self, k: int) -> int:
         for kk, a in self.derivs:
             if kk == k:
                 return a
         return 0
-
-    def weight(self) -> int:
-        """Grading raised by exactly 1 under d/dx: sum of k * exp_k."""
-        return sum(k * a for k, a in self.derivs)
-
-    def gdeg(self, ring: Ring) -> int:
-        """Scaling grading preserved by d/dx ([symbol] = sym_gdeg, [u] = [E] = 2)."""
-        return ring.sym_gdeg * sum(a for _, a in self.derivs) + self.h + 2 * self.e
 
     def sort_key(self):
         return (self.e, self.h, self.derivs)
@@ -190,10 +163,10 @@ class Expression:
     def terms(self) -> Mapping[Monomial, GaussianRational]:
         """Read-only {Monomial: GaussianRational} map of the terms, built on
         each access for output and inspection; arithmetic reads ``num``."""
-        d, mono = self.den, Monomial._canonical
+        d, new = self.den, tuple.__new__
         return MappingProxyType({
-            mono(ds, h, e): GaussianRational(Fraction(x, d) if x else _F_ZERO,
-                                             Fraction(y, d) if y else _F_ZERO)
+            new(Monomial, (ds, h, e)): GaussianRational(Fraction(x, d) if x else _F_ZERO,
+                                                        Fraction(y, d) if y else _F_ZERO)
             for ds, group in self.num.items() for (h, e), (x, y) in group.items()
         })
 
@@ -596,11 +569,12 @@ def _fold(ring: Ring, raw: Dict[tuple, dict], den: int) -> "Expression":
     return _reduced(ring, num, den)
 
 
-def _collect(ring: Ring, items: Iterable[Tuple[Monomial, int, int]], den: int) -> "Expression":
-    """The sum of (x + i y)/den times m over (m, x, y) items."""
+def _collect(ring: Ring, items: Iterable[Tuple[tuple, int, int]], den: int) -> "Expression":
+    """The sum of (x + i y)/den times the monomial over ((derivs, h, e), x, y)
+    items."""
     raw: Dict[tuple, dict] = {}
-    for m, x, y in items:
-        _accumulate(raw.setdefault(m.derivs, {}), (m.h, m.e), x, y)
+    for (ds, h, e), x, y in items:
+        _accumulate(raw.setdefault(ds, {}), (h, e), x, y)
     return _fold(ring, raw, den)
 
 

@@ -95,24 +95,27 @@ def candidate_monomials(a: Expression, widen: int = 0) -> List[Monomial]:
     return out
 
 
-def _pivot_key(m: Monomial):
-    """Elimination priority (larger sorts first = eliminated first).
+def _pivot_key(m: tuple):
+    """Elimination priority (larger sorts first = eliminated first) of the
+    monomial key ``m`` = (derivs, h, e).
 
     Preference for surviving monomials: no bare symbol factor, then as much
     first-derivative content as possible concentrated in a single higher
     derivative (pure f'^k and f' f^(k) forms survive; mixed middle-order
     products are rewritten away).  Deterministic tie-break on the full key.
     """
-    a0 = m.deriv_exp(0)
-    higher = sorted((k for k, a in m.derivs if k >= 2 for _ in range(a)), reverse=True)
+    ds, h, e = m
+    a0 = ds[0][1] if ds and ds[0][0] == 0 else 0
+    higher = sorted((k for k, a in ds if k >= 2 for _ in range(a)), reverse=True)
     n_higher = len(higher)
     second = higher[1] if n_higher >= 2 else 0
     top = higher[0] if higher else 0
-    return (a0, n_higher, second, -top, m.derivs, -m.h, m.e)
+    return (a0, n_higher, second, -top, ds, -h, e)
 
 
-def _derivative_row(ring: Ring, m: Monomial) -> Dict[Monomial, int]:
-    """2 * d/dx of the unit monomial ``m``, as integer coefficients.
+def _derivative_row(ring: Ring, m: tuple) -> Dict[tuple, int]:
+    """2 * d/dx of the unit monomial ``m`` = (derivs, h, e), as integer
+    coefficients keyed by (derivs, h, e).
 
     The factor 2 clears the h/2 of d u^(h/2) = (h/2) u^((h-2)/2) (-r f^(r-1) f').
     That term raises the bare-symbol exponent a0 by r - 1, so on a canonical
@@ -120,22 +123,22 @@ def _derivative_row(ring: Ring, m: Monomial) -> Dict[Monomial, int]:
     a0 >= 1.  Every other term moves one exponent from f^(k) to f^(k+1).
     """
     r = ring.relation_power
-    a0 = m.deriv_exp(0)
+    ds, h, e = m
+    a0 = ds[0][1] if ds and ds[0][0] == 0 else 0
     if a0 >= r:
         raise StructuralTheoremViolation(f"generator {m!r} is not canonical")
-    terms = [(_with_exp(_with_exp(m.derivs, k, -1), k + 1, 1), m.h, m.e, 2 * a) for k, a in m.derivs]
-    if m.h:
-        c = -m.h * r
-        derivs = _with_exp(m.derivs, 1, 1)
+    terms = [((_with_exp(_with_exp(ds, k, -1), k + 1, 1), h, e), 2 * a) for k, a in ds]
+    if h:
+        c = -h * r
+        derivs = _with_exp(ds, 1, 1)
         if a0:
             # f^(a0+r-1) = f^(a0-1) (E - u)
             derivs = _with_exp(derivs, 0, -1)
-            terms += [(derivs, m.h - 2, m.e + 1, c), (derivs, m.h, m.e, -c)]
+            terms += [((derivs, h - 2, e + 1), c), ((derivs, h, e), -c)]
         else:
-            terms.append((_with_exp(derivs, 0, r - 1), m.h - 2, m.e, c))
-    row: Dict[Monomial, int] = {}
-    for derivs, h, e, c in terms:
-        key = Monomial._canonical(derivs, h, e)
+            terms.append(((_with_exp(derivs, 0, r - 1), h - 2, e), c))
+    row: Dict[tuple, int] = {}
+    for key, c in terms:
         new = row.get(key, 0) + c
         if new:
             row[key] = new
@@ -161,9 +164,9 @@ class DerivativeSweep:
     The generators are taken in the order given (callers pass ``sort_key``
     order).  A generator whose derivative is zero or lies in the span of the
     earlier ones is dropped.  Each row is (pivot, vec, comb): ``vec`` is a
-    primitive integer vector, positive at the pivot that ``_pivot_key``
-    picks, and ``comb`` the integer combination of generator indices whose
-    ``_derivative_row``s sum to it.  Elimination is fraction-free, as in
+    primitive integer vector keyed by (derivs, h, e) tuples, positive at the
+    pivot that ``_pivot_key`` picks, and ``comb`` the integer combination of
+    generator indices whose ``_derivative_row``s sum to it.  Elimination is fraction-free, as in
     Bareiss's integer-preserving elimination, but keeps each row primitive
     instead of dividing by the previous pivot: a pivot is cleared by
     vec <- d*vec - c*pvec, with c and d divided by their gcd first.
@@ -172,7 +175,7 @@ class DerivativeSweep:
     def __init__(self, ring: Ring, generators: List[Monomial]):
         self.ring = ring
         self.generators = generators
-        self.rows: List[Tuple[Monomial, Dict[Monomial, int], Dict[int, int]]] = []
+        self.rows: List[Tuple[tuple, Dict[tuple, int], Dict[int, int]]] = []
         for j, m in enumerate(generators):
             vec = _derivative_row(ring, m)
             comb = {j: 1}
@@ -188,7 +191,7 @@ class DerivativeSweep:
                 comb = {i: c // g for i, c in comb.items()}
             self.rows.append((pivot, vec, comb))
 
-    def _reduce(self, vec: Dict[Monomial, int], comb: Dict[int, int]) -> int:
+    def _reduce(self, vec: Dict[tuple, int], comb: Dict[int, int]) -> int:
         """Clear every pivot from ``vec`` in place, doing the same row steps
         on ``comb``, and return the product S of the factors d.  Afterwards
         vec - sum(comb[i] * derivative row of generator i) is S times what
@@ -219,11 +222,10 @@ class DerivativeSweep:
         real; with S the product of the factors of ``_reduce``, kept =
         vec/(den*S) and, as each row is twice a derivative, cert =
         -2*comb/(den*S)."""
-        mono = Monomial._canonical
-        items = [(mono(ds, h, e), re, im) for ds, group in x.num.items()
-                 for (h, e), (re, im) in group.items()]
-        vec_re = {m: re for m, re, _ in items if re}
-        vec_im = {m: im for m, _, im in items if im}
+        vec_re = {(ds, h, e): re for ds, group in x.num.items()
+                  for (h, e), (re, _) in group.items() if re}
+        vec_im = {(ds, h, e): im for ds, group in x.num.items()
+                  for (h, e), (_, im) in group.items() if im}
         comb_re: Dict[int, int] = {}
         comb_im: Dict[int, int] = {}
         s_re, s_im = self._reduce(vec_re, comb_re), self._reduce(vec_im, comb_im)

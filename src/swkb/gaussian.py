@@ -39,12 +39,7 @@ class GaussianRational:
     def __add__(self, other):
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not (b or d):
-            return GaussianRational(a + c, _F_ZERO)
-        if not (a or c):
-            return GaussianRational(_F_ZERO, b + d)
-        return GaussianRational(a + c, b + d)
+        return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -59,17 +54,6 @@ class GaussianRational:
         if type(other) is not GaussianRational:
             other = GaussianRational.coerce(other)
         a, b, c, d = self.re, self.im, other.re, other.im
-        # series coefficients are purely real or purely imaginary
-        if not b:
-            if not d:
-                return GaussianRational(a * c, _F_ZERO)
-            if not c:
-                return GaussianRational(_F_ZERO, a * d)
-        elif not a:
-            if not d:
-                return GaussianRational(_F_ZERO, b * c)
-            if not c:
-                return GaussianRational(-(b * d), _F_ZERO)
         return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__

@@ -63,10 +63,6 @@ class PolynomialSuperpotential:
         object.__setattr__(self, "hbar", float(hbar))
         object.__setattr__(self, "name", name)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def deriv_coefficients(self, k: int) -> np.ndarray:
         c = np.asarray(self.coefficients, dtype=float)
         for _ in range(k):

@@ -76,8 +76,7 @@ class Substitution:
         """u_V^(h/2) -> u^(h/2) (1 + hbar f'/u)^(h/2), binomially re-expanded."""
         out = []
         for j in range(self.order + 1):
-            coef = _half_binomial(h, j) * 1
-            c = _I_POW[j % 4] * GaussianRational(coef)
+            c = _I_POW[j % 4] * GaussianRational(_half_binomial(h, j))
             out.append((Expression.sym(1, j) * Expression.u_pow(h - 2 * j)).scale(c))
         return out
 

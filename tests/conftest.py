@@ -96,9 +96,9 @@ _monomials = st.builds(
     e=st.integers(-2, 2),
 )
 
-# Series coefficients are purely real or purely imaginary, and the arithmetic
-# has a short branch for each kind, so each kind is drawn as often as a mixed
-# value.  Integer-valued parts are passed as ints, which must be coerced.
+# Series coefficients are purely real or purely imaginary, so each kind is
+# drawn as often as a mixed value.  Integer-valued parts are passed as ints,
+# which must be coerced.
 coefficients = st.one_of(
     st.builds(GaussianRational, _small_fractions),
     st.builds(GaussianRational, st.just(0), _small_fractions),

@@ -58,6 +58,34 @@ class TestNormalize:
         assert all(m.deriv_exp(0) <= 1 for m in x.terms)
 
 
+class TestMonomial:
+    """A monomial is the raw (derivs, h, e) key that ``Expression.num`` splits
+    into derivs -> (h, e); its constructor keeps that key canonical."""
+
+    def test_orders_come_out_sorted(self):
+        m = Monomial([(3, 1), (0, 1), (1, 2)], h=-1, e=2)
+        assert m.derivs == ((0, 1), (1, 2), (3, 1))
+        assert m == (((0, 1), (1, 2), (3, 1)), -1, 2)
+
+    def test_zero_exponents_are_dropped(self):
+        assert Monomial([(2, 0), (1, 1), (0, 0)], h=3).derivs == ((1, 1),)
+        assert Monomial([(4, 0)]) == Monomial() == ((), 0, 0)
+
+    @pytest.mark.parametrize("derivs", [[(-1, 1)], [(1, -2)], [(0, 1), (2, -1)]])
+    def test_negative_order_or_exponent_raises(self, derivs):
+        with pytest.raises(ValueError):
+            Monomial(derivs, h=1)
+
+    @examples(60)
+    @given(st.sampled_from([PHI_RING, V_RING]).flatmap(ring_expressions))
+    def test_terms_keys_are_the_stored_keys(self, x):
+        for m in x.terms:
+            key = (m.derivs, m.h, m.e)
+            assert type(m) is Monomial
+            assert m == key and hash(m) == hash(key)
+            assert x.num[m.derivs][(m.h, m.e)]
+
+
 class TestArithmetic:
     def test_u_half_inverse(self):
         assert u_half(1) * u_half(-1) == const(1)
@@ -348,7 +376,7 @@ def assert_canonical(x):
         orders = [k for k, _ in m.derivs]
         assert orders == sorted(set(orders)) and all(k >= 0 for k in orders)
         assert all(a > 0 for _, a in m.derivs)
-        assert m._hash == hash((m.derivs, m.h, m.e))
+        assert m == (m.derivs, m.h, m.e) and hash(m) == hash((m.derivs, m.h, m.e))
 
 
 @st.composite

@@ -53,6 +53,32 @@ def test_every_module_constant_is_read():
     assert sorted(d for d in defined if d.split(":")[1] not in read) == []
 
 
+def test_every_method_is_read():
+    # a method or property of a package class that nothing in the package,
+    # its tests or its benchmark reads as an attribute is dead code
+    root = SRC.parents[1]
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    defined = {
+        f"{path.relative_to(SRC)}:{cls.name}.{node.name}"
+        for path, tree in trees.items()
+        if SRC in path.parents
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert defined, "no methods found"
+    assert sorted(d for d in defined if d.rsplit(".", 1)[1] not in read) == []
+
+
 def test_verify_runs_the_same_under_python_O():
     # python -O strips asserts: the run must print the same lines and its
     # negative control must still fail
