@@ -38,6 +38,7 @@ DEFAULT_TOL_E = 1e-9
 MIN_VALIDATED_E_FACTOR = 1e-8  # in units of hbar
 MAX_SOLVE_STEPS = 200
 MAX_LOG_STEP = 20.0  # a Newton step may scale E by at most e^20
+STOP_MARGIN = 100.0  # a step stops the solve when 100x its Taylor error is within tolerance
 _EPS = sys.float_info.epsilon
 
 
@@ -95,18 +96,27 @@ def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[flo
 
 class Level(float):
     """A root found by ``solve_level``: the energy as a float, carrying the
-    last (E, A, A') the solve evaluated and the (condition, superpotential,
+    last two (E, A, A') the solve evaluated, older first (the older one may
+    come from the level below), and the (condition, superpotential,
     partner) it belongs to.  Passed as the ``start`` of a solve of the same
-    problem, that evaluation serves as the first iteration, so the next
-    level starts one Newton step away without integrating again."""
+    problem, the newer evaluation serves as the first iteration and the
+    pair gives the curvature of ln A, so the next level starts one
+    second-order step away without integrating again."""
 
-    __slots__ = ("source", "probe")
+    __slots__ = ("source", "probes")
 
-    def __new__(cls, value: float, source: tuple, probe: Tuple[float, float, float]):
+    def __new__(cls, value: float, source: tuple, probes: Tuple[Tuple[float, float, float], ...]):
         level = super().__new__(cls, value)
         level.source = source
-        level.probe = probe
+        level.probes = probes
         return level
+
+
+def _log_chart(probe: Tuple[float, float, float]) -> Optional[Tuple[float, float]]:
+    """(x, s) = (ln A, d ln E / d ln A) at an evaluation (E, A, A'), or None
+    where A or A' is not positive."""
+    E, A, slope = probe
+    return (math.log(A), A / (E * slope)) if A > 0.0 and slope > 0.0 else None
 
 
 def solve_level(
@@ -123,14 +133,19 @@ def solve_level(
     last evaluation is the first iteration, and any other start is a plain
     energy.
 
-    A ~ c E^alpha makes ln A nearly linear in ln E, so each step is
-    ln E += ln(target / A) * A / (E A').  Every evaluation narrows the
-    bracket lo < root <= hi; a step that leaves it, or a point where A or
-    A' is not positive, falls back to bisection once both ends are known
-    and to doubling or halving E before that (safeguarded Newton, as in
-    Numerical Recipes' rtsafe).  The loop stops when a Newton step or the
-    bracket is within DEFAULT_TOL_E + 4 eps |E|; the root is returned as a
-    ``Level`` holding the evaluation it stopped at.
+    A ~ c E^alpha makes ln A nearly linear in ln E: with t = ln E,
+    x = ln A, s = dt/dx = A / (E A') and dx = ln(target / A), each step is
+    t += s dx + c dx^2 / 2, c = ds/dx the difference quotient of s over
+    the last two evaluations (the step is first-order while fewer than two
+    have a positive A and A').  Every evaluation narrows the bracket
+    lo < root <= hi; a step that leaves it, or a point where A or A' is not
+    positive, falls back to bisection once both ends are known and to
+    doubling or halving E before that (safeguarded Newton, as in Numerical
+    Recipes' rtsafe).  The loop stops when the bracket or a Newton step is
+    within DEFAULT_TOL_E + 4 eps |E|, or, once this solve has evaluated at
+    least once, when STOP_MARGIN times the step's Taylor error
+    |c| dx^2 / 2 (relative to the new E) is; the root is returned as a
+    ``Level`` holding the last two evaluations.
 
     The minus-partner ground state sits at the E -> 0 edge where the
     turning points coalesce; the action decreases monotonically to zero
@@ -145,7 +160,8 @@ def solve_level(
         return 0.0
     floor = MIN_VALIDATED_E_FACTOR * sp.hbar
     source = (cond, sp, partner)
-    probe = start.probe if isinstance(start, Level) and start.source == source else None
+    probes = list(start.probes) if isinstance(start, Level) and start.source == source else []
+    fresh = not probes  # evaluate at E, rather than take the carried probe
     E = float(start) if start is not None and start > floor else sp.hbar
     lo, hi = 0.0, math.inf
 
@@ -153,26 +169,29 @@ def solve_level(
         return ConvergenceError(f"level {n} ({partner}): {why}; last E = {E}, bracket [{lo}, {hi}]")
 
     for _ in range(MAX_SOLVE_STEPS):
-        if probe is None:
+        if fresh:
             try:
-                A, slope = action(cond, sp, E)
+                probes.append((E, *action(cond, sp, E)))
             except ConvergenceError as exc:
                 raise failure(str(exc)) from exc
-        else:
-            E, A, slope = probe
-            probe = None
+        E, A, _ = probes[-1]
         if A < target:
             lo = E
         else:
             hi = E
         tol = DEFAULT_TOL_E + 4.0 * _EPS * E
         if hi - lo <= tol:
-            return Level(0.5 * (lo + hi), source, (E, A, slope))
-        step = math.log(target / A) * A / (E * slope) if A > 0.0 and slope > 0.0 else math.nan
+            return Level(0.5 * (lo + hi), source, tuple(probes[-2:]))
+        here = _log_chart(probes[-1])
+        back = _log_chart(probes[-2]) if len(probes) > 1 else None
+        c = (here[1] - back[1]) / (here[0] - back[0]) if here and back and here[0] != back[0] else None
+        dx = math.log(target / A) if here else math.nan
+        bend = 0.5 * c * dx * dx if c is not None else 0.0
+        step = here[1] * dx + bend if here else math.nan
         nxt = E * math.exp(step) if abs(step) < MAX_LOG_STEP else math.nan
         if max(lo, floor) < nxt <= hi:
-            if abs(nxt - E) <= tol:
-                return Level(nxt, source, (E, A, slope))
+            if abs(nxt - E) <= tol or fresh and c is not None and STOP_MARGIN * abs(bend) * nxt <= tol:
+                return Level(nxt, source, tuple(probes[-2:]))
         elif lo and hi < math.inf:
             nxt = 0.5 * (lo + hi)
         else:
@@ -180,6 +199,7 @@ def solve_level(
             if nxt <= floor:
                 raise failure("no lower bracket above the validated range")
         E = nxt
+        fresh = True
     raise failure(f"no root within {MAX_SOLVE_STEPS} steps")
 
 

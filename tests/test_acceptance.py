@@ -3,14 +3,17 @@ its measured runtime where one is budgeted (run with ``pytest -s`` to see
 the lines).  Everything exact is compared exactly; numeric checks use the
 stated tolerances."""
 
+import json
 import math
 import time
 from fractions import Fraction as Fr
 
 import pytest
 
+import swkb.spectrum
 from swkb.algebra import i_times, phi, u_half
 from swkb.antiderivative import antiderivative
+from swkb.cli import main
 from swkb.oracle import oracle_eigenvalues
 from swkb.quadrature import contour_integrate
 from swkb.reduction import (
@@ -175,6 +178,27 @@ def test_criterion_10_anharmonic_benchmark(cubic, conditions):
     assert elapsed < 120.0
     print(f"\ncriterion 10: PASS (oracle ground state, order-4 accuracy, degeneracy;"
           f" {elapsed:.2f}s)")
+
+
+@pytest.mark.parametrize("coefficients, hbar, argv, budget", [
+    pytest.param([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0,
+                 ["quantize", "--order", "8", "--levels", "30"], 42, id="quantize8-cubic"),
+    pytest.param([0.0, 1.0, 0.0, 0.2], 0.5,
+                 ["compare", "--orders", "0,2,4", "--levels", "10"], 56, id="compare-mixed"),
+])
+def test_action_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, argv, budget):
+    # each action call integrates the whole table on one contour; a level
+    # carried from the one below takes one call once ln A's curvature
+    # predicts its root (68 and 93 calls when a carried level took two or three)
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps({"coefficients": coefficients, "hbar": hbar}))
+    honest = swkb.spectrum.action
+    calls = []
+    monkeypatch.setattr(swkb.spectrum, "action", lambda *a: calls.append(a[2]) or honest(*a))
+    assert main([argv[0], "--config", str(path)] + argv[1:] + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert len(calls) <= budget
+    print(f"\n{argv[0]}: PASS ({len(calls)} action calls, budget {budget})")
 
 
 def test_criterion_11_quadrature_self_consistency(cubic, split10, lseq9):

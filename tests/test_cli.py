@@ -311,9 +311,9 @@ def test_quantize_starts_each_level_from_the_one_below(capsys, cubic_config, mon
 
 def test_quantize_carries_each_root_into_the_next_solve(capsys, cubic_config, monkeypatch):
     # level 0 is analytic and level 1 starts cold; every later level starts
-    # one Newton step off the last evaluation of the level below, so from
-    # level 6 on it needs two evaluations, not three (97 calls in all when
-    # each solve evaluates its start again)
+    # one step off the last evaluations of the level below, without
+    # evaluating its start again (97 calls in all when each solve does;
+    # test_acceptance holds the tighter budget of the curvature-aware step)
     actions = _count_calls(monkeypatch, swkb.spectrum, "action")
     code, _ = run(capsys, ["quantize", "--config", cubic_config, "--order", "8",
                            "--levels", "30", "--json"])

@@ -12,13 +12,16 @@ J and otherwise the analytic continuation of a Beta integral,
 with p = (J + 1)/(2d); 1/Gamma vanishes at the non-positive integers.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from swkb.algebra import Monomial
+from swkb.cli import main
 from swkb.quadrature import REL_TOL, TOL, PolynomialSuperpotential, contour_integrate
+from swkb.spectrum import DEFAULT_TOL_E
 
 
 def _rgamma(x: float) -> float:
@@ -55,6 +58,27 @@ def oracle_rows(cond, c: float, d: int, E: float):
     return rows
 
 
+def closed_form_action(cond, c: float, d: int, hbar: float, E: float) -> float:
+    """``spectrum.action``'s A(E) with every row in closed form: a sum of
+    powers of E."""
+    return math.fsum(corr.sign_factor * hbar ** corr.order * float(coeff.re) * closed_form(m, c, d, E)
+                     for corr in cond.corrections for m, coeff in corr.integrand.terms.items())
+
+
+def bisect_root(f, lo: float, hi: float) -> float:
+    """The root of an increasing ``f`` in (lo, hi), bisected down to
+    adjacent floats."""
+    assert f(lo) < 0.0 < f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _monomial_case(d, E):
     return pytest.param(d, E, id=f"x^{d}/{d}-E{E}")
 
@@ -89,3 +113,22 @@ def test_closed_form_on_the_oscillator_and_the_leading_action():
     xs = -x0 + (np.arange(n) + 0.5) * (2 * x0 / n)
     direct = 2 * np.sum(np.sqrt(E - xs ** 6 / 9)) * (2 * x0 / n)
     assert closed_form(Monomial(h=1), 1.0 / 3, 3, E) == pytest.approx(direct, rel=1e-6)
+
+
+@pytest.mark.parametrize("partner", ["minus", "plus"])
+def test_quantize_order8_matches_the_closed_form_roots(capsys, tmp_path, condition8, partner):
+    # phi = x^3/3 at hbar = 1: bisecting the closed-form A(E) gives every
+    # root with no contour, no grid and no Newton step (A rises through
+    # every target between E = 0.5 and 1000)
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({"coefficients": [0.0, 0.0, 0.0, 1.0 / 3.0], "hbar": 1.0}))
+    code = main(["quantize", "--config", str(path), "--order", "8", "--levels", "30",
+                 "--partner", partner, "--json"])
+    assert code == 0
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    shift = 0 if partner == "minus" else 1
+    for n in range(1, 31):
+        target = 2.0 * (n + shift) * math.pi
+        root = bisect_root(lambda E: closed_form_action(condition8, 1.0 / 3.0, 3, 1.0, E) - target,
+                           0.5, 1000.0)
+        assert abs(levels[str(n)] - root) <= DEFAULT_TOL_E, f"level {n}"

@@ -231,11 +231,33 @@ class TestNewton:
 
         monkeypatch.setattr(swkb.spectrum, "action", counted)
         root = solve_level(condition8, cubic, 5, start=below)
-        # the first evaluation is one Newton step off the carried (E, A, A')
-        E, A, slope = below.probe
-        assert calls[0] == E * math.exp(math.log(10.0 * math.pi / A) * A / (E * slope))
-        assert below not in calls
+        # the first evaluation is one second-order step in t = ln E off the
+        # carried pair of (E, A, A'): with x = ln A and s = dt/dx,
+        # t += s dx + c dx^2 / 2, c the difference quotient of s
+        (E1, A1, slope1), (E, A, slope) = below.probes
+        s1, s = A1 / (E1 * slope1), A / (E * slope)
+        c = (s - s1) / (math.log(A) - math.log(A1))
+        dx = math.log(10.0 * math.pi / A)
+        assert calls[0] == E * math.exp(s * dx + 0.5 * c * dx * dx)
+        assert below not in calls and E1 not in calls
         assert abs(root - solve_level(condition8, cubic, 5)) < 1e-9
+
+    def test_a_carried_probe_alone_never_ends_a_solve(self, cubic, condition8, monkeypatch):
+        # a carried pair 1e-7 above the root: the first step is already far
+        # inside the quadratic stop, yet the solve evaluates once before it returns
+        root = solve_level(condition8, cubic, 5)
+        pair = tuple((E, *action(condition8, cubic, E)) for E in (0.999 * root, (1 + 1e-7) * root))
+        start = swkb.spectrum.Level(pair[1][0], (condition8, cubic, "minus"), pair)
+        honest = swkb.spectrum.action
+        calls = []
+
+        def counted(cond, sp, E):
+            calls.append(E)
+            return honest(cond, sp, E)
+
+        monkeypatch.setattr(swkb.spectrum, "action", counted)
+        assert abs(solve_level(condition8, cubic, 5, start=start) - root) < 1e-9
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("other", ["condition", "partner", "superpotential"])
     def test_a_start_from_another_problem_is_a_plain_energy(self, cubic, conditions, condition8,
@@ -256,6 +278,8 @@ class TestNewton:
         monkeypatch.setattr(swkb.spectrum, "action", counted)
         root = solve_level(condition8, cubic, 5, start=start)
         assert calls[0] == start
+        # one evaluation gives no curvature, so it cannot end the solve
+        assert len(calls) >= 2
         assert abs(root - solve_level(condition8, cubic, 5)) < 1e-9
 
     def test_failures_name_level_partner_energy_and_bracket(self, cubic, condition8, monkeypatch):
