@@ -21,8 +21,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ConvergenceError, OutOfValidatedRangeError, StructuralTheoremViolation
 from .quadrature import (
@@ -81,17 +83,20 @@ def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[flo
     sign * hbar^(2k) * the contour integral of the reduced integrand, and
     dA/dE the same sum over the integrands' E-derivatives (the contour
     encloses the moving turning points, so d/dE passes under the integral).
-    Both come from one pass on one contour; the imaginary parts are checked
-    per row and discarded inside the quadrature."""
+
+    The rows are weighted before the quadrature, so settling and the
+    realness check apply to A and dA/dE: a row weighted by hbar^8, or one
+    that is exactly zero, need not settle on its own, and an error in one
+    row shows only through the sums."""
     if E <= MIN_VALIDATED_E_FACTOR * sp.hbar:
         raise OutOfValidatedRangeError(
             f"E = {E} below the validated range (turning points coalesce)"
         )
-    rows = contour_integrate(cond.table, sp, E).rows
-    k = len(cond.corrections)
-    weights = [corr.sign_factor * sp.hbar ** corr.order for corr in cond.corrections]
-    return (sum(w * r for w, r in zip(weights, rows[:k])).real,
-            sum(w * r for w, r in zip(weights, rows[k:])).real)
+    weights = np.array([corr.sign_factor * sp.hbar ** corr.order for corr in cond.corrections])
+    # einsum rather than a matrix product: no BLAS call on the run path
+    coeffs = np.einsum("k,rkm->rm", weights, cond.table.coeffs.reshape(2, len(weights), -1))
+    A, slope = contour_integrate(replace(cond.table, coeffs=coeffs), sp, E).rows
+    return A.real, slope.real
 
 
 class Level(float):

@@ -21,7 +21,7 @@ import pytest
 from swkb.algebra import Monomial
 from swkb.cli import main
 from swkb.quadrature import REL_TOL, TOL, PolynomialSuperpotential, contour_integrate
-from swkb.spectrum import DEFAULT_TOL_E
+from swkb.spectrum import DEFAULT_TOL_E, build_conditions
 
 
 def _rgamma(x: float) -> float:
@@ -116,19 +116,22 @@ def test_closed_form_on_the_oscillator_and_the_leading_action():
 
 
 @pytest.mark.parametrize("partner", ["minus", "plus"])
-def test_quantize_order8_matches_the_closed_form_roots(capsys, tmp_path, condition8, partner):
+@pytest.mark.parametrize("order", [8, 10])
+def test_quantize_matches_the_closed_form_roots(capsys, tmp_path, order, partner):
     # phi = x^3/3 at hbar = 1: bisecting the closed-form A(E) gives every
     # root with no contour, no grid and no Newton step (A rises through
-    # every target between E = 0.5 and 1000)
+    # every target between E = 0.5 and 1000).  At order 10 the last
+    # correction's rows are exactly zero for this phi.
+    cond = build_conditions([order])[order]
     path = tmp_path / "cubic.json"
     path.write_text(json.dumps({"coefficients": [0.0, 0.0, 0.0, 1.0 / 3.0], "hbar": 1.0}))
-    code = main(["quantize", "--config", str(path), "--order", "8", "--levels", "30",
+    code = main(["quantize", "--config", str(path), "--order", str(order), "--levels", "30",
                  "--partner", partner, "--json"])
     assert code == 0
     levels = json.loads(capsys.readouterr().out)["levels"]
     shift = 0 if partner == "minus" else 1
     for n in range(1, 31):
         target = 2.0 * (n + shift) * math.pi
-        root = bisect_root(lambda E: closed_form_action(condition8, 1.0 / 3.0, 3, 1.0, E) - target,
+        root = bisect_root(lambda E: closed_form_action(cond, 1.0 / 3.0, 3, 1.0, E) - target,
                            0.5, 1000.0)
         assert abs(levels[str(n)] - root) <= DEFAULT_TOL_E, f"level {n}"

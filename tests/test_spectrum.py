@@ -292,13 +292,15 @@ class TestNewton:
         with pytest.raises(ConvergenceError, match=r"level 2 \(minus\): no lower bracket above the "
                                                    r"validated range; last E = .*, bracket \[0.0, "):
             solve_level(condition8, cubic, 2)
-        # a quadrature failure keeps its own message inside the level's
+        # a quadrature failure keeps its own message inside the level's; on
+        # phi = x^3 - x an excluded root pinches the contour at E = 0.5
         monkeypatch.setattr(swkb.spectrum, "action", honest)
         monkeypatch.setattr(swkb.quadrature, "MAX_SAMPLES", 4096)
-        with pytest.raises(ConvergenceError, match=r"level 1 \(minus\): contour integral at E = 0.01 "
+        pinched = PolynomialSuperpotential([0.0, -1.0, 0.0, 1.0], 1.0, "x^3 - x")
+        with pytest.raises(ConvergenceError, match=r"level 1 \(minus\): contour integral at E = 0.5 "
                                                    r"did not converge within 4096 samples: row \d+ "
-                                                   r"still moved by .*; last E = 0.01, bracket"):
-            solve_level(condition8, cubic, 1, start=0.01)
+                                                   r"still moved by .*; last E = 0.5, bracket"):
+            solve_level(condition8, pinched, 1, start=0.5)
 
     def test_compare_starts_each_level_from_the_one_below(self, cubic, monkeypatch):
         honest = swkb.spectrum.solve_level
