@@ -16,7 +16,7 @@ from typing import List, Optional
 from .algebra import Expression
 from .antiderivative import antiderivative
 from .errors import SwkbError, StructuralTheoremViolation
-from .oracle import default_grid, eigenvalues, oracle_eigenvalues
+from .oracle import PROBE_POINTS, default_grid, eigenvalues, oracle_eigenvalues
 from .quadrature import PolynomialSuperpotential
 from .reduction import (
     decompose,
@@ -301,8 +301,8 @@ def cmd_oracle(args) -> int:
 # -- argument values -------------------------------------------------------------
 
 
-def _at_least(low: int):
-    """argparse type: an integer >= ``low``."""
+def _at_least(low: int, most: Optional[int] = None):
+    """argparse type: an integer >= ``low`` and, if ``most`` is given, <= ``most``."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -310,6 +310,8 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}, got {value}")
         return value
     return parse
 
@@ -361,13 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--config", required=True)
     pc.add_argument("--orders", type=_even_orders, default="0,2,4",
                     help="comma-separated even orders")
-    pc.add_argument("--levels", type=_at_least(0), default=3)
+    # default_grid solves the oracle's states on PROBE_POINTS points; compare asks for levels + 2
+    pc.add_argument("--levels", type=_at_least(0, most=PROBE_POINTS - 2), default=3)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(fn=cmd_compare)
 
     po = sub.add_parser("oracle", help="grid eigenvalues of the partner potentials")
     po.add_argument("--config", required=True)
-    po.add_argument("--count", type=_at_least(1), default=5)
+    po.add_argument("--count", type=_at_least(1, most=PROBE_POINTS), default=5)
     po.add_argument("--potential", choices=("minus", "plus", "both"), default="both")
     po.add_argument("--json", action="store_true")
     po.set_defaults(fn=cmd_oracle)

@@ -196,6 +196,8 @@ def test_missing_required_flag():
     ["quantize", "--config", "{not_json}"],
     ["quantize", "--config", "{no_coefficients}"],
     ["oracle", "--config", "{constant}"],
+    ["oracle", "--config", "{cubic}", "--count", "1025"],
+    ["compare", "--config", "{cubic}", "--levels", "1023"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, cubic_config, argv):
     configs = {"cubic": cubic_config, "missing": str(tmp_path / "missing.json")}
@@ -208,6 +210,13 @@ def test_usage_errors_exit_2(capsys, tmp_path, cubic_config, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_oracle_state_limit_is_the_probe_grid(cubic_config):
+    # the probe grid of default_grid has 1024 points; compare asks for levels + 2
+    parse = swkb.cli.build_parser().parse_args
+    assert parse(["oracle", "--config", cubic_config, "--count", "1024"]).count == 1024
+    assert parse(["compare", "--config", cubic_config, "--levels", "1022"]).levels == 1022
 
 
 @pytest.mark.parametrize("command", ["quantize", "compare", "oracle"])
