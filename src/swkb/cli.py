@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's first parse calls gettext, which imports locale: loading it with
+# the module keeps that import out of every command's run
+import locale  # noqa: F401
 import sys
 from typing import List, Optional
 
 from .algebra import Expression
 from .antiderivative import antiderivative
 from .errors import SwkbError, StructuralTheoremViolation
-from .oracle import PROBE_POINTS, default_grid, eigenvalues, oracle_eigenvalues
+from .oracle import MAX_STATES, default_grid, eigenvalues, oracle_eigenvalues
 from .quadrature import PolynomialSuperpotential
 from .reduction import (
     decompose,
@@ -363,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--config", required=True)
     pc.add_argument("--orders", type=_even_orders, default="0,2,4",
                     help="comma-separated even orders")
-    # default_grid solves the oracle's states on PROBE_POINTS points; compare asks for levels + 2
-    pc.add_argument("--levels", type=_at_least(0, most=PROBE_POINTS - 2), default=3)
+    # MAX_STATES is the most the oracle's capped grids hold; compare asks for levels + 2
+    pc.add_argument("--levels", type=_at_least(0, most=MAX_STATES - 2), default=3)
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(fn=cmd_compare)
 
     po = sub.add_parser("oracle", help="grid eigenvalues of the partner potentials")
     po.add_argument("--config", required=True)
-    po.add_argument("--count", type=_at_least(1, most=PROBE_POINTS), default=5)
+    po.add_argument("--count", type=_at_least(1, most=MAX_STATES), default=5)
     po.add_argument("--potential", choices=("minus", "plus", "both"), default="both")
     po.add_argument("--json", action="store_true")
     po.set_defaults(fn=cmd_oracle)

@@ -42,5 +42,9 @@ class DomainTooSmallError(SwkbError):
     """Oracle eigenvector does not decay at the grid boundary."""
 
 
+class ResolutionError(SwkbError):
+    """Oracle levels did not settle on any grid below the point cap."""
+
+
 class OutOfValidatedRangeError(SwkbError):
     """Energy below the validated range (turning points about to coalesce)."""

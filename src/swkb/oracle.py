@@ -1,83 +1,84 @@
 """Independent eigenvalues on a grid, used as ground truth in tests.
 
-Symmetric second-order finite differences with Dirichlet walls; the lowest
-eigenvalues of the tridiagonal matrix come from Sturm-sequence bisection
-(LAPACK *stebz* via scipy), Richardson-extrapolated over a grid halving;
-on a ``default_grid`` grid the fine levels are bisected in Sturm-certified
-windows.  Nothing here touches the series machinery.
+A sinc discrete-variable representation (Colbert & Miller, J. Chem. Phys. 96,
+1982 (1992)) on 2m+1 points x_j = j h of [-X, X], diagonalized as one dense
+symmetric matrix: for the smooth polynomial potentials here the levels
+converge exponentially in the number of points.  Two certificates guard every
+answer: the eigenvectors decay at the walls (the domain), and a solve on
+about 1.5 times the points agrees (the resolution).  Nothing here touches the
+series machinery.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
 
-from .errors import DomainTooSmallError
+from .errors import DomainTooSmallError, ResolutionError
 
-DEFAULT_POINTS = 4096
-PROBE_POINTS = 1024
-DECAY_LIMIT = 1e-6
+DECAY_LIMIT = 1e-6  # relative edge amplitude above which an eigenvector has not decayed
 MAX_HALF_WIDTH = 60.0
+WALL_MARGIN = 20.0  # default_grid's walls clear the top level by this many hbar^2
+# pi/h, the largest wavenumber the grid holds, over the top level's largest
+# classical wavenumber sqrt(e_top - min V)/hbar: the 30 envelope cells (22
+# states) reach 1e-10 relative by 2.5
+WAVENUMBER_FACTOR = 3.0
+REFINE = 1.5  # the resolution check solves again on about this many times the points
+AGREE_REL = 1e-11  # two solves agree when no level moves by more than this * max(1, |E|)
+# or by this many ulps of hbar^2 pi^2/h^2 + max |V|, a bound on the finer
+# Hamiltonian's norm: eigh's own roundoff moved levels by up to 2.9 ulps of it
+ROUNDOFF_ULPS = 16.0
+# the largest grid: one dense eigh of 2049 x 2049 holds 34 MB per matrix and
+# takes about 1.5 s on 2 CPUs
+MAX_POINTS = 2049
+POINTS_PER_STATE = 4  # a grid holds at most one requested state per this many points
+# the most states whose default grid (POINTS_PER_STATE per state) survives one
+# refinement under MAX_POINTS: 341
+MAX_STATES = int((MAX_POINTS - 1) / (REFINE * POINTS_PER_STATE))
 
 
 @dataclass(frozen=True)
 class GridSpec:
     half_width: float
-    points: int = DEFAULT_POINTS
-    probe: Tuple[float, ...] = ()  # levels on PROBE_POINTS points, decay certified
+    points: int
 
     def __post_init__(self):
-        if self.points < 64:
-            raise ValueError("need at least 64 grid points")
+        if self.points % 2 == 0 or not 5 <= self.points <= MAX_POINTS:
+            raise ValueError(f"need an odd number of grid points from 5 to {MAX_POINTS}")
         if self.half_width <= 0:
             raise ValueError("half width must be positive")
 
 
-def _tridiagonal(V: Callable, X: float, n_interior: int, hbar: float):
-    """Diagonal and off-diagonal of the Hamiltonian on ``n_interior`` points."""
-    x = np.linspace(-X, X, n_interior + 2)[1:-1]
-    dx = x[1] - x[0]
-    kin = hbar * hbar / (dx * dx)
-    return 2.0 * kin + np.asarray(V(x), dtype=float), np.full(n_interior - 1, -kin)
+def _solve(V: Callable, grid: GridSpec, count: int, hbar: float, vectors: bool = False):
+    """Lowest ``count`` eigenvalues of the sinc-DVR Hamiltonian on ``grid``,
+    their eigenvectors if ``vectors``, and the potential on the grid."""
+    m = grid.points // 2
+    h = grid.half_width / m
+    j = np.arange(1, grid.points)
+    # T[j, k] = t[|j - k|]: pi^2/3 on the diagonal, 2 (-1)^d / d^2 off it
+    t = np.concatenate(([math.pi ** 2 / 3.0], 2.0 * np.where(j % 2, -1.0, 1.0) / (j * j)))
+    k = np.arange(grid.points)
+    H = (hbar * hbar / (h * h)) * t[np.abs(k[:, None] - k[None, :])]
+    pot = np.asarray(V(h * (k - m)), dtype=float)
+    H.flat[::grid.points + 1] += pot
+    if vectors:
+        w, v = np.linalg.eigh(H)
+        return w[:count], v[:, :count], pot
+    return np.linalg.eigvalsh(H)[:count], None, pot
 
 
-def _solve_grid(V: Callable, X: float, n_interior: int, count: int, hbar: float,
-                vectors: bool = True):
-    """Lowest ``count`` eigenvalues on ``n_interior`` points, and eigenvectors if ``vectors``."""
-    diag, off = _tridiagonal(V, X, n_interior, hbar)
-    return eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
-                            select_range=(0, count - 1))
+def _edge_amplitude(v: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(v[0]), np.abs(v[-1])) / np.max(np.abs(v), axis=0)
 
 
-def _count_at_most(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
-    # eigenvalues <= sigma: an infinite abstol leaves stebz only its exact Sturm counts
-    return int(dstebz(diag, off, 1, -np.inf, sigma, 0, 0, np.inf, "E")[0])
-
-
-def _windowed_solve(V: Callable, grid: GridSpec, w_n: np.ndarray, hbar: float):
-    """Levels on 2N+1 points bisected in (p - d, p + d] around their Richardson
-    predictions p, or None unless disjoint windows of one level each, under a
-    top with exactly ``len(p)`` levels at or below it, certify them."""
-    X, n = grid.half_width, 2 * grid.points + 1
-    h0, h1, h2 = ((2.0 * X / (m + 1)) ** 2 for m in (PROBE_POINTS, grid.points, n))
-    w_probe = np.asarray(grid.probe[:len(w_n)])
-    p = w_n + (w_n - w_probe) * (h2 - h1) / (h1 - h0)
-    d = 1e-3 * np.abs(w_n - w_probe) + 1e-9 * np.abs(p) + 1e-12
-    lo, hi = p - d, p + d
-    diag, off = _tridiagonal(V, X, n, hbar)
-    if not (np.all(lo[1:] >= hi[:-1]) and _count_at_most(diag, off, hi[-1]) == len(p)):
-        return None
-    out = np.empty(len(p))
-    for k in range(len(p)):
-        m, w, _, _, info = dstebz(diag, off, 1, lo[k], hi[k], 0, 0, 0.0, "E")
-        if info or m != 1:
-            return None
-        out[k] = w[0]
-    return out
+def _grid(X: float, m: int) -> GridSpec:
+    if 2 * m + 1 > MAX_POINTS:
+        raise ResolutionError(f"the levels on half width {X} need more than {MAX_POINTS} "
+                              f"grid points")
+    return GridSpec(X, 2 * m + 1)
 
 
 def eigenvalues(
@@ -85,53 +86,54 @@ def eigenvalues(
     grid: GridSpec,
     count: int,
     hbar: float = 1.0,
-    richardson: bool = True,
     check_decay: bool = True,
 ) -> np.ndarray:
     """Lowest ``count`` eigenvalues of -hbar^2 psi'' + V psi = E psi.
 
-    One Richardson step over N and 2N+1 interior points removes the leading
-    O(dx^2) discretization error.  Eigenvectors must decay at the walls,
-    otherwise the domain is too small; a ``default_grid`` probe certified that,
-    so 2N+1 levels come from ``_windowed_solve`` or else a values-only solve."""
-    if count > grid.points // 4:
+    Eigenvectors on ``grid`` must decay at the walls, otherwise the domain is
+    too small.  The grid is refined by REFINE until two solves agree to
+    AGREE_REL, and the finer values are returned."""
+    if count > grid.points // POINTS_PER_STATE:
         raise ValueError("count too large for the grid")
-    w1 = _solve_grid(V, grid.half_width, grid.points, count, hbar, vectors=False)
-    if not richardson and not check_decay:
-        return w1
-    certified = len(grid.probe) >= count
-    w2 = _windowed_solve(V, grid, w1, hbar) if certified else None
-    recheck = check_decay and not certified
-    if w2 is None:
-        w2 = _solve_grid(V, grid.half_width, 2 * grid.points + 1, count, hbar, vectors=recheck)
-    if recheck:
-        w2, v2 = w2
-        bad = np.maximum(np.abs(v2[0]), np.abs(v2[-1])) / np.max(np.abs(v2), axis=0)
+    coarse, v, _ = _solve(V, grid, count, hbar, vectors=check_decay)
+    if check_decay:
+        bad = _edge_amplitude(v)
         if np.any(bad > DECAY_LIMIT):
             k = int(np.argmax(bad))
             raise DomainTooSmallError(
                 f"eigenstate {k} does not decay at the wall (relative edge amplitude "
                 f"{bad[k]:.2e}); enlarge the half width"
             )
-    if not richardson:
-        return w2
-    return (4.0 * w2 - w1) / 3.0
+    while True:
+        m = math.ceil(REFINE * (grid.points // 2))
+        grid = _grid(grid.half_width, m)
+        fine, _, pot = _solve(V, grid, count, hbar)
+        norm = (hbar * math.pi * m / grid.half_width) ** 2 + float(np.max(np.abs(pot)))
+        tol = np.maximum(AGREE_REL * np.maximum(1.0, np.abs(fine)),
+                         ROUNDOFF_ULPS * np.finfo(float).eps * norm)
+        if np.all(np.abs(fine - coarse) <= tol):
+            return fine
+        coarse = fine
 
 
 def default_grid(V: Callable, count: int, hbar: float = 1.0) -> GridSpec:
-    """March the half width outward until the wall potential clears the
-    estimated top eigenvalue by a 20 hbar^2 margin on both sides and the
-    coarse-grid eigenstates already decay comfortably at the walls."""
-    X = 2.0
+    """March the half width outward from 2 until the wall potential clears
+    the top level by WALL_MARGIN hbar^2 on both sides and every eigenvector
+    decays below 0.01 DECAY_LIMIT at the walls.  At each half width the
+    spacing is refined until pi/h is WAVENUMBER_FACTOR times the top level's
+    largest classical wavenumber."""
+    X, h = 2.0, math.inf  # h: the spacing the last top level asked for
     while X <= MAX_HALF_WIDTH:
-        w_coarse, v_coarse = _solve_grid(V, X, PROBE_POINTS, count, hbar)
-        e_max = float(w_coarse[-1])
+        m = 0
+        while (need := max(math.ceil(X / h), POINTS_PER_STATE // 2 * count)) > m:
+            grid, m = _grid(X, need), need
+            w, v, pot = _solve(V, grid, count, hbar, vectors=True)
+            k_top = math.sqrt(max(float(w[-1]) - float(np.min(pot)), 0.0)) / hbar
+            h = math.pi / (WAVENUMBER_FACTOR * k_top) if k_top else math.inf
         wall = min(float(V(np.array([-X]))[0]), float(V(np.array([X]))[0]))
-        if wall >= e_max + 20.0 * hbar * hbar:
-            edge = np.maximum(np.abs(v_coarse[0, :]), np.abs(v_coarse[-1, :]))
-            rel = float(np.max(edge / np.max(np.abs(v_coarse), axis=0)))
-            if rel < 0.01 * DECAY_LIMIT:
-                return GridSpec(X, probe=tuple(w_coarse.tolist()))
+        if (wall >= float(w[-1]) + WALL_MARGIN * hbar * hbar
+                and np.max(_edge_amplitude(v)) < 0.01 * DECAY_LIMIT):
+            return grid
         X += 1.0
     raise DomainTooSmallError(f"no adequate half width below {MAX_HALF_WIDTH}")
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+# numpy loads np.polynomial lazily on first use; importing it here keeps that out of every run
+from numpy.polynomial.polynomial import polyroots, polyval
 
 from .algebra import Expression, Monomial
 from .errors import (
@@ -72,10 +74,10 @@ class PolynomialSuperpotential:
         return c
 
     def phi(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coefficients))
+        return polyval(x, np.asarray(self.coefficients))
 
     def phi_deriv(self, k: int, x):
-        return np.polynomial.polynomial.polyval(x, self.deriv_coefficients(k))
+        return polyval(x, self.deriv_coefficients(k))
 
     def v_minus(self, x):
         return self.phi(x) ** 2 - self.hbar * self.phi_deriv(1, x)
@@ -120,7 +122,7 @@ def turning_points(sp: PolynomialSuperpotential, E: float):
     p2[0] -= E
     descending = p2[::-1].tolist()
     roots = []
-    for r in np.polynomial.polynomial.polyroots(p2).tolist():
+    for r in polyroots(p2).tolist():
         for _ in range(3):
             val, der = _value_and_slope(descending, r)
             if abs(der) > 1e-300:
@@ -234,6 +236,11 @@ class IntegrandTable:
     h: np.ndarray
     e: np.ndarray
     coeffs: np.ndarray
+    # monomial_sums' work arrays per block width, reused by every later call
+    # and shared by the tables ``replace`` makes from this one (same parts and
+    # powers): freed after each call, they left glibc a heap top to trim and
+    # fault back in on the next, about 60 page faults per call at 512 samples
+    work: dict = field(default_factory=dict, repr=False, compare=False)
 
     def monomial_sums(self, phi_vals: np.ndarray, s: np.ndarray, dz: np.ndarray) -> np.ndarray:
         """M[p, k] = sum_j part_p(z_j) s_j^powers[k] dz_j for every phi part
@@ -241,24 +248,37 @@ class IntegrandTable:
         without its E factor.  ``phi_vals`` holds one row per entry of
         ``orders``.  Points are taken in blocks so that memory stays bounded
         at large sample counts, and contracted in chunks of CHUNK samples
-        (one chunk where CHUNK does not divide the block)."""
+        (one chunk where CHUNK does not divide the block).  The work arrays
+        in ``work`` make one table unsafe to share between threads."""
         lo, hi = self.powers.min(initial=0), self.powers.max(initial=0)
         total = np.zeros((len(self.parts), len(self.powers)), dtype=complex)
         for j in range(0, len(s), SUM_BLOCK):
             phi_b, s_b, dz_b = phi_vals[:, j:j + SUM_BLOCK], s[j:j + SUM_BLOCK], dz[j:j + SUM_BLOCK]
             n = len(s_b)
-            rungs = [np.ones(n, dtype=complex)]
+            if n not in self.work:
+                self.work[n] = tuple(np.empty((rows, n), dtype=complex) for rows in (
+                    1 + sum(self.ladder), len(self.parts), len(self.parts), 1 + hi - lo,
+                    len(self.powers)))
+            rungs, part, factor, ladder, sq = self.work[n]
+            # row 0 is 1, then phi_k, phi_k^2, ... up to each order's height
+            rungs[0], r = 1.0, 1
             for row, height in zip(phi_b, self.ladder):
-                for a in range(height):
-                    rungs.append(rungs[-1] * row if a else row)
-            part = np.prod(np.array(rungs)[self.parts], axis=1)
+                if height:
+                    rungs[r] = row
+                for i in range(r + 1, r + height):
+                    np.multiply(rungs[i - 1], row, out=rungs[i])
+                r += height
+            np.take(rungs, self.parts[:, 0], axis=0, out=part)
+            for c in range(1, self.parts.shape[1]):
+                part *= np.take(rungs, self.parts[:, c], axis=0, out=factor)
             # row i is s^(lo + i): from s^0 = 1, up by s and down by 1/s
-            ladder, inv = np.ones((1 + hi - lo, n), dtype=complex), 1.0 / s_b
+            ladder[-lo], inv = 1.0, 1.0 / s_b
             for i in range(1 - lo, len(ladder)):
                 np.multiply(ladder[i - 1], s_b, out=ladder[i])
             for i in range(-lo - 1, -1, -1):
                 np.multiply(ladder[i + 1], inv, out=ladder[i])
-            sq = ladder[self.powers - lo] * dz_b
+            np.take(ladder, self.powers - lo, axis=0, out=sq)
+            sq *= dz_b
             chunks = (n // CHUNK, CHUNK) if n % CHUNK == 0 else (1, n)
             total += np.einsum("pbc,hbc->phb", part.reshape(len(part), *chunks),
                                sq.reshape(len(sq), *chunks)).sum(axis=-1)

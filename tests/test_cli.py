@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 import swkb.cli
+import swkb.oracle
 import swkb.reduction
 import swkb.series
 import swkb.spectrum
@@ -196,8 +197,8 @@ def test_missing_required_flag():
     ["quantize", "--config", "{not_json}"],
     ["quantize", "--config", "{no_coefficients}"],
     ["oracle", "--config", "{constant}"],
-    ["oracle", "--config", "{cubic}", "--count", "1025"],
-    ["compare", "--config", "{cubic}", "--levels", "1023"],
+    ["oracle", "--config", "{cubic}", "--count", "342"],
+    ["compare", "--config", "{cubic}", "--levels", "340"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, cubic_config, argv):
     configs = {"cubic": cubic_config, "missing": str(tmp_path / "missing.json")}
@@ -212,11 +213,19 @@ def test_usage_errors_exit_2(capsys, tmp_path, cubic_config, argv):
     assert "error:" in err and "Traceback" not in err
 
 
-def test_oracle_state_limit_is_the_probe_grid(cubic_config):
-    # the probe grid of default_grid has 1024 points; compare asks for levels + 2
+def test_oracle_state_limit_fits_the_point_cap(cubic_config):
+    # 341 states take a 1365-point default grid and one 2047-point
+    # refinement, under the oracle's 2049-point cap; compare asks for levels + 2
+    assert swkb.oracle.MAX_STATES == 341
     parse = swkb.cli.build_parser().parse_args
-    assert parse(["oracle", "--config", cubic_config, "--count", "1024"]).count == 1024
-    assert parse(["compare", "--config", cubic_config, "--levels", "1022"]).levels == 1022
+    assert parse(["oracle", "--config", cubic_config, "--count", "341"]).count == 341
+    assert parse(["compare", "--config", cubic_config, "--levels", "339"]).levels == 339
+
+
+def test_oracle_resolution_failure_exits_3(capsys, monkeypatch, cubic_config):
+    monkeypatch.setattr(swkb.oracle, "MAX_POINTS", 25)
+    assert main(["oracle", "--config", cubic_config, "--count", "3"]) == 3
+    assert "numerical failure: the levels on half width" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["quantize", "compare", "oracle"])

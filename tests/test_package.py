@@ -20,15 +20,31 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_cli_does_not_import_scipy_optimize():
-    # levels are solved without a scipy root finder; importing one would
-    # load about four times as many scipy modules at start-up
+def test_commands_import_nothing_after_the_cli(tmp_path):
+    # the package needs no scipy, and everything a command uses is loaded
+    # with swkb.cli, so that no run pays for an import (numpy's lazy
+    # np.polynomial, argparse's gettext -> locale)
+    config = tmp_path / "cubic.json"
+    config.write_text('{"coefficients": [0.0, 0.0, 0.0, 0.3333333333333333], "hbar": 1.0}')
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
-    code = "import sys, swkb.cli; print('scipy.optimize' in sys.modules)"
+    code = f"""
+import contextlib, io, sys
+import swkb.cli
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+before, config = set(sys.modules), {str(config)!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [swkb.cli.main(argv) for argv in (
+        ["verify", "--order", "2"],
+        ["quantize", "--config", config, "--order", "2", "--levels", "2"],
+        ["compare", "--config", config, "--orders", "0,2", "--levels", "2"],
+        ["oracle", "--config", config, "--count", "3"],
+    )]
+print(codes, sorted(set(sys.modules) - before))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "[0, 0, 0, 0] []"]
 
 
 def test_every_module_constant_is_read():

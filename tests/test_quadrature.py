@@ -445,6 +445,32 @@ class TestIntegrandTable:
                 steps.append(np.max(np.abs(fine - coarse) / tol))
         assert np.median(steps) < 8.0
 
+    def test_parts_built_in_place_match_the_stacked_product(self, condition8):
+        # monomial_sums multiplies each phi part's rungs into one array in
+        # place; np.prod over a stacked (parts, width, samples) copy takes
+        # them in the same order, so the sums agree bit for bit.  Random
+        # samples keep every rung nonzero (phi = x^3/3 zeroes its 4th derivative)
+        table = condition8.table
+        rng = np.random.default_rng(0)
+        phi_vals, s, dz = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                           for shape in ((len(table.orders), 512), 512, 512))
+        rungs = [np.ones(512, dtype=complex)]
+        for row, height in zip(phi_vals, table.ladder):
+            for a in range(height):
+                rungs.append(rungs[-1] * row if a else row)
+        part = np.prod(np.array(rungs)[table.parts], axis=1)
+        lo, hi = table.powers.min(initial=0), table.powers.max(initial=0)
+        ladder = np.ones((1 + hi - lo, 512), dtype=complex)
+        for i in range(1 - lo, len(ladder)):
+            ladder[i] = ladder[i - 1] * s
+        for i in range(-lo - 1, -1, -1):
+            ladder[i] = ladder[i + 1] * (1.0 / s)
+        sq = ladder[table.powers - lo] * dz
+        chunks = (512 // swkb.quadrature.CHUNK, swkb.quadrature.CHUNK)
+        old = np.einsum("pbc,hbc->phb", part.reshape(len(part), *chunks),
+                        sq.reshape(len(sq), *chunks)).sum(axis=-1)
+        assert np.array_equal(table.monomial_sums(phi_vals, s, dz), old)
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.lists(ring_expressions(max_terms=4), min_size=2, max_size=4))
     @example(exprs=[Expression.zero(), Expression.zero()])
