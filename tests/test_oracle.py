@@ -143,6 +143,44 @@ def test_default_grid_certifies_decay_and_spacing(V, hbar, count):
     assert math.pi / h >= swkb.oracle.WAVENUMBER_FACTOR * math.sqrt(w[-1] - pot.min()) / hbar
 
 
+@pytest.mark.parametrize("V, hbar, count", [
+    (_potential([0, 0, 0, 1 / 3], 1.0), 1.0, 31),
+    (_potential([0, 1, 0, 0.2], 0.5), 0.5, 12),
+    (_potential([0, 0, 0, 0, 0, 0, 0, 1 / 7], 0.2, "plus"), 0.2, 22),
+], ids=["quantize8-cubic", "compare-mixed", "x7/7-plus-hbar0.2"])
+def test_fine_grid_decays_wherever_the_probe_certified_it(V, hbar, count):
+    # eigenvalues certifies decay on the grid it is given (here default_grid's,
+    # the probe) and returns the values of the refined grid, whose vectors it
+    # never computes; on these cells the refined grid's edges stay 100 times
+    # below the limit that the probe's check enforces
+    grid = default_grid(V, count, hbar)
+    fine = GridSpec(grid.half_width, 2 * math.ceil(REFINE * (grid.points // 2)) + 1)
+    _, v, _ = swkb.oracle._solve(V, fine, count, hbar, vectors=True)
+    edge = np.maximum(np.abs(v[0]), np.abs(v[-1])) / np.max(np.abs(v), axis=0)
+    assert np.max(edge) < 0.01 * DECAY_LIMIT
+
+
+def test_default_grid_solves_no_fine_grid_vectors(monkeypatch):
+    # oracle_eigenvalues computes eigenvectors only on the march's grids and
+    # on the grid default_grid returns; the refined solve of the resolution
+    # check asks for values alone
+    V, count = _potential([0, 1, 0, 0.2], 0.5), 12
+    grid = default_grid(V, count, 0.5)
+    calls, real = [], swkb.oracle._solve
+
+    def spy(V, grid, count, hbar, vectors=False):
+        calls.append((grid.points, vectors))
+        return real(V, grid, count, hbar, vectors)
+
+    monkeypatch.setattr(swkb.oracle, "_solve", spy)
+    vals = oracle_eigenvalues(V, count, 0.5)
+    fine = 2 * math.ceil(REFINE * (grid.points // 2)) + 1
+    march = calls[:-2]
+    assert march and all(vectors and points <= grid.points for points, vectors in march)
+    assert calls[-2:] == [(grid.points, True), (fine, False)]
+    assert np.all(np.diff(vals) > 0)
+
+
 def _finite_differences(V, X, count, hbar, n=4096):
     """Second-order finite differences on n and 2n + 1 interior points of
     [-X, X], Richardson-extrapolated: an independent O(h^4) estimate."""
@@ -162,10 +200,13 @@ def _finite_differences(V, X, count, hbar, n=4096):
     (_potential([0, 0, 0, 0, 0, 0.2], 0.2), 0.2, 12),
     (_potential([0, -1, 0, 1], 0.2), 0.2, 12),
 ], ids=["harmonic", "x3/3-minus", "x3/3-plus", "x+x3/5", "x5/5", "x3-x"])
-def test_agrees_with_finite_differences(V, hbar, count):
-    # at n = 4096 the extrapolated values sit within 4.1e-10 of the sinc
-    # grid's on these cells; at n = 2048, whose h^4 error is 16 times
-    # larger, within 5.3e-9
+def test_certified_windows_agree_with_the_index_solve(V, hbar, count):
+    # the certified oracle values (decay on the default grid, agreement with
+    # the refined grid) against an independent index solve: finite
+    # differences through eigh_tridiagonal's select="i", Richardson-
+    # extrapolated.  At n = 4096 the extrapolated values sit within 4.1e-10
+    # of the sinc grid's on these cells; at n = 2048, whose h^4 error is 16
+    # times larger, within 5.3e-9
     grid = default_grid(V, count, hbar)
     dvr = eigenvalues(V, grid, count, hbar)
     assert np.max(np.abs(dvr - _finite_differences(V, grid.half_width, count, hbar))) < 1e-9

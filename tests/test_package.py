@@ -20,6 +20,17 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_cli_does_not_import_scipy_optimize():
+    # levels are solved without a scipy root finder; importing one would
+    # load about four times as many scipy modules at start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, swkb.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_commands_import_nothing_after_the_cli(tmp_path):
     # the package needs no scipy, and everything a command uses is loaded
     # with swkb.cli, so that no run pays for an import (numpy's lazy
