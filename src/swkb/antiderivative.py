@@ -176,6 +176,7 @@ class DerivativeSweep:
         self.ring = ring
         self.generators = generators
         self.rows: List[Tuple[tuple, Dict[tuple, int], Dict[int, int]]] = []
+        self.row_of: Dict[tuple, int] = {}  # pivot -> index of its row
         for j, m in enumerate(generators):
             vec = _derivative_row(ring, m)
             comb = {j: 1}
@@ -189,15 +190,30 @@ class DerivativeSweep:
             if g != 1:
                 vec = {mm: c // g for mm, c in vec.items()}
                 comb = {i: c // g for i, c in comb.items()}
+            self.row_of[pivot] = len(self.rows)
             self.rows.append((pivot, vec, comb))
 
     def _reduce(self, vec: Dict[tuple, int], comb: Dict[int, int]) -> int:
         """Clear every pivot from ``vec`` in place, doing the same row steps
         on ``comb``, and return the product S of the factors d.  Afterwards
         vec - sum(comb[i] * derivative row of generator i) is S times what
-        it was before."""
+        it was before.
+
+        Rows are taken in echelon order, but only those whose pivot ``vec``
+        holds: bit i of ``pending`` marks row i, set for the pivots among
+        ``vec``'s keys and for those each subtraction adds.  Row i holds no
+        pivot of an earlier row, so every bit set while row i is subtracted
+        is above bit i and the steps are those of a scan over every row."""
         scale = 1
-        for pivot, pvec, pcomb in self.rows:
+        row_of = self.row_of
+        pending = 0
+        for key in vec:
+            if key in row_of:
+                pending |= 1 << row_of[key]
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            pivot, pvec, pcomb = self.rows[low.bit_length() - 1]
             c = vec.get(pivot)
             if c is None:
                 continue
@@ -211,7 +227,17 @@ class DerivativeSweep:
                     vec[key] *= d
                 for key in comb:
                     comb[key] *= d
-            _sub_multiple(vec, c, pvec)
+            # vec -= c * pvec, as _sub_multiple, marking the pivots it adds
+            for key, v in pvec.items():
+                old = vec.get(key)
+                if old is None:
+                    vec[key] = -c * v
+                    if key in row_of:
+                        pending |= 1 << row_of[key]
+                elif old == c * v:
+                    del vec[key]
+                else:
+                    vec[key] = old - c * v
             _sub_multiple(comb, c, pcomb)
         return scale
 

@@ -139,5 +139,8 @@ def default_grid(V: Callable, count: int, hbar: float = 1.0) -> GridSpec:
 
 
 def oracle_eigenvalues(potential: Callable, count: int, hbar: float = 1.0) -> np.ndarray:
-    """Convenience wrapper: pick a grid automatically and solve."""
-    return eigenvalues(potential, default_grid(potential, count, hbar), count, hbar)
+    """Convenience wrapper: pick a grid automatically and solve.  The decay
+    check is not repeated: default_grid certified it on that grid at 0.01
+    DECAY_LIMIT."""
+    grid = default_grid(potential, count, hbar)
+    return eigenvalues(potential, grid, count, hbar, check_decay=False)

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .algebra import Expression
 from .errors import ConvergenceError, OutOfValidatedRangeError, StructuralTheoremViolation
 from .quadrature import (
     IntegrandTable,
@@ -49,12 +50,34 @@ class Condition:
     """The truncated condition at one even ``order``: the reduced
     corrections up to that order, their integrands compiled into one table
     (one row per correction), and the split minus series they were reduced
-    from, which may run past ``order``."""
+    from, which may run past ``order``.  ``action_tables`` holds the (A, A')
+    table of each (degree of phi, hbar) that ``action_table`` has built."""
 
     order: int
     corrections: Tuple[ReducedCorrection, ...]
     table: IntegrandTable
     split: SplitSeries
+    action_tables: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def action_table(self, sp: PolynomialSuperpotential) -> IntegrandTable:
+        """The two-row table that ``action`` integrates for ``sp``: the
+        integrands and their E-derivatives weighted by sign * hbar^order,
+        compiled without the monomials that hold a phi^(k) with k above the
+        degree of phi, which vanish identically.  Built on first use for
+        each degree and hbar."""
+        degree = len(sp.coefficients) - 1
+        table = self.action_tables.get((degree, sp.hbar))
+        if table is None:
+            live = [Expression(x.ring, [(m, c) for m, c in x.terms.items()
+                                        if all(k <= degree for k, _ in m.derivs)])
+                    for x in (corr.integrand for corr in self.corrections)]
+            table = compile_integrands(live + [x.diff_E() for x in live])
+            weights = np.array([corr.sign_factor * sp.hbar ** corr.order
+                                for corr in self.corrections])
+            # einsum rather than a matrix product: no BLAS call on the run path
+            coeffs = np.einsum("k,rkm->rm", weights, table.coeffs.reshape(2, len(weights), -1))
+            table = self.action_tables[(degree, sp.hbar)] = replace(table, coeffs=coeffs)
+        return table
 
 
 def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
@@ -87,15 +110,14 @@ def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[flo
     The rows are weighted before the quadrature, so settling and the
     realness check apply to A and dA/dE: a row weighted by hbar^8, or one
     that is exactly zero, need not settle on its own, and an error in one
-    row shows only through the sums."""
+    row shows only through the sums.  The weighted table comes from
+    ``cond.action_table``, built once per degree of phi and hbar, so an
+    energy pays only for the quadrature."""
     if E <= MIN_VALIDATED_E_FACTOR * sp.hbar:
         raise OutOfValidatedRangeError(
             f"E = {E} below the validated range (turning points coalesce)"
         )
-    weights = np.array([corr.sign_factor * sp.hbar ** corr.order for corr in cond.corrections])
-    # einsum rather than a matrix product: no BLAS call on the run path
-    coeffs = np.einsum("k,rkm->rm", weights, cond.table.coeffs.reshape(2, len(weights), -1))
-    A, slope = contour_integrate(replace(cond.table, coeffs=coeffs), sp, E).rows
+    A, slope = contour_integrate(cond.action_table(sp), sp, E).rows
     return A.real, slope.real
 
 

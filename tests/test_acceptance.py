@@ -201,6 +201,27 @@ def test_action_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, a
     print(f"\n{argv[0]}: PASS ({len(calls)} action calls, budget {budget})")
 
 
+@pytest.mark.parametrize("coefficients, hbar, argv, compiles", [
+    pytest.param([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0,
+                 ["quantize", "--order", "8", "--levels", "30"], 2, id="quantize8-cubic"),
+    pytest.param([0.0, 1.0, 0.0, 0.2], 0.5,
+                 ["compare", "--orders", "0,2,4", "--levels", "10"], 6, id="compare-mixed"),
+])
+def test_compile_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, argv, compiles):
+    # one generic table per condition and one (A, A') table per condition
+    # and superpotential: an energy never compiles
+    path = tmp_path / "sp.json"
+    path.write_text(json.dumps({"coefficients": coefficients, "hbar": hbar}))
+    honest = swkb.spectrum.compile_integrands
+    calls = []
+    monkeypatch.setattr(swkb.spectrum, "compile_integrands",
+                        lambda exprs: calls.append(len(exprs)) or honest(exprs))
+    assert main([argv[0], "--config", str(path)] + argv[1:] + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert len(calls) == compiles
+    print(f"\n{argv[0]}: PASS ({len(calls)} table compiles, budget {compiles})")
+
+
 def test_criterion_11_quadrature_self_consistency(cubic, split10, lseq9):
     r2 = reduce_even_order(2, split10, lseq9)
     for E in (0.5, 1.0, 2.0):

@@ -1,5 +1,6 @@
 import importlib
 from fractions import Fraction as Fr
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +95,26 @@ def test_certificate_is_independent_of_the_window(split10, part, n):
         assert _sweep(x, widen) == (Expression.zero(), cert)
 
 
+def _scan_reduce(sweep, vec, comb):
+    """Reference for ``DerivativeSweep._reduce``: clear each row's pivot in
+    echelon order, testing every row."""
+    scale = 1
+    for pivot, pvec, pcomb in sweep.rows:
+        if pivot not in vec:
+            continue
+        g = gcd(vec[pivot], pvec[pivot])
+        c, d = vec[pivot] // g, pvec[pivot] // g
+        scale *= d
+        for acc, src in ((vec, pvec), (comb, pcomb)):
+            for key in acc:
+                acc[key] *= d
+            for key, v in src.items():
+                acc[key] = acc.get(key, 0) - c * v
+                if not acc[key]:
+                    del acc[key]
+    return scale
+
+
 class TestEngine:
     A = Monomial([(0, 1)], h=-1)            # f u^(-1/2)
     B = Monomial([(1, 1)], h=-3)            # f' u^(-3/2)
@@ -120,6 +141,24 @@ class TestEngine:
         assert kept == u_half(1)
         assert cert == sweep.normal_form(self.target())[1]
         assert antiderivative(self.target() + u_half(1)) is None
+
+    @pytest.mark.parametrize("part, n", [("q", 5), ("p", 6), ("q", 7)])
+    def test_reduce_takes_the_steps_of_a_scan_over_every_row(self, split10, monkeypatch, part, n):
+        # _reduce visits only the rows whose pivots the vector holds; the
+        # reference visits every row in echelon order and must leave the
+        # same integers, in the rows the sweep builds and in a reduction
+        x = getattr(split10, part)[n]
+        gens = _window_generators(x, 1, None)
+        fast = DerivativeSweep(x.ring, gens)
+        monkeypatch.setattr(DerivativeSweep, "_reduce", _scan_reduce)
+        slow = DerivativeSweep(x.ring, gens)
+        monkeypatch.undo()
+        assert fast.rows == slow.rows and len(fast.rows) > 10
+        vec = {(ds, h, e): re + im for ds, group in x.num.items()
+               for (h, e), (re, im) in group.items() if re + im}
+        fast_vec, fast_comb, slow_vec, slow_comb = dict(vec), {}, dict(vec), {}
+        assert fast._reduce(fast_vec, fast_comb) == _scan_reduce(fast, slow_vec, slow_comb)
+        assert (fast_vec, fast_comb) == (slow_vec, slow_comb)
 
     def test_imaginary_and_mixed_rhs(self):
         y_re = (phi() * phi(1, 2) * u_half(-5)).scale(Fr(5, 16))

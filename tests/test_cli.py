@@ -147,6 +147,23 @@ def test_oracle_json(capsys, cubic_config):
     assert abs(data["oracle"]["minus"]["eigenvalues"][0]) < 1e-6
 
 
+def test_oracle_solves_each_returned_grid_with_vectors_once(capsys, monkeypatch, cubic_config):
+    # default_grid certifies decay on the grid it returns; the resolution
+    # check that follows on that grid asks for values alone
+    calls, real = [], swkb.oracle._solve
+
+    def spy(V, grid, count, hbar, vectors=False):
+        calls.append((V.__name__, grid.points, vectors))
+        return real(V, grid, count, hbar, vectors)
+
+    monkeypatch.setattr(swkb.oracle, "_solve", spy)
+    code, out = run(capsys, ["oracle", "--config", cubic_config, "--count", "3", "--json"])
+    assert code == 0
+    for partner, rec in json.loads(out)["oracle"].items():
+        assert calls.count((f"v_{partner}", rec["points"], True)) == 1
+        assert (f"v_{partner}", rec["points"], False) in calls
+
+
 def test_oracle_text(capsys, cubic_config):
     code, out = run(capsys, ["oracle", "--config", cubic_config, "--count", "3"])
     assert code == 0

@@ -161,9 +161,10 @@ def test_fine_grid_decays_wherever_the_probe_certified_it(V, hbar, count):
 
 
 def test_default_grid_solves_no_fine_grid_vectors(monkeypatch):
-    # oracle_eigenvalues computes eigenvectors only on the march's grids and
-    # on the grid default_grid returns; the refined solve of the resolution
-    # check asks for values alone
+    # oracle_eigenvalues computes eigenvectors only on the march's grids, the
+    # last of them the grid default_grid returns and certifies; the
+    # resolution check's solves on that grid and on the refined one ask for
+    # values alone
     V, count = _potential([0, 1, 0, 0.2], 0.5), 12
     grid = default_grid(V, count, 0.5)
     calls, real = [], swkb.oracle._solve
@@ -177,7 +178,8 @@ def test_default_grid_solves_no_fine_grid_vectors(monkeypatch):
     fine = 2 * math.ceil(REFINE * (grid.points // 2)) + 1
     march = calls[:-2]
     assert march and all(vectors and points <= grid.points for points, vectors in march)
-    assert calls[-2:] == [(grid.points, True), (fine, False)]
+    assert march[-1] == (grid.points, True) and calls.count((grid.points, True)) == 1
+    assert calls[-2:] == [(grid.points, False), (fine, False)]
     assert np.all(np.diff(vals) > 0)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import swkb.cli
 import swkb.quadrature
 import swkb.spectrum
 from swkb.algebra import Expression
@@ -70,6 +72,70 @@ class TestSharedPass:
         for E in (1.0, 2.0, 4.0):
             action(cond, cubic, E)
         assert calls == {"build_contour": 3, "contour_integrate": 3}
+
+
+def _weighted_generic(cond, sp):
+    """The generic table with its rows folded into A and A' by the weights
+    sign * hbar^order, every monomial kept."""
+    weights = np.array([c.sign_factor * sp.hbar ** c.order for c in cond.corrections])
+    coeffs = np.einsum("k,rkm->rm", weights, cond.table.coeffs.reshape(2, len(weights), -1))
+    return dataclasses.replace(cond.table, coeffs=coeffs)
+
+
+class TestActionTable:
+    @pytest.mark.parametrize("coefficients, n_parts, orders", [
+        ([0.0, 0.0, 0.0, 1.0 / 3.0], 9, (0, 1, 3)),
+        ([0.0, 0.0, 0.0, 0.0, 0.0, 0.2], 13, (0, 1, 2, 3, 4, 5)),
+        ([0.0] * 7 + [0.1], 15, tuple(range(8))),
+        ([0.0] * 9 + [0.1], 15, tuple(range(8))),
+    ])
+    def test_holds_only_the_parts_phi_leaves_nonzero(self, condition8, coefficients, n_parts,
+                                                     orders):
+        # phi^(k) vanishes for k above the degree of phi; on x^3/3 phi'' is
+        # dropped as well, since it appears only next to phi^(4) and phi^(6)
+        table = condition8.action_table(PolynomialSuperpotential(coefficients))
+        assert table.orders == orders
+        assert len(table.parts) == n_parts and len(table.powers) == 13
+        assert table.coeffs.shape == (2, len(table.h))
+        if n_parts == 15:
+            assert np.array_equal(table.part_index, condition8.table.part_index)
+
+    @pytest.mark.parametrize("coefficients, hbar", [
+        ([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0),
+        ([0.0, 1.0, 0.0, 0.2], 0.5),
+        ([0.0, 0.0, 0.0, 0.0, 0.0, 0.2], 1.0),
+    ])
+    def test_matches_the_weighted_generic_table(self, condition8, coefficients, hbar):
+        sp = PolynomialSuperpotential(coefficients, hbar)
+        for E in (0.5, 2.0, 6.0):
+            got = contour_integrate(condition8.action_table(sp), sp, E).rows
+            expect = contour_integrate(_weighted_generic(condition8, sp), sp, E).rows
+            for a, b in zip(got, expect):
+                assert abs(a - b) <= 1e-12 * abs(b)
+
+    def test_built_once_per_degree_and_hbar(self, cubic):
+        cond = build_conditions([4])[4]
+        table = cond.action_table(cubic)
+        assert cond.action_table(PolynomialSuperpotential([0.0, 1.0, 0.0, 0.2])) is table
+        assert cond.action_table(PolynomialSuperpotential(cubic.coefficients, 0.5)) is not table
+        assert cond.action_table(PolynomialSuperpotential([0.0, 1.0])) is not table
+        assert len(cond.action_tables) == 3
+
+    def test_quantize_compiles_the_action_table_once(self, capsys, tmp_path, monkeypatch):
+        # the generic table before any action call, the (A, A') table in the
+        # first one, and no compile in the 30-odd calls after it
+        path = tmp_path / "sp.json"
+        path.write_text('{"coefficients": [0.0, 0.0, 0.0, 0.3333333333333333]}')
+        honest_action, honest_compile = swkb.spectrum.action, swkb.spectrum.compile_integrands
+        actions, compiles = [], []
+        monkeypatch.setattr(swkb.spectrum, "action",
+                            lambda *a: actions.append(a[2]) or honest_action(*a))
+        monkeypatch.setattr(swkb.spectrum, "compile_integrands",
+                            lambda exprs: compiles.append(len(actions)) or honest_compile(exprs))
+        argv = ["quantize", "--config", str(path), "--order", "8", "--levels", "30", "--json"]
+        assert swkb.cli.main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["levels"]) == 31
+        assert compiles == [0, 1] and len(actions) > 30
 
 
 class TestSlope:
@@ -261,15 +327,18 @@ class TestNewton:
         assert abs(solve_level(condition8, cubic, 5, start=start) - root) < 1e-9
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("other", ["condition", "partner", "superpotential"])
+    @pytest.mark.parametrize("other", ["condition", "partner", "superpotential", "coefficients"])
     def test_a_start_from_another_problem_is_a_plain_energy(self, cubic, conditions, condition8,
                                                            monkeypatch, other):
         if other == "condition":
             start = solve_level(conditions[4], cubic, 4)
         elif other == "partner":
             start = solve_level(condition8, cubic, 3, "plus")
-        else:
+        elif other == "superpotential":
             start = solve_level(condition8, PolynomialSuperpotential(cubic.coefficients, 1.1), 4)
+        else:
+            # same degree and hbar: the action table is shared, the problem is not
+            start = solve_level(condition8, PolynomialSuperpotential([0.0, 0.0, 0.0, 0.3]), 4)
         honest = swkb.spectrum.action
         calls = []
 
