@@ -329,8 +329,10 @@ def _even_order(text: str) -> int:
 
 
 def _even_orders(text: str) -> List[int]:
-    """argparse type: a non-empty comma list of even truncation orders."""
-    return [_even_order(t) for t in text.split(",")]
+    """argparse type: a non-empty comma list of even truncation orders, each
+    kept once where it first appears (the order of the list orders the
+    degeneracy rows, so it is not sorted)."""
+    return list(dict.fromkeys(_even_order(t) for t in text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:

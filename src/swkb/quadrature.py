@@ -90,9 +90,13 @@ class PolynomialSuperpotential:
 
     @staticmethod
     def from_json_dict(data: dict) -> "PolynomialSuperpotential":
-        return PolynomialSuperpotential(
-            data["coefficients"], data.get("hbar", 1.0), data.get("name", "")
-        )
+        coeffs, hbar, name = data["coefficients"], data.get("hbar", 1.0), data.get("name", "")
+        # type(), not isinstance: JSON true and false load as bool, an int subclass
+        if not isinstance(coeffs, list) or any(type(v) not in (int, float) for v in coeffs + [hbar]):
+            raise ValueError("coefficients must be a list of numbers and hbar a number")
+        if not isinstance(name, str):
+            raise ValueError("name must be a string")
+        return PolynomialSuperpotential(coeffs, hbar, name)
 
     @staticmethod
     def load(path: str) -> "PolynomialSuperpotential":
@@ -218,7 +222,7 @@ class IntegrandTable:
     """Several integrands compiled for one shared quadrature pass.
 
     Monomial m is E^e[m] times a phi part (powers of the phi^(k), k in
-    ``orders``) times sqrt(u)^h[m]; each distinct part and power is
+    ``orders``) times a power of sqrt(u); each distinct part and power is
     evaluated once per sample set.  Row 0 is the constant 1 and rows from 1
     on are the rungs of one multiplication ladder per entry of ``orders``,
     ``ladder[j]`` rungs for phi^(orders[j]).  Part p is the product of the
@@ -233,13 +237,12 @@ class IntegrandTable:
     powers: np.ndarray
     part_index: np.ndarray
     power_index: np.ndarray
-    h: np.ndarray
     e: np.ndarray
     coeffs: np.ndarray
     # monomial_sums' work arrays per block width, reused by every later call
-    # and shared by the tables ``replace`` makes from this one (same parts and
-    # powers): freed after each call, they left glibc a heap top to trim and
-    # fault back in on the next, about 60 page faults per call at 512 samples
+    # on this table: freed after each call, they left glibc a heap top to
+    # trim and fault back in on the next, about 60 page faults per call at
+    # 512 samples
     work: dict = field(default_factory=dict, repr=False, compare=False)
 
     def monomial_sums(self, phi_vals: np.ndarray, s: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -308,7 +311,6 @@ def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
         np.array(powers, dtype=int),
         np.array([parts.index(m.derivs) for m in monos], dtype=int),
         np.array([powers.index(m.h) for m in monos], dtype=int),
-        np.array([m.h for m in monos], dtype=int),
         np.array([m.e for m in monos], dtype=int),
         coeffs,
     )
@@ -370,8 +372,8 @@ def contour_integrate(
         sums = sums + table.monomial_sums(phi_vals, s, dz)
         action0 = action0 + np.sum(s * dz)
         # global sign: the leading action has positive real part
-        flip = (-1.0) ** table.h if action0.real < 0 else 1.0
-        rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums[mono]), axis=1)
+        flip = (-1.0) ** table.powers if action0.real < 0 else 1.0
+        rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums)[mono], axis=1)
         row_tol = np.maximum(TOL, REL_TOL * np.abs(rows))
         # a NaN row never counts as settled
         moving = () if prev is None else np.flatnonzero(~(np.abs(rows - prev) < row_tol))

@@ -21,10 +21,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .algebra import Expression
 from .errors import ConvergenceError, OutOfValidatedRangeError, StructuralTheoremViolation
@@ -48,43 +47,40 @@ _EPS = sys.float_info.epsilon
 @dataclass(frozen=True)
 class Condition:
     """The truncated condition at one even ``order``: the reduced
-    corrections up to that order, their integrands compiled into one table
-    (one row per correction), and the split minus series they were reduced
-    from, which may run past ``order``.  ``action_tables`` holds the (A, A')
-    table of each (degree of phi, hbar) that ``action_table`` has built."""
+    corrections up to that order and the split minus series they were
+    reduced from, which may run past ``order``.  ``action_tables`` holds the
+    (A, A') table of each (degree of phi, hbar) that ``action_table`` has
+    built; it is the only table a condition has."""
 
     order: int
     corrections: Tuple[ReducedCorrection, ...]
-    table: IntegrandTable
     split: SplitSeries
     action_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def action_table(self, sp: PolynomialSuperpotential) -> IntegrandTable:
         """The two-row table that ``action`` integrates for ``sp``: the
-        integrands and their E-derivatives weighted by sign * hbar^order,
-        compiled without the monomials that hold a phi^(k) with k above the
-        degree of phi, which vanish identically.  Built on first use for
-        each degree and hbar."""
+        left-hand side sum of sign * hbar^order * integrand, formed exactly
+        at the float hbar of ``sp``, then its E-derivative, compiled without
+        the monomials that hold a phi^(k) with k above the degree of phi,
+        which vanish identically.  Built on first use for each degree and
+        hbar."""
         degree = len(sp.coefficients) - 1
         table = self.action_tables.get((degree, sp.hbar))
         if table is None:
-            live = [Expression(x.ring, [(m, c) for m, c in x.terms.items()
+            hbar = Fraction(sp.hbar)
+            lhs = sum((c.integrand.scale(c.sign_factor * hbar ** c.order) for c in self.corrections),
+                      Expression.zero())
+            lhs = Expression(lhs.ring, [(m, c) for m, c in lhs.terms.items()
                                         if all(k <= degree for k, _ in m.derivs)])
-                    for x in (corr.integrand for corr in self.corrections)]
-            table = compile_integrands(live + [x.diff_E() for x in live])
-            weights = np.array([corr.sign_factor * sp.hbar ** corr.order
-                                for corr in self.corrections])
-            # einsum rather than a matrix product: no BLAS call on the run path
-            coeffs = np.einsum("k,rkm->rm", weights, table.coeffs.reshape(2, len(weights), -1))
-            table = self.action_tables[(degree, sp.hbar)] = replace(table, coeffs=coeffs)
+            table = self.action_tables[(degree, sp.hbar)] = compile_integrands([lhs, lhs.diff_E()])
         return table
 
 
 def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     """One condition per requested order, all cut from a single reduction
     at the highest order: each reduced correction depends only on the
-    series prefix up to its own order.  The table holds the corrections'
-    integrands, then their exact E-derivatives in the same order."""
+    series prefix up to its own order.  Nothing is compiled here; a
+    condition compiles its (A, A') table on its first ``action``."""
     for k in orders:
         if k < 0 or k % 2:
             raise ValueError(f"truncation order must be even and >= 0, got {k}")
@@ -92,13 +88,7 @@ def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     s = generate_series(top, "minus")
     split = split_series(s)
     qc = quantization_integrands(top, s, split, l_sequence(max(top - 1, 0), s))
-    conds = {}
-    for k in orders:
-        corrections = tuple(qc.corrections[: k // 2 + 1])
-        integrands = [c.integrand for c in corrections]
-        table = compile_integrands(integrands + [x.diff_E() for x in integrands])
-        conds[k] = Condition(k, corrections, table, split)
-    return conds
+    return {k: Condition(k, tuple(qc.corrections[: k // 2 + 1]), split) for k in orders}
 
 
 def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[float, float]:
@@ -107,12 +97,12 @@ def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[flo
     dA/dE the same sum over the integrands' E-derivatives (the contour
     encloses the moving turning points, so d/dE passes under the integral).
 
-    The rows are weighted before the quadrature, so settling and the
-    realness check apply to A and dA/dE: a row weighted by hbar^8, or one
-    that is exactly zero, need not settle on its own, and an error in one
-    row shows only through the sums.  The weighted table comes from
-    ``cond.action_table``, built once per degree of phi and hbar, so an
-    energy pays only for the quadrature."""
+    The weighted sum is formed exactly before the quadrature, so settling
+    and the realness check apply to A and dA/dE: a correction weighted by
+    hbar^8, or one that is exactly zero, need not settle on its own, and an
+    error in one correction shows only through the sums.  The two-row table
+    comes from ``cond.action_table``, built once per degree of phi and
+    hbar, so an energy pays only for the quadrature."""
     if E <= MIN_VALIDATED_E_FACTOR * sp.hbar:
         raise OutOfValidatedRangeError(
             f"E = {E} below the validated range (turning points coalesce)"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from swkb.algebra import Expression, Monomial, PHI_RING
 from swkb.gaussian import GaussianRational
-from swkb.quadrature import PolynomialSuperpotential
+from swkb.quadrature import PolynomialSuperpotential, compile_integrands
 from swkb.series import generate_series, l_sequence, pbar_series, split_series
 from swkb.spectrum import build_conditions
 from swkb.wkb import Substitution, wkb_series
@@ -54,6 +54,23 @@ def conditions():
 @pytest.fixture(scope="session")
 def condition8():
     return build_conditions([8])[8]
+
+
+def _row_table(cond):
+    """One table row per correction's integrand, then one per its
+    E-derivative, in the same order: every row on its own, unweighted."""
+    integrands = [c.integrand for c in cond.corrections]
+    return compile_integrands(integrands + [x.diff_E() for x in integrands])
+
+
+@pytest.fixture(scope="session")
+def table8(condition8):
+    return _row_table(condition8)
+
+
+@pytest.fixture(scope="session")
+def table4(conditions):
+    return _row_table(conditions[4])
 
 
 @pytest.fixture(scope="session")

@@ -216,11 +216,23 @@ def test_missing_required_flag():
     ["oracle", "--config", "{constant}"],
     ["oracle", "--config", "{cubic}", "--count", "342"],
     ["compare", "--config", "{cubic}", "--levels", "340"],
+    # a string of digits is not a coefficient list, JSON true is not a
+    # number, and a name must be a string
+    ["quantize", "--config", "{digit_string}"],
+    ["quantize", "--config", "{true_coefficient}"],
+    ["quantize", "--config", "{true_hbar}"],
+    ["quantize", "--config", "{list_name}"],
+    ["compare", "--config", "{list_name}"],
+    ["oracle", "--config", "{true_hbar}"],
 ])
 def test_usage_errors_exit_2(capsys, tmp_path, cubic_config, argv):
     configs = {"cubic": cubic_config, "missing": str(tmp_path / "missing.json")}
     for name, text in (("not_json", "{coefficients"), ("no_coefficients", '{"hbar": 1.0}'),
-                       ("constant", '{"coefficients": [1.0]}')):
+                       ("constant", '{"coefficients": [1.0]}'),
+                       ("digit_string", '{"coefficients": "0003"}'),
+                       ("true_coefficient", '{"coefficients": [0, true, 1]}'),
+                       ("true_hbar", '{"coefficients": [0, 0, 1], "hbar": true}'),
+                       ("list_name", '{"coefficients": [0, 0, 1], "name": ["a"]}')):
         configs[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(text)
     with pytest.raises(SystemExit) as exc:
@@ -339,6 +351,26 @@ def test_compare_solves_each_root_once(capsys, cubic_config, monkeypatch, levels
     assert [(row["n"], row["order"]) for row in data["degeneracy"]] == [
         (n, order) for order in (0, 2) for n in range(1, max(levels, 1) + 1)
     ]
+
+
+def test_compare_solves_a_repeated_order_once(capsys, tmp_path, monkeypatch, cubic_config):
+    # 0,0,2 prints what 0,2 prints, from the same action calls; the first
+    # occurrence keeps its place, since 2,0 lists its degeneracy rows first
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"coefficients": [0.0, 1.0, 0.0, 0.2], "hbar": 0.5}))
+    parse = swkb.cli.build_parser().parse_args
+    assert parse(["compare", "--config", cubic_config, "--orders", "2,0,2,0"]).orders == [2, 0]
+    actions = _count_calls(monkeypatch, swkb.spectrum, "action")
+    outs, calls = [], []
+    for orders in ("0,2", "0,0,2"):
+        code, out = run(capsys, ["compare", "--config", str(path), "--orders", orders,
+                                 "--levels", "3"])
+        assert code == 0
+        outs.append(out)
+        calls.append(len(actions))
+        actions.clear()
+    assert outs[0] == outs[1]
+    assert calls == [14, 14]
 
 
 def test_quantize_starts_each_level_from_the_one_below(capsys, cubic_config, monkeypatch):

@@ -173,12 +173,12 @@ class TestContour:
         xl, xr, _ = turning_points(cubic, 1.0)
         assert _inside(c, complex(xl, 0.0)) and _inside(c, complex(xr, 0.0))
 
-    def test_quintic_contour(self, condition8, capsys, tmp_path):
+    def test_quintic_contour(self, table8, capsys, tmp_path):
         quintic = [0.0] * 5 + [0.2]
         sp = PolynomialSuperpotential(quintic)
         build_contour(sp, 1.0)
         for E in (1.0, 5.0, 50.0):
-            assert contour_integrate(condition8.table, sp, E).samples_used <= 1024
+            assert contour_integrate(table8, sp, E).samples_used <= 1024
         # quantize solves it, and order 8 beats order 0 against the grid
         # oracle by a factor of more than 100 at levels 5-10
         path = tmp_path / "quintic.json"
@@ -199,18 +199,18 @@ class TestContour:
         pytest.param([0.0, -1.0, 0.0, 1.0], 0.5, marks=ROUNDOFF_FLOOR),
         pytest.param([0.0, -1.0, 0.0, 1.0], 1.0, marks=ROUNDOFF_FLOOR),
     ])
-    def test_envelope_cells_settle(self, condition8, monkeypatch, coefficients, E):
+    def test_envelope_cells_settle(self, table8, monkeypatch, coefficients, E):
         # the order-8 table, rows that cancel included, within 1024 samples
         monkeypatch.setattr(swkb.quadrature, "MAX_SAMPLES", 1024)
-        contour_integrate(condition8.table, PolynomialSuperpotential(coefficients), E)
+        contour_integrate(table8, PolynomialSuperpotential(coefficients), E)
 
-    def test_pinched_contour_fails_by_convergence(self, condition8, monkeypatch):
+    def test_pinched_contour_fails_by_convergence(self, table8, monkeypatch):
         # phi = x^3 - x just above the barrier top 4/27 of phi^2: two
         # excluded roots sit next to the real axis between the turning
         # points and pinch the contour
         monkeypatch.setattr(swkb.quadrature, "MAX_SAMPLES", 1024)
         with pytest.raises(ConvergenceError, match=r"at E = 0.15 did not converge"):
-            contour_integrate(condition8.table, PolynomialSuperpotential([0.0, -1.0, 0.0, 1.0]),
+            contour_integrate(table8, PolynomialSuperpotential([0.0, -1.0, 0.0, 1.0]),
                               0.15)
 
 
@@ -338,7 +338,7 @@ class TestContourIntegrate:
             b = contour_integrate(red.integrand, cubic, 1.0)
             assert abs(a.value - b.value) < 1e-9
 
-    def test_contour_independence(self, oscillator, cubic, mixed_cubic, condition8):
+    def test_contour_independence(self, oscillator, cubic, mixed_cubic, table8):
         c1 = build_contour(oscillator, 4.0)
         c2 = Contour(c1.center, 2.0 * c1.a, 2.0 * c1.b)
         v1 = contour_integrate(u_half(1), oscillator, 4.0, contour=c1).value
@@ -362,8 +362,8 @@ class TestContourIntegrate:
             xl, xr, _ = turning_points(sp, E)
             half_gap = 0.5 * (xr - xl)
             fixed = Contour(0.5 * (xl + xr), 1.25 * half_gap, 0.625 * half_gap)
-            rows = np.array(contour_integrate(condition8.table, sp, E, contour=fixed).rows)
-            confocal = np.array(contour_integrate(condition8.table, sp, E).rows)
+            rows = np.array(contour_integrate(table8, sp, E, contour=fixed).rows)
+            confocal = np.array(contour_integrate(table8, sp, E).rows)
             tol = np.maximum(swkb.quadrature.TOL, swkb.quadrature.REL_TOL * np.abs(rows))
             assert np.all(np.abs(rows - confocal) < 2.0 * tol)
 
@@ -406,27 +406,26 @@ class TestContourIntegrate:
 
 
 class TestIntegrandTable:
-    def test_stack_holds_only_the_factor_powers_in_use(self, condition8, conditions):
+    def test_stack_holds_only_the_factor_powers_in_use(self, table8, table4):
         # one row per distinct phi part and one entry per distinct sqrt(u)
         # power, each used by some monomial; the top rung of every ladder
         # is read by some part
-        for table, n_parts, n_powers in ((condition8.table, 15, 13), (conditions[4].table, 4, 7)):
+        for table, n_parts, n_powers in ((table8, 15, 13), (table4, 4, 7)):
             assert len(table.parts) == len({tuple(p) for p in table.parts.tolist()}) == n_parts
             assert len(table.powers) == len(set(table.powers.tolist())) == n_powers
             assert set(table.part_index.tolist()) == set(range(n_parts))
             assert set(table.power_index.tolist()) == set(range(n_powers))
-            assert np.array_equal(table.powers[table.power_index], table.h)
             tops = np.cumsum(table.ladder)[np.array(table.ladder) > 0]
             assert set(tops.tolist()) <= set(table.parts.ravel().tolist())
             assert table.parts.max() == sum(table.ladder)
 
-    def test_roundoff_of_the_summation_order(self, condition8):
+    def test_roundoff_of_the_summation_order(self, table8):
         # phi = x^3/3 at low energies, where the order-8 rows cancel far
         # below their terms: one trapezoid sum per sample count N, and the
         # worst row's step from N/2 to N in settling tolerances.  Chunked
         # sums added pairwise read about 3 here; one sequential sum per
         # block of SUM_BLOCK samples reads about 38
-        table = condition8.table
+        table = table8
         sp = PolynomialSuperpotential([0.0, 0.0, 0.0, 1.0 / 3.0], 0.05)
 
         def rows(E, samples):
@@ -445,12 +444,12 @@ class TestIntegrandTable:
                 steps.append(np.max(np.abs(fine - coarse) / tol))
         assert np.median(steps) < 8.0
 
-    def test_parts_built_in_place_match_the_stacked_product(self, condition8):
+    def test_parts_built_in_place_match_the_stacked_product(self, table8):
         # monomial_sums multiplies each phi part's rungs into one array in
         # place; np.prod over a stacked (parts, width, samples) copy takes
         # them in the same order, so the sums agree bit for bit.  Random
         # samples keep every rung nonzero (phi = x^3/3 zeroes its 4th derivative)
-        table = condition8.table
+        table = table8
         rng = np.random.default_rng(0)
         phi_vals, s, dz = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                            for shape in ((len(table.orders), 512), 512, 512))
