@@ -1,9 +1,10 @@
 """Command-line surface: series / reduce / verify / quantize / compare / oracle.
 
 Exit codes: 0 success, 1 property violation, 2 usage error (an invalid
-argument value or an unreadable ``--config`` file), 3 numerical
-non-convergence.  Output is deterministic for a fixed set of
-flags.
+argument value, an unreadable ``--config`` file, or for ``quantize`` and
+``compare`` a superpotential of even degree or nonpositive leading
+coefficient), 3 numerical non-convergence.  Output is deterministic for a
+fixed set of flags.
 """
 
 from __future__ import annotations
@@ -283,9 +284,8 @@ def cmd_oracle(args) -> int:
     out = {}
     for partner in ("minus", "plus") if args.potential == "both" else (args.potential,):
         V = sp.potential(partner)
-        grid = default_grid(V, args.count, sp.hbar)
-        # default_grid certified decay on this grid, 100 times more strictly
-        vals = eigenvalues(V, grid, args.count, sp.hbar, check_decay=False)
+        grid, coarse = default_grid(V, args.count, sp.hbar)
+        vals = eigenvalues(V, grid, args.count, sp.hbar, coarse=coarse)
         out[partner] = {
             "half_width": grid.half_width,
             "points": grid.points,
@@ -391,6 +391,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.sp = PolynomialSuperpotential.load(args.config)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             parser.error(f"cannot load --config {args.config}: {exc}")
+        # V- holds the zero mode exp(-int phi / hbar) only for an odd degree
+        # and a positive leading coefficient (Cooper, Khare & Sukhatme,
+        # Phys. Rep. 251 (1995) 267); the action, a function of phi^2 alone,
+        # cannot tell, so a solve would answer for another spectrum
+        if args.fn in (cmd_quantize, cmd_compare):
+            degree, lead = len(args.sp.coefficients) - 1, args.sp.coefficients[-1]
+            if degree % 2 == 0:
+                parser.error(f"--config {args.config}: SUSY is broken for even degree {degree}")
+            if lead <= 0:
+                parser.error(f"--config {args.config}: leading coefficient {lead} is not "
+                             f"positive, so the zero mode is not in V-")
     try:
         return args.fn(args)
     except StructuralTheoremViolation as exc:

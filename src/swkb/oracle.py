@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -86,17 +86,19 @@ def eigenvalues(
     grid: GridSpec,
     count: int,
     hbar: float = 1.0,
-    check_decay: bool = True,
+    coarse: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Lowest ``count`` eigenvalues of -hbar^2 psi'' + V psi = E psi.
 
     Eigenvectors on ``grid`` must decay at the walls, otherwise the domain is
-    too small.  The grid is refined by REFINE until two solves agree to
+    too small; ``coarse``, the values of a solve on ``grid`` whose decay the
+    caller has certified (``default_grid``'s), takes the place of that
+    solve.  The grid is refined by REFINE until two solves agree to
     AGREE_REL, and the finer values are returned."""
     if count > grid.points // POINTS_PER_STATE:
         raise ValueError("count too large for the grid")
-    coarse, v, _ = _solve(V, grid, count, hbar, vectors=check_decay)
-    if check_decay:
+    if coarse is None:
+        coarse, v, _ = _solve(V, grid, count, hbar, vectors=True)
         bad = _edge_amplitude(v)
         if np.any(bad > DECAY_LIMIT):
             k = int(np.argmax(bad))
@@ -116,12 +118,13 @@ def eigenvalues(
         coarse = fine
 
 
-def default_grid(V: Callable, count: int, hbar: float = 1.0) -> GridSpec:
+def default_grid(V: Callable, count: int, hbar: float = 1.0) -> Tuple[GridSpec, np.ndarray]:
     """March the half width outward from 2 until the wall potential clears
     the top level by WALL_MARGIN hbar^2 on both sides and every eigenvector
     decays below 0.01 DECAY_LIMIT at the walls.  At each half width the
     spacing is refined until pi/h is WAVENUMBER_FACTOR times the top level's
-    largest classical wavenumber."""
+    largest classical wavenumber.  Returns the grid and the lowest ``count``
+    eigenvalues of its solve."""
     X, h = 2.0, math.inf  # h: the spacing the last top level asked for
     while X <= MAX_HALF_WIDTH:
         m = 0
@@ -133,14 +136,14 @@ def default_grid(V: Callable, count: int, hbar: float = 1.0) -> GridSpec:
         wall = min(float(V(np.array([-X]))[0]), float(V(np.array([X]))[0]))
         if (wall >= float(w[-1]) + WALL_MARGIN * hbar * hbar
                 and np.max(_edge_amplitude(v)) < 0.01 * DECAY_LIMIT):
-            return grid
+            return grid, w
         X += 1.0
     raise DomainTooSmallError(f"no adequate half width below {MAX_HALF_WIDTH}")
 
 
 def oracle_eigenvalues(potential: Callable, count: int, hbar: float = 1.0) -> np.ndarray:
-    """Convenience wrapper: pick a grid automatically and solve.  The decay
-    check is not repeated: default_grid certified it on that grid at 0.01
-    DECAY_LIMIT."""
-    grid = default_grid(potential, count, hbar)
-    return eigenvalues(potential, grid, count, hbar, check_decay=False)
+    """Convenience wrapper: pick a grid automatically and solve.  The grid
+    is not solved again: default_grid certified decay on it at 0.01
+    DECAY_LIMIT and hands on its values."""
+    grid, coarse = default_grid(potential, count, hbar)
+    return eigenvalues(potential, grid, count, hbar, coarse=coarse)

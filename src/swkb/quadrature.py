@@ -30,7 +30,16 @@ from .errors import (
 
 TOL = 1e-10  # absolute floor of every row's settling tolerance
 REL_TOL = 1e-8  # a row settles once it moves by less than max(TOL, REL_TOL * |row|)
-START_SAMPLES = 256  # first resolution; integration doubles it until the estimate settles
+# The trapezoid error on a periodic integrand analytic in a strip of
+# half-width delta falls like e^(-delta N) (Trefethen & Weideman, SIAM Review
+# 56 (2014) 385), so each contour starts at the least power of two N with
+# delta N >= STRIP_DECAY (e^-32 ~ 1e-14), kept within MIN_START_SAMPLES and
+# START_SAMPLES, the start of a hand-built Contour.  Two coarse sums can
+# agree by aliasing: the floor stays until a bound on the integrand's size
+# on the wider ellipse backs a lower one
+STRIP_DECAY = 32.0
+MIN_START_SAMPLES = 64
+START_SAMPLES = 256
 MAX_SAMPLES = 2 ** 20
 ETA_FREE = math.acosh(2.0)  # elliptic radius of the contour when no root is excluded
 # contour's share of the nearest excluded root's elliptic radius: at order 8,
@@ -90,6 +99,8 @@ class PolynomialSuperpotential:
 
     @staticmethod
     def from_json_dict(data: dict) -> "PolynomialSuperpotential":
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         coeffs, hbar, name = data["coefficients"], data.get("hbar", 1.0), data.get("name", "")
         # type(), not isinstance: JSON true and false load as bool, an int subclass
         if not isinstance(coeffs, list) or any(type(v) not in (int, float) for v in coeffs + [hbar]):
@@ -149,9 +160,10 @@ def turning_points(sp: PolynomialSuperpotential, E: float):
 
 
 @lru_cache(maxsize=8)
-def _unit_circle(samples: int, shift: float):
-    """cos and sin of the angles 2 pi (j + shift) / samples, j < samples."""
-    theta = 2.0 * np.pi * (np.arange(samples) + shift) / samples
+def _unit_circle(samples: int, shift: Union[float, Tuple[float, ...]]):
+    """cos and sin of the angles 2 pi (j + shift) / samples, j < samples,
+    one set after another for a tuple of shifts."""
+    theta = 2.0 * np.pi * (np.arange(samples) + np.reshape(shift, (-1, 1))).ravel() / samples
     cos, sin = np.cos(theta), np.sin(theta)
     cos.flags.writeable = sin.flags.writeable = False
     return cos, sin
@@ -164,10 +176,12 @@ class Contour:
     center: float
     a: float  # semi-axis along the real direction
     b: float  # semi-axis along the imaginary direction
+    start: int = START_SAMPLES  # first resolution of the trapezoid rule
 
-    def points(self, samples: int, shift: float = 0.0):
+    def points(self, samples: int, shift: Union[float, Tuple[float, ...]] = 0.0):
         """``samples`` equispaced points and dz/dtheta; ``shift = 0.5`` gives
-        the midpoints, i.e. the points that doubling ``samples`` adds."""
+        the midpoints, i.e. the points that doubling ``samples`` adds, and
+        ``shift = (0.0, 0.5)`` the points followed by their midpoints."""
         cos, sin = _unit_circle(samples, shift)
         z = self.center + self.a * cos + 1j * self.b * sin
         dz = -self.a * sin + 1j * self.b * cos
@@ -180,16 +194,22 @@ def build_contour(sp: PolynomialSuperpotential, E: float) -> Contour:
     elliptic radius Re arccosh((w - c) / g); the turning points have radius
     0.  The trapezoid rule on the ellipse of radius eta converges at a rate
     set by the distance from eta to the nearest singular radius, so the
-    contour takes ROOT_SHARE of the least excluded root's radius, or
-    ETA_FREE when that is larger or nothing is excluded.  It cannot fail:
-    a root near the real axis pinches the contour and the integration,
-    not this rule, reports it."""
+    contour takes ROOT_SHARE of the least excluded root's radius rho, or
+    ETA_FREE when that is larger or nothing is excluded.  The integrand is
+    analytic in the strip |Im theta| < delta = min(eta, rho - eta), which
+    sets the first resolution (see STRIP_DECAY).  It cannot fail: a root
+    near the real axis pinches the contour and the integration, not this
+    rule, reports it."""
     xl, xr, excluded = turning_points(sp, E)
     center = 0.5 * (xl + xr)
     half_gap = 0.5 * (xr - xl)
     radii = np.arccosh((np.array(excluded, dtype=complex) - center) / half_gap).real
-    eta = min(ETA_FREE, ROOT_SHARE * radii.min(initial=np.inf))
-    return Contour(center, half_gap * math.cosh(eta), half_gap * math.sinh(eta))
+    rho = radii.min(initial=np.inf)
+    eta = min(ETA_FREE, ROOT_SHARE * rho)
+    delta, start = min(eta, rho - eta), MIN_START_SAMPLES
+    while start < START_SAMPLES and delta * start < STRIP_DECAY:
+        start *= 2
+    return Contour(center, half_gap * math.cosh(eta), half_gap * math.sinh(eta), start)
 
 
 def track_sqrt_u(u: np.ndarray) -> np.ndarray:
@@ -245,16 +265,22 @@ class IntegrandTable:
     # 512 samples
     work: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def monomial_sums(self, phi_vals: np.ndarray, s: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    def monomial_sums(self, phi_vals: np.ndarray, s: np.ndarray, dz: np.ndarray,
+                      halves: bool = False) -> np.ndarray:
         """M[p, k] = sum_j part_p(z_j) s_j^powers[k] dz_j for every phi part
         and sqrt(u) power: monomial m sums to M[part_index[m], power_index[m]]
         without its E factor.  ``phi_vals`` holds one row per entry of
         ``orders``.  Points are taken in blocks so that memory stays bounded
         at large sample counts, and contracted in chunks of CHUNK samples
-        (one chunk where CHUNK does not divide the block).  The work arrays
-        in ``work`` make one table unsafe to share between threads."""
+        (one chunk where CHUNK does not divide the block).  With ``halves``
+        the result is [M over the first half of the points, M over the
+        second], each summed as a call on that half alone would: the points
+        must fit one block and each half be a whole number of chunks.  The
+        work arrays in ``work`` make one table unsafe to share between
+        threads."""
         lo, hi = self.powers.min(initial=0), self.powers.max(initial=0)
-        total = np.zeros((len(self.parts), len(self.powers)), dtype=complex)
+        pieces = 2 if halves else 1
+        total = np.zeros((len(self.parts), len(self.powers), pieces), dtype=complex)
         for j in range(0, len(s), SUM_BLOCK):
             phi_b, s_b, dz_b = phi_vals[:, j:j + SUM_BLOCK], s[j:j + SUM_BLOCK], dz[j:j + SUM_BLOCK]
             n = len(s_b)
@@ -283,9 +309,10 @@ class IntegrandTable:
             np.take(ladder, self.powers - lo, axis=0, out=sq)
             sq *= dz_b
             chunks = (n // CHUNK, CHUNK) if n % CHUNK == 0 else (1, n)
-            total += np.einsum("pbc,hbc->phb", part.reshape(len(part), *chunks),
-                               sq.reshape(len(sq), *chunks)).sum(axis=-1)
-        return total
+            by_chunk = np.einsum("pbc,hbc->phb", part.reshape(len(part), *chunks),
+                                 sq.reshape(len(sq), *chunks))
+            total += by_chunk.reshape(len(part), len(sq), pieces, chunks[0] // pieces).sum(axis=-1)
+        return np.moveaxis(total, -1, 0) if halves else total[..., 0]
 
 
 def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
@@ -345,32 +372,44 @@ def contour_integrate(
     """Closed-contour integrals of every row of ``integrands`` (a plain
     expression is a one-row table) on one contour and one sample set.
 
-    Sample doubling is nested: level 2N evaluates only the N new midpoints
-    and adds them to the running monomial sums; sqrt(u) is re-tracked over
-    the whole loop.  Every row must change by less than its tolerance
-    max(TOL, REL_TOL * |row|) between levels.  Quantization integrands are
-    real up to branch-tracking noise; with ``check_real`` each row's
-    imaginary part is required to stay below 10 times its tolerance
-    (disable it to integrate deliberately non-real quantities).  ``rows``
-    holds every row's integral and ``value`` their sum.  ``spectrum.action``
-    passes a two-row table, the weighted sums A and dA/dE, so both rules
-    meet the numbers the level solver reads."""
+    The trapezoid rule starts at the contour's ``start`` resolution N0, set
+    by the half-width of its analytic strip (Trefethen & Weideman, SIAM
+    Review 56 (2014) 385).  The first two levels come from one pass over
+    the N0 points and their N0 midpoints: sqrt(u) is tracked once around
+    the 2 N0 loop and one table contraction sums each half apart, so the
+    level-N0 and level-2N0 rows are those of nested doubling.  Every later
+    level evaluates only the new midpoints and adds them to the running
+    monomial sums; sqrt(u) is re-tracked over the whole loop, and the sums
+    start over if that moves the branch at an old sample.  Every row must
+    change by less than its tolerance max(TOL, REL_TOL * |row|) between
+    levels.  Quantization integrands are real up to branch-tracking noise;
+    with ``check_real`` each row's imaginary part is required to stay below
+    10 times its tolerance (disable it to integrate deliberately non-real
+    quantities).  ``rows`` holds every row's integral and ``value`` their
+    sum.  ``spectrum.action`` passes a two-row table, the weighted sums A
+    and dA/dE, so both rules meet the numbers the level solver reads."""
     table = integrands if isinstance(integrands, IntegrandTable) else compile_integrands([integrands])
     if contour is None:
         contour = build_contour(sp, E)
     coeffs = table.coeffs * float(E) ** table.e
     mono = (table.part_index, table.power_index)
     deriv_rows = _derivative_rows(sp, table.orders)
-    samples = START_SAMPLES
-    z, dz = contour.points(samples)
+    samples = contour.start
+    # the points, then their midpoints; u and sqrt(u) interleave them into loop order
+    z, dz = contour.points(samples, (0.0, 0.5))
     phi_vals = _horner(deriv_rows, z)
-    u = E - phi_vals[0] ** 2
-    s = root = track_sqrt_u(u)
+    u = (E - phi_vals[0] ** 2).reshape(2, samples).T.ravel()
+    root = track_sqrt_u(u)
+    s = root.reshape(samples, 2).T.ravel()
+    # (monomial sums, leading action) of each level evaluated and not yet read
+    pending = list(zip(table.monomial_sums(phi_vals, s, dz, halves=True),
+                       np.sum((s * dz).reshape(2, samples), axis=1)))
     sums = action0 = 0.0
     prev = None
     while True:
-        sums = sums + table.monomial_sums(phi_vals, s, dz)
-        action0 = action0 + np.sum(s * dz)
+        new_sums, new_action0 = pending.pop(0)
+        sums = sums + new_sums
+        action0 = action0 + new_action0
         # global sign: the leading action has positive real part
         flip = (-1.0) ** table.powers if action0.real < 0 else 1.0
         rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums)[mono], axis=1)
@@ -391,18 +430,21 @@ def contour_integrate(
                 f"row {r} still moved by {abs(rows[r] - prev[r]):.3e}"
             )
         prev = rows
-        z, dz = contour.points(samples, shift=0.5)
-        phi_vals = _horner(deriv_rows, z)
-        fine_u = np.empty(2 * samples, dtype=complex)
-        fine_u[0::2] = u
-        fine_u[1::2] = E - phi_vals[0] ** 2
-        fine = track_sqrt_u(fine_u)
-        if np.array_equal(fine[0::2], root):
-            s = fine[1::2]
-        else:
-            # the finer loop chose another branch at old samples: start over
-            z, dz = contour.points(2 * samples)
+        if not pending:
+            z, dz = contour.points(samples, shift=0.5)
             phi_vals = _horner(deriv_rows, z)
-            s = fine
-            sums = action0 = 0.0
-        u, root, samples = fine_u, fine, 2 * samples
+            fine_u = np.empty(2 * samples, dtype=complex)
+            fine_u[0::2] = u
+            fine_u[1::2] = E - phi_vals[0] ** 2
+            fine = track_sqrt_u(fine_u)
+            if np.array_equal(fine[0::2], root):
+                s = fine[1::2]
+            else:
+                # the finer loop chose another branch at old samples: start over
+                z, dz = contour.points(2 * samples)
+                phi_vals = _horner(deriv_rows, z)
+                s = fine
+                sums = action0 = 0.0
+            u, root = fine_u, fine
+            pending.append((table.monomial_sums(phi_vals, s, dz), np.sum(s * dz)))
+        samples *= 2

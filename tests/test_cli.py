@@ -6,6 +6,7 @@ import pytest
 
 import swkb.cli
 import swkb.oracle
+import swkb.quadrature
 import swkb.reduction
 import swkb.series
 import swkb.spectrum
@@ -148,8 +149,8 @@ def test_oracle_json(capsys, cubic_config):
 
 
 def test_oracle_solves_each_returned_grid_with_vectors_once(capsys, monkeypatch, cubic_config):
-    # default_grid certifies decay on the grid it returns; the resolution
-    # check that follows on that grid asks for values alone
+    # default_grid certifies decay on the grid it returns and hands on its
+    # values: the resolution check solves only the refined grid
     calls, real = [], swkb.oracle._solve
 
     def spy(V, grid, count, hbar, vectors=False):
@@ -161,7 +162,7 @@ def test_oracle_solves_each_returned_grid_with_vectors_once(capsys, monkeypatch,
     assert code == 0
     for partner, rec in json.loads(out)["oracle"].items():
         assert calls.count((f"v_{partner}", rec["points"], True)) == 1
-        assert (f"v_{partner}", rec["points"], False) in calls
+        assert (f"v_{partner}", rec["points"], False) not in calls
 
 
 def test_oracle_text(capsys, cubic_config):
@@ -175,15 +176,45 @@ def test_oracle_text(capsys, cubic_config):
 
 
 def test_numerical_failure_exits_3(capsys, tmp_path):
-    # phi = x^2 - 1 has two classical regions at E = 1, which the contour
-    # rule does not handle: a numerical failure, not a crash
-    path = tmp_path / "double_well.json"
-    path.write_text(json.dumps({"coefficients": [-1, 0, 1], "hbar": 1}))
+    # phi = x^3 - x with hbar = 0.1 puts level 1 below the barrier of phi^2:
+    # three classical regions at E = 0.1, which the contour rule does not
+    # handle, so a numerical failure, not a crash
+    path = tmp_path / "triple_well.json"
+    path.write_text(json.dumps({"coefficients": [0, -1, 0, 1], "hbar": 0.1}))
     code = main(["quantize", "--config", str(path), "--order", "0", "--levels", "1"])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err == "numerical failure: 2 classical regions at E = 1.0\n"
+    assert captured.err == "numerical failure: 3 classical regions at E = 0.1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("coefficients, reason", [
+    ([0, 0, 1], "SUSY is broken for even degree 2"),
+    ([-1, 0, 1], "SUSY is broken for even degree 2"),
+    ([0, 0, 0, -1], "leading coefficient -1.0 is not positive"),
+    ([0, -1], "leading coefficient -1.0 is not positive"),
+])
+def test_superpotentials_outside_the_theory_are_usage_errors(capsys, tmp_path, coefficients, reason):
+    # the action depends on phi^2 alone, so these used to get the spectrum of
+    # another problem with exit 0; the grid oracle still takes any phi
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps({"coefficients": coefficients}))
+    for command in ("quantize", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--levels", "1"])
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
+    assert main(["oracle", "--config", str(path), "--count", "2"]) == 0
+
+
+@pytest.mark.parametrize("command", ["quantize", "compare", "oracle"])
+def test_non_object_config_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "list.json"
+    path.write_text("[0, 1]")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():
@@ -425,14 +456,32 @@ def test_quantize_small_hbar_at_order_8(capsys, tmp_path, integral_samples):
     assert integral_samples and sum(integral_samples) <= 16384
 
 
-def test_workload_integrals_settle_at_512_samples(capsys, tmp_path, cubic_config, integral_samples):
-    # a settling rule that adds samples would show here before any benchmark
+def test_workload_integrals_settle_within_their_sample_bounds(capsys, tmp_path, cubic_config,
+                                                             integral_samples):
+    # a settling rule that adds samples would show here before any benchmark.
+    # The cubic's analytic strip starts it at 256 samples, so every integral
+    # settles at 512; the mixed well's wider strip starts it at 64 or 128
     mixed = tmp_path / "mixed.json"
     mixed.write_text(json.dumps({"coefficients": [0.0, 1.0, 0.0, 0.2], "hbar": 0.5}))
-    for argv in (["quantize", "--config", cubic_config, "--order", "8", "--levels", "5"],
-                 ["compare", "--config", str(mixed), "--orders", "0,2,4", "--levels", "3"]):
-        assert run(capsys, argv)[0] == 0
+    assert run(capsys, ["quantize", "--config", cubic_config, "--order", "8", "--levels", "5"])[0] == 0
     assert integral_samples and set(integral_samples) == {512}
+    integral_samples.clear()
+    assert run(capsys, ["compare", "--config", str(mixed), "--orders", "0,2,4", "--levels", "3"])[0] == 0
+    assert integral_samples and max(integral_samples) <= 256
+    assert sum(integral_samples) <= 512 * len(integral_samples) // 2
+
+
+def test_one_run_keeps_every_unit_circle_cached(capsys, tmp_path, cubic_config):
+    # every (samples, shift) angle set a workload's run asks for stays in
+    # _unit_circle's cache: none is computed twice
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"coefficients": [0.0, 1.0, 0.0, 0.2], "hbar": 0.5}))
+    for argv in (["quantize", "--config", cubic_config, "--order", "8", "--levels", "30"],
+                 ["compare", "--config", str(mixed), "--orders", "0,2,4", "--levels", "10"]):
+        swkb.quadrature._unit_circle.cache_clear()
+        assert run(capsys, argv)[0] == 0
+        info = swkb.quadrature._unit_circle.cache_info()
+        assert info.hits and info.misses == info.currsize
 
 
 def test_compare_fails_when_plus_real_parts_differ(capsys, cubic_config, monkeypatch):

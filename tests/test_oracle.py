@@ -34,7 +34,7 @@ def test_exponential_convergence():
     # gains far more than 100x between a coarse grid and the certified one
     V, count = (lambda x: x * x), 6
     exact = 2.0 * np.arange(count) + 1.0
-    grid = default_grid(V, count)
+    grid, _ = default_grid(V, count)
     coarse = GridSpec(grid.half_width, 2 * (grid.points // 4) + 1)
     assert coarse.points <= (grid.points + 1) // 2
     err_coarse = np.max(np.abs(swkb.oracle._solve(V, coarse, count, 1.0)[0] - exact))
@@ -58,7 +58,7 @@ def test_under_resolved_grid_raises(monkeypatch):
 
 def test_resolution_check_solves_once_more_and_returns_the_finer_values(monkeypatch):
     V, count = PolynomialSuperpotential([0, 1, 0, 0.2], 0.5).v_minus, 12
-    grid = default_grid(V, count, 0.5)
+    grid, _ = default_grid(V, count, 0.5)
     calls, real = [], swkb.oracle._solve
 
     def spy(V, grid, count, hbar, vectors=False):
@@ -75,7 +75,7 @@ def test_resolution_check_solves_once_more_and_returns_the_finer_values(monkeypa
 def test_domain_too_small_raises():
     grid = GridSpec(2.0, 65)
     with pytest.raises(DomainTooSmallError):
-        eigenvalues(lambda x: x * x, grid, 4, check_decay=True)
+        eigenvalues(lambda x: x * x, grid, 4)
     # a potential that never clears its levels exhausts the march
     with pytest.raises(DomainTooSmallError, match="no adequate half width"):
         default_grid(lambda x: 0.0 * x, 1)
@@ -102,7 +102,7 @@ def test_count_bounded_by_grid():
 
 
 def test_default_grid_clears_top_state():
-    grid = default_grid(lambda x: x * x, 6, 1.0)
+    grid, _ = default_grid(lambda x: x * x, 6, 1.0)
     wall = grid.half_width ** 2
     assert wall >= 11.0 + 20.0
 
@@ -116,7 +116,7 @@ def test_state_n_has_n_nodes(V, hbar, count):
     # its tails; the kinetic matrix's (-1)^(j-k) signs make the ground state
     # nodeless, and without them every eigenvalue stays (the matrix is
     # conjugated by diag((-1)^j)) while each vector alternates point to point
-    grid = default_grid(V, count, hbar)
+    grid, _ = default_grid(V, count, hbar)
     _, v, _ = swkb.oracle._solve(V, grid, count, hbar, vectors=True)
     for n in range(count):
         col = v[:, n][np.abs(v[:, n]) > 1e-6 * np.max(np.abs(v[:, n]))]
@@ -135,7 +135,7 @@ def _potential(coefficients, hbar, partner="minus"):
 def test_default_grid_certifies_decay_and_spacing(V, hbar, count):
     # the grid default_grid returns holds every state below 0.01 DECAY_LIMIT
     # at its walls, and pi/h clears the top level's wavenumber
-    grid = default_grid(V, count, hbar)
+    grid, _ = default_grid(V, count, hbar)
     w, v, pot = swkb.oracle._solve(V, grid, count, hbar, vectors=True)
     edge = np.maximum(np.abs(v[0]), np.abs(v[-1])) / np.max(np.abs(v), axis=0)
     assert np.max(edge) < 0.01 * DECAY_LIMIT
@@ -153,7 +153,7 @@ def test_fine_grid_decays_wherever_the_probe_certified_it(V, hbar, count):
     # the probe) and returns the values of the refined grid, whose vectors it
     # never computes; on these cells the refined grid's edges stay 100 times
     # below the limit that the probe's check enforces
-    grid = default_grid(V, count, hbar)
+    grid, _ = default_grid(V, count, hbar)
     fine = GridSpec(grid.half_width, 2 * math.ceil(REFINE * (grid.points // 2)) + 1)
     _, v, _ = swkb.oracle._solve(V, fine, count, hbar, vectors=True)
     edge = np.maximum(np.abs(v[0]), np.abs(v[-1])) / np.max(np.abs(v), axis=0)
@@ -163,10 +163,10 @@ def test_fine_grid_decays_wherever_the_probe_certified_it(V, hbar, count):
 def test_default_grid_solves_no_fine_grid_vectors(monkeypatch):
     # oracle_eigenvalues computes eigenvectors only on the march's grids, the
     # last of them the grid default_grid returns and certifies; the
-    # resolution check's solves on that grid and on the refined one ask for
-    # values alone
+    # resolution check takes that solve's values and solves the refined grid
+    # for values alone
     V, count = _potential([0, 1, 0, 0.2], 0.5), 12
-    grid = default_grid(V, count, 0.5)
+    grid, _ = default_grid(V, count, 0.5)
     calls, real = [], swkb.oracle._solve
 
     def spy(V, grid, count, hbar, vectors=False):
@@ -176,11 +176,26 @@ def test_default_grid_solves_no_fine_grid_vectors(monkeypatch):
     monkeypatch.setattr(swkb.oracle, "_solve", spy)
     vals = oracle_eigenvalues(V, count, 0.5)
     fine = 2 * math.ceil(REFINE * (grid.points // 2)) + 1
-    march = calls[:-2]
+    march = calls[:-1]
     assert march and all(vectors and points <= grid.points for points, vectors in march)
     assert march[-1] == (grid.points, True) and calls.count((grid.points, True)) == 1
-    assert calls[-2:] == [(grid.points, False), (fine, False)]
+    assert calls[-1] == (fine, False) and (grid.points, False) not in calls
     assert np.all(np.diff(vals) > 0)
+
+
+@pytest.mark.parametrize("V, hbar, count", [
+    (_potential([0, 0, 0, 1 / 3], 1.0), 1.0, 31),
+    (_potential([0, 1, 0, 0.2], 0.5), 0.5, 11),
+    (_potential([0, 0, 0, 1 / 3], 0.05), 0.05, 6),
+], ids=["quantize8-cubic", "compare-mixed", "cubic-hbar0.05"])
+def test_handed_on_values_give_the_values_of_a_fresh_solve(V, hbar, count):
+    # default_grid's values stand in for a values-only solve of its grid:
+    # the refinement check still passes on the first refined grid and
+    # returns the same values bit for bit
+    grid, coarse = default_grid(V, count, hbar)
+    fresh = swkb.oracle._solve(V, grid, count, hbar)[0]
+    assert np.max(np.abs(coarse - fresh)) < 1e-11 * max(1.0, np.max(np.abs(fresh)))
+    assert np.array_equal(oracle_eigenvalues(V, count, hbar), eigenvalues(V, grid, count, hbar))
 
 
 def _finite_differences(V, X, count, hbar, n=4096):
@@ -209,7 +224,7 @@ def test_certified_windows_agree_with_the_index_solve(V, hbar, count):
     # extrapolated.  At n = 4096 the extrapolated values sit within 4.1e-10
     # of the sinc grid's on these cells; at n = 2048, whose h^4 error is 16
     # times larger, within 5.3e-9
-    grid = default_grid(V, count, hbar)
+    grid, _ = default_grid(V, count, hbar)
     dvr = eigenvalues(V, grid, count, hbar)
     assert np.max(np.abs(dvr - _finite_differences(V, grid.half_width, count, hbar))) < 1e-9
 
@@ -226,7 +241,7 @@ def test_envelope_cells_are_resolved_and_degenerate(coefficients, hbar):
     vals = {}
     for partner in ("minus", "plus"):
         V = sp.potential(partner)
-        grid = default_grid(V, count, hbar)
+        grid, _ = default_grid(V, count, hbar)
         vals[partner] = eigenvalues(V, grid, count, hbar)
         finer = GridSpec(grid.half_width, 6 * (grid.points // 2) + 1)
         ref = swkb.oracle._solve(V, finer, count, hbar)[0]

@@ -214,6 +214,115 @@ class TestContour:
                               0.15)
 
 
+    @pytest.mark.parametrize("E", [0.5, 2.0, 60.0])
+    def test_cubic_starts_at_256_samples(self, cubic, E):
+        # phi = c x^3 is scale invariant: its strip half-width is 0.249 at
+        # every E, and 128 samples fall short of STRIP_DECAY
+        assert build_contour(cubic, E).start == 256
+
+    @pytest.mark.parametrize("E, start", [(0.1, 64), (0.5, 64), (1.0, 64),
+                                          (2.0, 128), (10.0, 128), (60.0, 128)])
+    def test_mixed_well_starts_where_its_strip_says(self, E, start):
+        assert build_contour(PolynomialSuperpotential([0.0, 1.0, 0.0, 0.2], 0.5), E).start == start
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5), st.floats(0.5, 3.0),
+           st.floats(1e-3, 1e3))
+    def test_start_stays_within_64_and_256_samples(self, low, top, E):
+        # a power of two from 64 to 256 wherever a contour exists
+        try:
+            c = build_contour(PolynomialSuperpotential(low + [top]), E)
+        except (NoClassicalRegionError, AmbiguousRegionError):
+            return
+        assert c.start in (64, 128, 256)
+
+    def test_start_floor_and_hand_built_start(self, oscillator):
+        # phi = x excludes no root: its strip, arccosh 2 wide, asks for 32
+        # samples, and the floor keeps 64.  A hand-built contour starts at 256
+        assert build_contour(oscillator, 3.0).start == swkb.quadrature.MIN_START_SAMPLES == 64
+        assert Contour(0.0, 1.8, 1.3635).start == swkb.quadrature.START_SAMPLES == 256
+
+
+def _first_two_levels(table, sp, E, c):
+    """Rows of the trapezoid rule at c.start samples and at twice that, by
+    nested doubling: one table contraction on the points, a second on their
+    midpoints, with sqrt(u) tracked around the loop of both."""
+    n = c.start
+    deriv_rows = swkb.quadrature._derivative_rows(sp, table.orders)
+    sets = [c.points(n), c.points(n, 0.5)]
+    phi_vals = [swkb.quadrature._horner(deriv_rows, z) for z, _ in sets]
+    loop = np.empty(2 * n, dtype=complex)
+    loop[0::2], loop[1::2] = (E - p[0] ** 2 for p in phi_vals)
+    s = track_sqrt_u(loop)
+    coeffs = table.coeffs * E ** table.e
+    sums = action0 = 0.0
+    rows, separate = [], []
+    for (z, dz), p, half in zip(sets, phi_vals, (s[0::2], s[1::2])):
+        separate.append(table.monomial_sums(p, half, dz))
+        sums = sums + separate[-1]
+        action0 = action0 + np.sum(half * dz)
+        flip = (-1.0) ** table.powers if action0.real < 0 else 1.0
+        rows.append(2.0 * np.pi / (len(rows) + 1) / n
+                    * np.sum(coeffs * (flip * sums)[table.part_index, table.power_index], axis=1))
+    return rows, separate
+
+
+class TestFirstPass:
+    @pytest.fixture(scope="class")
+    def cases(self, condition8, conditions, cubic):
+        mixed = PolynomialSuperpotential([0.0, 1.0, 0.0, 0.2], 0.5)
+        return [(condition8.action_table(cubic), cubic, E) for E in (0.5, 2.0)] + \
+               [(conditions[4].action_table(mixed), mixed, E) for E in (0.5, 5.0)]
+
+    def test_halves_are_the_sums_of_separate_calls(self, cases):
+        # one contraction over the points and their midpoints, summed apart,
+        # gives bit for bit the sums of one call on each set
+        for table, sp, E in cases:
+            c = build_contour(sp, E)
+            n = c.start
+            z, dz = c.points(n, (0.0, 0.5))
+            phi_vals = swkb.quadrature._horner(
+                swkb.quadrature._derivative_rows(sp, table.orders), z)
+            loop = track_sqrt_u((E - phi_vals[0] ** 2).reshape(2, n).T.ravel())
+            s = loop.reshape(n, 2).T.ravel()
+            both = table.monomial_sums(phi_vals, s, dz, halves=True)
+            _, separate = _first_two_levels(table, sp, E, c)
+            assert both.shape == (2,) + separate[0].shape
+            assert np.array_equal(both[0], separate[0]) and np.array_equal(both[1], separate[1])
+
+    def test_rows_are_those_of_nested_doubling(self, cases):
+        # every case settles at twice its start, and its rows are the
+        # second level of nested doubling from the same start
+        for table, sp, E in cases:
+            c = build_contour(sp, E)
+            r = contour_integrate(table, sp, E, contour=c)
+            rows, _ = _first_two_levels(table, sp, E, c)
+            assert r.samples_used == 2 * c.start
+            assert np.array_equal(np.array(r.rows), rows[1])
+            tol = np.maximum(swkb.quadrature.TOL, swkb.quadrature.REL_TOL * np.abs(rows[1]))
+            assert np.all(np.abs(rows[1] - rows[0]) < tol)
+
+    def test_one_pass_settles_at_twice_the_start(self, cases, monkeypatch):
+        # tracking, polynomial evaluation and table contraction run once for
+        # an integral that settles at its second level
+        table, sp, E = cases[-1]
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("track_sqrt_u", "_horner"):
+            monkeypatch.setattr(swkb.quadrature, name, spy(name, getattr(swkb.quadrature, name)))
+        monkeypatch.setattr(swkb.quadrature.IntegrandTable, "monomial_sums",
+                            spy("monomial_sums", swkb.quadrature.IntegrandTable.monomial_sums))
+        r = contour_integrate(table, sp, E)
+        assert r.samples_used == 2 * build_contour(sp, E).start
+        assert sorted(calls) == ["_horner", "monomial_sums", "track_sqrt_u"]
+
+
 class TestContourIntegrate:
     def test_leading_action_oscillator(self, oscillator):
         r = contour_integrate(u_half(1), oscillator, 4.0)
@@ -248,7 +357,8 @@ class TestContourIntegrate:
         r = contour_integrate(table, cubic, 1.0, check_real=False)
         assert abs(r.rows[1] + 1j * math.pi) < 1e-10
 
-    def test_nested_doubling_matches_direct_rule(self, cubic, mixed_cubic, split10, lseq9):
+    def test_nested_doubling_matches_direct_rule(self, cubic, mixed_cubic, split10, lseq9,
+                                                 monkeypatch):
         # the running sums of the nested rule equal one trapezoid sum over
         # the final sample set
         def loop(sp, E, c, samples):
@@ -264,11 +374,21 @@ class TestContourIntegrate:
                               1.5 - mixed_cubic.phi(zj) ** 2, sj, 1.5) for zj, sj in zip(z, s)]
         assert abs(r.value) > 1e-3
         assert abs(r.value - 2.0 * np.pi / len(z) * np.sum(np.array(vals) * dz)) < 1e-12
-        # an ellipse grazing an excluded branch point: at 512 samples the
+        # an ellipse grazing an excluded branch point: at 1024 samples the
         # whole-loop tracking picks a different branch at the old samples
-        # than the 256-sample loop did, so the sums restart from scratch
-        c = Contour(0.0, 1.8, 1.3635)
+        # than the 512-sample loop of the first pass did, so the sums
+        # restart from scratch
+        c = Contour(0.0, 1.8, 1.3634)
+        sets, points = [], Contour.points
+
+        def spy(self, samples, shift=0.0):
+            sets.append((samples, shift))
+            return points(self, samples, shift)
+
+        monkeypatch.setattr(Contour, "points", spy)
         r = contour_integrate(u_half(1), cubic, 1.0, contour=c)
+        assert sets[:3] == [(256, (0.0, 0.5)), (512, 0.5), (1024, 0.0)]
+        monkeypatch.undo()
         _, dz, s = loop(cubic, 1.0, c, r.samples_used)
         assert abs(r.value - 2.0 * np.pi / len(s) * np.sum(s * dz)) < 1e-12
 
