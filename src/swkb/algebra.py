@@ -14,23 +14,33 @@ Two ring flavours are used:
   is eliminated entirely; it hosts the plain semiclassical series that gets
   substituted back into the main ring.
 
-``Monomial(...)`` sorts and validates its factors into the plain
-``(derivs, h, e)`` tuple that it is.  An ``Expression`` stores
-Gaussian-integer numerators over one positive denominator, grouped
-by derivative tuple: {derivs: {(h, e): (x, y)}} over ``den``, canonical
-when gcd(den, every x and y) == 1 (the representation of FLINT's
-``fmpq_poly``), so equal expressions hold equal data.  Every operation runs
-on these integers.  Negation and E-shifts map numerators one to one.  Sums
-rescale both operands to the lcm of their denominators and merge, and
-scaling multiplies every numerator; both then divide out the common factor
-left with the denominator.  Products, derivatives and
-``Expression(ring, raw)`` sum every term product (or Leibniz term, doubled
-so that h/2 stays an integer) as an int pair per raw (derivs, h, e), and
-one fold applies the relation, merges and divides out the common factor.
-``Expression.sum_of_products`` is the one product loop: it sums w*a*b
-over weighted pairs, so a whole series convolution folds once, and
-``a * b`` is its one-triple case.  ``terms`` is a read-only
-{Monomial: GaussianRational} view for output, built on each access.
+A monomial f^(k)-powers * u^(h/2) * E^e is stored as one packed int key
+(the packed exponent vectors of Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007): a
+field of ``FIELD_BITS`` bits each for e and h, stored with the bias
+2^(FIELD_BITS-2) added, then one field per derivative order k holding the
+exponent of f^(k).  The top bit of every field stays clear in a valid key,
+so a product (k1 + k2 - ``KEY_ONE``), a derivative (adding a constant)
+or a fold that leaves a field's range sets it, and raises ``OverflowError``
+instead of carrying into the next field.  Python ints are unbounded, so
+the derivative orders are too.  ``encode`` and ``decode`` convert between
+a key and the ``Monomial`` tuple (derivs, h, e) used for output.
+
+An ``Expression`` stores Gaussian-integer numerators over one positive
+denominator: {key: (x, y)} over ``den``, canonical when gcd(den, every x
+and y) == 1 (the representation of FLINT's ``fmpq_poly``), so equal
+expressions hold equal data.  Every operation runs on these integers.
+Negation and E-shifts map numerators one to one.  Sums rescale both
+operands to the lcm of their denominators and merge, and scaling
+multiplies every numerator; both then divide out the common factor left
+with the denominator.  Products, derivatives and ``Expression(ring, raw)``
+sum every term product (or Leibniz term, doubled so that h/2 stays an
+integer) as an int pair per raw key, and one fold applies the relation,
+merges and divides out the common factor.  ``Expression.sum_of_products``
+is the one product loop: it sums w*a*b over weighted pairs, so a whole
+series convolution folds once, and ``a * b`` is its one-triple case.
+``terms`` is a read-only {Monomial: GaussianRational} view for output,
+decoded on each access.
 
 Everything here is immutable and pure; no floating point enters except in
 ``evaluate``.
@@ -41,9 +51,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import chain
 from math import comb, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -74,11 +85,12 @@ V_RING = Ring("V", 1, "D")
 class Monomial(tuple):
     """Canonical monomial: product of derivative symbols, u^(h/2), E^e.
 
-    The ``(derivs, h, e)`` tuple itself, so it equals and hashes as the raw
-    key that ``Expression.num`` splits into derivs -> (h, e).  ``derivs`` is
-    a sorted tuple of (order k >= 0, exponent > 0) pairs; the order-0
-    exponent is < relation_power in canonical form.  ``h`` is the integer
-    such that the monomial carries u^(h/2); ``e`` the E-exponent.
+    The decoded form of a packed key, as the plain ``(derivs, h, e)`` tuple:
+    ``terms`` and the text, JSON and LaTeX forms read it, ``encode`` packs
+    it.  ``derivs`` is a sorted tuple of (order k >= 0, exponent > 0)
+    pairs; the order-0 exponent is < relation_power in canonical form.
+    ``h`` is the integer such that the monomial carries u^(h/2); ``e`` the
+    E-exponent.
     """
 
     __slots__ = ()
@@ -110,39 +122,91 @@ class Monomial(tuple):
 _MONO_ONE = Monomial()
 
 
-def _merge_derivs(a: Tuple[Tuple[int, int], ...], b: Tuple[Tuple[int, int], ...]):
-    if not a:
-        return b
-    if not b:
-        return a
-    out: Dict[int, int] = dict(a)
-    for k, v in b:
-        out[k] = out.get(k, 0) + v
-    return tuple(sorted(out.items()))
+# -- packed monomial keys --------------------------------------------------------
+
+FIELD_BITS = 12
+_FIELD = (1 << FIELD_BITS) - 1    # mask of one field
+_SPARE = 1 << (FIELD_BITS - 1)    # a field's top bit, clear in every valid key
+_BIAS = 1 << (FIELD_BITS - 2)     # h and e are stored plus _BIAS: -_BIAS <= h, e < _BIAS
+_E_UNIT = 1
+_H_UNIT = 1 << FIELD_BITS
+_SYM_SHIFT = 2 * FIELD_BITS       # the f^(k) field starts at bit _SYM_SHIFT + k * FIELD_BITS
+_SYM_UNIT = 1 << _SYM_SHIFT       # f
+_MOVE = _FIELD << _SYM_SHIFT      # f -> f': one exponent moves up one field
+KEY_ONE = _BIAS * (_H_UNIT + _E_UNIT)   # the key of the monomial 1
 
 
-def _with_exp(derivs: Tuple[Tuple[int, int], ...], k: int, delta: int):
-    out = dict(derivs)
-    new = out.get(k, 0) + delta
-    if new < 0:
-        raise ValueError("negative exponent")
-    if new == 0:
-        out.pop(k, None)
-    else:
-        out[k] = new
-    return tuple(sorted(out.items()))
+def encode(m: Tuple[tuple, int, int]) -> int:
+    """The packed key of the monomial ``m`` = (derivs, h, e)."""
+    derivs, h, e = m
+    if not (-_BIAS <= h < _BIAS and -_BIAS <= e < _BIAS):
+        raise OverflowError(f"u or E exponent of {m!r} outside [-{_BIAS}, {_BIAS})")
+    key = KEY_ONE + h * _H_UNIT + e * _E_UNIT
+    for k, a in derivs:
+        if k < 0 or a < 0:
+            raise ValueError("derivative orders and exponents must be >= 0")
+        if a >= _SPARE:
+            raise OverflowError(f"exponent {a} of the order-{k} symbol is not below {_SPARE}")
+        key += a << (_SYM_SHIFT + k * FIELD_BITS)
+    _check_keys((key,))  # an order listed twice may still fill its field
+    return key
+
+
+def decode(key: int) -> Monomial:
+    """The ``Monomial`` of a packed key."""
+    derivs, d, k = [], key >> _SYM_SHIFT, 0
+    while d:
+        a = d & _FIELD
+        if a:
+            derivs.append((k, a))
+        d >>= FIELD_BITS
+        k += 1
+    return tuple.__new__(Monomial, (tuple(derivs), ((key >> FIELD_BITS) & _FIELD) - _BIAS,
+                                    (key & _FIELD) - _BIAS))
+
+
+def key_bigrade(key: int, sym_gdeg: int) -> Tuple[int, int]:
+    """(derivative weight sum k * a_k, scaling grade sym_gdeg * sum a_k + h
+    + 2 e) of a key, with ``sym_gdeg`` the grade of one symbol factor."""
+    weight = count = k = 0
+    d = key >> _SYM_SHIFT
+    while d:
+        a = d & _FIELD
+        weight += k * a
+        count += a
+        d >>= FIELD_BITS
+        k += 1
+    h, e = ((key >> FIELD_BITS) & _FIELD) - _BIAS, (key & _FIELD) - _BIAS
+    return weight, sym_gdeg * count + h + 2 * e
+
+
+@lru_cache(maxsize=None)
+def _spare_bits(fields: int) -> int:
+    """The top bit of each of the lowest ``fields`` fields."""
+    return _SPARE * ((1 << fields * FIELD_BITS) - 1) // _FIELD
+
+
+def _check_keys(keys: Iterable[int]) -> None:
+    """Raise unless every key is valid.  A field whose exact value lands in
+    [-2^(FIELD_BITS-1), 2^FIELD_BITS) but outside its range holds its top
+    bit (a negative value borrows one from the fields above, and at the top
+    of the key makes it negative), so one OR over the keys shows it.  The
+    sum of two valid keys less ``KEY_ONE``, and any step of a few units per
+    field, stays in that window."""
+    union = reduce(or_, keys, 0)
+    if union < 0 or union & _spare_bits(union.bit_length() // FIELD_BITS + 1):
+        raise OverflowError("a monomial exponent left its packed field")
 
 
 class Expression:
     """Exact sum of canonical monomials with Gaussian-rational coefficients.
 
     Stored as Gaussian-integer numerators over one positive denominator
-    ``den``: ``num`` maps each derivative tuple to its {(h, e): (x, y)}
-    terms, the coefficient of f-derivatives^derivs u^(h/2) E^e being
-    (x + i y)/den.  Instances are normalized on construction (defining
-    relation applied, zero terms and empty groups dropped, gcd(den, every
-    x and y) == 1) and treated as immutable, so equality compares the
-    normalized data.
+    ``den``: ``num`` maps each packed monomial key to (x, y), the
+    coefficient of its monomial being (x + i y)/den.  Instances are
+    normalized on construction (defining relation applied, zero terms
+    dropped, gcd(den, every x and y) == 1) and treated as immutable, so
+    equality compares the normalized data.
     """
 
     __slots__ = ("ring", "den", "num")
@@ -150,7 +214,7 @@ class Expression:
     def __init__(self, ring: Ring, raw_terms: Iterable[Tuple[Monomial, GaussianRational]] = ()):
         pairs = [(m, GaussianRational.coerce(c)) for m, c in raw_terms]
         d = lcm(*(q.denominator for _, c in pairs for q in (c.re, c.im)))
-        x = _collect(ring, [(m, c.re.numerator * (d // c.re.denominator),
+        x = _collect(ring, [(encode(m), c.re.numerator * (d // c.re.denominator),
                              c.im.numerator * (d // c.im.denominator)) for m, c in pairs], d)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "den", x.den)
@@ -161,13 +225,13 @@ class Expression:
 
     @property
     def terms(self) -> Mapping[Monomial, GaussianRational]:
-        """Read-only {Monomial: GaussianRational} map of the terms, built on
-        each access for output and inspection; arithmetic reads ``num``."""
-        d, new = self.den, tuple.__new__
+        """Read-only {Monomial: GaussianRational} map of the terms, decoded
+        on each access for output and inspection; arithmetic reads ``num``."""
+        d = self.den
         return MappingProxyType({
-            new(Monomial, (ds, h, e)): GaussianRational(Fraction(x, d) if x else _F_ZERO,
-                                                        Fraction(y, d) if y else _F_ZERO)
-            for ds, group in self.num.items() for (h, e), (x, y) in group.items()
+            decode(key): GaussianRational(Fraction(x, d) if x else _F_ZERO,
+                                          Fraction(y, d) if y else _F_ZERO)
+            for key, (x, y) in self.num.items()
         })
 
     # -- constructors ---------------------------------------------------
@@ -211,32 +275,21 @@ class Expression:
         d1, d2 = self.den, other.den
         g = gcd(d1, d2)
         s1, s2 = d2 // g, d1 // g * sign
-        num = (dict(self.num) if s1 == 1
-               else {ds: _times(group, s1) for ds, group in self.num.items()})
-        for ds, group in other.num.items():
-            old = num.get(ds)
-            if old is None:
-                num[ds] = group if s2 == 1 else _times(group, s2)
-                continue
-            new = dict(old)
-            for he, (x, y) in group.items():
-                xy = new.get(he)
-                if xy is None:
-                    new[he] = (x * s2, y * s2)
-                else:
-                    x, y = xy[0] + x * s2, xy[1] + y * s2
-                    if x or y:
-                        new[he] = (x, y)
-                    else:
-                        del new[he]
-            if new:
-                num[ds] = new
+        num = dict(self.num) if s1 == 1 else _times(self.num, s1)
+        for key, (x, y) in other.num.items():
+            xy = num.get(key)
+            if xy is None:
+                num[key] = (x * s2, y * s2)
             else:
-                del num[ds]
+                x, y = xy[0] + x * s2, xy[1] + y * s2
+                if x or y:
+                    num[key] = (x, y)
+                else:
+                    del num[key]
         return _reduced(self.ring, num, d1 // g * d2, g)
 
     def __neg__(self) -> "Expression":
-        return _make(self.ring, {ds: _times(group, -1) for ds, group in self.num.items()}, self.den)
+        return _make(self.ring, _times(self.num, -1), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -247,9 +300,8 @@ class Expression:
     def sum_of_products(ring: Ring, triples: Iterable[tuple]) -> "Expression":
         """sum w*a*b over (w, a, b) triples with rational weights w, the one
         product loop of the ring: every term product is summed as an int
-        pair per raw (derivs, h, e) over the lcm D of the triples'
-        denominators, each pair of derivative tuples merged once, and one
-        fold follows."""
+        pair per raw key k1 + k2 - KEY_ONE over the lcm D of the triples'
+        denominators, and one fold follows."""
         scaled = []
         for w, a, b in triples:
             _check(ring, a)
@@ -257,26 +309,22 @@ class Expression:
             w = Fraction(w)
             scaled.append((w.numerator, w.denominator * a.den * b.den, a.num, b.num))
         d = lcm(*(dd for _, dd, _, _ in scaled))
-        raw: Dict[tuple, dict] = {}
+        raw: Dict[int, list] = {}
+        get = raw.get
         for w, dd, left, right in scaled:
             w *= d // dd
-            for ds1, group1 in left.items():
-                for ds2, group2 in right.items():
-                    ds = _merge_derivs(ds1, ds2)
-                    out = raw.get(ds)
-                    if out is None:
-                        out = raw[ds] = {}
-                    for (h1, e1), (x1, y1) in group1.items():
-                        x1 *= w
-                        y1 *= w
-                        for (h2, e2), (x2, y2) in group2.items():
-                            key = (h1 + h2, e1 + e2)
-                            acc = out.get(key)
-                            if acc is None:
-                                out[key] = [x1 * x2 - y1 * y2, x1 * y2 + y1 * x2]
-                            else:
-                                acc[0] += x1 * x2 - y1 * y2
-                                acc[1] += x1 * y2 + y1 * x2
+            right = right.items()
+            for k1, (x1, y1) in left.items():
+                k1 -= KEY_ONE
+                x1 *= w
+                y1 *= w
+                for k2, (x2, y2) in right:
+                    acc = get(k1 + k2)
+                    if acc is None:
+                        raw[k1 + k2] = [x1 * x2 - y1 * y2, x1 * y2 + y1 * x2]
+                    else:
+                        acc[0] += x1 * x2 - y1 * y2
+                        acc[1] += x1 * y2 + y1 * x2
         return _fold(ring, raw, d)
 
     def __rmul__(self, other):
@@ -292,8 +340,7 @@ class Expression:
         re, im = c.re, c.im
         cd = lcm(re.denominator, im.denominator)
         a, b = re.numerator * (cd // re.denominator), im.numerator * (cd // im.denominator)
-        num = {ds: {he: (x * a - y * b, x * b + y * a) for he, (x, y) in group.items()}
-               for ds, group in self.num.items()}
+        num = {key: (x * a - y * b, x * b + y * a) for key, (x, y) in self.num.items()}
         return _reduced(self.ring, num, self.den * cd)
 
     def __eq__(self, other):
@@ -315,67 +362,64 @@ class Expression:
     def differentiate(self) -> "Expression":
         """d/dx with E constant: d f^(k) = f^(k+1), d u^(h/2) follows from
         u' = -r f^(r-1) f'; Leibniz terms are doubled so h/2 stays integral.
-        Each derivative tuple is rebuilt once for all the terms it holds."""
+        Each term moves one exponent up a field per f^(k) it holds, and the
+        u term adds one constant to its key."""
         r = self.ring.relation_power
-        raw: Dict[tuple, dict] = {}
-        for ds, group in self.num.items():
-            for k, a in ds:
-                out = raw.setdefault(_with_exp(_with_exp(ds, k, -1), k + 1, +1), {})
-                a *= 2
-                for he, (x, y) in group.items():
-                    _accumulate(out, he, a * x, a * y)
+        u_step = (r - 1) * _SYM_UNIT + (_SYM_UNIT << FIELD_BITS) - 2 * _H_UNIT  # f^(r-1) f' / u
+        raw: Dict[int, list] = {}
+        for key, (x, y) in self.num.items():
+            d, step = key >> _SYM_SHIFT, _MOVE
+            while d:
+                a = 2 * (d & _FIELD)
+                if a:
+                    _accumulate(raw, key + step, a * x, a * y)
+                d >>= FIELD_BITS
+                step <<= FIELD_BITS
             # 2 (h/2) u^((h-2)/2) * (-r f^(r-1) f')
-            out = raw.setdefault(_with_exp(_with_exp(ds, 0, r - 1), 1, +1), {})
-            for (h, e), (x, y) in group.items():
-                if h:
-                    _accumulate(out, (h - 2, e), -h * r * x, -h * r * y)
+            c = (_BIAS - ((key >> FIELD_BITS) & _FIELD)) * r
+            if c:
+                _accumulate(raw, key + u_step, c * x, c * y)
         return _fold(self.ring, raw, 2 * self.den)
 
     def diff_E(self) -> "Expression":
         """d/dE with x held fixed: the symbols do not move, u' = 1, so
         d u^(h/2) = (h/2) u^((h-2)/2) and d E^e = e E^(e-1), doubled over
-        twice the denominator.  The derivative tuples are untouched."""
-        raw: Dict[tuple, dict] = {}
-        for ds, group in self.num.items():
-            out = raw[ds] = {}
-            for (h, e), (x, y) in group.items():
-                if e:
-                    _accumulate(out, (h, e - 1), 2 * e * x, 2 * e * y)
-                if h:
-                    _accumulate(out, (h - 2, e), h * x, h * y)
+        twice the denominator."""
+        raw: Dict[int, list] = {}
+        for key, (x, y) in self.num.items():
+            e, h = (key & _FIELD) - _BIAS, ((key >> FIELD_BITS) & _FIELD) - _BIAS
+            if e:
+                _accumulate(raw, key - _E_UNIT, 2 * e * x, 2 * e * y)
+            if h:
+                _accumulate(raw, key - 2 * _H_UNIT, h * x, h * y)
         return _fold(self.ring, raw, 2 * self.den)
 
     def split_real_imag(self) -> Tuple["Expression", "Expression"]:
         """(re, im) with all symbols treated as real; self == re + i*im.
         The monomials are already canonical, so no fold runs."""
-        re, im = {}, {}
-        for ds, group in self.num.items():
-            part = {he: (x, 0) for he, (x, _) in group.items() if x}
-            if part:
-                re[ds] = part
-            part = {he: (y, 0) for he, (_, y) in group.items() if y}
-            if part:
-                im[ds] = part
+        re = {key: (x, 0) for key, (x, _) in self.num.items() if x}
+        im = {key: (y, 0) for key, (_, y) in self.num.items() if y}
         return _reduced(self.ring, re, self.den), _reduced(self.ring, im, self.den)
 
     # -- structure queries -------------------------------------------------
 
-    def _exponents(self, index: int, what: str) -> List[int]:
-        """The E-exponents (index 1) or u half-powers (index 0) of the terms;
-        the zero expression has none, which ``what`` names in the error."""
+    def _exponents(self, shift: int, what: str) -> List[int]:
+        """The E-exponents (shift 0) or u half-powers (shift FIELD_BITS) of
+        the terms; the zero expression has none, which ``what`` names in the
+        error."""
         if not self.num:
             raise UndefinedDegreeError(f"{what} of the zero expression")
-        return [he[index] for group in self.num.values() for he in group]
+        return [((key >> shift) & _FIELD) - _BIAS for key in self.num]
 
     def min_e_degree(self) -> int:
-        return min(self._exponents(1, "min_e_degree"))
+        return min(self._exponents(0, "min_e_degree"))
 
     def max_e_degree(self) -> int:
-        return max(self._exponents(1, "max_e_degree"))
+        return max(self._exponents(0, "max_e_degree"))
 
     def u_parity(self) -> str:
         """'all-odd-half' | 'all-even' | 'mixed' over the u half-powers."""
-        parities = {h % 2 for h in self._exponents(0, "u_parity")}
+        parities = {h % 2 for h in self._exponents(FIELD_BITS, "u_parity")}
         if parities == {1}:
             return "all-odd-half"
         if parities == {0}:
@@ -383,29 +427,30 @@ class Expression:
         return "mixed"
 
     def min_h(self) -> int:
-        return min(self._exponents(0, "min_h"))
+        return min(self._exponents(FIELD_BITS, "min_h"))
 
     def max_h(self) -> int:
-        return max(self._exponents(0, "max_h"))
+        return max(self._exponents(FIELD_BITS, "max_h"))
 
     def max_deriv_order(self) -> int:
-        return max((k for ds in self.num for k, _ in ds), default=0)
+        top = max([(key >> _SYM_SHIFT).bit_length() for key in self.num], default=0)
+        return max(0, (top - 1) // FIELD_BITS)
 
     def weights(self) -> set:
-        return {sum(k * a for k, a in ds) for ds in self.num}
+        return {key_bigrade(key, self.ring.sym_gdeg)[0] for key in self.num}
 
     def gdegs(self) -> set:
-        sym = self.ring.sym_gdeg
-        return {sym * sum(a for _, a in ds) + h + 2 * e
-                for ds, group in self.num.items() for h, e in group}
+        return {key_bigrade(key, self.ring.sym_gdeg)[1] for key in self.num}
 
     def shift_e(self, delta: int) -> "Expression":
         """Multiply by E^delta (exact exponent shift)."""
-        return _make(self.ring, {ds: {(h, e + delta): xy for (h, e), xy in group.items()}
-                                 for ds, group in self.num.items()}, self.den)
+        es = [(key & _FIELD) + delta for key in self.num]
+        if es and (min(es) < 0 or max(es) >= _SPARE):
+            raise OverflowError("E exponent left its packed field")
+        return _make(self.ring, {key + delta: xy for key, xy in self.num.items()}, self.den)
 
     def term_count(self) -> int:
-        return sum(map(len, self.num.values()))
+        return len(self.num)
 
     def sorted_terms(self) -> List[Tuple[Monomial, GaussianRational]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
@@ -425,20 +470,20 @@ class Expression:
             raise ValueError("sqrt_u does not square to u within tolerance")
         total = 0j
         d = self.den
-        for ds, group in self.num.items():
-            for (h, e), (x, y) in group.items():
-                if h < 0 and u == 0:
-                    raise PoleError("u = 0 with negative half-power")
-                if e < 0 and e_value == 0:
-                    raise PoleError("E = 0 with negative E-exponent")
-                val = complex(x / d, y / d)
-                for k, a in ds:
-                    val *= deriv_values[k] ** a
-                if h:
-                    val *= sqrt_u ** h
-                if e:
-                    val *= e_value ** e
-                total += val
+        for key, (x, y) in self.num.items():
+            ds, h, e = decode(key)
+            if h < 0 and u == 0:
+                raise PoleError("u = 0 with negative half-power")
+            if e < 0 and e_value == 0:
+                raise PoleError("E = 0 with negative E-exponent")
+            val = complex(x / d, y / d)
+            for k, a in ds:
+                val *= deriv_values[k] ** a
+            if h:
+                val *= sqrt_u ** h
+            if e:
+                val *= e_value ** e
+            total += val
         return total
 
     # -- serialization -------------------------------------------------------
@@ -501,6 +546,8 @@ class Expression:
         return f"<Expr[{self.ring.name}] {self.to_text()}>"
 
 
+
+
 def _check(ring: Ring, x: "Expression") -> None:
     if not isinstance(x, Expression):
         raise TypeError(f"expected Expression, got {type(x).__name__}")
@@ -508,11 +555,11 @@ def _check(ring: Ring, x: "Expression") -> None:
         raise ValueError(f"ring mismatch: {ring.name} vs {x.ring.name}")
 
 
-def _times(group: dict, s: int) -> dict:
-    return {he: (x * s, y * s) for he, (x, y) in group.items()}
+def _times(num: dict, s: int) -> dict:
+    return {key: (x * s, y * s) for key, (x, y) in num.items()}
 
 
-def _accumulate(out: Dict[tuple, list], key: tuple, x: int, y: int) -> None:
+def _accumulate(out: Dict[int, list], key: int, x: int, y: int) -> None:
     acc = out.get(key)
     if acc is None:
         out[key] = [x, y]
@@ -521,7 +568,7 @@ def _accumulate(out: Dict[tuple, list], key: tuple, x: int, y: int) -> None:
         acc[1] += y
 
 
-def _make(ring: Ring, num: Dict[tuple, dict], den: int) -> "Expression":
+def _make(ring: Ring, num: Dict[int, tuple], den: int) -> "Expression":
     """An expression over already canonical numerators and denominator."""
     x = object.__new__(Expression)
     object.__setattr__(x, "ring", ring)
@@ -530,52 +577,49 @@ def _make(ring: Ring, num: Dict[tuple, dict], den: int) -> "Expression":
     return x
 
 
-def _reduced(ring: Ring, num: Dict[tuple, dict], den: int, g: Optional[int] = None) -> "Expression":
+def _reduced(ring: Ring, num: Dict[int, tuple], den: int, g: Optional[int] = None) -> "Expression":
     """The expression (x + i y)/den over canonical monomials with nonzero
     numerators, divided by gcd(den, every x and y).  ``g``, when given, is a
     multiple of that gcd that divides den."""
     if not num:
         return _make(ring, {}, 1)
     g = den if g is None else g
-    for group in num.values():
-        if g == 1:
-            break
-        g = gcd(g, *chain.from_iterable(group.values()))
     if g != 1:
-        num = {ds: {he: (x // g, y // g) for he, (x, y) in group.items()}
-               for ds, group in num.items()}
+        g = gcd(g, *chain.from_iterable(num.values()))
+    if g != 1:
+        num = {key: (x // g, y // g) for key, (x, y) in num.items()}
         den //= g
     return _make(ring, num, den)
 
 
-def _fold(ring: Ring, raw: Dict[tuple, dict], den: int) -> "Expression":
-    """The sum of (x + i y)/den over raw ``{derivs: {(h, e): [x, y]}}``:
-    f^(qr + s) = f^s (E - u)^q expands binomially into ``raw``, equal
-    monomials merge as integers, and zero terms and empty groups drop."""
+def _fold(ring: Ring, raw: Dict[int, list], den: int) -> "Expression":
+    """The sum of (x + i y)/den over the raw keys of ``raw`` = {key: [x, y]}:
+    each key whose f field holds qr + s with q > 0, found by one shift and
+    mask, expands f^(qr + s) = f^s (E - u)^q binomially into ``raw``, equal
+    monomials merge as integers, and zero terms drop."""
+    _check_keys(raw)
     r = ring.relation_power
-    for ds in [ds for ds in raw if ds and ds[0][0] == 0 and ds[0][1] >= r]:
-        group = raw.pop(ds)
-        q, s = divmod(ds[0][1], r)
-        out = raw.setdefault(((0, s),) + ds[1:] if s else ds[1:], {})
+    for key in [key for key in raw if (key >> _SYM_SHIFT) & _FIELD >= r]:
+        x, y = raw.pop(key)
+        q = ((key >> _SYM_SHIFT) & _FIELD) // r
+        # the j = q term raises h by 2q and the j = 0 term e by q
+        if (key & _FIELD) + q >= _SPARE or ((key >> FIELD_BITS) & _FIELD) + 2 * q >= _SPARE:
+            raise OverflowError("a monomial exponent left its packed field")
+        key += q * (_E_UNIT - r * _SYM_UNIT)
         for j in range(q + 1):
             b = comb(q, j) * (-1) ** j
-            for (h, e), (x, y) in group.items():
-                _accumulate(out, (h + 2 * j, e + q - j), b * x, b * y)
-    num = {}
-    for ds, group in raw.items():
-        kept = {he: (x, y) for he, (x, y) in group.items() if x or y}
-        if kept:
-            num[ds] = kept
-    return _reduced(ring, num, den)
+            _accumulate(raw, key, b * x, b * y)
+            key += 2 * _H_UNIT - _E_UNIT
+    return _reduced(ring, {key: (x, y) for key, (x, y) in raw.items() if x or y}, den)
 
 
-def _collect(ring: Ring, items: Iterable[Tuple[tuple, int, int]], den: int) -> "Expression":
-    """The sum of (x + i y)/den times the monomial over ((derivs, h, e), x, y)
-    items."""
-    raw: Dict[tuple, dict] = {}
-    for (ds, h, e), x, y in items:
-        _accumulate(raw.setdefault(ds, {}), (h, e), x, y)
+def _collect(ring: Ring, items: Iterable[Tuple[int, int, int]], den: int) -> "Expression":
+    """The sum of (x + i y)/den times the monomial over (key, x, y) items."""
+    raw: Dict[int, list] = {}
+    for key, x, y in items:
+        _accumulate(raw, key, x, y)
     return _fold(ring, raw, den)
+
 
 
 def _half_str(h: int) -> str:

@@ -9,9 +9,10 @@ count are chosen, which keeps the candidate bases small.
 
 The ansatz derivatives are eliminated by ``DerivativeSweep``, a sparse
 incremental echelon of primitive integer rows (twice each derivative, so
-the half-powers of u leave no denominator); rationals appear only in its
-results.  One windowed sweep (generators, elimination, exact re-check)
-serves both ``antiderivative`` and ``reduction.residual_sweep``.
+the half-powers of u leave no denominator) keyed by the packed monomial
+keys of ``algebra``; rationals appear only in its results.  One windowed
+sweep (generators, elimination, exact re-check) serves both
+``antiderivative`` and ``reduction.residual_sweep``.
 
 d/dx is injective on every canonical monomial except the pure powers of
 E, which the sweep drops as zero columns.  So a certificate is unique:
@@ -23,10 +24,13 @@ widened ``MAX_WIDEN`` times.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Expression, Monomial, Ring, _collect, _reduced, _with_exp
+from .algebra import (FIELD_BITS, _E_UNIT, _FIELD, _H_UNIT, _MOVE, _SYM_SHIFT, _SYM_UNIT, _BIAS,
+                      Expression, Monomial, Ring, _check_keys, _collect, _reduced, decode, encode,
+                      key_bigrade)
 from .errors import StructuralTheoremViolation
 
 # how many times the ansatz windows are widened before a certificate is
@@ -49,12 +53,9 @@ def _partitions(n: int, max_part: int):
 def bigrade_components(a: Expression) -> List[Expression]:
     """The parts of ``a`` homogeneous in (derivative weight, scaling grade);
     d/dx maps each bigrade to its own, so each part gets its own ansatz."""
-    sym = a.ring.sym_gdeg
     buckets: Dict[Tuple[int, int], dict] = {}
-    for ds, group in a.num.items():
-        weight, nsym = sum(k * b for k, b in ds), sym * sum(b for _, b in ds)
-        for (h, e), xy in group.items():
-            buckets.setdefault((weight, nsym + h + 2 * e), {}).setdefault(ds, {})[(h, e)] = xy
+    for key, xy in a.num.items():
+        buckets.setdefault(key_bigrade(key, a.ring.sym_gdeg), {})[key] = xy
     return [_reduced(a.ring, num, a.den) for num in buckets.values()]
 
 
@@ -95,16 +96,16 @@ def candidate_monomials(a: Expression, widen: int = 0) -> List[Monomial]:
     return out
 
 
-def _pivot_key(m: tuple):
+def _pivot_key(key: int):
     """Elimination priority (larger sorts first = eliminated first) of the
-    monomial key ``m`` = (derivs, h, e).
+    packed monomial key ``key``, a function of its decoded (derivs, h, e).
 
     Preference for surviving monomials: no bare symbol factor, then as much
     first-derivative content as possible concentrated in a single higher
     derivative (pure f'^k and f' f^(k) forms survive; mixed middle-order
     products are rewritten away).  Deterministic tie-break on the full key.
     """
-    ds, h, e = m
+    ds, h, e = decode(key)
     a0 = ds[0][1] if ds and ds[0][0] == 0 else 0
     higher = sorted((k for k, a in ds if k >= 2 for _ in range(a)), reverse=True)
     n_higher = len(higher)
@@ -113,9 +114,9 @@ def _pivot_key(m: tuple):
     return (a0, n_higher, second, -top, ds, -h, e)
 
 
-def _derivative_row(ring: Ring, m: tuple) -> Dict[tuple, int]:
-    """2 * d/dx of the unit monomial ``m`` = (derivs, h, e), as integer
-    coefficients keyed by (derivs, h, e).
+def _derivative_row(ring: Ring, m: int) -> Dict[int, int]:
+    """2 * d/dx of the unit monomial of key ``m``, as integer coefficients
+    keyed by packed keys.
 
     The factor 2 clears the h/2 of d u^(h/2) = (h/2) u^((h-2)/2) (-r f^(r-1) f').
     That term raises the bare-symbol exponent a0 by r - 1, so on a canonical
@@ -123,27 +124,33 @@ def _derivative_row(ring: Ring, m: tuple) -> Dict[tuple, int]:
     a0 >= 1.  Every other term moves one exponent from f^(k) to f^(k+1).
     """
     r = ring.relation_power
-    ds, h, e = m
-    a0 = ds[0][1] if ds and ds[0][0] == 0 else 0
+    a0 = (m >> _SYM_SHIFT) & _FIELD
     if a0 >= r:
-        raise StructuralTheoremViolation(f"generator {m!r} is not canonical")
-    terms = [((_with_exp(_with_exp(ds, k, -1), k + 1, 1), h, e), 2 * a) for k, a in ds]
-    if h:
-        c = -h * r
-        derivs = _with_exp(ds, 1, 1)
+        raise StructuralTheoremViolation(f"generator {decode(m)!r} is not canonical")
+    row: Dict[int, int] = {}
+    d, step = m >> _SYM_SHIFT, _MOVE
+    while d:
+        a = d & _FIELD
+        if a:
+            row[m + step] = 2 * a
+        d >>= FIELD_BITS
+        step <<= FIELD_BITS
+    c = (_BIAS - ((m >> FIELD_BITS) & _FIELD)) * r
+    if c:
+        key = m + (_SYM_UNIT << FIELD_BITS)
         if a0:
             # f^(a0+r-1) = f^(a0-1) (E - u)
-            derivs = _with_exp(derivs, 0, -1)
-            terms += [((derivs, h - 2, e + 1), c), ((derivs, h, e), -c)]
+            key -= _SYM_UNIT
+            terms = ((key - 2 * _H_UNIT + _E_UNIT, c), (key, -c))
         else:
-            terms.append(((_with_exp(derivs, 0, r - 1), h - 2, e), c))
-    row: Dict[tuple, int] = {}
-    for key, c in terms:
-        new = row.get(key, 0) + c
-        if new:
-            row[key] = new
-        else:
-            del row[key]
+            terms = ((key + (r - 1) * _SYM_UNIT - 2 * _H_UNIT, c),)
+        for key, c in terms:
+            new = row.get(key, 0) + c
+            if new:
+                row[key] = new
+            else:
+                del row[key]
+    _check_keys(row)
     return row
 
 
@@ -161,29 +168,31 @@ class DerivativeSweep:
     """Sparse incremental echelon of the derivatives of ansatz monomials: the
     one exact elimination engine behind certificates and residual sweeps.
 
-    The generators are taken in the order given (callers pass ``sort_key``
-    order).  A generator whose derivative is zero or lies in the span of the
-    earlier ones is dropped.  Each row is (pivot, vec, comb): ``vec`` is a
-    primitive integer vector keyed by (derivs, h, e) tuples, positive at the
-    pivot that ``_pivot_key`` picks, and ``comb`` the integer combination of
-    generator indices whose ``_derivative_row``s sum to it.  Elimination is fraction-free, as in
+    The generators, packed keys, are taken in the order given (callers pass
+    ``sort_key`` order).  A generator whose derivative is zero or lies in
+    the span of the earlier ones is dropped.  Each row is (pivot, vec,
+    comb): ``vec`` is a primitive integer vector keyed by packed keys,
+    positive at the pivot that ``_pivot_key`` picks (computed once per key
+    in the sweep), and ``comb`` the integer combination of generator
+    indices whose ``_derivative_row``s sum to it.  Elimination is fraction-free, as in
     Bareiss's integer-preserving elimination, but keeps each row primitive
     instead of dividing by the previous pivot: a pivot is cleared by
     vec <- d*vec - c*pvec, with c and d divided by their gcd first.
     """
 
-    def __init__(self, ring: Ring, generators: List[Monomial]):
+    def __init__(self, ring: Ring, generators: List[int]):
         self.ring = ring
         self.generators = generators
-        self.rows: List[Tuple[tuple, Dict[tuple, int], Dict[int, int]]] = []
-        self.row_of: Dict[tuple, int] = {}  # pivot -> index of its row
+        self.rows: List[Tuple[int, Dict[int, int], Dict[int, int]]] = []
+        self.row_of: Dict[int, int] = {}  # pivot -> index of its row
+        priority = lru_cache(maxsize=None)(_pivot_key)  # once per key in this sweep
         for j, m in enumerate(generators):
             vec = _derivative_row(ring, m)
             comb = {j: 1}
             self._reduce(vec, comb)
             if not vec:
                 continue
-            pivot = max(vec, key=_pivot_key)
+            pivot = max(vec, key=priority)
             g = gcd(*vec.values(), *comb.values())
             if vec[pivot] < 0:
                 g = -g
@@ -193,7 +202,7 @@ class DerivativeSweep:
             self.row_of[pivot] = len(self.rows)
             self.rows.append((pivot, vec, comb))
 
-    def _reduce(self, vec: Dict[tuple, int], comb: Dict[int, int]) -> int:
+    def _reduce(self, vec: Dict[int, int], comb: Dict[int, int]) -> int:
         """Clear every pivot from ``vec`` in place, doing the same row steps
         on ``comb``, and return the product S of the factors d.  Afterwards
         vec - sum(comb[i] * derivative row of generator i) is S times what
@@ -248,10 +257,8 @@ class DerivativeSweep:
         real; with S the product of the factors of ``_reduce``, kept =
         vec/(den*S) and, as each row is twice a derivative, cert =
         -2*comb/(den*S)."""
-        vec_re = {(ds, h, e): re for ds, group in x.num.items()
-                  for (h, e), (re, _) in group.items() if re}
-        vec_im = {(ds, h, e): im for ds, group in x.num.items()
-                  for (h, e), (_, im) in group.items() if im}
+        vec_re = {key: re for key, (re, _) in x.num.items() if re}
+        vec_im = {key: im for key, (_, im) in x.num.items() if im}
         comb_re: Dict[int, int] = {}
         comb_im: Dict[int, int] = {}
         s_re, s_im = self._reduce(vec_re, comb_re), self._reduce(vec_im, comb_im)
@@ -264,9 +271,9 @@ class DerivativeSweep:
         return _collect(self.ring, kept, den), _collect(self.ring, cert, den)
 
 
-def _window_generators(x: Expression, widen: int, min_e: Optional[int]) -> List[Monomial]:
-    """Ansatz monomials of every bigraded component of ``x``, in ``sort_key``
-    order.  ``min_e``: when set, only monomials with at least that E-exponent
+def _window_generators(x: Expression, widen: int, min_e: Optional[int]) -> List[int]:
+    """Packed keys of the ansatz monomials of every bigraded component of
+    ``x``, in ``sort_key`` order.  ``min_e``: when set, only monomials with at least that E-exponent
     are kept, so sweeping preserves manifest E-divisibility of the input."""
     gens = {
         cand
@@ -274,7 +281,7 @@ def _window_generators(x: Expression, widen: int, min_e: Optional[int]) -> List[
         for cand in candidate_monomials(comp, widen)
         if min_e is None or cand.e >= min_e
     }
-    return sorted(gens, key=Monomial.sort_key)
+    return [encode(m) for m in sorted(gens, key=Monomial.sort_key)]
 
 
 def _sweep(x: Expression, widen: int, min_e: Optional[int] = None) -> Tuple[Expression, Expression]:

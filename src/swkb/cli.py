@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 property violation, 2 usage error (an invalid
 argument value, an unreadable ``--config`` file, or for ``quantize`` and
 ``compare`` a superpotential of even degree or nonpositive leading
-coefficient), 3 numerical non-convergence.  Output is deterministic for a
+coefficient, or one whose phi^2 or hbar^2 leaves the normal float range),
+3 numerical non-convergence.  Output is deterministic for a
 fixed set of flags.
 """
 
@@ -14,6 +15,7 @@ import json
 # argparse's first parse calls gettext, which imports locale: loading it with
 # the module keeps that import out of every command's run
 import locale  # noqa: F401
+import math
 import sys
 from typing import List, Optional
 
@@ -302,6 +304,24 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _float_range_error(sp: PolynomialSuperpotential) -> Optional[str]:
+    """Why hbar^2 or a coefficient of phi^2, from which the action and the
+    turning points are computed, leaves the normal float range, or None:
+    a product or sum that overflows to inf, or a product of nonzero
+    factors below the smallest normal float, which has lost precision."""
+    products = {"hbar^2": [(sp.hbar, sp.hbar)]}
+    for i, a in enumerate(sp.coefficients):
+        for j, b in enumerate(sp.coefficients):
+            products.setdefault(f"the x^{i + j} coefficient of phi^2", []).append((a, b))
+    for name, pairs in products.items():
+        terms = [a * b for a, b in pairs]
+        if not math.isfinite(sum(terms)) or not all(map(math.isfinite, terms)):
+            return f"{name} overflows a float"
+        if any(a and b and abs(t) < sys.float_info.min for (a, b), t in zip(pairs, terms)):
+            return f"{name} underflows the normal float range"
+    return None
+
+
 # -- argument values -------------------------------------------------------------
 
 
@@ -402,6 +422,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             if lead <= 0:
                 parser.error(f"--config {args.config}: leading coefficient {lead} is not "
                              f"positive, so the zero mode is not in V-")
+            reason = _float_range_error(args.sp)
+            if reason:
+                parser.error(f"--config {args.config}: {reason}")
     try:
         return args.fn(args)
     except StructuralTheoremViolation as exc:

@@ -143,8 +143,12 @@ def turning_points(sp: PolynomialSuperpotential, E: float):
             if abs(der) > 1e-300:
                 r -= val / der
         roots.append(complex(r))
-    scale = max(1.0, max(abs(r) for r in roots))
-    real_roots = sorted(r.real for r in roots if abs(r.imag) < 1e-9 * scale)
+    # a root is real when its imaginary part is small next to the roots' own
+    # size, which E sets: at a tiny E all of them are far below 1
+    size = max(abs(r) for r in roots)
+    real = [abs(r.imag) < 1e-9 * size for r in roots]
+    scale = max(1.0, size)
+    real_roots = sorted(r.real for r, is_real in zip(roots, real) if is_real)
     pairs = [(xl, xr) for xl, xr in zip(real_roots, real_roots[1:])
              if sp.phi(0.5 * (xl + xr)) ** 2 < E]
     if not pairs:
@@ -154,8 +158,8 @@ def turning_points(sp: PolynomialSuperpotential, E: float):
     xl, xr = pairs[0]
     if xr - xl < 1e-8 * scale:
         raise AmbiguousRegionError(f"nearly degenerate turning points at E = {E}")
-    excluded = [r for r in roots if not (abs(r.imag) < 1e-9 * scale
-                                         and xl - 1e-12 * scale <= r.real <= xr + 1e-12 * scale)]
+    excluded = [r for r, is_real in zip(roots, real)
+                if not (is_real and xl - 1e-12 * scale <= r.real <= xr + 1e-12 * scale)]
     return xl, xr, excluded
 
 
@@ -279,6 +283,7 @@ class IntegrandTable:
         work arrays in ``work`` make one table unsafe to share between
         threads."""
         lo, hi = self.powers.min(initial=0), self.powers.max(initial=0)
+        row_of = {p: i for i, p in enumerate(self.powers.tolist())}
         pieces = 2 if halves else 1
         total = np.zeros((len(self.parts), len(self.powers), pieces), dtype=complex)
         for j in range(0, len(s), SUM_BLOCK):
@@ -286,9 +291,9 @@ class IntegrandTable:
             n = len(s_b)
             if n not in self.work:
                 self.work[n] = tuple(np.empty((rows, n), dtype=complex) for rows in (
-                    1 + sum(self.ladder), len(self.parts), len(self.parts), 1 + hi - lo,
+                    1 + sum(self.ladder), len(self.parts), len(self.parts), 1,
                     len(self.powers)))
-            rungs, part, factor, ladder, sq = self.work[n]
+            rungs, part, factor, (unused,), sq = self.work[n]
             # row 0 is 1, then phi_k, phi_k^2, ... up to each order's height
             rungs[0], r = 1.0, 1
             for row, height in zip(phi_b, self.ladder):
@@ -300,13 +305,18 @@ class IntegrandTable:
             np.take(rungs, self.parts[:, 0], axis=0, out=part)
             for c in range(1, self.parts.shape[1]):
                 part *= np.take(rungs, self.parts[:, c], axis=0, out=factor)
-            # row i is s^(lo + i): from s^0 = 1, up by s and down by 1/s
-            ladder[-lo], inv = 1.0, 1.0 / s_b
-            for i in range(1 - lo, len(ladder)):
-                np.multiply(ladder[i - 1], s_b, out=ladder[i])
-            for i in range(-lo - 1, -1, -1):
-                np.multiply(ladder[i + 1], inv, out=ladder[i])
-            np.take(ladder, self.powers - lo, axis=0, out=sq)
+            # row i is s^powers[i], on the chain from s^0 = 1 up by s to s^hi
+            # and down by 1/s to s^lo; a power no monomial uses is held only
+            # in ``unused`` until the next step
+            if 0 in row_of:
+                sq[row_of[0]] = 1.0
+            for step, chain in ((s_b, range(1, hi + 1)), (1.0 / s_b, range(-1, lo - 1, -1))):
+                prev = 1.0
+                for p in chain:
+                    i = row_of.get(p)
+                    out = unused if i is None else sq[i]
+                    np.multiply(prev, step, out=out)
+                    prev = out
             sq *= dz_b
             chunks = (n // CHUNK, CHUNK) if n % CHUNK == 0 else (1, n)
             by_chunk = np.einsum("pbc,hbc->phb", part.reshape(len(part), *chunks),

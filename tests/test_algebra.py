@@ -17,10 +17,13 @@ from swkb.algebra import (
     PHI_RING,
     V_RING,
     const,
+    decode,
+    encode,
     i_times,
     phi,
     u_half,
 )
+import swkb.algebra
 from swkb.errors import PoleError, UndefinedDegreeError
 from swkb.gaussian import GaussianRational, gr
 from swkb.series import generate_series
@@ -59,8 +62,8 @@ class TestNormalize:
 
 
 class TestMonomial:
-    """A monomial is the raw (derivs, h, e) key that ``Expression.num`` splits
-    into derivs -> (h, e); its constructor keeps that key canonical."""
+    """A monomial is the decoded (derivs, h, e) form of the packed key that
+    ``Expression.num`` stores; its constructor keeps that form canonical."""
 
     def test_orders_come_out_sorted(self):
         m = Monomial([(3, 1), (0, 1), (1, 2)], h=-1, e=2)
@@ -83,7 +86,8 @@ class TestMonomial:
             key = (m.derivs, m.h, m.e)
             assert type(m) is Monomial
             assert m == key and hash(m) == hash(key)
-            assert x.num[m.derivs][(m.h, m.e)]
+            assert x.num[encode(m)]
+        assert {encode(m) for m in x.terms} == x.num.keys()
 
 
 class TestArithmetic:
@@ -359,16 +363,17 @@ def textbook_derivative(x):
 
 def assert_canonical(x):
     r = x.ring.relation_power
-    numerators = [v for group in x.num.values() for xy in group.values() for v in xy]
+    numerators = [v for xy in x.num.values() for v in xy]
     assert type(x.den) is int and x.den > 0
     assert gcd(x.den, *numerators) == 1
     assert all(type(v) is int for v in numerators)
-    assert all(group for group in x.num.values())
-    assert all(xy != (0, 0) for group in x.num.values() for xy in group.values())
+    assert all(type(key) is int and key >= 0 for key in x.num)
+    assert all(xy != (0, 0) for xy in x.num.values())
     assert x.terms == {
-        Monomial(ds, h, e): GaussianRational(Fr(re, x.den), Fr(im, x.den))
-        for ds, group in x.num.items() for (h, e), (re, im) in group.items()
+        decode(key): GaussianRational(Fr(re, x.den), Fr(im, x.den))
+        for key, (re, im) in x.num.items()
     }
+    assert all(encode(decode(key)) == key for key in x.num)
     for m, c in x.terms.items():
         assert not c.is_zero()
         assert type(c.re) is Fr and type(c.im) is Fr
@@ -613,3 +618,86 @@ class TestStorage:
         for x in series12.coeffs:
             assert_canonical(x)
             assert x.den == lcm(*(q.denominator for c in x.terms.values() for q in (c.re, c.im)))
+
+
+# -- packed monomial keys --------------------------------------------------------
+
+SPARE, BIAS = swkb.algebra._SPARE, swkb.algebra._BIAS
+
+
+@st.composite
+def packed_monomials(draw, ring, margin=0):
+    """Monomials across the range of the packed fields, ``margin`` inside
+    each end: derivative orders up to 30, exponents up to the largest a
+    field holds, h and e anywhere in [-BIAS, BIAS).  The bare-symbol
+    exponent stays below r."""
+    derivs = draw(st.dictionaries(st.integers(1, 30), st.integers(1, SPARE - 1 - margin),
+                                  max_size=4))
+    derivs[0] = draw(st.integers(0, ring.relation_power - 1))
+    return Monomial(derivs.items(), h=draw(st.integers(-BIAS + margin, BIAS - 1 - margin)),
+                    e=draw(st.integers(-BIAS + margin, BIAS - 1 - margin)))
+
+
+_rings = st.sampled_from([PHI_RING, V_RING])
+
+
+def _in_range(m):
+    return (all(a < SPARE for _, a in m.derivs)
+            and -BIAS <= m.h < BIAS and -BIAS <= m.e < BIAS)
+
+
+class TestPackedKeys:
+    """Each monomial is one int: the codec round trip, key arithmetic against
+    the tuple arithmetic it replaced, and the spare bit of every field."""
+
+    @examples(100)
+    @given(_rings.flatmap(lambda ring: st.tuples(packed_monomials(ring), ring_expressions(ring))))
+    def test_decode_encode_round_trip(self, case):
+        m, x = case
+        key = encode(m)
+        assert type(key) is int and key >= 0
+        assert decode(key) == m and type(decode(key)) is Monomial
+        for key in x.num:
+            assert encode(decode(key)) == key
+
+    @examples(100)
+    @given(_rings.flatmap(lambda ring: st.tuples(packed_monomials(ring), packed_monomials(ring))))
+    def test_key_sum_is_the_merged_monomial(self, pair):
+        m1, m2 = pair
+        merged = Monomial(merged_derivs(m1.derivs, m2.derivs), m1.h + m2.h, m1.e + m2.e)
+        assume(_in_range(merged))
+        assert encode(m1) + encode(m2) - swkb.algebra.KEY_ONE == encode(merged)
+
+    @examples(60)
+    @given(_rings.flatmap(lambda ring: st.lists(
+        st.tuples(packed_monomials(ring, margin=4), coefficients), min_size=1, max_size=3).map(
+        lambda terms: Expression(ring, terms))))
+    def test_derivative_by_constant_adds_matches_the_tuple_derivative(self, x):
+        # far derivative orders and exponents near the ends of their fields
+        got = x.differentiate()
+        assert term_dict(got) == textbook_derivative(x)
+        assert_canonical(got)
+
+    @pytest.mark.parametrize("make", [
+        lambda: encode(Monomial([(1, SPARE)])),
+        lambda: encode(Monomial([(3, 2 * SPARE)])),
+        lambda: encode(Monomial(h=BIAS)),
+        lambda: encode(Monomial(e=-BIAS - 1)),
+        lambda: phi(1, SPARE // 2) * phi(1, SPARE // 2),
+        lambda: u_half(BIAS - 1) * u_half(1),
+        lambda: E_pow(-BIAS) * E_pow(-1),
+        lambda: (phi(1) * phi(2, SPARE - 1)).differentiate(),
+        lambda: u_half(-BIAS).differentiate(),
+        lambda: E_pow(-BIAS).diff_E(),
+        lambda: E_pow(BIAS - 1).shift_e(1),
+        lambda: E_pow(0).shift_e(-4 * BIAS),
+        # the fold raises h by 2q: by 6 here, and by more than a whole field
+        lambda: Expression(V_RING, [(Monomial([(0, 3)], h=BIAS - 6), 1)]),
+        lambda: Expression(V_RING, [(Monomial([(0, SPARE - 1)]), 1)]),
+    ], ids=["encode-exponent", "encode-exponent-past-the-field", "encode-h", "encode-e",
+            "product-exponent", "product-h", "product-e", "derivative-exponent",
+            "derivative-h", "diff-E-e", "shift-e", "shift-e-past-the-field", "fold-h",
+            "fold-past-the-field"])
+    def test_leaving_a_field_raises_instead_of_carrying(self, make):
+        with pytest.raises(OverflowError):
+            make()

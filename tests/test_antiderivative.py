@@ -1,4 +1,6 @@
 import importlib
+import sys
+from collections import Counter
 from fractions import Fraction as Fr
 from math import gcd
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from swkb.algebra import E_pow, Expression, Monomial, PHI_RING, V_RING, phi, u_half
+import swkb.algebra
+from swkb.algebra import E_pow, Expression, Monomial, PHI_RING, V_RING, decode, encode, phi, u_half
 from swkb.antiderivative import (
     MAX_WIDEN,
     DerivativeSweep,
@@ -16,6 +19,7 @@ from swkb.antiderivative import (
     _window_generators,
     antiderivative,
 )
+from swkb.cli import main
 from swkb.errors import StructuralTheoremViolation
 from swkb.gaussian import GR_ONE, GaussianRational, gr
 
@@ -116,13 +120,13 @@ def _scan_reduce(sweep, vec, comb):
 
 
 class TestEngine:
-    A = Monomial([(0, 1)], h=-1)            # f u^(-1/2)
-    B = Monomial([(1, 1)], h=-3)            # f' u^(-3/2)
-    CONST = Monomial(e=1)                   # E: zero derivative
+    A = encode(Monomial([(0, 1)], h=-1))    # f u^(-1/2)
+    B = encode(Monomial([(1, 1)], h=-3))    # f' u^(-3/2)
+    CONST = encode(Monomial(e=1))           # E: zero derivative
 
     def target(self):
-        return (Expression(PHI_RING, [(self.A, gr(2))]) +
-                Expression(PHI_RING, [(self.B, gr(Fr(-1, 3)))])).differentiate()
+        return (Expression(PHI_RING, [(decode(self.A), gr(2))]) +
+                Expression(PHI_RING, [(decode(self.B), gr(Fr(-1, 3)))])).differentiate()
 
     def test_dependent_columns_are_dropped(self):
         # the repeated generator and the constant add nothing to the span
@@ -154,8 +158,7 @@ class TestEngine:
         slow = DerivativeSweep(x.ring, gens)
         monkeypatch.undo()
         assert fast.rows == slow.rows and len(fast.rows) > 10
-        vec = {(ds, h, e): re + im for ds, group in x.num.items()
-               for (h, e), (re, im) in group.items() if re + im}
+        vec = {key: re + im for key, (re, im) in x.num.items() if re + im}
         fast_vec, fast_comb, slow_vec, slow_comb = dict(vec), {}, dict(vec), {}
         assert fast._reduce(fast_vec, fast_comb) == _scan_reduce(fast, slow_vec, slow_comb)
         assert (fast_vec, fast_comb) == (slow_vec, slow_comb)
@@ -191,15 +194,22 @@ def canonical_monomials(draw, ring):
 @example((V_RING, Monomial()))
 def test_derivative_row_is_twice_the_derivative(case):
     ring, m = case
-    row = _derivative_row(ring, m)
+    row = _derivative_row(ring, encode(m))
     expect = Expression(ring, [(m, GR_ONE)]).differentiate().scale(2)
     assert all(type(c) is int and c for c in row.values())
-    assert {mm: GaussianRational(c) for mm, c in row.items()} == expect.terms
+    assert {decode(key): GaussianRational(c) for key, c in row.items()} == expect.terms
 
 
 def test_derivative_row_rejects_non_canonical_generator():
     with pytest.raises(StructuralTheoremViolation):
-        _derivative_row(PHI_RING, Monomial([(0, 2)], h=1))
+        _derivative_row(PHI_RING, encode(Monomial([(0, 2)], h=1)))
+
+
+def test_derivative_row_raises_where_h_leaves_its_field():
+    # d u^(h/2) lowers h by 2, below the bias of the packed h field here
+    key = encode(Monomial([(1, 1)], h=-swkb.algebra._BIAS))
+    with pytest.raises(OverflowError):
+        _derivative_row(PHI_RING, key)
 
 
 def _axpy(acc: dict, c: Fr, src: dict) -> None:
@@ -215,19 +225,19 @@ def _axpy(acc: dict, c: Fr, src: dict) -> None:
 class FractionSweep:
     """The elimination the integer kernel replaced, kept as its oracle: rows
     of ``Fraction``s normalized to 1 at the pivot, reduced with ``_axpy``,
-    derivatives taken in ``Expression`` arithmetic."""
+    derivatives taken in ``Expression`` arithmetic, keyed by ``Monomial``."""
 
     def __init__(self, ring, generators):
         self.ring = ring
-        self.generators = generators
+        self.generators = [decode(m) for m in generators]
         self.rows = []
-        for j, m in enumerate(generators):
+        for j, m in enumerate(self.generators):
             d = Expression(ring, [(m, GR_ONE)]).differentiate()
             vec = {mm: c.re for mm, c in d.terms.items()}
             taken = self._reduce(vec)
             if not vec:
                 continue
-            pivot = max(vec, key=_pivot_key)
+            pivot = max(vec, key=lambda mm: _pivot_key(encode(mm)))
             inv = 1 / vec[pivot]
             comb = {i: -c * inv for i, c in taken.items()}
             comb[j] = inv
@@ -260,14 +270,14 @@ class FractionSweep:
 
 def _assert_engines_agree(ring, generators, rhs):
     sweep, oracle = DerivativeSweep(ring, generators), FractionSweep(ring, generators)
-    assert [p for p, _, _ in sweep.rows] == [p for p, _, _ in oracle.rows]
+    assert [p for p, _, _ in sweep.rows] == [encode(p) for p, _, _ in oracle.rows]
     for (_, vec, comb), (_, ovec, ocomb) in zip(sweep.rows, oracle.rows):
         # each integer row is the normalized row times its pivot entry s, and
         # its combination, doubled (a row is twice a derivative), the oracle's
         # times s
         s = vec[max(vec, key=_pivot_key)]
         assert s > 0
-        assert vec == {m: c * s for m, c in ovec.items()}
+        assert vec == {encode(m): c * s for m, c in ovec.items()}
         assert {i: Fr(2 * c) for i, c in comb.items()} == {i: c * s for i, c in ocomb.items()}
     for x in rhs:
         kept, cert = sweep.normal_form(x)
@@ -288,7 +298,7 @@ def test_engine_matches_fraction_oracle_on_sweep_generators(case, keep_e_divisib
 def test_engine_matches_fraction_oracle_with_duplicates_and_constants(case, data):
     ring, x = case
     gens = _window_generators(x, 1, None)
-    constants = st.integers(-2, 2).map(lambda e: Monomial(e=e))
+    constants = st.integers(-2, 2).map(lambda e: encode(Monomial(e=e)))
     pool = st.one_of(st.sampled_from(gens), constants) if gens else constants
     for m in data.draw(st.lists(pool, min_size=1, max_size=6)):
         gens.insert(data.draw(st.integers(0, len(gens))), m)
@@ -300,3 +310,57 @@ def test_engine_matches_fraction_oracle_on_series_parts(split10, n):
     # the long elimination chains of a real series coefficient
     x = split10.p[n]
     _assert_engines_agree(x.ring, _window_generators(x, 1, None), [x, x.shift_e(1)])
+
+
+def test_verify_unpacks_keys_only_for_output_and_pivot_priorities(capsys, monkeypatch):
+    # the exact layer runs on packed keys: during verify --order 8 a key is
+    # decoded only by ``terms`` for output and by ``_pivot_key`` behind the
+    # sweep's memo, which computes each key's priority at most once per
+    # sweep, and no monomial tuple is packed, unpacked or built while the
+    # product, derivative, fold or elimination loop runs
+    algebra = importlib.import_module("swkb.algebra")
+    anti = importlib.import_module("swkb.antiderivative")
+    loops = {algebra.Expression.sum_of_products.__code__, algebra.Expression.differentiate.__code__,
+             algebra._fold.__code__, anti.DerivativeSweep._reduce.__code__}
+    calls = Counter()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a comprehension's own frame
+                caller = caller.f_back
+            calls[name, caller.f_code.co_name] += 1
+            frame = caller
+            while frame is not None:
+                assert frame.f_code not in loops, f"{name} under {frame.f_code.co_name}"
+                frame = frame.f_back
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("encode", "decode"):
+        wrapper = spy(name, getattr(algebra, name))
+        for mod in (algebra, anti):
+            monkeypatch.setattr(mod, name, wrapper)
+    monkeypatch.setattr(algebra.Monomial, "__new__",
+                        staticmethod(spy("Monomial", algebra.Monomial.__new__)))
+    sweeps, priorities = [], Counter()
+    honest_init, honest_pivot_key = anti.DerivativeSweep.__init__, anti._pivot_key
+
+    def init(self, ring, generators):
+        sweeps.append(self)
+        honest_init(self, ring, generators)
+
+    def pivot_key(key):
+        priorities[len(sweeps), key] += 1
+        return honest_pivot_key(key)
+
+    monkeypatch.setattr(anti.DerivativeSweep, "__init__", init)
+    monkeypatch.setattr(anti, "_pivot_key", spy("_pivot_key", pivot_key))
+    assert main(["verify", "--order", "8"]) == 0
+    assert capsys.readouterr().out.endswith("verification PASSED at order 8\n")
+    by_name = {}
+    for name, caller in calls:
+        by_name.setdefault(name, set()).add(caller)
+    assert by_name["decode"] == {"terms", "_pivot_key"}
+    assert len(sweeps) == 28 and max(priorities.values()) == 1
+    assert by_name["encode"] <= {"__init__", "_window_generators"}

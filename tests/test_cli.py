@@ -1,8 +1,12 @@
 import json
+import os
 import sys
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import swkb.cli
 import swkb.oracle
@@ -205,6 +209,56 @@ def test_superpotentials_outside_the_theory_are_usage_errors(capsys, tmp_path, c
         assert exc.value.code == 2
         assert reason in capsys.readouterr().err
     assert main(["oracle", "--config", str(path), "--count", "2"]) == 0
+
+
+@pytest.mark.parametrize("config, reason", [
+    ({"coefficients": [0, 0, 0, 1e308]}, "the x^6 coefficient of phi^2 overflows a float"),
+    ({"coefficients": [0, 0, 0, 1], "hbar": 1e-300}, "hbar^2 underflows the normal float range"),
+    ({"coefficients": [1e-200, 1, 0, 1]},
+     "the x^0 coefficient of phi^2 underflows the normal float range"),
+    ({"coefficients": [0, 0, 0, 1], "hbar": 1e200}, "hbar^2 overflows a float"),
+])
+def test_configs_outside_the_float_range_are_usage_errors(capsys, tmp_path, config, reason):
+    # these used to exit 3 with "5 classical regions": overflow and
+    # underflow, not the topology of phi^2, were at fault
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(config))
+    for command in ("quantize", "compare"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--levels", "1"])
+        assert exc.value.code == 2
+        assert f"--config {path}: {reason}\n" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 5).flatmap(lambda degree: st.tuples(
+    st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+             min_size=degree, max_size=degree),
+    st.sampled_from([-1.5, -1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0, 1.5]),
+    st.sampled_from([0.5, 1.0, 2.0]))))
+def test_random_configs_exit_2_or_keep_the_zero_mode(capsys, case):
+    # the theory holds exactly for an odd degree and a positive leading
+    # coefficient: V- then has the zero mode exp(-int phi / hbar), so the
+    # oracle finds E0 = 0 where quantize answers 0; any config let through
+    # outside the theory gets quantize's 0 against a positive oracle E0
+    lower, lead, hbar = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "phi.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"coefficients": lower + [lead], "hbar": hbar}, fh)
+        try:
+            code = main(["quantize", "--config", path, "--order", "2", "--levels", "0", "--json"])
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert "error:" in capsys.readouterr().err
+            return
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["levels"]["0"] == 0.0
+        assert main(["oracle", "--config", path, "--count", "2", "--potential", "minus",
+                     "--json"]) == 0
+        ground, _ = json.loads(capsys.readouterr().out)["oracle"]["minus"]["eigenvalues"]
+        assert abs(ground) < 1e-8
 
 
 @pytest.mark.parametrize("command", ["quantize", "compare", "oracle"])

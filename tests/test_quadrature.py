@@ -96,6 +96,14 @@ class TestTurningPoints:
         with pytest.raises(AmbiguousRegionError):
             turning_points(oscillator, 1e-20)
 
+    def test_tiny_roots_are_told_real_by_their_own_size(self):
+        # the six roots of x^6 = 1e-300 have size 1e-50: an absolute cut on
+        # their imaginary parts took all six as real and reported 5 classical
+        # regions, where the trouble is the one pair coalescing
+        sp = PolynomialSuperpotential([0.0, 0.0, 0.0, 1.0], 1e-300)
+        with pytest.raises(AmbiguousRegionError, match="nearly degenerate turning points"):
+            turning_points(sp, 1e-300)
+
     @pytest.mark.parametrize("coefficients", [[0.0, 1.0], [0.0, 0.0, 0.0, 1.0 / 3.0],
                                               [0.0, 1.0, 0.0, 0.2]])
     def test_polished_roots_solve_phi_squared(self, coefficients):
