@@ -123,20 +123,24 @@ def default_grid(V: Callable, count: int, hbar: float = 1.0) -> Tuple[GridSpec, 
     the top level by WALL_MARGIN hbar^2 on both sides and every eigenvector
     decays below 0.01 DECAY_LIMIT at the walls.  At each half width the
     spacing is refined until pi/h is WAVENUMBER_FACTOR times the top level's
-    largest classical wavenumber.  Returns the grid and the lowest ``count``
+    largest classical wavenumber.  The grid is sized for at least two
+    states: a lone ground state at the bottom of a well has a top
+    wavenumber near zero, so its spacing would grow with the half width and
+    its tails never resolve.  Returns the grid and the lowest ``count``
     eigenvalues of its solve."""
+    states = max(count, 2)
     X, h = 2.0, math.inf  # h: the spacing the last top level asked for
     while X <= MAX_HALF_WIDTH:
         m = 0
-        while (need := max(math.ceil(X / h), POINTS_PER_STATE // 2 * count)) > m:
+        while (need := max(math.ceil(X / h), POINTS_PER_STATE // 2 * states)) > m:
             grid, m = _grid(X, need), need
-            w, v, pot = _solve(V, grid, count, hbar, vectors=True)
+            w, v, pot = _solve(V, grid, states, hbar, vectors=True)
             k_top = math.sqrt(max(float(w[-1]) - float(np.min(pot)), 0.0)) / hbar
             h = math.pi / (WAVENUMBER_FACTOR * k_top) if k_top else math.inf
         wall = min(float(V(np.array([-X]))[0]), float(V(np.array([X]))[0]))
         if (wall >= float(w[-1]) + WALL_MARGIN * hbar * hbar
                 and np.max(_edge_amplitude(v)) < 0.01 * DECAY_LIMIT):
-            return grid, w
+            return grid, w[:count]
         X += 1.0
     raise DomainTooSmallError(f"no adequate half width below {MAX_HALF_WIDTH}")
 

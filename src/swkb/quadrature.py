@@ -17,8 +17,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-# numpy loads np.polynomial lazily on first use; importing it here keeps that out of every run
-from numpy.polynomial.polynomial import polyroots, polyval
 
 from .algebra import Expression, Monomial
 from .errors import (
@@ -83,10 +81,10 @@ class PolynomialSuperpotential:
         return c
 
     def phi(self, x):
-        return polyval(x, np.asarray(self.coefficients))
+        return np.polyval(self.coefficients[::-1], x)
 
     def phi_deriv(self, k: int, x):
-        return polyval(x, self.deriv_coefficients(k))
+        return np.polyval(self.deriv_coefficients(k)[::-1], x)
 
     def v_minus(self, x):
         return self.phi(x) ** 2 - self.hbar * self.phi_deriv(1, x)
@@ -128,6 +126,20 @@ def _value_and_slope(coeffs: Sequence[float], x: complex) -> Tuple[complex, comp
     return p, dp
 
 
+def _companion_roots(p: np.ndarray) -> np.ndarray:
+    """Sorted roots of the polynomial with ascending coefficients ``p``, of
+    degree at least 2: the eigenvalues of the companion matrix that numpy's
+    ``polycompanion`` builds, so they equal its ``polyroots`` bit for bit
+    without loading ``numpy.polynomial``."""
+    n = len(p) - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n::n + 1] = 1.0
+    companion[:, -1] -= p[:-1] / p[-1]
+    roots = np.linalg.eigvals(companion)
+    roots.sort()
+    return roots
+
+
 def turning_points(sp: PolynomialSuperpotential, E: float):
     """All roots of phi(x)^2 = E, split into the real classical pair and the
     excluded rest.  Roots are Newton-polished on phi^2 - E."""
@@ -137,7 +149,7 @@ def turning_points(sp: PolynomialSuperpotential, E: float):
     p2[0] -= E
     descending = p2[::-1].tolist()
     roots = []
-    for r in polyroots(p2).tolist():
+    for r in _companion_roots(p2).tolist():
         for _ in range(3):
             val, der = _value_and_slope(descending, r)
             if abs(der) > 1e-300:
@@ -147,17 +159,19 @@ def turning_points(sp: PolynomialSuperpotential, E: float):
     # size, which E sets: at a tiny E all of them are far below 1
     size = max(abs(r) for r in roots)
     real = [abs(r.imag) < 1e-9 * size for r in roots]
-    scale = max(1.0, size)
     real_roots = sorted(r.real for r, is_real in zip(roots, real) if is_real)
     pairs = [(xl, xr) for xl, xr in zip(real_roots, real_roots[1:])
-             if sp.phi(0.5 * (xl + xr)) ** 2 < E]
+             if _value_and_slope(descending, 0.5 * (xl + xr))[0] < 0.0]
     if not pairs:
         raise NoClassicalRegionError(f"no real classical region at E = {E}")
     if len(pairs) > 1:
         raise AmbiguousRegionError(f"{len(pairs)} classical regions at E = {E}")
     xl, xr = pairs[0]
-    if xr - xl < 1e-8 * scale:
+    # relative to the roots' size: phi = c x^d is scale invariant, so a pair
+    # far below 1 coalesces only when it is narrow next to the other roots
+    if xr - xl < 1e-8 * size:
         raise AmbiguousRegionError(f"nearly degenerate turning points at E = {E}")
+    scale = max(1.0, size)
     excluded = [r for r, is_real in zip(roots, real)
                 if not (is_real and xl - 1e-12 * scale <= r.real <= xr + 1e-12 * scale)]
     return xl, xr, excluded

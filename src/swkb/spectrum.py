@@ -40,7 +40,7 @@ DEFAULT_TOL_E = 1e-9
 MIN_VALIDATED_E_FACTOR = 1e-8  # in units of hbar
 MAX_SOLVE_STEPS = 200
 MAX_LOG_STEP = 20.0  # a Newton step may scale E by at most e^20
-STOP_MARGIN = 100.0  # a step stops the solve when 100x its Taylor error is within tolerance
+STOP_MARGIN = 100.0  # a step stops the solve when 100x its third-order error is within tolerance
 _EPS = sys.float_info.epsilon
 
 
@@ -49,8 +49,8 @@ class Condition:
     """The truncated condition at one even ``order``: the reduced
     corrections up to that order and the split minus series they were
     reduced from, which may run past ``order``.  ``action_tables`` holds the
-    (A, A') table of each (degree of phi, hbar) that ``action_table`` has
-    built; it is the only table a condition has."""
+    (A, A', A'') table of each (degree of phi, hbar) that ``action_table``
+    has built; it is the only table a condition has."""
 
     order: int
     corrections: Tuple[ReducedCorrection, ...]
@@ -58,12 +58,12 @@ class Condition:
     action_tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def action_table(self, sp: PolynomialSuperpotential) -> IntegrandTable:
-        """The two-row table that ``action`` integrates for ``sp``: the
+        """The three-row table that ``action`` integrates for ``sp``: the
         left-hand side sum of sign * hbar^order * integrand, formed exactly
-        at the float hbar of ``sp``, then its E-derivative, compiled without
-        the monomials that hold a phi^(k) with k above the degree of phi,
-        which vanish identically.  Built on first use for each degree and
-        hbar."""
+        at the float hbar of ``sp``, then its first and second
+        E-derivatives, compiled without the monomials that hold a phi^(k)
+        with k above the degree of phi, which vanish identically.  Built on
+        first use for each degree and hbar."""
         degree = len(sp.coefficients) - 1
         table = self.action_tables.get((degree, sp.hbar))
         if table is None:
@@ -72,7 +72,9 @@ class Condition:
                       Expression.zero())
             lhs = Expression(lhs.ring, [(m, c) for m, c in lhs.terms.items()
                                         if all(k <= degree for k, _ in m.derivs)])
-            table = self.action_tables[(degree, sp.hbar)] = compile_integrands([lhs, lhs.diff_E()])
+            slope = lhs.diff_E()
+            table = self.action_tables[(degree, sp.hbar)] = compile_integrands(
+                [lhs, slope, slope.diff_E()])
         return table
 
 
@@ -80,7 +82,7 @@ def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     """One condition per requested order, all cut from a single reduction
     at the highest order: each reduced correction depends only on the
     series prefix up to its own order.  Nothing is compiled here; a
-    condition compiles its (A, A') table on its first ``action``."""
+    condition compiles its (A, A', A'') table on its first ``action``."""
     for k in orders:
         if k < 0 or k % 2:
             raise ValueError(f"truncation order must be even and >= 0, got {k}")
@@ -91,49 +93,60 @@ def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     return {k: Condition(k, tuple(qc.corrections[: k // 2 + 1]), split) for k in orders}
 
 
-def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[float, float]:
-    """(A, dA/dE): A is the sum over even orders 2k <= cond.order of
-    sign * hbar^(2k) * the contour integral of the reduced integrand, and
-    dA/dE the same sum over the integrands' E-derivatives (the contour
-    encloses the moving turning points, so d/dE passes under the integral).
+def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[float, float, float]:
+    """(A, dA/dE, d2A/dE2): A is the sum over even orders 2k <= cond.order
+    of sign * hbar^(2k) * the contour integral of the reduced integrand, and
+    the derivatives the same sums over the integrands' first and second
+    E-derivatives (the contour encloses the moving turning points, so d/dE
+    passes under the integral).
 
     The weighted sum is formed exactly before the quadrature, so settling
-    and the realness check apply to A and dA/dE: a correction weighted by
-    hbar^8, or one that is exactly zero, need not settle on its own, and an
-    error in one correction shows only through the sums.  The two-row table
-    comes from ``cond.action_table``, built once per degree of phi and
-    hbar, so an energy pays only for the quadrature."""
+    and the realness check apply to A and its derivatives: a correction
+    weighted by hbar^8, or one that is exactly zero, need not settle on its
+    own, and an error in one correction shows only through the sums.  The
+    three-row table comes from ``cond.action_table``, built once per degree
+    of phi and hbar, and all three rows share one sampling of the contour,
+    so an energy pays only for the quadrature."""
     if E <= MIN_VALIDATED_E_FACTOR * sp.hbar:
         raise OutOfValidatedRangeError(
             f"E = {E} below the validated range (turning points coalesce)"
         )
-    A, slope = contour_integrate(cond.action_table(sp), sp, E).rows
-    return A.real, slope.real
+    A, slope, bend = contour_integrate(cond.action_table(sp), sp, E).rows
+    return A.real, slope.real, bend.real
+
+
+Probe = Tuple[float, float, float, float]
 
 
 class Level(float):
     """A root found by ``solve_level``: the energy as a float, carrying the
-    last two (E, A, A') the solve evaluated, older first (the older one may
-    come from the level below), and the (condition, superpotential,
+    last two (E, A, A', A'') the solve evaluated, older first (the older one
+    may come from the level below), and the (condition, superpotential,
     partner) it belongs to.  Passed as the ``start`` of a solve of the same
-    problem, the newer evaluation serves as the first iteration and the
-    pair gives the curvature of ln A, so the next level starts one
-    second-order step away without integrating again."""
+    problem, the newer evaluation serves as the first iteration, so the
+    next level starts one exact second-order step away without integrating
+    again, and the pair gives the third-order term its stop reads."""
 
     __slots__ = ("source", "probes")
 
-    def __new__(cls, value: float, source: tuple, probes: Tuple[Tuple[float, float, float], ...]):
+    def __new__(cls, value: float, source: tuple, probes: Tuple[Probe, ...]):
         level = super().__new__(cls, value)
         level.source = source
         level.probes = probes
         return level
 
 
-def _log_chart(probe: Tuple[float, float, float]) -> Optional[Tuple[float, float]]:
-    """(x, s) = (ln A, d ln E / d ln A) at an evaluation (E, A, A'), or None
-    where A or A' is not positive."""
-    E, A, slope = probe
-    return (math.log(A), A / (E * slope)) if A > 0.0 and slope > 0.0 else None
+def _log_chart(probe: Probe) -> Optional[Tuple[float, float, float]]:
+    """(x, s, c) at an evaluation (E, A, A', A''), with t = ln E and
+    x = ln A: s = dt/dx = 1 / g for g = E A' / A, and c = ds/dx = -x'' s^3
+    exactly, from x'' = d2x/dt2 = g + E^2 A'' / A - g^2.  None where A or A'
+    is not positive."""
+    E, A, slope, bend = probe
+    if not (A > 0.0 and slope > 0.0):
+        return None
+    g = E * slope / A
+    s = 1.0 / g
+    return math.log(A), s, -(g + E * E * bend / A - g * g) * s ** 3
 
 
 def solve_level(
@@ -151,18 +164,20 @@ def solve_level(
     energy.
 
     A ~ c E^alpha makes ln A nearly linear in ln E: with t = ln E,
-    x = ln A, s = dt/dx = A / (E A') and dx = ln(target / A), each step is
-    t += s dx + c dx^2 / 2, c = ds/dx the difference quotient of s over
-    the last two evaluations (the step is first-order while fewer than two
-    have a positive A and A').  Every evaluation narrows the bracket
-    lo < root <= hi; a step that leaves it, or a point where A or A' is not
-    positive, falls back to bisection once both ends are known and to
-    doubling or halving E before that (safeguarded Newton, as in Numerical
-    Recipes' rtsafe).  The loop stops when the bracket or a Newton step is
-    within DEFAULT_TOL_E + 4 eps |E|, or, once this solve has evaluated at
-    least once, when STOP_MARGIN times the step's Taylor error
-    |c| dx^2 / 2 (relative to the new E) is; the root is returned as a
-    ``Level`` holding the last two evaluations.
+    x = ln A and dx = ln(target / A), each step is Chebyshev's
+    t += s dx + c dx^2 / 2, with s = dt/dx and c = ds/dx exact from
+    (A, A', A'') (see ``_log_chart``; Traub, Iterative Methods for the
+    Solution of Equations, 1964).  The first step from a carried pair adds
+    c2 dx^3 / 6, c2 the difference quotient of c over the pair.  Every
+    evaluation narrows the bracket lo < root <= hi; a step that leaves it,
+    or a point where A or A' is not positive, falls back to bisection once
+    both ends are known and to doubling or halving E before that
+    (safeguarded Newton, as in Numerical Recipes' rtsafe).  The loop stops
+    when the bracket or a step is within DEFAULT_TOL_E + 4 eps |E|, or,
+    right after an evaluation, when STOP_MARGIN times the step's
+    third-order error |c2| |dx|^3 / 6 (relative to the new E) is, c2 over
+    the last two evaluations; the root is returned as a ``Level`` holding
+    them.
 
     The minus-partner ground state sits at the E -> 0 edge where the
     turning points coalesce; the action decreases monotonically to zero
@@ -191,7 +206,7 @@ def solve_level(
                 probes.append((E, *action(cond, sp, E)))
             except ConvergenceError as exc:
                 raise failure(str(exc)) from exc
-        E, A, _ = probes[-1]
+        E, A = probes[-1][:2]
         if A < target:
             lo = E
         else:
@@ -200,14 +215,21 @@ def solve_level(
         if hi - lo <= tol:
             return Level(0.5 * (lo + hi), source, tuple(probes[-2:]))
         here = _log_chart(probes[-1])
-        back = _log_chart(probes[-2]) if len(probes) > 1 else None
-        c = (here[1] - back[1]) / (here[0] - back[0]) if here and back and here[0] != back[0] else None
-        dx = math.log(target / A) if here else math.nan
-        bend = 0.5 * c * dx * dx if c is not None else 0.0
-        step = here[1] * dx + bend if here else math.nan
-        nxt = E * math.exp(step) if abs(step) < MAX_LOG_STEP else math.nan
+        back = _log_chart(probes[-2]) if here and len(probes) > 1 else None
+        nxt, cubic = math.nan, None
+        if here:
+            x, s, c = here
+            dx = math.log(target / A)
+            if back and back[0] != x:
+                cubic = (c - back[2]) / (x - back[0]) * dx ** 3 / 6.0
+            step = s * dx + 0.5 * c * dx * dx
+            if cubic is not None and not fresh:
+                step += cubic  # a carried pair takes the third-order term as well
+            if abs(step) < MAX_LOG_STEP:
+                nxt = E * math.exp(step)
         if max(lo, floor) < nxt <= hi:
-            if abs(nxt - E) <= tol or fresh and c is not None and STOP_MARGIN * abs(bend) * nxt <= tol:
+            if abs(nxt - E) <= tol or (fresh and cubic is not None
+                                       and STOP_MARGIN * abs(cubic) * nxt <= tol):
                 return Level(nxt, source, tuple(probes[-2:]))
         elif lo and hi < math.inf:
             nxt = 0.5 * (lo + hi)

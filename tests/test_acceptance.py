@@ -180,25 +180,36 @@ def test_criterion_10_anharmonic_benchmark(cubic, conditions):
           f" {elapsed:.2f}s)")
 
 
-@pytest.mark.parametrize("coefficients, hbar, argv, budget", [
+@pytest.mark.parametrize("coefficients, hbar, argv, budget, sample_budget", [
     pytest.param([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0,
-                 ["quantize", "--order", "8", "--levels", "30"], 42, id="quantize8-cubic"),
+                 ["quantize", "--order", "8", "--levels", "30"], 33, 16896, id="quantize8-cubic"),
     pytest.param([0.0, 1.0, 0.0, 0.2], 0.5,
-                 ["compare", "--orders", "0,2,4", "--levels", "10"], 56, id="compare-mixed"),
+                 ["compare", "--orders", "0,2,4", "--levels", "10"], 36, 8064, id="compare-mixed"),
 ])
-def test_action_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, argv, budget):
-    # each action call integrates the whole table on one contour; a level
-    # carried from the one below takes one call once ln A's curvature
-    # predicts its root (68 and 93 calls when a carried level took two or three)
+def test_action_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, argv, budget,
+                            sample_budget):
+    # each action call integrates the whole (A, A', A'') table on one
+    # contour; from level 3 up a level carried from the one below takes one
+    # call, its exact third-order error already within tolerance (39 and 54
+    # calls, 19,968 and 12,672 samples, when the curvature of ln A was a
+    # secant of the last two evaluations)
     path = tmp_path / "sp.json"
     path.write_text(json.dumps({"coefficients": coefficients, "hbar": hbar}))
-    honest = swkb.spectrum.action
-    calls = []
+    honest, honest_integrate = swkb.spectrum.action, swkb.spectrum.contour_integrate
+    calls, samples = [], []
     monkeypatch.setattr(swkb.spectrum, "action", lambda *a: calls.append(a[2]) or honest(*a))
+
+    def counted(*args, **kwargs):
+        result = honest_integrate(*args, **kwargs)
+        samples.append(result.samples_used)
+        return result
+
+    monkeypatch.setattr(swkb.spectrum, "contour_integrate", counted)
     assert main([argv[0], "--config", str(path)] + argv[1:] + ["--json"]) == 0
     assert json.loads(capsys.readouterr().out)
-    assert len(calls) <= budget
-    print(f"\n{argv[0]}: PASS ({len(calls)} action calls, budget {budget})")
+    assert len(calls) <= budget and sum(samples) <= sample_budget
+    print(f"\n{argv[0]}: PASS ({len(calls)} action calls, budget {budget}; "
+          f"{sum(samples)} samples, budget {sample_budget})")
 
 
 @pytest.mark.parametrize("coefficients, hbar, argv, compiles", [

@@ -179,6 +179,27 @@ def test_oracle_text(capsys, cubic_config):
         assert [line.split("E =")[0] for line in block] == [f"  n= {n}  " for n in range(3)]
 
 
+@pytest.mark.parametrize("coefficients", [[-2.0, 0.3333333333333333], [-2.0, 1.0]])
+def test_oracle_settles_a_lone_ground_state(capsys, tmp_path, coefficients):
+    # one state alone sits at the bottom of V_-, where its classical
+    # wavenumber is near zero, so a grid sized for it alone grew its spacing
+    # with the half width and never resolved the tails; the grid is sized
+    # for two states, and the one value agrees with the first of two
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"coefficients": coefficients}))
+    recs = []
+    for count in ("1", "2"):
+        code, out = run(capsys, ["oracle", "--config", str(path), "--count", count,
+                                 "--potential", "minus", "--json"])
+        assert code == 0
+        recs.append(json.loads(out)["oracle"]["minus"])
+    one, two = recs
+    assert (one["half_width"], one["points"]) == (two["half_width"], two["points"])
+    assert len(one["eigenvalues"]) == 1 and len(two["eigenvalues"]) == 2
+    assert abs(one["eigenvalues"][0] - two["eigenvalues"][0]) <= swkb.oracle.AGREE_REL
+    assert abs(one["eigenvalues"][0]) < 1e-8
+
+
 def test_numerical_failure_exits_3(capsys, tmp_path):
     # phi = x^3 - x with hbar = 0.1 puts level 1 below the barrier of phi^2:
     # three classical regions at E = 0.1, which the contour rule does not
@@ -455,7 +476,7 @@ def test_compare_solves_a_repeated_order_once(capsys, tmp_path, monkeypatch, cub
         calls.append(len(actions))
         actions.clear()
     assert outs[0] == outs[1]
-    assert calls == [14, 14]
+    assert calls == [10, 10]
 
 
 def test_quantize_starts_each_level_from_the_one_below(capsys, cubic_config, monkeypatch):

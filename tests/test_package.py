@@ -31,6 +31,17 @@ def test_cli_does_not_import_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_does_not_load_numpy_polynomial():
+    # turning points come from the companion matrix and phi from np.polyval,
+    # so no run pays numpy.polynomial's import (about 6 ms and 0.7 MB)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, swkb.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_commands_import_nothing_after_the_cli(tmp_path):
     # the package needs no scipy, and everything a command uses is loaded
     # with swkb.cli, so that no run pays for an import (numpy's lazy

@@ -92,17 +92,50 @@ class TestTurningPoints:
         with pytest.raises(AmbiguousRegionError):
             turning_points(sp, 0.5)
 
-    def test_near_degenerate_pair_is_ambiguous(self, oscillator):
-        with pytest.raises(AmbiguousRegionError):
-            turning_points(oscillator, 1e-20)
+    def test_near_degenerate_pair_is_ambiguous(self, mixed_cubic):
+        # on x + x^3/5 at E = 1e-20 the pair is 2e-10 wide while the complex
+        # roots keep the roots' size at 2.24: the pair coalesces next to them
+        with pytest.raises(AmbiguousRegionError, match="nearly degenerate turning points"):
+            turning_points(mixed_cubic, 1e-20)
+
+    @pytest.mark.parametrize("coefficients, E", [([0.0, 0.0, 0.0, 1.0 / 3.0], 1e-100),
+                                                 ([0.0, 1.0], 1e-20)])
+    def test_a_tiny_scale_invariant_well_keeps_its_pair(self, coefficients, E):
+        # phi = c x^d is scale invariant, so a pair far below 1 is no nearer
+        # to coalescing than at E = 1: the degenerate floor is relative to
+        # the roots' size, not to 1
+        d = len(coefficients) - 1
+        xl, xr, excluded = turning_points(PolynomialSuperpotential(coefficients), E)
+        root = (math.sqrt(E) / coefficients[-1]) ** (1.0 / d)
+        assert math.isclose(xr, root, rel_tol=1e-12) and math.isclose(xl, -root, rel_tol=1e-12)
+        assert len(excluded) == 2 * d - 2
+        assert all(math.isclose(abs(w), root, rel_tol=1e-12) for w in excluded)
 
     def test_tiny_roots_are_told_real_by_their_own_size(self):
         # the six roots of x^6 = 1e-300 have size 1e-50: an absolute cut on
         # their imaginary parts took all six as real and reported 5 classical
-        # regions, where the trouble is the one pair coalescing
+        # regions, where there is one pair and four complex roots
         sp = PolynomialSuperpotential([0.0, 0.0, 0.0, 1.0], 1e-300)
-        with pytest.raises(AmbiguousRegionError, match="nearly degenerate turning points"):
-            turning_points(sp, 1e-300)
+        xl, xr, excluded = turning_points(sp, 1e-300)
+        assert math.isclose(xr, 1e-50, rel_tol=1e-12) and math.isclose(xl, -1e-50, rel_tol=1e-12)
+        assert len(excluded) == 4 and all(abs(w.imag) > 0.5e-50 for w in excluded)
+
+    def test_raw_roots_are_those_of_polyroots(self):
+        # the companion matrix is numpy's, so the roots before polishing
+        # equal numpy.polynomial's polyroots bit for bit, real or complex
+        from numpy.polynomial.polynomial import polyroots
+
+        dtypes = set()
+        for coefficients in ([0.0, 1.0], [0.0, 0.0, 0.0, 1.0 / 3.0], [0.0, 1.0, 0.0, 0.2],
+                             [-1.0, 0.5, 0.0, 0.2, 0.0, 1.0], [0.0] * 7 + [1.0 / 7.0]):
+            for E in np.geomspace(0.05, 500.0, 9):
+                p2 = np.convolve(coefficients, coefficients)
+                p2[0] -= E
+                raw = swkb.quadrature._companion_roots(p2)
+                expect = polyroots(p2)
+                assert raw.dtype == expect.dtype and np.array_equal(raw, expect)
+                dtypes.add(raw.dtype.kind)
+        assert dtypes == {"f", "c"}
 
     @pytest.mark.parametrize("coefficients", [[0.0, 1.0], [0.0, 0.0, 0.0, 1.0 / 3.0],
                                               [0.0, 1.0, 0.0, 0.2]])

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import swkb.cli
@@ -89,16 +91,24 @@ class TestActionTable:
         ([0.0] * 7 + [0.1], 15, tuple(range(8))),
         ([0.0] * 9 + [0.1], 15, tuple(range(8))),
     ])
-    def test_holds_only_the_parts_phi_leaves_nonzero(self, condition8, table8, coefficients,
+    def test_holds_only_the_parts_phi_leaves_nonzero(self, condition8, coefficients,
                                                      n_parts, orders):
         # phi^(k) vanishes for k above the degree of phi; on x^3/3 phi'' is
-        # dropped as well, since it appears only next to phi^(4) and phi^(6)
+        # dropped as well, since it appears only next to phi^(4) and phi^(6).
+        # The A'' row adds the sqrt(u) powers u^(-25/2) and u^(-27/2) and no part
         table = condition8.action_table(PolynomialSuperpotential(coefficients))
         assert table.orders == orders
-        assert len(table.parts) == n_parts and len(table.powers) == 13
-        assert table.coeffs.shape == (2, len(table.part_index))
+        assert len(table.parts) == n_parts and len(table.powers) == 15
+        assert table.powers.tolist() == list(range(-27, 2, 2))
+        assert table.coeffs.shape == (3, len(table.part_index))
         if n_parts == 15:
-            assert np.array_equal(table.part_index, table8.part_index)
+            # nothing dropped: the monomials of every correction and of its
+            # first and second E-derivatives
+            rows = [c.integrand for c in condition8.corrections]
+            slopes = [x.diff_E() for x in rows]
+            generic = swkb.quadrature.compile_integrands(rows + slopes + [x.diff_E() for x in slopes])
+            assert np.array_equal(table.part_index, generic.part_index)
+            assert np.array_equal(table.power_index, generic.power_index)
 
     @pytest.mark.parametrize("coefficients, hbar", [
         ([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0),
@@ -151,15 +161,15 @@ class TestSlope:
         assert lead.diff_E() == Expression.u_pow(-1).scale(Fraction(1, 2))
 
     def test_slope_rows_follow_action_rows(self, conditions, mixed_cubic):
-        # row 0 is the exact sum of sign * hbar^order * integrand and row 1
-        # its E-derivative; hbar = 0.2 is not a dyadic float
+        # row 0 is the exact sum of sign * hbar^order * integrand, row 1 its
+        # E-derivative and row 2 its second; hbar = 0.2 is not a dyadic float
         cond = conditions[4]
         sp = PolynomialSuperpotential(mixed_cubic.coefficients, 0.2)
         hbar = Fraction(sp.hbar)
         lhs = Expression.zero()
         for c in cond.corrections:
             lhs = lhs + c.integrand.scale(c.sign_factor * hbar ** c.order)
-        table = swkb.quadrature.compile_integrands([lhs, lhs.diff_E()])
+        table = swkb.quadrature.compile_integrands([lhs, lhs.diff_E(), lhs.diff_E().diff_E()])
         assert np.array_equal(cond.action_table(sp).coeffs, table.coeffs)
 
     @pytest.mark.parametrize("E", [2.0, 4.0, 7.0])
@@ -174,10 +184,11 @@ class TestSlope:
             assert abs(r) < 1e-9
 
     def test_oscillator_slope_is_pi(self, oscillator, conditions):
-        # A(E) = pi E at every order for phi = x
+        # A(E) = pi E at every order for phi = x, so A'' = 0
         for k in (0, 4):
-            A, slope = action(conditions[k], oscillator, 4.0)
+            A, slope, bend = action(conditions[k], oscillator, 4.0)
             assert abs(A - 4.0 * math.pi) < 1e-9 and abs(slope - math.pi) < 1e-9
+            assert abs(bend) < 1e-9
 
     @pytest.mark.parametrize(
         "coefficients, hbar, order, energies",
@@ -187,13 +198,15 @@ class TestSlope:
         ],
     )
     def test_slope_matches_central_difference(self, coefficients, hbar, order, energies):
+        # A' against a central difference of A, and A'' against one of A'
         sp = PolynomialSuperpotential(coefficients, hbar)
         cond = build_conditions([order])[order]
         for E in energies:
             h = 1e-4 * E
-            slope = action(cond, sp, E)[1]
-            diff = (action(cond, sp, E + h)[0] - action(cond, sp, E - h)[0]) / (2.0 * h)
-            assert abs(slope - diff) < 1e-6 * abs(slope)
+            _, slope, bend = action(cond, sp, E)
+            (A_hi, slope_hi, _), (A_lo, slope_lo, _) = action(cond, sp, E + h), action(cond, sp, E - h)
+            assert abs(slope - (A_hi - A_lo) / (2.0 * h)) < 1e-6 * abs(slope)
+            assert abs(bend - (slope_hi - slope_lo) / (2.0 * h)) < 1e-6 * abs(bend)
 
 
 class TestBuildConditions:
@@ -283,7 +296,8 @@ class TestNewton:
 
         def no_slope(cond, sp, E):
             calls.append(E)
-            return honest(cond, sp, E)[0], bad_slope
+            A, _, bend = honest(cond, sp, E)
+            return A, bad_slope, bend
 
         monkeypatch.setattr(swkb.spectrum, "action", no_slope)
         for n, root in CUBIC8_ROOTS.items():
@@ -314,15 +328,22 @@ class TestNewton:
 
         monkeypatch.setattr(swkb.spectrum, "action", counted)
         root = solve_level(condition8, cubic, 5, start=below)
-        # the first evaluation is one second-order step in t = ln E off the
-        # carried pair of (E, A, A'): with x = ln A and s = dt/dx,
-        # t += s dx + c dx^2 / 2, c the difference quotient of s
-        (E1, A1, slope1), (E, A, slope) = below.probes
-        s1, s = A1 / (E1 * slope1), A / (E * slope)
-        c = (s - s1) / (math.log(A) - math.log(A1))
+        # the first evaluation is one third-order step in t = ln E off the
+        # carried pair of (E, A, A', A''): with x = ln A, s = dt/dx = 1 / g,
+        # g = E A' / A, and the exact c = ds/dx = -(g + E^2 A'' / A - g^2) s^3,
+        # t += s dx + c dx^2 / 2 + c2 dx^3 / 6, c2 the difference quotient of c
+        def chart(E, A, slope, bend):
+            g = E * slope / A
+            s = 1.0 / g
+            return math.log(A), s, -(g + E * E * bend / A - g * g) * s ** 3
+
+        older, newer = below.probes
+        (x1, _, c1), (x, s, c) = chart(*older), chart(*newer)
+        E, A = newer[:2]
         dx = math.log(10.0 * math.pi / A)
-        assert calls[0] == E * math.exp(s * dx + 0.5 * c * dx * dx)
-        assert below not in calls and E1 not in calls
+        step = s * dx + 0.5 * c * dx * dx + (c - c1) / (x - x1) * dx ** 3 / 6.0
+        assert calls[0] == E * math.exp(step)
+        assert below not in calls and older[0] not in calls and newer[0] not in calls
         assert abs(root - solve_level(condition8, cubic, 5)) < 1e-9
 
     def test_a_carried_probe_alone_never_ends_a_solve(self, cubic, condition8, monkeypatch):
@@ -370,11 +391,11 @@ class TestNewton:
 
     def test_failures_name_level_partner_energy_and_bracket(self, cubic, condition8, monkeypatch):
         honest = swkb.spectrum.action
-        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (0.0, 0.0))
+        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (0.0, 0.0, 0.0))
         with pytest.raises(ConvergenceError,
                            match=r"level 3 \(plus\): no root within 200 steps; last E = .*, bracket \["):
             solve_level(condition8, cubic, 3, "plus")
-        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (1e9, 1.0))
+        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (1e9, 1.0, 0.0))
         with pytest.raises(ConvergenceError, match=r"level 2 \(minus\): no lower bracket above the "
                                                    r"validated range; last E = .*, bracket \[0.0, "):
             solve_level(condition8, cubic, 2)
@@ -401,6 +422,55 @@ class TestNewton:
         for k in (0, 2):
             roots = [r.e_by_order[k] for r in rep.levels]
             assert [s for o, s in starts if o == k] == [None] + roots[:2]
+
+
+def _bisected_root(cond, sp, target, guess):
+    """The root of A(E) = target by plain bisection on A down to a bracket
+    of 1e-13, from ``guess`` widened by factors of 2 until A changes sign."""
+    lo, hi = guess * (1.0 - 1e-6), guess * (1.0 + 1e-6)
+    while action(cond, sp, lo)[0] >= target:
+        lo *= 0.5
+    while action(cond, sp, hi)[0] < target:
+        hi *= 2.0
+    while hi - lo > 1e-13 and lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if action(cond, sp, mid)[0] < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.tuples(
+    st.sampled_from([1, 3, 5]),
+    st.sampled_from([-1.0, 0.0, 0.5]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.2, 1.0]),
+    st.sampled_from([0.2, 1.0 / 3.0, 1.0]),
+    st.sampled_from([1.0, 0.5, 0.2]),
+    st.sampled_from([0, 2, 4]),
+))
+def test_solved_roots_match_a_bisection_on_the_action(conditions, case):
+    # an odd-degree phi with a positive lead and no negative odd
+    # coefficient is monotone, so V_- has one well; a shifted phi also gets
+    # phi' > 0, since phi = -1 + x^3/5 puts a triple root of phi^2 = E on the
+    # left turning point at E = 1, where A(E) is singular and the truncated
+    # condition has two roots.  Levels 1..8 are solved as compare solves
+    # them, each started from the one below, so the carried third-order
+    # step and the third-order stop both take part
+    degree, shift, linear, cubic, lead, hbar, order = case
+    if not linear:
+        shift = 0.0
+    coefficients = {1: [shift, lead], 3: [shift, linear, 0.0, lead],
+                    5: [shift, linear, 0.0, cubic, 0.0, lead]}[degree]
+    sp = PolynomialSuperpotential(coefficients, hbar)
+    cond = conditions[order]
+    below = None
+    for n in range(1, 9):
+        below = solve_level(cond, sp, n, start=below)
+        reference = _bisected_root(cond, sp, 2.0 * n * math.pi * hbar, below)
+        assert abs(below - reference) <= swkb.spectrum.DEFAULT_TOL_E, (n, below, reference)
 
 
 class TestDegeneracy:
