@@ -28,9 +28,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import (FIELD_BITS, _E_UNIT, _FIELD, _H_UNIT, _MOVE, _SYM_SHIFT, _SYM_UNIT, _BIAS,
-                      Expression, Monomial, Ring, _check_keys, _collect, _reduced, decode, encode,
-                      key_bigrade)
+from .algebra import (FIELD_BITS, KEY_ONE, _E_UNIT, _FIELD, _H_UNIT, _MOVE, _SYM_SHIFT, _SYM_UNIT,
+                      _BIAS, Expression, Ring, _check_keys, _collect, _reduced, decode, key_bigrade)
 from .errors import StructuralTheoremViolation
 
 # how many times the ansatz windows are widened before a certificate is
@@ -59,13 +58,16 @@ def bigrade_components(a: Expression) -> List[Expression]:
     return [_reduced(a.ring, num, a.den) for num in buckets.values()]
 
 
-def candidate_monomials(a: Expression, widen: int = 0) -> List[Monomial]:
-    """Ansatz monomials whose derivative can overlap ``a``.
+def candidate_monomials(a: Expression, widen: int = 0, min_e: Optional[int] = None) -> List[int]:
+    """Packed keys of the ansatz monomials whose derivative can overlap ``a``.
 
     Windows: derivative orders up to the maximum in ``a``; E-exponents in
     [min_e-1, max_e+1]; u half-powers in [min_h-1, max_h+2]; both windows
-    grow by ``widen`` on each side.  ``a`` must be homogeneous in
-    (derivative weight, scaling grade): one bigraded component.
+    grow by ``widen`` on each side.  ``min_e``, when set, also bounds the
+    E-exponents from below.  ``a`` must be homogeneous in (derivative
+    weight, scaling grade): one bigraded component.  Each key is the
+    partition's field sum plus its bare-symbol, u and E fields, so no
+    monomial tuple is built.
     """
     ring = a.ring
     (weight,) = a.weights()
@@ -75,43 +77,53 @@ def candidate_monomials(a: Expression, widen: int = 0) -> List[Monomial]:
         return []
     maxk = max(a.max_deriv_order(), 1)
     e_lo = a.min_e_degree() - 1 - widen
+    if min_e is not None:
+        e_lo = max(e_lo, min_e)
     e_hi = a.max_e_degree() + 1 + widen
     h_lo = a.min_h() - 1 - widen
     h_hi = a.max_h() + 2 + widen
-    out: List[Monomial] = []
+    out: List[int] = []
     for part in _partitions(wt, maxk):
-        counts: Dict[int, int] = {}
-        for k in part:
-            counts[k] = counts.get(k, 0) + 1
-        nfac = len(part)
+        fields = KEY_ONE + sum(_SYM_UNIT << (k * FIELD_BITS) for k in part)
         for a0 in range(ring.relation_power):
-            derivs = dict(counts)
-            if a0:
-                derivs[0] = derivs.get(0, 0) + a0
+            base = fields + a0 * _SYM_UNIT
             for e in range(e_lo, e_hi + 1):
-                h = gdeg - ring.sym_gdeg * (nfac + a0) - 2 * e
+                h = gdeg - ring.sym_gdeg * (len(part) + a0) - 2 * e
                 if h_lo <= h <= h_hi:
-                    out.append(Monomial(derivs.items(), h=h, e=e))
-    out.sort(key=lambda m: m.sort_key())
+                    out.append(base + h * _H_UNIT + e * _E_UNIT)
+    _check_keys(out)
     return out
 
 
 def _pivot_key(key: int):
     """Elimination priority (larger sorts first = eliminated first) of the
-    packed monomial key ``key``, a function of its decoded (derivs, h, e).
+    packed monomial key ``key``: (a0, n_higher, second, -top, ds, -h, e),
+    with ds its (order, exponent) pairs and a0, n_higher, second and top
+    the bare-symbol exponent, the number of factors of order >= 2 and the
+    two highest orders among them, read in one pass over the fields.
 
     Preference for surviving monomials: no bare symbol factor, then as much
     first-derivative content as possible concentrated in a single higher
     derivative (pure f'^k and f' f^(k) forms survive; mixed middle-order
     products are rewritten away).  Deterministic tie-break on the full key.
     """
-    ds, h, e = decode(key)
+    ds = []
+    n_higher = second = top = k = 0
+    d = key >> _SYM_SHIFT
+    while d:
+        a = d & _FIELD
+        if a:
+            ds.append((k, a))
+            if k >= 2:
+                # orders come ascending: k is the highest so far
+                n_higher += a
+                second = k if a >= 2 else top
+                top = k
+        d >>= FIELD_BITS
+        k += 1
     a0 = ds[0][1] if ds and ds[0][0] == 0 else 0
-    higher = sorted((k for k, a in ds if k >= 2 for _ in range(a)), reverse=True)
-    n_higher = len(higher)
-    second = higher[1] if n_higher >= 2 else 0
-    top = higher[0] if higher else 0
-    return (a0, n_higher, second, -top, ds, -h, e)
+    return (a0, n_higher, second, -top, tuple(ds),
+            _BIAS - ((key >> FIELD_BITS) & _FIELD), (key & _FIELD) - _BIAS)
 
 
 def _derivative_row(ring: Ring, m: int) -> Dict[int, int]:
@@ -168,9 +180,16 @@ class DerivativeSweep:
     """Sparse incremental echelon of the derivatives of ansatz monomials: the
     one exact elimination engine behind certificates and residual sweeps.
 
-    The generators, packed keys, are taken in the order given (callers pass
-    ``sort_key`` order).  A generator whose derivative is zero or lies in
-    the span of the earlier ones is dropped.  Each row is (pivot, vec,
+    The generators, packed keys, are taken in the order given; a generator
+    whose derivative is zero or lies in the span of the earlier ones is
+    dropped.  The order cannot change ``normal_form``.  Each row's pivot is
+    the highest-priority entry left in it after the earlier pivots are
+    cleared, so the rows have distinct leading monomials, and the pivot set
+    is the set of leading monomials of the span, whatever the order.
+    ``kept`` is then the unique element of x + span free of every pivot,
+    and ``cert`` is unique because d/dx is injective off the pure E-powers,
+    which are dropped as zero rows.  Callers pass ascending key order,
+    which keeps the fill-in low.  Each row is (pivot, vec,
     comb): ``vec`` is a primitive integer vector keyed by packed keys,
     positive at the pivot that ``_pivot_key`` picks (computed once per key
     in the sweep), and ``comb`` the integer combination of generator
@@ -273,15 +292,11 @@ class DerivativeSweep:
 
 def _window_generators(x: Expression, widen: int, min_e: Optional[int]) -> List[int]:
     """Packed keys of the ansatz monomials of every bigraded component of
-    ``x``, in ``sort_key`` order.  ``min_e``: when set, only monomials with at least that E-exponent
-    are kept, so sweeping preserves manifest E-divisibility of the input."""
-    gens = {
-        cand
-        for comp in bigrade_components(x)
-        for cand in candidate_monomials(comp, widen)
-        if min_e is None or cand.e >= min_e
-    }
-    return [encode(m) for m in sorted(gens, key=Monomial.sort_key)]
+    ``x``, in ascending key order.  ``min_e``: when set, only monomials with
+    at least that E-exponent are kept, so sweeping preserves manifest
+    E-divisibility of the input."""
+    return sorted({key for comp in bigrade_components(x)
+                   for key in candidate_monomials(comp, widen, min_e)})
 
 
 def _sweep(x: Expression, widen: int, min_e: Optional[int] = None) -> Tuple[Expression, Expression]:

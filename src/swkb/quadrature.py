@@ -386,6 +386,8 @@ def _horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
+# overflow shows as a row that is not finite, which raises below
+@np.errstate(over="ignore", invalid="ignore")
 def contour_integrate(
     integrands: Union[Expression, IntegrandTable],
     sp: PolynomialSuperpotential,
@@ -406,10 +408,11 @@ def contour_integrate(
     monomial sums; sqrt(u) is re-tracked over the whole loop, and the sums
     start over if that moves the branch at an old sample.  Every row must
     change by less than its tolerance max(TOL, REL_TOL * |row|) between
-    levels.  Quantization integrands are real up to branch-tracking noise;
-    with ``check_real`` each row's imaginary part is required to stay below
-    10 times its tolerance (disable it to integrate deliberately non-real
-    quantities).  ``rows`` holds every row's integral and ``value`` their
+    levels; a row that is not finite raises ``ConvergenceError`` at once,
+    since the sums of every finer level add to it.  Quantization integrands
+    are real up to branch-tracking noise; with ``check_real`` each row's
+    imaginary part is required to stay below 10 times its tolerance
+    (disable it to integrate deliberately non-real quantities).  ``rows`` holds every row's integral and ``value`` their
     sum.  ``spectrum.action`` passes a two-row table, the weighted sums A
     and dA/dE, so both rules meet the numbers the level solver reads."""
     table = integrands if isinstance(integrands, IntegrandTable) else compile_integrands([integrands])
@@ -437,9 +440,12 @@ def contour_integrate(
         # global sign: the leading action has positive real part
         flip = (-1.0) ** table.powers if action0.real < 0 else 1.0
         rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums)[mono], axis=1)
+        bad = np.flatnonzero(~np.isfinite(rows))
+        if len(bad):
+            raise ConvergenceError(f"contour integral at E = {E}: row {bad[0]} is not finite "
+                                   f"at {samples} samples")
         row_tol = np.maximum(TOL, REL_TOL * np.abs(rows))
-        # a NaN row never counts as settled
-        moving = () if prev is None else np.flatnonzero(~(np.abs(rows - prev) < row_tol))
+        moving = () if prev is None else np.flatnonzero(np.abs(rows - prev) >= row_tol)
         if prev is not None and not len(moving):
             bad = np.flatnonzero(np.abs(rows.imag) >= 10.0 * row_tol) if check_real else ()
             if len(bad):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .algebra import Expression, F_factor, PHI_RING, Ring, i_times
 from .errors import StructuralTheoremViolation
@@ -41,16 +41,41 @@ def _log_deriv_term(a: List[Expression], L: List[Expression], lead_inv: Expressi
     return lead_inv * acc
 
 
+def _check_lead_inv(a: List[Expression], lead_inv: Expression) -> None:
+    if a[0] * lead_inv != Expression.const(1, a[0].ring):
+        raise StructuralTheoremViolation("lead_inv is not the exact inverse of a[0]")
+
+
 def series_log_deriv(a: List[Expression], lead_inv: Expression, order: int) -> List[Expression]:
     """(ln a)' = a'/a as a truncated series, where ``lead_inv`` is the exact
     inverse of a[0] (checked); the order-0 coefficient is the non-exact
     logarithmic derivative of the leading term."""
-    if a[0] * lead_inv != Expression.const(1, a[0].ring):
-        raise StructuralTheoremViolation("lead_inv is not the exact inverse of a[0]")
+    _check_lead_inv(a, lead_inv)
     L: List[Expression] = []
     for n in range(order + 1):
         L.append(_log_deriv_term(a, L, lead_inv, n))
     return L
+
+
+def series_log(a: List[Expression], lead_inv: Expression,
+               order: int) -> List[Optional[Expression]]:
+    """ln a = ln a_0 + sum_{m >= 1} nu^m l_m as a truncated series, where
+    ``lead_inv`` is the exact inverse of a[0] (checked) and ``a`` holds at
+    least order + 1 coefficients: for 1 <= m <= order,
+
+        l_m = (1/m) a_0^(-1) (m a_m - sum_{k=1}^{m-1} k l_k a_(m-k)),
+
+    the coefficient recursion of nu d/dnu ln a = nu a_nu / a, whose Euler
+    operator kills ln a_0.  Index 0 is None: ln a_0 lies outside the ring.
+    Each l_m' is the coefficient L_m of ``series_log_deriv``."""
+    _check_lead_inv(a, lead_inv)
+    ring = a[0].ring
+    l: List[Optional[Expression]] = [None]
+    for m in range(1, order + 1):
+        inner = a[m].scale(m) + Expression.sum_of_products(
+            ring, [(-k, l[k], a[m - k]) for k in range(1, m)])
+        l.append((lead_inv * inner).scale(Fraction(1, m)))
+    return l
 
 
 # -- the main recursions ------------------------------------------------------
@@ -156,28 +181,26 @@ def inverse_lead_factor() -> Expression:
     return (Expression.sym(0, 1) - i_times(Expression.u_pow(1))) * Expression.e_pow(-1)
 
 
-def l_sequence(order: int, s: HbarSeries) -> LSequence:
-    """l[n] = (i/n) (f + i sqrt(u))^(-1) [ n c_n - sum_{m=0}^{n-2} (m+1) l[m+1] c_{n-1-m} ]
-    for 1 <= n <= order.
-
-    This is the coefficient recursion for the log of f + i S' (apply the
-    Euler operator nu d/dnu to kill the order-0 logarithm, then divide by
-    the leading factor); the inner sum starts at l[1], so the order-0
-    member never enters.  The overall 1/n is required for the defining
-    identity q_{n+1} = (i/2) l[n]' to hold from n = 2 on; it is verified
-    mechanically by ``check_l_identity``.
-    """
+def _lead_log_argument(s: HbarSeries, order: int) -> List[Expression]:
+    """Coefficients 0..order of f + i S' for the minus series ``s``."""
     if s.sign != "minus":
-        raise ValueError("the derivative-certificate sequence is built from the minus series")
+        raise ValueError("f + i S' is built from the minus series")
     if s.order < order:
         raise ValueError("series not generated far enough")
-    inv = inverse_lead_factor()
-    l: List[Optional[Expression]] = [None]
-    for n in range(1, order + 1):
-        inner = s.coeffs[n].scale(n) + Expression.sum_of_products(
-            s.ring, [(-(m + 1), l[m + 1], s.coeffs[n - 1 - m]) for m in range(n - 1)])
-        l.append(i_times(inv * inner).scale(Fraction(1, n)))
-    return LSequence(l)
+    g = [Expression.sym(0, 1, s.ring) + i_times(s.coeffs[0])]
+    return g + [i_times(c) for c in s.coeffs[1:order + 1]]
+
+
+def l_sequence(order: int, s: HbarSeries) -> LSequence:
+    """l[n] for 1 <= n <= order: the ``series_log`` of f + i S', with the
+    exact (f - i sqrt(u))/E inverse of the leading factor, so that
+
+        l[n] = (i/n) (f + i sqrt(u))^(-1) [ n c_n - sum_{k=1}^{n-1} k l[k] c_{n-k} ].
+
+    The order-0 logarithm never enters.  The defining identity
+    q_{n+1} = (i/2) l[n]' is verified mechanically by ``check_l_identity``.
+    """
+    return LSequence(series_log(_lead_log_argument(s, order), inverse_lead_factor(), order))
 
 
 def check_l_identity(lseq: LSequence, split: SplitSeries, n: int) -> bool:
@@ -190,15 +213,7 @@ def partner_via_log_identity(s: HbarSeries, order: int) -> HbarSeries:
     """Plus-sign series from the minus one through the exact expansion of
     d/dx ln(f + i S'), by the log-derivative recurrence with the exact
     (f - i sqrt(u))/E inverse of the leading factor."""
-    if s.sign != "minus":
-        raise ValueError("input must be the minus-sign series")
-    if s.order < order:
-        raise ValueError("series not generated far enough")
-    ring = s.ring
-    g: List[Expression] = [Expression.sym(0, 1, ring) + i_times(s.coeffs[0])]
-    for n in range(1, order + 1):
-        g.append(i_times(s.coeffs[n]))
-    log_d = series_log_deriv(g, inverse_lead_factor(), order)
+    log_d = series_log_deriv(_lead_log_argument(s, order), inverse_lead_factor(), order)
     out = [s.coeffs[0]]
     for n in range(1, order + 1):
         out.append(s.coeffs[n] + log_d[n - 1])
@@ -232,6 +247,18 @@ def pbar_series(order: int) -> List[Expression]:
         L.append(_log_deriv_term(pb, L, um12, m))
         pb.append(L[m].scale(-HALF))
     return pb
+
+
+def pbar_certificates(pb: List[Expression]) -> Dict[int, Expression]:
+    """{n: Y_n} with Y_n' = pb[n] for 2 <= n < len(pb), in closed form.
+
+    X_(m+1) = -(1/2) L_m with L = (ln X)', and L_m = l_m' for the
+    ``series_log`` coefficients l of X, so Y_n = -(1/2) l_(n-1): one log
+    recurrence gives every certificate, no ansatz search.  It is
+    independent of the L recurrence of ``pbar_series``, so comparing
+    Y_n' with pb[n] is a real check."""
+    ell = series_log(pb, Expression.u_pow(-1), len(pb) - 2)
+    return {n: ell[n - 1].scale(-HALF) for n in range(2, len(pb))}
 
 
 # -- order-by-order verification reports --------------------------------------

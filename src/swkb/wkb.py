@@ -62,6 +62,7 @@ class Substitution:
     def __init__(self, order: int):
         self.order = order
         self._sq = _phi_square_derivs(order + V_RING.relation_power + 8)
+        self._u_half: Dict[int, List[Expression]] = {}
 
     def _factor_series(self, k: int) -> List[Expression]:
         """V^(k) -> (f^2)^(k) - i nu f^(k+1), as a two-term nu-series."""
@@ -73,11 +74,14 @@ class Substitution:
         return out
 
     def _u_half_series(self, h: int) -> List[Expression]:
-        """u_V^(h/2) -> u^(h/2) (1 + hbar f'/u)^(h/2), binomially re-expanded."""
-        out = []
-        for j in range(self.order + 1):
-            c = _I_POW[j % 4] * GaussianRational(_half_binomial(h, j))
-            out.append((Expression.sym(1, j) * Expression.u_pow(h - 2 * j)).scale(c))
+        """u_V^(h/2) -> u^(h/2) (1 + hbar f'/u)^(h/2), binomially re-expanded;
+        built once per h and shared, since callers only read it."""
+        out = self._u_half.get(h)
+        if out is None:
+            out = self._u_half[h] = []
+            for j in range(self.order + 1):
+                c = _I_POW[j % 4] * GaussianRational(_half_binomial(h, j))
+                out.append((Expression.sym(1, j) * Expression.u_pow(h - 2 * j)).scale(c))
         return out
 
     def apply(self, x: Expression) -> List[Expression]:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+import swkb.antiderivative
 from swkb.algebra import Expression, Monomial, PHI_RING
+from swkb.cli import main
 from swkb.gaussian import GaussianRational
 from swkb.quadrature import PolynomialSuperpotential, compile_integrands
 from swkb.series import generate_series, l_sequence, pbar_series, split_series
@@ -34,6 +38,24 @@ def pbar8():
 @pytest.fixture(scope="session")
 def plus8():
     return generate_series(8, "plus")
+
+
+@pytest.fixture(scope="session")
+def verify12_run():
+    """The stdout of ``verify --order 12`` and the set of packed keys whose
+    pivot priority its certificate sweeps asked for."""
+    keys = set()
+    honest = swkb.antiderivative._pivot_key
+
+    def spy(key):
+        keys.add(key)
+        return honest(key)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(swkb.antiderivative, "_pivot_key", spy)
+        assert main(["verify", "--order", "12"]) == 0
+    return out.getvalue(), keys
 
 
 @pytest.fixture(scope="session")

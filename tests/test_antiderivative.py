@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swkb.algebra
+import swkb.reduction
 from swkb.algebra import E_pow, Expression, Monomial, PHI_RING, V_RING, decode, encode, phi, u_half
 from swkb.antiderivative import (
     MAX_WIDEN,
@@ -19,7 +20,7 @@ from swkb.antiderivative import (
     _window_generators,
     antiderivative,
 )
-from swkb.cli import main
+from swkb.cli import _verify_lines, main
 from swkb.errors import StructuralTheoremViolation
 from swkb.gaussian import GR_ONE, GaussianRational, gr
 
@@ -312,12 +313,12 @@ def test_engine_matches_fraction_oracle_on_series_parts(split10, n):
     _assert_engines_agree(x.ring, _window_generators(x, 1, None), [x, x.shift_e(1)])
 
 
-def test_verify_unpacks_keys_only_for_output_and_pivot_priorities(capsys, monkeypatch):
+def test_verify_unpacks_keys_only_for_output(capsys, monkeypatch):
     # the exact layer runs on packed keys: during verify --order 8 a key is
-    # decoded only by ``terms`` for output and by ``_pivot_key`` behind the
-    # sweep's memo, which computes each key's priority at most once per
-    # sweep, and no monomial tuple is packed, unpacked or built while the
-    # product, derivative, fold or elimination loop runs
+    # decoded only by ``terms`` for output, the sweep's generators and
+    # pivot priorities are read from the key fields (each priority at most
+    # once per sweep), and no monomial tuple is packed, unpacked or built
+    # while the product, derivative, fold or elimination loop runs
     algebra = importlib.import_module("swkb.algebra")
     anti = importlib.import_module("swkb.antiderivative")
     loops = {algebra.Expression.sum_of_products.__code__, algebra.Expression.differentiate.__code__,
@@ -337,10 +338,11 @@ def test_verify_unpacks_keys_only_for_output_and_pivot_priorities(capsys, monkey
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("encode", "decode"):
-        wrapper = spy(name, getattr(algebra, name))
-        for mod in (algebra, anti):
-            monkeypatch.setattr(mod, name, wrapper)
+    assert not hasattr(anti, "encode")
+    monkeypatch.setattr(algebra, "encode", spy("encode", algebra.encode))
+    wrapper = spy("decode", algebra.decode)
+    for mod in (algebra, anti):
+        monkeypatch.setattr(mod, "decode", wrapper)
     monkeypatch.setattr(algebra.Monomial, "__new__",
                         staticmethod(spy("Monomial", algebra.Monomial.__new__)))
     sweeps, priorities = [], Counter()
@@ -361,6 +363,56 @@ def test_verify_unpacks_keys_only_for_output_and_pivot_priorities(capsys, monkey
     by_name = {}
     for name, caller in calls:
         by_name.setdefault(name, set()).add(caller)
-    assert by_name["decode"] == {"terms", "_pivot_key"}
-    assert len(sweeps) == 28 and max(priorities.values()) == 1
-    assert by_name["encode"] <= {"__init__", "_window_generators"}
+    assert by_name["decode"] == {"terms"}
+    assert len(sweeps) == 21 and max(priorities.values()) == 1
+    assert by_name.get("encode", set()) <= {"__init__"}
+
+
+def _pivot_key_reference(key):
+    """``_pivot_key`` as first written: the priority tuple read off the
+    decoded monomial, with the higher derivative orders expanded by
+    multiplicity and sorted."""
+    ds, h, e = decode(key)
+    a0 = ds[0][1] if ds and ds[0][0] == 0 else 0
+    higher = sorted((k for k, a in ds if k >= 2 for _ in range(a)), reverse=True)
+    second = higher[1] if len(higher) >= 2 else 0
+    top = higher[0] if higher else 0
+    return (a0, len(higher), second, -top, ds, -h, e)
+
+
+def test_pivot_key_matches_the_decoding_reference(verify12_run):
+    keys = verify12_run[1]
+    assert len(keys) > 1000
+    assert all(_pivot_key(key) == _pivot_key_reference(key) for key in keys)
+
+
+@pytest.fixture(scope="module")
+def verify8_sweeps():
+    """(x, widen, min_e) of every certificate sweep of ``verify --order 8``:
+    the residual sweeps of ``reduce --max-order 8`` and the searches of the
+    odd real parts and of the wkb checks."""
+    cases = []
+
+    def spy(x, widen, min_e=None):
+        cases.append((x, widen, min_e))
+        return _sweep(x, widen, min_e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (importlib.import_module("swkb.antiderivative"), swkb.reduction):
+            mp.setattr(mod, "_sweep", spy)
+        _verify_lines(8, False)
+    return cases
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_normal_form_is_independent_of_the_generator_order(verify8_sweeps, data):
+    # the rows' pivots are the leading monomials of the span in any order,
+    # so the pivot set, kept and cert are those of ascending key order
+    x, widen, min_e = data.draw(st.sampled_from(verify8_sweeps))
+    gens = _window_generators(x, widen, min_e)
+    assert gens == sorted(set(gens))
+    ordered = DerivativeSweep(x.ring, gens)
+    permuted = DerivativeSweep(x.ring, data.draw(st.permutations(gens)))
+    assert {p for p, _, _ in permuted.rows} == {p for p, _, _ in ordered.rows}
+    assert permuted.normal_form(x) == ordered.normal_form(x)

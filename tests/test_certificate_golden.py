@@ -8,7 +8,9 @@ one its longer convolutions (the l-sequence, the log-derivative recurrences
 and the potential-ring substitution past order 8), and the ``reduce
 --max-order 10`` fingerprint the residual sweeps' longer elimination chains
 past the benchmark's order 8.  The ``series --order 12`` fingerprint covers
-the longest products and derivatives of the exact ring arithmetic.
+the longest products and derivatives of the exact ring arithmetic, and the
+order-12 ``reduce`` and ``verify`` fingerprints the elimination past order
+10, where the sweeps are largest.
 """
 
 import hashlib
@@ -35,6 +37,12 @@ VERIFY10_SHA256 = "f70b1f31da8f1628eba1c67662080bd44843fe1545cc11f420ce4a766b3a6
 REDUCE10_SHA256 = "2bd4a825b6a18a1988226567e0429b13f2dbb02fac1454e77ce9f5d348cf5f02"
 # Every series coefficient and its parts through order 12.
 SERIES12_SHA256 = "883ee894cac88f58479422276f81e32575837f278b48f74eeef4bffc7865f691"
+# The reduced integrands and certificates through order 12, and the whole
+# ``verify --order 12`` report, recorded while the sweeps took their
+# generators in ``Monomial.sort_key`` order and searched for every
+# log-fixed-point certificate.
+REDUCE12_SHA256 = "4077b231013f646ff284e713e07aaaed7f3b425a82850c3f1069b6c1d7018229"
+VERIFY12_SHA256 = "09786215ced16dc0179a6c60e28eda386321e976a9c420cc7a2c2bdf0832a678"
 
 
 def test_golden_series_certificates(capsys):
@@ -67,3 +75,12 @@ def test_golden_reduce_order10(capsys):
 def test_golden_series_order12(capsys):
     assert main(["series", "--order", "12", "--format", "json"]) == 0
     assert _sha256(capsys.readouterr().out) == SERIES12_SHA256
+
+
+def test_golden_reduce_order12(capsys):
+    assert main(["reduce", "--max-order", "12", "--format", "json"]) == 0
+    assert _sha256(capsys.readouterr().out) == REDUCE12_SHA256
+
+
+def test_golden_verify_report_order12(verify12_run):
+    assert _sha256(verify12_run[0]) == VERIFY12_SHA256

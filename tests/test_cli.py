@@ -2,12 +2,15 @@ import json
 import os
 import sys
 import tempfile
+import time
+import warnings
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import swkb.antiderivative
 import swkb.cli
 import swkb.oracle
 import swkb.quadrature
@@ -74,6 +77,14 @@ def test_series_certificates(capsys):
     code, out = run(capsys, ["series", "--order", "3", "--show-certificates"])
     assert code == 0
     assert "q_3 antiderivative = 5/16*u^-5/2*d0*d1^2 + 1/8*u^-3/2*d2" in out
+
+
+def test_series_certificates_of_the_plus_series(capsys):
+    # the plus series negates q_n, and its certificates come from the minus
+    # series' l-sequence, negated and re-checked against its own q_n
+    code, out = run(capsys, ["series", "--order", "3", "--sign", "plus", "--show-certificates"])
+    assert code == 0
+    assert "q_3 antiderivative = -5/16*u^-5/2*d0*d1^2 + -1/8*u^-3/2*d2" in out
 
 
 def test_series_json(capsys):
@@ -432,16 +443,16 @@ def test_verify_builds_each_series_once(monkeypatch):
     assert len(lseq_calls) == 1
 
 
-def test_verify_reuses_the_odd_imaginary_certificates(monkeypatch):
-    # q_3 and q_5 are checked against (i/2) l[n-1]; the command searches
-    # only the log-fixed-point coefficients p-bar_2 .. p-bar_6
-    searched = []
-    original = swkb.cli.antiderivative
-    monkeypatch.setattr(swkb.cli, "antiderivative",
-                        lambda a: searched.append(a) or original(a))
+def test_verify_reuses_the_odd_imaginary_certificates(monkeypatch, split10, pbar8):
+    # q_3 and q_5 are checked against (i/2) l[n-1] and p-bar_2 .. p-bar_6
+    # against -(1/2) (ln p-bar)_(n-1): no certificate sweep runs on any of them
+    swept = _count_calls(monkeypatch, swkb.antiderivative, "_sweep")
     lines = _verify_lines(6, False)
     assert "PASS odd imaginary part q_5 is a total derivative" in lines
-    assert len(searched) == 5
+    assert "PASS log-fixed-point coefficient 6 is a total derivative" in lines
+    closed_form = pbar8[2:7] + [split10.q[3], split10.q[5]]
+    assert swept and not any(args[0] == x for args in swept for x in closed_form)
+    assert not hasattr(swkb.cli, "antiderivative")
 
 
 @pytest.mark.parametrize("levels", [2, 0])
@@ -544,6 +555,22 @@ def test_workload_integrals_settle_within_their_sample_bounds(capsys, tmp_path, 
     assert run(capsys, ["compare", "--config", str(mixed), "--orders", "0,2,4", "--levels", "3"])[0] == 0
     assert integral_samples and max(integral_samples) <= 256
     assert sum(integral_samples) <= 512 * len(integral_samples) // 2
+
+
+def test_a_row_that_is_not_finite_fails_at_its_first_level(capsys, tmp_path):
+    # at hbar = 1e-100 the sqrt(u) power ladder of x^3 overflows, so row 0 is
+    # NaN from the first level on and no finer level can mend it: the run
+    # names the row at once, without numpy's overflow warnings
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"coefficients": [0, 0, 0, 1], "hbar": 1e-100}))
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["quantize", "--config", str(path), "--order", "2", "--levels", "1"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3 and "row 0 is not finite at 256 samples" in err
+    assert elapsed < 0.2
 
 
 def test_one_run_keeps_every_unit_circle_cached(capsys, tmp_path, cubic_config):

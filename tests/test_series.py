@@ -18,6 +18,9 @@ from swkb.series import (
     l_sequence,
     partner_via_imag_shift,
     partner_via_log_identity,
+    pbar_certificates,
+    pbar_series,
+    series_log,
     series_log_deriv,
     series_mul,
 )
@@ -122,6 +125,19 @@ class TestLSequence:
         with pytest.raises(ValueError):
             l_sequence(3, plus8)
 
+    def test_series_log_reproduces_the_l_recursion(self, series10):
+        # the recursion as first written on the c_n themselves, with the
+        # factor i outside: l[n] = (i/n) (f + i u^(1/2))^(-1)
+        # [n c_n - sum_{m=0}^{n-2} (m+1) l[m+1] c_(n-1-m)]
+        c = series10.coeffs
+        ref = [None]
+        for n in range(1, 11):
+            inner = c[n].scale(n)
+            for m in range(n - 1):
+                inner = inner - (ref[m + 1] * c[n - 1 - m]).scale(m + 1)
+            ref.append(i_times(inverse_lead_factor() * inner).scale(Fr(1, n)))
+        assert l_sequence(10, series10).l == ref
+
 
 class TestPartner:
     def test_log_route_matches_direct(self, series10, plus8):
@@ -151,9 +167,14 @@ class TestPbar:
         )
         assert pbar8[2] == p2b
 
-    def test_higher_coefficients_certified(self, pbar8):
-        for n in range(2, 9):
-            assert antiderivative(pbar8[n]) is not None
+    def test_higher_coefficients_certified(self):
+        # the closed form -(1/2) l_(n-1) of ln p-bar carries no pure
+        # E-power, so it is the unique certificate the ansatz search returns
+        pb = pbar_series(10)
+        certs = pbar_certificates(pb)
+        assert sorted(certs) == list(range(2, 11))
+        for n, cert in certs.items():
+            assert cert == antiderivative(pb[n])
 
     def test_first_coefficient_not_certified(self, pbar8):
         # the order-1 coefficient is the log carrier, same as the first
@@ -196,6 +217,11 @@ def test_series_log_deriv_rejects_wrong_lead_inverse():
         series_log_deriv([u_half(1)], u_half(1), 2)
 
 
+def test_series_log_rejects_wrong_lead_inverse():
+    with pytest.raises(StructuralTheoremViolation):
+        series_log([u_half(1), phi()], u_half(1), 1)
+
+
 def test_series_log_deriv_pads_a_short_series():
     # a = u^(1/2) alone: (ln a)' = u'/(2u) at order 0 and nothing above it
     L = series_log_deriv([u_half(1)], u_half(-1), 2)
@@ -216,6 +242,17 @@ def test_log_deriv_times_series_is_the_derivative(lead, tail):
     prod = series_mul(a, series_log_deriv(a, lead[1], 4), 4)
     for n in range(5):
         assert prod[n] == a[n].differentiate()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_LEADS), st.lists(ring_expressions(max_terms=2), min_size=4, max_size=4))
+def test_series_log_differentiates_to_the_log_derivative(lead, tail):
+    # (ln a)' term by term: l_m' = L_m for m >= 1, from two recurrences
+    a = [lead[0]] + tail
+    ell, L = series_log(a, lead[1], 4), series_log_deriv(a, lead[1], 4)
+    assert ell[0] is None
+    for m in range(1, 5):
+        assert ell[m].differentiate() == L[m]
 
 
 def test_pbar_fixed_point_residual(pbar8):
