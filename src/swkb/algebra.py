@@ -2,7 +2,7 @@
 
 Ring generators: a symbol family f, f', f'', ... (f is the superpotential in
 the main ring), half-integer powers of u = E - f^r, and integer powers of E
-(both signs), with GaussianRational coefficients.  The defining relation
+(both signs), with Gaussian-rational coefficients.  The defining relation
 f^r = E - u is applied during normalization, so the bare-symbol exponent of
 every canonical monomial is < r.
 
@@ -39,8 +39,10 @@ integer) as an int pair per raw key, and one fold applies the relation,
 merges and divides out the common factor.  ``Expression.sum_of_products``
 is the one product loop: it sums w*a*b over weighted pairs, so a whole
 series convolution folds once, and ``a * b`` is its one-triple case.
-``terms`` is a read-only {Monomial: GaussianRational} view for output,
-decoded on each access.
+``terms`` is a read-only {Monomial: (re, im)} view of ``Fraction`` pairs
+for output, decoded on each access.  At the edges a coefficient is an
+``int``, a ``Fraction`` or an (re, im) pair of them; a float raises
+``TypeError``.
 
 Everything here is immutable and pure; no floating point enters except in
 ``evaluate``.
@@ -59,9 +61,10 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import PoleError, UndefinedDegreeError
-from .gaussian import _F_ZERO, GR_I, GR_ONE, GaussianRational
 
 SQRT_TOL = 1e-9  # relative mismatch allowed between sqrt_u**2 and u in ``evaluate``
+
+_ZERO = Fraction(0)  # the absent part of every ``terms`` coefficient
 
 
 @dataclass(frozen=True)
@@ -211,11 +214,10 @@ class Expression:
 
     __slots__ = ("ring", "den", "num")
 
-    def __init__(self, ring: Ring, raw_terms: Iterable[Tuple[Monomial, GaussianRational]] = ()):
-        pairs = [(m, GaussianRational.coerce(c)) for m, c in raw_terms]
-        d = lcm(*(q.denominator for _, c in pairs for q in (c.re, c.im)))
-        x = _collect(ring, [(encode(m), c.re.numerator * (d // c.re.denominator),
-                             c.im.numerator * (d // c.im.denominator)) for m, c in pairs], d)
+    def __init__(self, ring: Ring, raw_terms: Iterable[tuple] = ()):
+        terms = [(encode(m), *_parts(c)) for m, c in raw_terms]
+        d = lcm(*(q.denominator for _, re, im in terms for q in (re, im)))
+        x = _collect(ring, [(key, _over(re, d), _over(im, d)) for key, re, im in terms], d)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "den", x.den)
         object.__setattr__(self, "num", x.num)
@@ -224,13 +226,13 @@ class Expression:
         raise AttributeError("Expression is immutable")
 
     @property
-    def terms(self) -> Mapping[Monomial, GaussianRational]:
-        """Read-only {Monomial: GaussianRational} map of the terms, decoded
-        on each access for output and inspection; arithmetic reads ``num``."""
+    def terms(self) -> Mapping[Monomial, Tuple[Fraction, Fraction]]:
+        """Read-only {Monomial: (re, im)} map of the terms, each part a
+        ``Fraction``, decoded on each access for output and inspection;
+        arithmetic reads ``num``."""
         d = self.den
         return MappingProxyType({
-            decode(key): GaussianRational(Fraction(x, d) if x else _F_ZERO,
-                                          Fraction(y, d) if y else _F_ZERO)
+            decode(key): (Fraction(x, d) if x else _ZERO, Fraction(y, d) if y else _ZERO)
             for key, (x, y) in self.num.items()
         })
 
@@ -242,22 +244,21 @@ class Expression:
 
     @staticmethod
     def const(c, ring: Ring = PHI_RING) -> "Expression":
-        c = GaussianRational.coerce(c)
         return Expression(ring, [(_MONO_ONE, c)])
 
     @staticmethod
     def sym(k: int = 0, exp: int = 1, ring: Ring = PHI_RING) -> "Expression":
         """The k-th derivative symbol raised to ``exp`` (k = 0 is f itself)."""
-        return Expression(ring, [(Monomial([(k, exp)]), GR_ONE)])
+        return Expression(ring, [(Monomial([(k, exp)]), 1)])
 
     @staticmethod
     def u_pow(h: int, ring: Ring = PHI_RING) -> "Expression":
         """u^(h/2); h is the half-power numerator and may be negative."""
-        return Expression(ring, [(Monomial(h=h), GR_ONE)])
+        return Expression(ring, [(Monomial(h=h), 1)])
 
     @staticmethod
     def e_pow(e: int, ring: Ring = PHI_RING) -> "Expression":
-        return Expression(ring, [(Monomial(e=e), GR_ONE)])
+        return Expression(ring, [(Monomial(e=e), 1)])
 
     # -- ring arithmetic -------------------------------------------------
 
@@ -292,7 +293,7 @@ class Expression:
         return _make(self.ring, _times(self.num, -1), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction, tuple)):
             return self.scale(other)
         return Expression.sum_of_products(self.ring, [(1, self, other)])
 
@@ -328,18 +329,17 @@ class Expression:
         return _fold(ring, raw, d)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction, tuple)):
             return self.scale(other)
         return NotImplemented
 
     def scale(self, c) -> "Expression":
-        c = GaussianRational.coerce(c)
-        if c.is_zero():
+        re, im = _parts(c)
+        if not (re or im):
             return Expression(self.ring)
         # c = (a + i b)/cd; a product of nonzero Gaussian rationals is nonzero
-        re, im = c.re, c.im
         cd = lcm(re.denominator, im.denominator)
-        a, b = re.numerator * (cd // re.denominator), im.numerator * (cd // im.denominator)
+        a, b = _over(re, cd), _over(im, cd)
         num = {key: (x * a - y * b, x * b + y * a) for key, (x, y) in self.num.items()}
         return _reduced(self.ring, num, self.den * cd)
 
@@ -452,7 +452,7 @@ class Expression:
     def term_count(self) -> int:
         return len(self.num)
 
-    def sorted_terms(self) -> List[Tuple[Monomial, GaussianRational]]:
+    def sorted_terms(self) -> List[Tuple[Monomial, Tuple[Fraction, Fraction]]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
 
     # -- numerics ----------------------------------------------------------
@@ -494,7 +494,7 @@ class Expression:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            factors = [str(c)]
+            factors = [_text_coeff(*c)]
             if m.e:
                 factors.append(f"E^{m.e}")
             if m.h:
@@ -507,11 +507,11 @@ class Expression:
 
     def to_json_dict(self) -> dict:
         terms = []
-        for m, c in self.sorted_terms():
+        for m, (re, im) in self.sorted_terms():
             terms.append(
                 {
-                    "coef_re": [c.re.numerator, c.re.denominator],
-                    "coef_im": [c.im.numerator, c.im.denominator],
+                    "coef_re": [re.numerator, re.denominator],
+                    "coef_im": [im.numerator, im.denominator],
                     "e": m.e,
                     "h": m.h,
                     "derivs": {str(k): a for k, a in m.derivs},
@@ -521,18 +521,6 @@ class Expression:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @staticmethod
-    def from_json_dict(data: dict, ring: Ring = PHI_RING) -> "Expression":
-        raw = []
-        for t in data["terms"]:
-            c = GaussianRational(
-                Fraction(t["coef_re"][0], t["coef_re"][1]),
-                Fraction(t["coef_im"][0], t["coef_im"][1]),
-            )
-            m = Monomial([(int(k), a) for k, a in t["derivs"].items()], h=t["h"], e=t["e"])
-            raw.append((m, c))
-        return Expression(ring, raw)
 
     def to_latex(self) -> str:
         if not self.num:
@@ -546,6 +534,22 @@ class Expression:
         return f"<Expr[{self.ring.name}] {self.to_text()}>"
 
 
+def _parts(c) -> tuple:
+    """The (re, im) parts of a coefficient: an int, a Fraction, or an
+    (re, im) pair of them.  Anything else, a float among them, raises
+    ``TypeError``, so no float enters the exact layer."""
+    parts = c if type(c) is tuple and len(c) == 2 else (c, 0)
+    for q in parts:
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"an exact coefficient part must be int or Fraction, "
+                            f"not {type(q).__name__}")
+    return parts
+
+
+def _over(q, d: int) -> int:
+    """The numerator of the rational ``q`` over the denominator ``d``, a
+    multiple of its own."""
+    return q.numerator * (d // q.denominator)
 
 
 def _check(ring: Ring, x: "Expression") -> None:
@@ -642,7 +646,16 @@ def _latex_symbol(ring: Ring, k: int, a: int) -> str:
     return sym if a == 1 else f"{sym}^{{{a}}}"
 
 
-def _latex_coeff(c: GaussianRational) -> Tuple[str, str]:
+def _text_coeff(re: Fraction, im: Fraction) -> str:
+    """``3/8``, ``-1i`` or ``(1/2-1/3i)``: a part that is zero is left out."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
+
+
+def _latex_coeff(re: Fraction, im: Fraction) -> Tuple[str, str]:
     """Return (sign, magnitude-latex); complex coefficients stay inline."""
 
     def frac(q: Fraction) -> str:
@@ -650,20 +663,20 @@ def _latex_coeff(c: GaussianRational) -> Tuple[str, str]:
             return str(abs(q.numerator))
         return rf"\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
-    if c.im == 0:
-        sign = "-" if c.re < 0 else "+"
-        mag = frac(c.re)
+    if im == 0:
+        sign = "-" if re < 0 else "+"
+        mag = frac(re)
         return sign, ("" if mag == "1" else mag)
-    if c.re == 0:
-        sign = "-" if c.im < 0 else "+"
-        mag = frac(c.im)
+    if re == 0:
+        sign = "-" if im < 0 else "+"
+        mag = frac(im)
         return sign, (f"{mag} i" if mag != "1" else "i")
-    return "+", rf"\left({c.re}{'+' if c.im > 0 else '-'}{abs(c.im)}i\right)"
+    return "+", rf"\left({re}{'+' if im > 0 else '-'}{abs(im)}i\right)"
 
 
-def _latex_term(ring: Ring, m: Monomial, c: GaussianRational, first: bool) -> str:
+def _latex_term(ring: Ring, m: Monomial, c: Tuple[Fraction, Fraction], first: bool) -> str:
     base = r"E-\phi^2" if ring.name == "phi" else "E-V"
-    sign, mag = _latex_coeff(c)
+    sign, mag = _latex_coeff(*c)
     num = []
     if mag:
         num.append(mag)
@@ -705,7 +718,9 @@ def const(c) -> Expression:
 
 
 def i_times(x: Expression) -> Expression:
-    return x.scale(GR_I)
+    """i * x: each numerator pair (x, y) becomes (-y, x), over the same
+    denominator, so the result stays canonical."""
+    return _make(x.ring, {key: (-im, re) for key, (re, im) in x.num.items()}, x.den)
 
 
 def F_factor() -> Expression:

@@ -59,8 +59,12 @@ class PolynomialSuperpotential:
     name: str = ""
 
     def __init__(self, coefficients, hbar: float = 1.0, name: str = ""):
-        coeffs = tuple(float(c) for c in coefficients)
-        if not all(math.isfinite(c) for c in coeffs + (float(hbar),)):
+        try:
+            coeffs = tuple(float(c) for c in coefficients)
+            finite = all(math.isfinite(c) for c in coeffs + (float(hbar),))
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError("coefficients and hbar must be finite")
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
@@ -353,8 +357,8 @@ def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
     pos = {m: i for i, m in enumerate(monos)}
     coeffs = np.zeros((len(exprs), len(monos)), dtype=complex)
     for r, x in enumerate(exprs):
-        for m, c in x.terms.items():
-            coeffs[r, pos[m]] = complex(c)
+        for m, (re, im) in x.terms.items():
+            coeffs[r, pos[m]] = complex(float(re), float(im))
     return IntegrandTable(
         orders,
         ladder,

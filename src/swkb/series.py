@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 
 from .algebra import Expression, F_factor, PHI_RING, Ring, i_times
 from .errors import StructuralTheoremViolation
-from .gaussian import GR_I
 
 HALF = Fraction(1, 2)
 
@@ -107,7 +106,7 @@ class HbarSeries:
             return acc - Expression.u_pow(2, ring)
         acc = acc + c[n - 1].differentiate()
         if n == 1 and ring.relation_power == 2:
-            src = Expression.sym(1, 1, ring).scale(GR_I)
+            src = i_times(Expression.sym(1, 1, ring))
             acc = acc - src if self.sign == "minus" else acc + src
         return acc
 
@@ -161,7 +160,7 @@ def generate_series(order: int, sign: str = "minus", ring: Ring = PHI_RING) -> H
             pairs.append((-1, coeffs[n // 2], coeffs[n // 2]))
         acc = Expression.sum_of_products(ring, pairs) - coeffs[n - 1].differentiate()
         if n == 1 and ring.relation_power == 2:
-            src = Expression.sym(1, 1, ring).scale(GR_I)
+            src = i_times(Expression.sym(1, 1, ring))
             acc = acc + src if sign == "minus" else acc - src
         coeffs.append((um12 * acc).scale(HALF))
     return HbarSeries(coeffs, sign)

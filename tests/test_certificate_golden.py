@@ -10,12 +10,19 @@ and the potential-ring substitution past order 8), and the ``reduce
 past the benchmark's order 8.  The ``series --order 12`` fingerprint covers
 the longest products and derivatives of the exact ring arithmetic, and the
 order-12 ``reduce`` and ``verify`` fingerprints the elimination past order
-10, where the sweeps are largest.
+10, where the sweeps are largest.  The order-8 ``series`` and ``reduce``
+fingerprints in text and LaTeX pin the formatting of every coefficient;
+the exact strings below pin the two coefficient forms no CLI output
+reaches, one with both parts and one purely imaginary.
 """
 
 import hashlib
 import json
+from fractions import Fraction as Fr
 
+import pytest
+
+from swkb.algebra import const, i_times, phi
 from swkb.cli import main
 from swkb.reduction import quantization_integrands
 
@@ -43,6 +50,19 @@ SERIES12_SHA256 = "883ee894cac88f58479422276f81e32575837f278b48f74eeef4bffc7865f
 # log-fixed-point certificate.
 REDUCE12_SHA256 = "4077b231013f646ff284e713e07aaaed7f3b425a82850c3f1069b6c1d7018229"
 VERIFY12_SHA256 = "09786215ced16dc0179a6c60e28eda386321e976a9c420cc7a2c2bdf0832a678"
+# Every series coefficient and its parts, and the reduced integrands and
+# certificates, through order 8 in text and LaTeX, recorded while each
+# coefficient was formatted from its own rational-pair class.
+TEXT_GOLDENS = {
+    ("series", "--order", "8", "--format", "text"):
+        "6cb2fece4e8067c62baefcc4ea6eacb72f94049895db8b7f913a01bb8c6b606e",
+    ("reduce", "--max-order", "8", "--format", "text"):
+        "8e74cc14445651900a338369586340f3990329d3f2fd96ec4637da810fe6c562",
+    ("series", "--order", "8", "--format", "latex"):
+        "42f9f02cda712240a3b6d1dfb6f49a62a6b6b512de913e37b2c9830355ce99b4",
+    ("reduce", "--max-order", "8", "--format", "latex"):
+        "95f9ea7fd9e7bd159f7977ef87a8333b84d6591523413fc6c0533a19b9372d51",
+}
 
 
 def test_golden_series_certificates(capsys):
@@ -84,3 +104,20 @@ def test_golden_reduce_order12(capsys):
 
 def test_golden_verify_report_order12(verify12_run):
     assert _sha256(verify12_run[0]) == VERIFY12_SHA256
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_GOLDENS), ids=" ".join)
+def test_golden_text_and_latex(capsys, argv):
+    assert main(list(argv)) == 0
+    assert _sha256(capsys.readouterr().out) == TEXT_GOLDENS[argv]
+
+
+def test_complex_coefficient_strings():
+    both = const(Fr(1, 2)) - i_times(const(Fr(1, 3)))
+    minus_i = i_times(const(-1))
+    assert (both.to_text(), both.to_latex()) == ("(1/2-1/3i)", r"\left(1/2-1/3i\right)")
+    assert (minus_i.to_text(), minus_i.to_latex()) == ("-1i", "-i")
+    assert (-both).to_text() == "(-1/2+1/3i)"
+    x = phi(1) * both + phi() * minus_i
+    assert x.to_text() == "-1i*d0 + (1/2-1/3i)*d1"
+    assert x.to_latex() == r"-i\,\phi + \left(1/2-1/3i\right)\,{\phi'}"

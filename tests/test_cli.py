@@ -18,6 +18,7 @@ import swkb.reduction
 import swkb.series
 import swkb.spectrum
 from swkb import wkb
+from swkb.algebra import Expression, V_RING
 from swkb.cli import _verify_lines, main
 
 from conftest import broken_plus_series
@@ -380,9 +381,13 @@ def test_oracle_resolution_failure_exits_3(capsys, monkeypatch, cubic_config):
     '{"coefficients": [0, NaN, 1]}',
     '{"coefficients": [0, 0, Infinity]}',
     '{"coefficients": [0, 0, 1], "hbar": Infinity}',
+    # ints too large for a float
+    '{"coefficients": [0, 0, 1], "hbar": 1%s}' % ("0" * 400),
+    '{"coefficients": [0, 1%s, 1]}' % ("0" * 400),
 ])
 def test_non_finite_config_values_are_usage_errors(capsys, tmp_path, command, config):
-    # json accepts NaN and Infinity; they must not reach the numerics
+    # json accepts NaN, Infinity and ints of any size; they must not reach
+    # the numerics
     path = tmp_path / "bad.json"
     path.write_text(config)
     with pytest.raises(SystemExit) as exc:
@@ -453,6 +458,17 @@ def test_verify_reuses_the_odd_imaginary_certificates(monkeypatch, split10, pbar
     closed_form = pbar8[2:7] + [split10.q[3], split10.q[5]]
     assert swept and not any(args[0] == x for args in swept for x in closed_form)
     assert not hasattr(swkb.cli, "antiderivative")
+
+
+def test_verify_sweeps_no_nu_coefficient(monkeypatch, substitution4):
+    # each nu-coefficient of V'/(E - V) is compared with the derivative of its
+    # closed form, which is its certificate: no certificate sweep runs on it
+    swept = _count_calls(monkeypatch, swkb.antiderivative, "_sweep")
+    lines = _verify_lines(4, False)
+    assert "PASS log-term corrections are certified derivatives" in lines
+    log_term = Expression.sym(1, 1, V_RING) * Expression.u_pow(-2, V_RING)
+    nu = substitution4.apply(log_term)[1:]
+    assert swept and not any(args[0] == x for args in swept for x in nu)
 
 
 @pytest.mark.parametrize("levels", [2, 0])

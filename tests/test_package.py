@@ -91,6 +91,27 @@ def test_every_module_constant_is_read():
     assert sorted(d for d in defined if d.split(":")[1] not in read) == []
 
 
+def test_every_module_is_imported_by_the_package():
+    # a module that only tests import is dead code; the cli is the entry
+    # point and __init__ the package itself
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    imported = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # "from . import x" and "from swkb import x" name modules,
+                # "from .x import y" and "from swkb.x import y" the module x
+                from_package = node.module in (None, "swkb")
+                modules = [alias.name for alias in node.names] if from_package else [node.module]
+            else:
+                continue
+            imported.update({m.removeprefix("swkb.") for m in modules} - {name})
+    assert len(trees) > 2, "package sources not found"
+    assert sorted(set(trees) - imported - {"cli", "__init__"}) == []
+
+
 def test_every_method_is_read():
     # a method or property of a package class that nothing in the package,
     # its tests or its benchmark reads as an attribute is dead code

@@ -53,9 +53,9 @@ def riccati_coefficients(sign):
 
 def to_sympy(expr):
     total = sp.Integer(0)
-    for m, c in expr.terms.items():
-        term = sp.Rational(c.re.numerator, c.re.denominator)
-        term += sp.I * sp.Rational(c.im.numerator, c.im.denominator)
+    for m, (re, im) in expr.terms.items():
+        term = sp.Rational(re.numerator, re.denominator)
+        term += sp.I * sp.Rational(im.numerator, im.denominator)
         for k, a in m.derivs:
             term *= p[k] ** a
         total += term * w**m.h * (w**2 + p[0] ** 2) ** m.e

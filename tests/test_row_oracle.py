@@ -52,17 +52,17 @@ def oracle_rows(cond, c: float, d: int, E: float):
     rows = []
     for x in exprs:
         # the reduced integrands are real
-        assert all(coeff.im == 0 for coeff in x.terms.values())
-        rows.append(math.fsum(float(coeff.re) * closed_form(m, c, d, E)
-                              for m, coeff in x.terms.items()))
+        assert all(im == 0 for _, im in x.terms.values())
+        rows.append(math.fsum(float(re) * closed_form(m, c, d, E)
+                              for m, (re, _) in x.terms.items()))
     return rows
 
 
 def closed_form_action(cond, c: float, d: int, hbar: float, E: float) -> float:
     """``spectrum.action``'s A(E) with every row in closed form: a sum of
     powers of E."""
-    return math.fsum(corr.sign_factor * hbar ** corr.order * float(coeff.re) * closed_form(m, c, d, E)
-                     for corr in cond.corrections for m, coeff in corr.integrand.terms.items())
+    return math.fsum(corr.sign_factor * hbar ** corr.order * float(re) * closed_form(m, c, d, E)
+                     for corr in cond.corrections for m, (re, _) in corr.integrand.terms.items())
 
 
 def bisect_root(f, lo: float, hi: float) -> float:

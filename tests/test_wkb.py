@@ -5,7 +5,6 @@ import pytest
 
 from swkb.algebra import Expression, Monomial, V_RING
 from swkb.antiderivative import antiderivative
-from swkb.gaussian import GaussianRational
 from swkb.wkb import (
     MAX_SUBSTITUTION_ORDER,
     Substitution,
@@ -26,7 +25,7 @@ def _random_potential_expr(rng):
             k = rng.randint(1, 3)
             derivs[k] = derivs.get(k, 0) + 1
         m = Monomial(derivs.items(), h=rng.randint(-5, 3), e=rng.randint(-1, 2))
-        terms.append((m, GaussianRational(Fr(rng.randint(-5, 5), rng.randint(1, 4)))))
+        terms.append((m, Fr(rng.randint(-5, 5), rng.randint(1, 4))))
     return Expression(V_RING, terms)
 
 
