@@ -109,12 +109,6 @@ class Monomial(tuple):
     h = property(itemgetter(1))
     e = property(itemgetter(2))
 
-    def deriv_exp(self, k: int) -> int:
-        for kk, a in self.derivs:
-            if kk == k:
-                return a
-        return 0
-
     def sort_key(self):
         return (self.e, self.h, self.derivs)
 

@@ -25,6 +25,7 @@ from .oracle import MAX_STATES, default_grid, eigenvalues, oracle_eigenvalues
 from .quadrature import PolynomialSuperpotential
 from .reduction import (
     decompose,
+    dropped_certificates,
     known_integrand_order2,
     known_integrand_order4,
     quantization_integrands,
@@ -43,6 +44,7 @@ from .series import (
     pbar_series,
     generating_system_check,
     imag_relation_check,
+    real_part_log,
     SplitSeries,
 )
 from .spectrum import build_conditions, compare_report, solve_level
@@ -100,9 +102,8 @@ def cmd_series(args) -> int:
 def cmd_reduce(args) -> int:
     s = generate_series(args.max_order, "minus")
     lseq = l_sequence(max(args.max_order - 1, 0), s)
-    qc = quantization_integrands(args.max_order, s, split_series(s), lseq)
     records = []
-    for corr in qc.corrections:
+    for corr in quantization_integrands(args.max_order, split_series(s), lseq):
         records.append(
             {
                 "order": corr.order,
@@ -164,7 +165,7 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
     for n in range(1, order + 1):
         check(f"imag-part certificate identity n={n}", check_l_identity(lseq, split, n))
 
-    via_log = partner_via_log_identity(s, order)
+    via_log = partner_via_log_identity(s, lseq, order)
     direct = sp
     via_shift = partner_via_imag_shift(s, split, order)
     for n in range(order + 1):
@@ -203,12 +204,17 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
     gs = generating_system_check(min(order, 6), checked)
     for entry in gs.entries:
         check(f"generating system order {entry.order}", entry.ok, entry.detail)
-    ir = imag_relation_check(min(order, 6), split)
+    # ln R once: the imaginary-part relation reads its derivatives through
+    # order min(order, 6) - 1, the odd real parts' certificates its
+    # coefficients through max_order - 2
+    max_order = order - order % 2
+    ln_r = real_part_log(split, max(min(order, 6) - 1, max_order - 2))
+    ir = imag_relation_check(min(order, 6), split, ln_r)
     for entry in ir.entries:
         check(f"imaginary-part relation order {entry.order}", entry.ok, entry.detail)
 
-    qc = quantization_integrands(order - order % 2, s, split, lseq)
-    for corr in qc.corrections[1:]:
+    corrections = quantization_integrands(max_order, split, lseq)
+    for corr in corrections[1:]:
         check(
             f"reduced integrand order {corr.order} has overall E factor",
             corr.e_degree >= 1,
@@ -218,11 +224,11 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
         check(f"subtraction routes agree at order {corr.order}",
               alt.integrand == corr.integrand)
     check("order-2 integrand equals the known closed form",
-          qc.corrections[1].integrand == known_integrand_order2())
-    if qc.max_order >= 4:
+          corrections[1].integrand == known_integrand_order2())
+    if max_order >= 4:
         check("order-4 integrand equals the known bracket",
-              qc.corrections[2].integrand == -known_integrand_order4())
-    res = reconstruction_residual(qc)
+              corrections[2].integrand == -known_integrand_order4())
+    res = reconstruction_residual(s, corrections, dropped_certificates(max_order, lseq, ln_r))
     check("certificates + integrands reconstruct the series",
           all(r.is_zero() for r in res))
 

@@ -416,9 +416,10 @@ def contour_integrate(
     since the sums of every finer level add to it.  Quantization integrands
     are real up to branch-tracking noise; with ``check_real`` each row's
     imaginary part is required to stay below 10 times its tolerance
-    (disable it to integrate deliberately non-real quantities).  ``rows`` holds every row's integral and ``value`` their
-    sum.  ``spectrum.action`` passes a two-row table, the weighted sums A
-    and dA/dE, so both rules meet the numbers the level solver reads."""
+    (disable it to integrate deliberately non-real quantities).  ``rows``
+    holds every row's integral and ``value`` their sum.  ``spectrum.action``
+    passes a three-row table, the weighted sums A, dA/dE and d2A/dE2, so
+    both rules meet the numbers the level solver reads."""
     table = integrands if isinstance(integrands, IntegrandTable) else compile_integrands([integrands])
     if contour is None:
         contour = build_contour(sp, E)

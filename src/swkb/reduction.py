@@ -12,13 +12,18 @@ Both are followed by a deterministic residual sweep that removes any
 remaining exact-derivative content, so the two routes must agree exactly,
 not just modulo derivatives.  Every dropped piece carries a certificate Y
 with differentiate(Y) equal to it.
+
+Each closed-form certificate is a coefficient of a log that
+``series.series_log``, the one log recurrence, takes: ln(f + i S') for
+Q_2k and the q_n, ln p-bar for the second route, ln R for the odd p_n.
+Only ``verify`` builds the dropped parts' certificates and re-adds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Expression, F_factor
 from .antiderivative import _sweep, antiderivative
@@ -148,74 +153,68 @@ def _swept_correction(
     return ReducedCorrection(order, integrand, cert)
 
 
-@dataclass(frozen=True)
-class QuantizationCondition:
-    """Everything on the left of the quantization condition up to max_order.
-
-    corrections[k] covers order 2k (order 0 is the classical term with
-    certificate 0).  The first-order coefficient always integrates to the
-    constant pi, which converts the right-hand side from 2(n + 1/2) pi hbar
-    to 2 n pi hbar.  ``dropped`` maps every other omitted (order, part) to
-    its derivative certificate.  ``series`` is the one the condition was
-    built from and may run past max_order.
-    """
-
-    max_order: int
-    corrections: List[ReducedCorrection]
-    dropped: Dict[Tuple[int, str], Expression]
-    series: HbarSeries
-
-
 def quantization_integrands(
-    max_order: int, s: HbarSeries, split: SplitSeries, lseq: LSequence
-) -> QuantizationCondition:
-    """The reduced even-order integrands plus certificates for everything
-    dropped: odd-order real and imaginary parts (order >= 3), even-order
-    imaginary parts, and the derivative parts of the even real parts.
+    max_order: int, split: SplitSeries, lseq: LSequence
+) -> Tuple[ReducedCorrection, ...]:
+    """The reduced corrections up to max_order, the k-th of order 2k
+    (order 0 is the classical term with certificate 0).  The first-order
+    coefficient integrates to the constant pi, which converts the
+    right-hand side from 2(n + 1/2) pi hbar to 2 n pi hbar; every other
+    part dropped is a total derivative (``dropped_certificates``), and each
+    odd real part is searched for its certificate, which must exist.
 
-    ``s`` is the minus series, ``split`` its parts and ``lseq`` its
-    certificate sequence, generated at least to max_order, max_order and
-    max_order - 1; only that prefix is read.
+    ``split`` is the split minus series and ``lseq`` its certificate
+    sequence, generated at least to max_order and max_order - 1.
     """
     if max_order % 2:
         raise ValueError("max_order must be even")
-    if min(s.order, split.order, lseq.order + 1) < max_order:
+    if min(split.order, lseq.order + 1) < max_order:
         raise ValueError("series not generated far enough")
     corrections = [ReducedCorrection(0, Expression.u_pow(1), Expression.zero())]
+    for n in range(2, max_order + 1):
+        if n % 2 == 0:
+            corrections.append(reduce_even_order(n, split, lseq))
+        elif antiderivative(split.p[n]) is None:
+            raise StructuralTheoremViolation(
+                f"odd-order real part p_{n} has no derivative certificate"
+            )
+    return tuple(corrections)
+
+
+def dropped_certificates(
+    max_order: int, lseq: LSequence, ln_r: List[Optional[Expression]]
+) -> Dict[Tuple[int, str], Expression]:
+    """{(n, part): Y} with Y' the part the condition drops at order n, for
+    2 <= n <= max_order, in closed form: each imaginary part q_n has
+    Y = (i/2) l[n-1], and each odd real part p_n, n >= 3, has
+    Y = +-(1/2) ln_r[n-1] (+ at n = 3 mod 4), since p_n = +-I_n and
+    I = (hbar/2) (ln R)', with ``ln_r`` the ``real_part_log`` of the same
+    series.  Only ``reconstruction_residual`` checks them."""
     dropped: Dict[Tuple[int, str], Expression] = {}
     for n in range(2, max_order + 1):
         dropped[(n, "q")] = i_times(lseq.l[n - 1]).scale(HALF)
-        if n % 2 == 0:
-            corrections.append(reduce_even_order(n, split, lseq))
-        else:
-            p_cert = antiderivative(split.p[n])
-            if p_cert is None:
-                raise StructuralTheoremViolation(
-                    f"odd-order real part p_{n} has no derivative certificate"
-                )
-            dropped[(n, "p")] = p_cert
-    return QuantizationCondition(max_order, corrections, dropped, s)
+        if n % 2:
+            dropped[(n, "p")] = ln_r[n - 1].scale(HALF if n % 4 == 3 else -HALF)
+    return dropped
 
 
-def reconstruction_residual(qc: QuantizationCondition) -> List[Expression]:
+def reconstruction_residual(s: HbarSeries, corrections: Sequence[ReducedCorrection],
+                            dropped: Dict[Tuple[int, str], Expression]) -> List[Expression]:
     """Per-order residual of: series coefficient minus (kept integrand +
-    certificate derivatives), with the first order set aside as the pi
-    constant.  All residuals must be zero."""
-    ring = qc.series.ring
+    certificate derivatives), through the order of the last correction,
+    with the first order set aside as the pi constant.  All residuals must
+    be zero."""
+    by_order = {c.order: c.integrand + c.certificate.differentiate() for c in corrections}
     out = []
-    by_order: Dict[int, Expression] = {c.order: c.integrand + c.certificate.differentiate()
-                                       for c in qc.corrections}
-    for n in range(qc.max_order + 1):
-        acc = Expression.zero(ring)
-        if n in by_order:
-            acc = acc + by_order[n]
-        if (n, "q") in qc.dropped:
-            acc = acc + i_times(qc.dropped[(n, "q")].differentiate())
-        if (n, "p") in qc.dropped:
-            acc = acc + qc.dropped[(n, "p")].differentiate()
+    for n in range(corrections[-1].order + 1):
+        acc = by_order.get(n, Expression.zero(s.ring))
+        if (n, "q") in dropped:
+            acc = acc + i_times(dropped[(n, "q")].differentiate())
+        if (n, "p") in dropped:
+            acc = acc + dropped[(n, "p")].differentiate()
         if n == 1:
-            acc = qc.series.coeffs[1]  # the pi-constant carrier, kept whole
-        out.append(qc.series.coeffs[n] - acc)
+            acc = s.coeffs[1]  # the pi-constant carrier, kept whole
+        out.append(s.coeffs[n] - acc)
     return out
 
 

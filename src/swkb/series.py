@@ -26,36 +26,6 @@ def series_mul(a: List[Expression], b: List[Expression], order: int) -> List[Exp
             for n in range(order + 1)]
 
 
-def _log_deriv_term(a: List[Expression], L: List[Expression], lead_inv: Expression,
-                    n: int) -> Expression:
-    """L_n of (ln a)' = a'/a = sum_n nu^n L_n, given L_0..L_(n-1), from
-
-        a_0 L_n = a_n' - sum_{k=1}^{n} a_k L_(n-k),
-
-    where ``lead_inv`` is 1/a_0 and coefficients past ``len(a)`` are zero."""
-    acc = Expression.sum_of_products(a[0].ring, [(-1, a[k], L[n - k])
-                                                 for k in range(1, min(n, len(a) - 1) + 1)])
-    if n < len(a):
-        acc = acc + a[n].differentiate()
-    return lead_inv * acc
-
-
-def _check_lead_inv(a: List[Expression], lead_inv: Expression) -> None:
-    if a[0] * lead_inv != Expression.const(1, a[0].ring):
-        raise StructuralTheoremViolation("lead_inv is not the exact inverse of a[0]")
-
-
-def series_log_deriv(a: List[Expression], lead_inv: Expression, order: int) -> List[Expression]:
-    """(ln a)' = a'/a as a truncated series, where ``lead_inv`` is the exact
-    inverse of a[0] (checked); the order-0 coefficient is the non-exact
-    logarithmic derivative of the leading term."""
-    _check_lead_inv(a, lead_inv)
-    L: List[Expression] = []
-    for n in range(order + 1):
-        L.append(_log_deriv_term(a, L, lead_inv, n))
-    return L
-
-
 def series_log(a: List[Expression], lead_inv: Expression,
                order: int) -> List[Optional[Expression]]:
     """ln a = ln a_0 + sum_{m >= 1} nu^m l_m as a truncated series, where
@@ -65,10 +35,12 @@ def series_log(a: List[Expression], lead_inv: Expression,
         l_m = (1/m) a_0^(-1) (m a_m - sum_{k=1}^{m-1} k l_k a_(m-k)),
 
     the coefficient recursion of nu d/dnu ln a = nu a_nu / a, whose Euler
-    operator kills ln a_0.  Index 0 is None: ln a_0 lies outside the ring.
-    Each l_m' is the coefficient L_m of ``series_log_deriv``."""
-    _check_lead_inv(a, lead_inv)
+    operator kills ln a_0.  Index 0 is None: ln a_0 lies outside the ring,
+    and (ln a)' = a_0' lead_inv + sum_{m >= 1} nu^m l_m'.  It is the
+    package's only logarithm of a series."""
     ring = a[0].ring
+    if a[0] * lead_inv != Expression.const(1, ring):
+        raise StructuralTheoremViolation("lead_inv is not the exact inverse of a[0]")
     l: List[Optional[Expression]] = [None]
     for m in range(1, order + 1):
         inner = a[m].scale(m) + Expression.sum_of_products(
@@ -208,15 +180,20 @@ def check_l_identity(lseq: LSequence, split: SplitSeries, n: int) -> bool:
     return lhs == split.q[n + 1]
 
 
-def partner_via_log_identity(s: HbarSeries, order: int) -> HbarSeries:
-    """Plus-sign series from the minus one through the exact expansion of
-    d/dx ln(f + i S'), by the log-derivative recurrence with the exact
-    (f - i sqrt(u))/E inverse of the leading factor."""
-    log_d = series_log_deriv(_lead_log_argument(s, order), inverse_lead_factor(), order)
-    out = [s.coeffs[0]]
-    for n in range(1, order + 1):
-        out.append(s.coeffs[n] + log_d[n - 1])
-    return HbarSeries(out, "plus")
+def partner_via_log_identity(s: HbarSeries, lseq: LSequence, order: int) -> HbarSeries:
+    """Plus-sign series from the minus one through the exact expansion
+
+        d/dx ln(f + i S') = g_0'/g_0 + sum_{n >= 1} nu^n l[n]',
+
+    with g_0 = f + i sqrt(u): order 1 adds the leading factor's own
+    log-derivative, through the exact (f - i sqrt(u))/E inverse, and each
+    order n >= 2 adds l[n-1]' from ``lseq``, the l-sequence of ``s``."""
+    if min(s.order, lseq.order + 1) < order:
+        raise ValueError("series not generated far enough")
+    log_d = [_lead_log_argument(s, 0)[0].differentiate() * inverse_lead_factor()]
+    log_d += [x.differentiate() for x in lseq.l[1:order]]
+    return HbarSeries([s.coeffs[0]] + [s.coeffs[n] + log_d[n - 1] for n in range(1, order + 1)],
+                      "plus")
 
 
 def partner_via_imag_shift(s: HbarSeries, split: SplitSeries, order: int) -> HbarSeries:
@@ -231,9 +208,12 @@ def pbar_series(order: int) -> List[Expression]:
     """Coefficients X_0..X_order of the fixed point of
     X = u^(1/2) - (nu/2) X'/X, expanded in nu.
 
-    The log-derivative X'/X is built one coefficient per step by the same
-    recurrence as ``series_log_deriv``, so the logarithm itself is never
-    represented.  Coefficients from order 2 on
+    Times X the fixed point reads X^2 = u^(1/2) X - (nu/2) X', so that
+    X_0 = u^(1/2) and, for n >= 1,
+
+        X_n = u^(-1/2) (-sum_{k=1}^{n-1} X_k X_(n-k) - (1/2) X_(n-1)'),
+
+    and no logarithm is taken.  Coefficients from order 2 on
     are total derivatives of ring elements; the order-1 coefficient equals
     the first-order real part and carries the same logarithmic constant,
     so it is exempt from certification (only even orders >= 2 ever enter
@@ -241,21 +221,23 @@ def pbar_series(order: int) -> List[Expression]:
     """
     pb = [Expression.u_pow(1)]
     um12 = Expression.u_pow(-1)
-    L: List[Expression] = []  # coefficients of (ln X)'
-    for m in range(order):
-        L.append(_log_deriv_term(pb, L, um12, m))
-        pb.append(L[m].scale(-HALF))
+    for n in range(1, order + 1):
+        # each product X_k X_(n-k) once, as in ``generate_series``
+        pairs = [(-2, pb[k], pb[n - k]) for k in range(1, (n + 1) // 2)]
+        if n % 2 == 0:
+            pairs.append((-1, pb[n // 2], pb[n // 2]))
+        acc = Expression.sum_of_products(PHI_RING, pairs) - pb[n - 1].differentiate().scale(HALF)
+        pb.append(um12 * acc)
     return pb
 
 
 def pbar_certificates(pb: List[Expression]) -> Dict[int, Expression]:
     """{n: Y_n} with Y_n' = pb[n] for 2 <= n < len(pb), in closed form.
 
-    X_(m+1) = -(1/2) L_m with L = (ln X)', and L_m = l_m' for the
-    ``series_log`` coefficients l of X, so Y_n = -(1/2) l_(n-1): one log
-    recurrence gives every certificate, no ansatz search.  It is
-    independent of the L recurrence of ``pbar_series``, so comparing
-    Y_n' with pb[n] is a real check."""
+    By the fixed point X_(m+1) = -(1/2) l_m' for the ``series_log``
+    coefficients l of X, so Y_n = -(1/2) l_(n-1): one log recurrence gives
+    every certificate, no ansatz search.  ``pbar_series`` takes no
+    logarithm, so comparing Y_n' with pb[n] is a real check."""
     ell = series_log(pb, Expression.u_pow(-1), len(pb) - 2)
     return {n: ell[n - 1].scale(-HALF) for n in range(2, len(pb))}
 
@@ -329,19 +311,30 @@ def real_imag_hbar_series(split: SplitSeries, order: int):
     return R, I
 
 
-def imag_relation_check(order: int, split: SplitSeries) -> CheckReport:
+def real_part_log(split: SplitSeries, order: int) -> List[Optional[Expression]]:
+    """l_1..l_order of ln R, with R the real part of S' as a series in
+    hbar (``real_imag_hbar_series``): the ``series_log`` of R with the
+    exact inverse u^(-1/2) of R_0 = u^(1/2)."""
+    return series_log(real_imag_hbar_series(split, order)[0], Expression.u_pow(-1), order)
+
+
+def imag_relation_check(order: int, split: SplitSeries,
+                        ln_r: List[Optional[Expression]]) -> CheckReport:
     """Verify I = (hbar/2) (ln R)' order by order in hbar, up to ``order``,
-    on the parts ``split`` of the minus series.
+    on the parts ``split`` of the minus series, with ``ln_r`` its
+    ``real_part_log`` through at least order - 1.
 
     The order-0 entry is vacuous (I_0 = 0 and the relation starts at order
-    1); all higher orders are exact ring identities once (ln R)' is taken
-    as R'/R by the log-derivative recurrence.
+    1); order 1 reads the leading log-derivative R_0'/R_0 and each order
+    m >= 2 the derivative of ln_r[m - 1], all exact ring identities.
     """
+    if len(ln_r) < order:
+        raise ValueError("ln R not taken far enough")
     R, I = real_imag_hbar_series(split, order)
-    log_d = series_log_deriv(R, Expression.u_pow(-1), max(order - 1, 0))
+    log_d = [R[0].differentiate() * Expression.u_pow(-1)]
+    log_d += [x.differentiate() for x in ln_r[1:order]]
     report = CheckReport()
     report.add(0, I[0].is_zero(), "vacuous")
     for m in range(1, order + 1):
-        ok = I[m] == log_d[m - 1].scale(HALF)
-        report.add(m, ok)
+        report.add(m, I[m] == log_d[m - 1].scale(HALF))
     return report

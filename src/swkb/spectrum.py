@@ -89,8 +89,8 @@ def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     top = max(orders)
     s = generate_series(top, "minus")
     split = split_series(s)
-    qc = quantization_integrands(top, s, split, l_sequence(max(top - 1, 0), s))
-    return {k: Condition(k, tuple(qc.corrections[: k // 2 + 1]), split) for k in orders}
+    corrections = quantization_integrands(top, split, l_sequence(max(top - 1, 0), s))
+    return {k: Condition(k, corrections[: k // 2 + 1], split) for k in orders}
 
 
 def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[float, float, float]:

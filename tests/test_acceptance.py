@@ -28,6 +28,7 @@ from swkb.series import (
     imag_relation_check,
     l_sequence,
     partner_via_log_identity,
+    real_part_log,
     split_series,
 )
 from swkb.spectrum import compare_report, solve_level
@@ -113,8 +114,8 @@ def test_criterion_04_first_pbar_obstruction(pbar8, cubic):
     print("\ncriterion 4 (obstruction): PASS (first coefficient integrates to -i pi)")
 
 
-def test_criterion_05_partner_identity(series10, plus8):
-    via_log = partner_via_log_identity(series10, 8)
+def test_criterion_05_partner_identity(series10, lseq9, plus8):
+    via_log = partner_via_log_identity(series10, lseq9, 8)
     for n in range(9):
         assert via_log.coeffs[n] == plus8.coeffs[n], f"partner mismatch at order {n}"
     print("\ncriterion 5: PASS (partner series agree exactly through order 8)")
@@ -136,7 +137,7 @@ def test_criterion_06_e_factorization(split10, lseq9):
 
 def test_criterion_07_system_identities(split10):
     assert generating_system_check(6, split10).all_ok
-    assert imag_relation_check(6, split10).all_ok
+    assert imag_relation_check(6, split10, real_part_log(split10, 5)).all_ok
     print("\ncriterion 7: PASS (coupled system and imaginary-part relation, orders <= 6)")
 
 
@@ -219,7 +220,7 @@ def test_action_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, a
                  ["compare", "--orders", "0,2,4", "--levels", "10"], 3, id="compare-mixed"),
 ])
 def test_compile_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, argv, compiles):
-    # one (A, A') table per condition and superpotential, and no other:
+    # one (A, A', A'') table per condition and superpotential, and no other:
     # building a condition and evaluating an energy never compile
     path = tmp_path / "sp.json"
     path.write_text(json.dumps({"coefficients": coefficients, "hbar": hbar}))

@@ -1,19 +1,20 @@
-"""Golden fingerprints of the certificates ``antiderivative`` returns.
+"""Golden fingerprints of the exact certificates and reports.
 
 The benchmark fingerprints cover the ``reduce`` output, whose certificates
 come from the residual sweep; these cover the certificates of the imaginary
-parts and of the dropped odd-order real parts.  The ``verify --order 8``
-fingerprint covers the whole exact property suite, the ``verify --order 10``
-one its longer convolutions (the l-sequence, the log-derivative recurrences
-and the potential-ring substitution past order 8), and the ``reduce
---max-order 10`` fingerprint the residual sweeps' longer elimination chains
-past the benchmark's order 8.  The ``series --order 12`` fingerprint covers
-the longest products and derivatives of the exact ring arithmetic, and the
-order-12 ``reduce`` and ``verify`` fingerprints the elimination past order
-10, where the sweeps are largest.  The order-8 ``series`` and ``reduce``
-fingerprints in text and LaTeX pin the formatting of every coefficient;
-the exact strings below pin the two coefficient forms no CLI output
-reaches, one with both parts and one purely imaginary.
+parts and of the dropped odd-order real parts, which were recorded as
+``antiderivative`` returned them and are now built in closed form.  The
+``verify --order 8`` fingerprint covers the whole exact property suite,
+the ``verify --order 10`` one its longer convolutions (the logs of
+``series_log`` and the potential-ring substitution past order 8), and the
+``reduce --max-order 10`` fingerprint the residual sweeps' longer
+elimination chains past the benchmark's order 8.  The ``series --order 12``
+fingerprint covers the longest products and derivatives of the exact ring
+arithmetic, and the order-12 ``reduce`` and ``verify`` fingerprints the
+elimination past order 10, where the sweeps are largest.  The order-8
+``series`` and ``reduce`` fingerprints in text and LaTeX pin the formatting
+of every coefficient; the exact strings below pin the two coefficient forms
+no CLI output reaches, one with both parts and one purely imaginary.
 """
 
 import hashlib
@@ -24,7 +25,8 @@ import pytest
 
 from swkb.algebra import const, i_times, phi
 from swkb.cli import main
-from swkb.reduction import quantization_integrands
+from swkb.reduction import dropped_certificates
+from swkb.series import real_part_log
 
 
 def _sha256(text: str) -> str:
@@ -70,8 +72,10 @@ def test_golden_series_certificates(capsys):
     assert _sha256(capsys.readouterr().out) == SERIES8_CERTIFICATES_SHA256
 
 
-def test_golden_dropped_certificates(series10, split10, lseq9):
-    dropped = quantization_integrands(8, series10, split10, lseq9).dropped
+def test_golden_dropped_certificates(split10, lseq9):
+    # recorded from the searched odd real parts' certificates, which the
+    # closed forms equal
+    dropped = dropped_certificates(8, lseq9, real_part_log(split10, 6))
     text = json.dumps({f"{n}{part}": cert.to_json_dict()
                        for (n, part), cert in sorted(dropped.items())}, sort_keys=True)
     assert _sha256(text) == DROPPED8_SHA256

@@ -422,6 +422,22 @@ def test_disagreeing_subtraction_routes_fail_verify(capsys, monkeypatch):
     assert "FAIL subtraction routes agree at order 2" in out
 
 
+def test_a_wrong_odd_real_certificate_fails_verify(capsys, monkeypatch):
+    # the reconstruction line re-adds the closed-form certificates to the
+    # kept integrands, so a sign flip of p_5's prints FAIL and exits 1
+    original = swkb.cli.dropped_certificates
+
+    def flipped(*args):
+        dropped = original(*args)
+        dropped[(5, "p")] = dropped[(5, "p")].scale(-1)
+        return dropped
+
+    monkeypatch.setattr(swkb.cli, "dropped_certificates", flipped)
+    code, out = run(capsys, ["verify", "--order", "8"])
+    assert code == 1
+    assert "FAIL certificates + integrands reconstruct the series" in out
+
+
 def _count_calls(monkeypatch, module, name):
     """Count the calls of ``module.name`` through every swkb namespace that
     bound it; returns the list the calls are appended to."""

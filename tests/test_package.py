@@ -91,6 +91,28 @@ def test_every_module_constant_is_read():
     assert sorted(d for d in defined if d.split(":")[1] not in read) == []
 
 
+def test_every_import_is_read():
+    # no linter is installed, so this is pyflakes' F401 on the package: a
+    # name that a module imports and never reads is a leftover, unless its
+    # line says why with "# noqa: F401"
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines, tree = text.splitlines(), ast.parse(text, filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.name}:{alias.lineno}:{name}")
+    assert sorted(SRC.glob("*.py")), "package sources not found"
+    assert found == []
+
+
 def test_every_module_is_imported_by_the_package():
     # a module that only tests import is dead code; the cli is the entry
     # point and __init__ the package itself

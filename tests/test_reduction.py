@@ -9,6 +9,7 @@ from swkb.antiderivative import DerivativeSweep, _window_generators, antiderivat
 from swkb.errors import StructuralTheoremViolation
 from swkb.reduction import (
     decompose,
+    dropped_certificates,
     known_integrand_order2,
     known_integrand_order4,
     quantization_integrands,
@@ -17,7 +18,7 @@ from swkb.reduction import (
     reduce_via_pbar,
     residual_sweep,
 )
-from swkb.series import SplitSeries
+from swkb.series import SplitSeries, real_part_log
 
 from conftest import ring_expressions
 
@@ -129,29 +130,38 @@ def test_residual_sweep_normal_form(x, min_e):
 
 
 class TestQuantizationIntegrands:
-    def test_orders_and_signs(self, series10, split10, lseq9):
-        qc = quantization_integrands(4, series10, split10, lseq9)
-        assert [c.order for c in qc.corrections] == [0, 2, 4]
-        assert [c.sign_factor for c in qc.corrections] == [1, -1, 1]
-        assert qc.corrections[0].integrand == u_half(1)
+    def test_orders_and_signs(self, split10, lseq9):
+        corrections = quantization_integrands(4, split10, lseq9)
+        assert [c.order for c in corrections] == [0, 2, 4]
+        assert [c.sign_factor for c in corrections] == [1, -1, 1]
+        assert corrections[0].integrand == u_half(1)
 
-    def test_max_order_zero(self, series10, split10, lseq9):
-        qc = quantization_integrands(0, series10, split10, lseq9)
-        assert len(qc.corrections) == 1
-        assert qc.corrections[0].integrand == u_half(1)
+    def test_max_order_zero(self, split10, lseq9):
+        corrections = quantization_integrands(0, split10, lseq9)
+        assert len(corrections) == 1
+        assert corrections[0].integrand == u_half(1)
 
-    def test_known_forms(self, series10, split10, lseq9):
-        qc = quantization_integrands(4, series10, split10, lseq9)
-        assert qc.corrections[1].integrand == known_integrand_order2()
-        assert qc.corrections[2].integrand == -known_integrand_order4()
+    def test_known_forms(self, split10, lseq9):
+        corrections = quantization_integrands(4, split10, lseq9)
+        assert corrections[1].integrand == known_integrand_order2()
+        assert corrections[2].integrand == -known_integrand_order4()
 
     def test_reconstruction_exact(self, series10, split10, lseq9):
-        qc = quantization_integrands(6, series10, split10, lseq9)
-        assert all(r.is_zero() for r in reconstruction_residual(qc))
+        dropped = dropped_certificates(6, lseq9, real_part_log(split10, 4))
+        res = reconstruction_residual(series10, quantization_integrands(6, split10, lseq9), dropped)
+        assert len(res) == 7 and all(r.is_zero() for r in res)
 
-    def test_odd_max_order_rejected(self, series10, split10, lseq9):
+    def test_odd_max_order_rejected(self, split10, lseq9):
         with pytest.raises(ValueError):
-            quantization_integrands(3, series10, split10, lseq9)
+            quantization_integrands(3, split10, lseq9)
+
+    def test_odd_real_certificates_are_the_searched_ones(self, split10, lseq9):
+        # +-(1/2) l_(n-1) of ln R carries no pure E-power, so it is the
+        # unique certificate the ansatz search returns
+        dropped = dropped_certificates(10, lseq9, real_part_log(split10, 8))
+        assert sorted(n for n, part in dropped if part == "p") == [3, 5, 7, 9]
+        for n in (3, 5, 7, 9):
+            assert dropped[(n, "p")] == antiderivative(split10.p[n])
 
 
 def test_residual_sweep_recheck_raises(monkeypatch):

@@ -20,8 +20,9 @@ from swkb.series import (
     partner_via_log_identity,
     pbar_certificates,
     pbar_series,
+    real_imag_hbar_series,
+    real_part_log,
     series_log,
-    series_log_deriv,
     series_mul,
 )
 
@@ -140,8 +141,8 @@ class TestLSequence:
 
 
 class TestPartner:
-    def test_log_route_matches_direct(self, series10, plus8):
-        via_log = partner_via_log_identity(series10, 8)
+    def test_log_route_matches_direct(self, series10, lseq9, plus8):
+        via_log = partner_via_log_identity(series10, lseq9, 8)
         for n in range(9):
             assert via_log.coeffs[n] == plus8.coeffs[n]
 
@@ -150,8 +151,8 @@ class TestPartner:
         for n in range(9):
             assert via_shift.coeffs[n] == plus8.coeffs[n]
 
-    def test_order_zero_equal(self, series10):
-        assert partner_via_log_identity(series10, 0).coeffs[0] == series10.coeffs[0]
+    def test_order_zero_equal(self, series10, lseq9):
+        assert partner_via_log_identity(series10, lseq9, 0).coeffs[0] == series10.coeffs[0]
 
 
 class TestPbar:
@@ -199,34 +200,26 @@ class TestSystemChecks:
         assert rep.entries[1].order == 2 and not rep.entries[1].ok
 
     def test_imag_relation(self, split10):
-        rep = imag_relation_check(6, split10)
+        rep = imag_relation_check(6, split10, real_part_log(split10, 5))
         assert rep.all_ok
         assert rep.entries[0].detail == "vacuous"
 
     def test_imag_relation_first_order_is_minus_p1(self, split10):
-        from swkb.series import real_imag_hbar_series, series_log_deriv
-
+        # order 1 is the leading log-derivative R_0'/R_0, which no
+        # coefficient of ln R carries
         R, I = real_imag_hbar_series(split10, 2)
         assert I[1] == split10.p[1].scale(-1)
-        log_d = series_log_deriv(R, u_half(-1), 1)
-        assert log_d[0].scale(Fr(1, 2)) == I[1]
+        assert (R[0].differentiate() * u_half(-1)).scale(Fr(1, 2)) == I[1]
+        assert imag_relation_check(1, split10, [None]).all_ok
 
-
-def test_series_log_deriv_rejects_wrong_lead_inverse():
-    with pytest.raises(StructuralTheoremViolation):
-        series_log_deriv([u_half(1)], u_half(1), 2)
+    def test_imag_relation_needs_ln_r_far_enough(self, split10):
+        with pytest.raises(ValueError):
+            imag_relation_check(3, split10, real_part_log(split10, 1))
 
 
 def test_series_log_rejects_wrong_lead_inverse():
     with pytest.raises(StructuralTheoremViolation):
         series_log([u_half(1), phi()], u_half(1), 1)
-
-
-def test_series_log_deriv_pads_a_short_series():
-    # a = u^(1/2) alone: (ln a)' = u'/(2u) at order 0 and nothing above it
-    L = series_log_deriv([u_half(1)], u_half(-1), 2)
-    assert L[0] == u_half(1).differentiate() * u_half(-1)
-    assert L[1].is_zero() and L[2].is_zero()
 
 
 # Leading coefficients with their exact inverses: the pbar lead and the lead
@@ -237,19 +230,35 @@ _LEADS = [(u_half(1), u_half(-1)), (phi() + i_times(u_half(1)), inverse_lead_fac
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(_LEADS), st.lists(ring_expressions(max_terms=2), min_size=4, max_size=4))
 def test_log_deriv_times_series_is_the_derivative(lead, tail):
-    # a * (ln a)' = a', checked through the plain product
+    # a * (ln a)' = a', checked through the plain product, with (ln a)' the
+    # leading log-derivative a_0'/a_0 and then l_m' term by term
     a = [lead[0]] + tail
-    prod = series_mul(a, series_log_deriv(a, lead[1], 4), 4)
+    ell = series_log(a, lead[1], 4)
+    assert ell[0] is None
+    L = [a[0].differentiate() * lead[1]] + [x.differentiate() for x in ell[1:]]
+    prod = series_mul(a, L, 4)
     for n in range(5):
         assert prod[n] == a[n].differentiate()
+
+
+def _log_deriv_by_division(a, lead_inv, order):
+    # (ln a)' = a'/a by long division: L_n = a_0^{-1} (a_n' - sum_{k>=1} a_k L_{n-k})
+    L = []
+    for n in range(order + 1):
+        acc = a[n].differentiate()
+        for k in range(1, n + 1):
+            acc = acc - a[k] * L[n - k]
+        L.append(acc * lead_inv)
+    return L
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(_LEADS), st.lists(ring_expressions(max_terms=2), min_size=4, max_size=4))
 def test_series_log_differentiates_to_the_log_derivative(lead, tail):
-    # (ln a)' term by term: l_m' = L_m for m >= 1, from two recurrences
+    # (ln a)' term by term: l_m' = L_m for m >= 1, with L = a'/a from plain
+    # long division rather than from series_log's own recurrence
     a = [lead[0]] + tail
-    ell, L = series_log(a, lead[1], 4), series_log_deriv(a, lead[1], 4)
+    ell, L = series_log(a, lead[1], 4), _log_deriv_by_division(a, lead[1], 4)
     assert ell[0] is None
     for m in range(1, 5):
         assert ell[m].differentiate() == L[m]

@@ -53,13 +53,13 @@ class TestSharedPass:
         ],
     )
     def test_action_is_weighted_sum_of_single_integrals(self, coefficients, hbar, order, energies,
-                                                        series10, split10, lseq9):
+                                                        split10, lseq9):
         sp = PolynomialSuperpotential(coefficients, hbar)
-        qc = quantization_integrands(order, series10, split10, lseq9)
+        corrections = quantization_integrands(order, split10, lseq9)
         cond = build_conditions([order])[order]
         for E in energies:
             expect = sum(c.sign_factor * hbar ** c.order * contour_integrate(c.integrand, sp, E).value.real
-                         for c in qc.corrections)
+                         for c in corrections)
             assert abs(action(cond, sp, E)[0] - expect) < 1e-12
 
     def test_one_contour_and_one_pass_per_energy(self, cubic, monkeypatch):
