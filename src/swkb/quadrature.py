@@ -252,11 +252,13 @@ def track_sqrt_u(u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class IntegralResult:
     """``rows`` holds the integral of each row of the table and ``value``
-    their sum."""
+    their sum; ``settled`` is true for each row that met every rule of the
+    rows that gate the integral at its last level."""
 
     value: complex
     samples_used: int
     rows: Tuple[complex, ...]
+    settled: Tuple[bool, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,6 +400,7 @@ def contour_integrate(
     E: float,
     contour: Optional[Contour] = None,
     check_real: bool = True,
+    gate: slice = slice(None),
 ) -> IntegralResult:
     """Closed-contour integrals of every row of ``integrands`` (a plain
     expression is a one-row table) on one contour and one sample set.
@@ -410,16 +413,20 @@ def contour_integrate(
     level-N0 and level-2N0 rows are those of nested doubling.  Every later
     level evaluates only the new midpoints and adds them to the running
     monomial sums; sqrt(u) is re-tracked over the whole loop, and the sums
-    start over if that moves the branch at an old sample.  Every row must
-    change by less than its tolerance max(TOL, REL_TOL * |row|) between
-    levels; a row that is not finite raises ``ConvergenceError`` at once,
-    since the sums of every finer level add to it.  Quantization integrands
-    are real up to branch-tracking noise; with ``check_real`` each row's
+    start over if that moves the branch at an old sample.  The rows of
+    ``gate`` (every row by default) gate the integral: each must change by
+    less than its tolerance max(TOL, REL_TOL * |row|) between levels, and
+    one that is not finite raises ``ConvergenceError`` at once, since the
+    sums of every finer level add to it.  Quantization integrands are real
+    up to branch-tracking noise; with ``check_real`` each gating row's
     imaginary part is required to stay below 10 times its tolerance
-    (disable it to integrate deliberately non-real quantities).  ``rows``
-    holds every row's integral and ``value`` their sum.  ``spectrum.action``
-    passes a three-row table, the weighted sums A, dA/dE and d2A/dE2, so
-    both rules meet the numbers the level solver reads."""
+    (disable it to integrate deliberately non-real quantities).  A row
+    index in a message counts within ``gate``.  ``rows`` holds every row's
+    integral at the level where the gating rows settled, ``value`` their
+    sum, and ``settled`` which rows would have passed both rules there.
+    ``spectrum.action`` passes a table of (A, dA/dE, d2A/dE2) blocks, one
+    per truncation order, and gates it by the block of the order it
+    solves, so the rules meet the numbers the level solver reads."""
     table = integrands if isinstance(integrands, IntegrandTable) else compile_integrands([integrands])
     if contour is None:
         contour = build_contour(sp, E)
@@ -445,24 +452,26 @@ def contour_integrate(
         # global sign: the leading action has positive real part
         flip = (-1.0) ** table.powers if action0.real < 0 else 1.0
         rows = (2.0 * np.pi / samples) * np.sum(coeffs * (flip * sums)[mono], axis=1)
-        bad = np.flatnonzero(~np.isfinite(rows))
+        bad = np.flatnonzero(~np.isfinite(rows[gate]))
         if len(bad):
             raise ConvergenceError(f"contour integral at E = {E}: row {bad[0]} is not finite "
                                    f"at {samples} samples")
         row_tol = np.maximum(TOL, REL_TOL * np.abs(rows))
-        moving = () if prev is None else np.flatnonzero(np.abs(rows - prev) >= row_tol)
-        if prev is not None and not len(moving):
-            bad = np.flatnonzero(np.abs(rows.imag) >= 10.0 * row_tol) if check_real else ()
+        # false for a row that is not finite, which only a row outside the gate can be
+        still = prev is not None and np.abs(rows - prev) < row_tol
+        if prev is not None and still[gate].all():
+            real = np.abs(rows.imag) < 10.0 * row_tol if check_real else np.isfinite(rows)
+            bad = np.flatnonzero(~real[gate])
             if len(bad):
-                raise BranchTrackingError(
-                    f"quantization integral {bad[0]} has imaginary part {rows[bad[0]].imag:.3e}"
-                )
-            return IntegralResult(complex(np.sum(rows)), samples, tuple(rows.tolist()))
+                raise BranchTrackingError(f"quantization integral {bad[0]} has imaginary part "
+                                          f"{rows[gate][bad[0]].imag:.3e}")
+            return IntegralResult(complex(np.sum(rows)), samples, tuple(rows.tolist()),
+                                  tuple((still & real).tolist()))
         if 2 * samples > MAX_SAMPLES:
-            r = moving[0]
+            r = np.flatnonzero(~still[gate])[0]
             raise ConvergenceError(
                 f"contour integral at E = {E} did not converge within {samples} samples: "
-                f"row {r} still moved by {abs(rows[r] - prev[r]):.3e}"
+                f"row {r} still moved by {abs(rows[gate][r] - prev[gate][r]):.3e}"
             )
         prev = rows
         if not pending:

@@ -44,45 +44,76 @@ STOP_MARGIN = 100.0  # a step stops the solve when 100x its third-order error is
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class Condition:
-    """The truncated condition at one even ``order``: the reduced
-    corrections up to that order and the split minus series they were
-    reduced from, which may run past ``order``.  ``action_tables`` holds the
-    (A, A', A'') table of each (degree of phi, hbar) that ``action_table``
-    has built; it is the only table a condition has."""
+@dataclass(frozen=True, eq=False)
+class ActionTables:
+    """The action tables shared by the conditions of one build.  The
+    left-hand side at order k, sum over 2j <= k of sign * hbar^(2j) *
+    integrand, is a prefix of the one at the highest order, so one table
+    holds an (A_k, A_k', A_k'') block of three rows for every order k of
+    ``orders`` (ascending), and one sampling of the contour serves them all.
+    ``compiled`` holds the table of each (degree of phi, hbar) that
+    ``table`` has built."""
 
-    order: int
-    corrections: Tuple[ReducedCorrection, ...]
-    split: SplitSeries
-    action_tables: dict = field(default_factory=dict, repr=False, compare=False)
+    orders: Tuple[int, ...]
+    corrections: Tuple[ReducedCorrection, ...]  # through the highest order
+    compiled: dict = field(default_factory=dict, repr=False)
 
-    def action_table(self, sp: PolynomialSuperpotential) -> IntegrandTable:
-        """The three-row table that ``action`` integrates for ``sp``: the
-        left-hand side sum of sign * hbar^order * integrand, formed exactly
-        at the float hbar of ``sp``, then its first and second
+    def rows(self, order: int) -> slice:
+        """The (A, A', A'') block of ``order`` in every table."""
+        first = 3 * self.orders.index(order)
+        return slice(first, first + 3)
+
+    def table(self, sp: PolynomialSuperpotential) -> IntegrandTable:
+        """The table for ``sp``: for each order, the left-hand side formed
+        exactly at the float hbar of ``sp``, then its first and second
         E-derivatives, compiled without the monomials that hold a phi^(k)
         with k above the degree of phi, which vanish identically.  Built on
         first use for each degree and hbar."""
         degree = len(sp.coefficients) - 1
-        table = self.action_tables.get((degree, sp.hbar))
+        table = self.compiled.get((degree, sp.hbar))
         if table is None:
             hbar = Fraction(sp.hbar)
-            lhs = sum((c.integrand.scale(c.sign_factor * hbar ** c.order) for c in self.corrections),
-                      Expression.zero())
-            lhs = Expression(lhs.ring, [(m, c) for m, c in lhs.terms.items()
-                                        if all(k <= degree for k, _ in m.derivs)])
-            slope = lhs.diff_E()
-            table = self.action_tables[(degree, sp.hbar)] = compile_integrands(
-                [lhs, slope, slope.diff_E()])
+            rows, lhs = [], Expression.zero()
+            for c in self.corrections:
+                lhs = lhs + c.integrand.scale(c.sign_factor * hbar ** c.order)
+                if c.order in self.orders:
+                    kept = Expression(lhs.ring, [(m, x) for m, x in lhs.terms.items()
+                                                 if all(k <= degree for k, _ in m.derivs)])
+                    slope = kept.diff_E()
+                    rows += [kept, slope, slope.diff_E()]
+            table = self.compiled[(degree, sp.hbar)] = compile_integrands(rows)
         return table
+
+
+@dataclass(frozen=True)
+class Condition:
+    """The truncated condition at one even ``order``: the reduced
+    corrections up to that order, the split minus series they were reduced
+    from, which may run past ``order``, and the ``tables`` it shares with
+    the other conditions of its build, in which its (A, A', A'') rows are
+    the slice ``rows``."""
+
+    order: int
+    corrections: Tuple[ReducedCorrection, ...]
+    split: SplitSeries
+    tables: ActionTables = field(repr=False, compare=False)
+
+    @property
+    def rows(self) -> slice:
+        return self.tables.rows(self.order)
+
+    def action_table(self, sp: PolynomialSuperpotential) -> IntegrandTable:
+        """The table that ``action`` integrates for ``sp``, shared by every
+        condition of the build."""
+        return self.tables.table(sp)
 
 
 def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     """One condition per requested order, all cut from a single reduction
     at the highest order: each reduced correction depends only on the
-    series prefix up to its own order.  Nothing is compiled here; a
-    condition compiles its (A, A', A'') table on its first ``action``."""
+    series prefix up to its own order.  Nothing is compiled here; the
+    conditions share one ``ActionTables``, which compiles a table on the
+    first ``action`` for each degree of phi and hbar."""
     for k in orders:
         if k < 0 or k % 2:
             raise ValueError(f"truncation order must be even and >= 0, got {k}")
@@ -90,10 +121,22 @@ def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     s = generate_series(top, "minus")
     split = split_series(s)
     corrections = quantization_integrands(top, split, l_sequence(max(top - 1, 0), s))
-    return {k: Condition(k, corrections[: k // 2 + 1], split) for k in orders}
+    tables = ActionTables(tuple(sorted(set(orders))), corrections)
+    return {k: Condition(k, corrections[: k // 2 + 1], split, tables) for k in orders}
 
 
-def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[float, float, float]:
+class Evaluation(tuple):
+    """(A, dA/dE, d2A/dE2) of one condition at one energy, as ``action``
+    returns it; ``peers`` maps each other order of its build whose rows
+    settled on the same contour, finite and real, to its own triple."""
+
+    def __new__(cls, values, peers: Dict[int, Tuple[float, float, float]]):
+        evaluation = super().__new__(cls, values)
+        evaluation.peers = peers
+        return evaluation
+
+
+def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Evaluation:
     """(A, dA/dE, d2A/dE2): A is the sum over even orders 2k <= cond.order
     of sign * hbar^(2k) * the contour integral of the reduced integrand, and
     the derivatives the same sums over the integrands' first and second
@@ -104,15 +147,21 @@ def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Tuple[flo
     and the realness check apply to A and its derivatives: a correction
     weighted by hbar^8, or one that is exactly zero, need not settle on its
     own, and an error in one correction shows only through the sums.  The
-    three-row table comes from ``cond.action_table``, built once per degree
-    of phi and hbar, and all three rows share one sampling of the contour,
-    so an energy pays only for the quadrature."""
+    table comes from ``cond.action_table``, built once per degree of phi
+    and hbar for the whole build, and all its rows share one sampling of
+    the contour, so an energy pays only for the quadrature.  Only this
+    condition's three rows gate the integral; the other orders' triples
+    come back in ``peers`` where they settled too."""
     if E <= MIN_VALIDATED_E_FACTOR * sp.hbar:
         raise OutOfValidatedRangeError(
             f"E = {E} below the validated range (turning points coalesce)"
         )
-    A, slope, bend = contour_integrate(cond.action_table(sp), sp, E).rows
-    return A.real, slope.real, bend.real
+    result = contour_integrate(cond.action_table(sp), sp, E, gate=cond.rows)
+    rows = [r.real for r in result.rows]
+    block = cond.tables.rows
+    peers = {k: tuple(rows[block(k)]) for k in cond.tables.orders
+             if k != cond.order and all(result.settled[block(k)])}
+    return Evaluation(rows[cond.rows], peers)
 
 
 Probe = Tuple[float, float, float, float]
@@ -121,18 +170,22 @@ Probe = Tuple[float, float, float, float]
 class Level(float):
     """A root found by ``solve_level``: the energy as a float, carrying the
     last two (E, A, A', A'') the solve evaluated, older first (the older one
-    may come from the level below), and the (condition, superpotential,
-    partner) it belongs to.  Passed as the ``start`` of a solve of the same
-    problem, the newer evaluation serves as the first iteration, so the
-    next level starts one exact second-order step away without integrating
-    again, and the pair gives the third-order term its stop reads."""
+    may come from the level below), the ``peers`` of each (the other orders'
+    triples, see ``Evaluation``; none by default), and the (condition,
+    superpotential, partner) it belongs to.  Passed as the ``start`` of a
+    solve of the same problem, the newer evaluation serves as the first
+    iteration, so the next level starts one exact second-order step away
+    without integrating again, and the pair gives the third-order term its
+    stop reads."""
 
-    __slots__ = ("source", "probes")
+    __slots__ = ("source", "probes", "peers")
 
-    def __new__(cls, value: float, source: tuple, probes: Tuple[Probe, ...]):
+    def __new__(cls, value: float, source: tuple, probes: Tuple[Probe, ...],
+                peers: Optional[Tuple[dict, ...]] = None):
         level = super().__new__(cls, value)
         level.source = source
         level.probes = probes
+        level.peers = ({},) * len(probes) if peers is None else peers
         return level
 
 
@@ -155,6 +208,7 @@ def solve_level(
     n: int,
     partner: str = "minus",
     start: Optional[float] = None,
+    peer: Optional[float] = None,
 ) -> float:
     """Root of action(E) = 2 n pi hbar (minus partner) or 2 (n + 1) pi hbar
     (plus partner) by Newton's method in ln E, from ``start`` (a nearby
@@ -179,6 +233,14 @@ def solve_level(
     the last two evaluations; the root is returned as a ``Level`` holding
     them.
 
+    ``peer`` is a ``Level`` of the same level, superpotential and partner
+    from another condition (``compare_report`` passes the next higher
+    order's root).  Where this condition's rows settled at both of its
+    evaluations, they are this condition's own evaluations at those
+    energies; if the stop rule accepts the step from them, that step is the
+    root and nothing is integrated.  Otherwise the peer is dropped and the
+    level is solved from ``start`` as without it.
+
     The minus-partner ground state sits at the E -> 0 edge where the
     turning points coalesce; the action decreases monotonically to zero
     there, so the analytic root E = 0 is returned without integrating."""
@@ -192,54 +254,75 @@ def solve_level(
         return 0.0
     floor = MIN_VALIDATED_E_FACTOR * sp.hbar
     source = (cond, sp, partner)
-    probes = list(start.probes) if isinstance(start, Level) and start.source == source else []
-    fresh = not probes  # evaluate at E, rather than take the carried probe
+
+    def newton(probes: List[Probe], peers: List[dict], E: float, fresh: bool,
+               trial: bool = False) -> Optional[Level]:
+        """The loop, from the carried ``probes`` unless ``fresh``; a
+        ``trial`` takes its probes as this solve's own and returns None
+        where its first step does not stop."""
+        lo, hi = 0.0, math.inf
+
+        def failure(why: str) -> ConvergenceError:
+            return ConvergenceError(f"level {n} ({partner}, order {cond.order}): {why}; "
+                                    f"last E = {E}, bracket [{lo}, {hi}]")
+
+        for _ in range(MAX_SOLVE_STEPS):
+            if fresh:
+                try:
+                    values = action(cond, sp, E)
+                except ConvergenceError as exc:
+                    raise failure(str(exc)) from exc
+                probes.append((E, *values))
+                peers.append(values.peers if isinstance(values, Evaluation) else {})
+            own = fresh or trial
+            E, A = probes[-1][:2]
+            if A < target:
+                lo = E
+            else:
+                hi = E
+            tol = DEFAULT_TOL_E + 4.0 * _EPS * E
+            if hi - lo <= tol:
+                return Level(0.5 * (lo + hi), source, tuple(probes[-2:]), tuple(peers[-2:]))
+            here = _log_chart(probes[-1])
+            back = _log_chart(probes[-2]) if here and len(probes) > 1 else None
+            nxt, cubic = math.nan, None
+            if here:
+                x, s, c = here
+                dx = math.log(target / A)
+                if back and back[0] != x:
+                    cubic = (c - back[2]) / (x - back[0]) * dx ** 3 / 6.0
+                step = s * dx + 0.5 * c * dx * dx
+                if cubic is not None and not own:
+                    step += cubic  # a carried pair takes the third-order term as well
+                if abs(step) < MAX_LOG_STEP:
+                    nxt = E * math.exp(step)
+            inside = max(lo, floor) < nxt <= hi
+            if inside and (abs(nxt - E) <= tol or (own and cubic is not None
+                                                   and STOP_MARGIN * abs(cubic) * nxt <= tol)):
+                return Level(nxt, source, tuple(probes[-2:]), tuple(peers[-2:]))
+            if trial:
+                return None
+            if not inside:
+                if lo and hi < math.inf:
+                    nxt = 0.5 * (lo + hi)
+                else:
+                    nxt = 2.0 * E if A < target else 0.5 * E
+                    if nxt <= floor:
+                        raise failure("no lower bracket above the validated range")
+            E = nxt
+            fresh = True
+        raise failure(f"no root within {MAX_SOLVE_STEPS} steps")
+
+    if (isinstance(peer, Level) and peer.source[1:] == source[1:]
+            and all(cond.order in p for p in peer.peers)):
+        pair = [(probe[0], *p[cond.order]) for probe, p in zip(peer.probes, peer.peers)]
+        root = newton(pair, list(peer.peers), pair[-1][0], fresh=False, trial=True)
+        if root is not None:
+            return root
+    carried = isinstance(start, Level) and start.source == source
+    probes, peers = (list(start.probes), list(start.peers)) if carried else ([], [])
     E = float(start) if start is not None and start > floor else sp.hbar
-    lo, hi = 0.0, math.inf
-
-    def failure(why: str) -> ConvergenceError:
-        return ConvergenceError(f"level {n} ({partner}): {why}; last E = {E}, bracket [{lo}, {hi}]")
-
-    for _ in range(MAX_SOLVE_STEPS):
-        if fresh:
-            try:
-                probes.append((E, *action(cond, sp, E)))
-            except ConvergenceError as exc:
-                raise failure(str(exc)) from exc
-        E, A = probes[-1][:2]
-        if A < target:
-            lo = E
-        else:
-            hi = E
-        tol = DEFAULT_TOL_E + 4.0 * _EPS * E
-        if hi - lo <= tol:
-            return Level(0.5 * (lo + hi), source, tuple(probes[-2:]))
-        here = _log_chart(probes[-1])
-        back = _log_chart(probes[-2]) if here and len(probes) > 1 else None
-        nxt, cubic = math.nan, None
-        if here:
-            x, s, c = here
-            dx = math.log(target / A)
-            if back and back[0] != x:
-                cubic = (c - back[2]) / (x - back[0]) * dx ** 3 / 6.0
-            step = s * dx + 0.5 * c * dx * dx
-            if cubic is not None and not fresh:
-                step += cubic  # a carried pair takes the third-order term as well
-            if abs(step) < MAX_LOG_STEP:
-                nxt = E * math.exp(step)
-        if max(lo, floor) < nxt <= hi:
-            if abs(nxt - E) <= tol or (fresh and cubic is not None
-                                       and STOP_MARGIN * abs(cubic) * nxt <= tol):
-                return Level(nxt, source, tuple(probes[-2:]))
-        elif lo and hi < math.inf:
-            nxt = 0.5 * (lo + hi)
-        else:
-            nxt = 2.0 * E if A < target else 0.5 * E
-            if nxt <= floor:
-                raise failure("no lower bracket above the validated range")
-        E = nxt
-        fresh = True
-    raise failure(f"no root within {MAX_SOLVE_STEPS} steps")
+    return newton(probes, peers, E, fresh=not carried)
 
 
 @dataclass
@@ -372,15 +455,21 @@ def compare_report(
     eigenvalues attached when provided, and the degeneracy rows
     E_n^(-) = E_{n-1}^(+) for n = 1..max(n_max, 1) built from the same roots
     (level 1 is solved for them when n_max is 0); the pairing rests on the
-    checked identity p_n^(+) = p_n, so each row needs one root solve, not two."""
+    checked identity p_n^(+) = p_n, so each row needs one root solve, not two.
+
+    Levels go up one at a time, and each level is solved at every order,
+    highest first: the conditions share one table, so a lower order first
+    tries the next higher order's root of the level as its ``peer`` and
+    falls back to a solve from its own level below."""
     conds = build_conditions(orders)
     report = SpectrumReport(sp)
     deg_max = max(n_max, 1)
-    by_order = {}
-    for ordr in orders:
-        roots = by_order[ordr] = {}
-        for n in range(deg_max + 1):
-            roots[n] = solve_level(conds[ordr], sp, n, start=roots.get(n - 1))
+    by_order = {ordr: {} for ordr in orders}
+    for n in range(deg_max + 1):
+        higher = None
+        for ordr in sorted(conds, reverse=True):
+            roots = by_order[ordr]
+            roots[n] = higher = solve_level(conds[ordr], sp, n, start=roots.get(n - 1), peer=higher)
     report.degeneracy = _degeneracy_rows(by_order, deg_max, conds[max(orders)].split)
     for n in range(n_max + 1):
         rec = LevelRecord(n, "minus", {ordr: by_order[ordr][n] for ordr in orders})

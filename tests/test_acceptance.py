@@ -185,15 +185,17 @@ def test_criterion_10_anharmonic_benchmark(cubic, conditions):
     pytest.param([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0,
                  ["quantize", "--order", "8", "--levels", "30"], 33, 16896, id="quantize8-cubic"),
     pytest.param([0.0, 1.0, 0.0, 0.2], 0.5,
-                 ["compare", "--orders", "0,2,4", "--levels", "10"], 36, 8064, id="compare-mixed"),
+                 ["compare", "--orders", "0,2,4", "--levels", "10"], 17, 3584, id="compare-mixed"),
 ])
 def test_action_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, argv, budget,
                             sample_budget):
-    # each action call integrates the whole (A, A', A'') table on one
-    # contour; from level 3 up a level carried from the one below takes one
-    # call, its exact third-order error already within tolerance (39 and 54
-    # calls, 19,968 and 12,672 samples, when the curvature of ln A was a
-    # secant of the last two evaluations)
+    # each action call integrates the whole table on one contour; from level
+    # 3 up a level carried from the one below takes one call, its exact
+    # third-order error already within tolerance (39 and 54 calls, 19,968
+    # and 12,672 samples, when the curvature of ln A was a secant of the
+    # last two evaluations).  compare reads a lower order off the next
+    # higher order's evaluations of the same level where they settle it
+    # (36 calls and 8,064 samples when every order sampled its own contours)
     path = tmp_path / "sp.json"
     path.write_text(json.dumps({"coefficients": coefficients, "hbar": hbar}))
     honest, honest_integrate = swkb.spectrum.action, swkb.spectrum.contour_integrate
@@ -215,13 +217,15 @@ def test_action_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, a
 
 @pytest.mark.parametrize("coefficients, hbar, argv, compiles", [
     pytest.param([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0,
-                 ["quantize", "--order", "8", "--levels", "30"], 1, id="quantize8-cubic"),
+                 ["quantize", "--order", "8", "--levels", "30"], [3], id="quantize8-cubic"),
     pytest.param([0.0, 1.0, 0.0, 0.2], 0.5,
-                 ["compare", "--orders", "0,2,4", "--levels", "10"], 3, id="compare-mixed"),
+                 ["compare", "--orders", "0,2,4", "--levels", "10"], [9], id="compare-mixed"),
 ])
 def test_compile_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, argv, compiles):
-    # one (A, A', A'') table per condition and superpotential, and no other:
-    # building a condition and evaluating an energy never compile
+    # one table per build and superpotential, with an (A, A', A'') block
+    # of three rows per order, and no other: building the conditions and evaluating an
+    # energy never compile (compare compiled one table per order before
+    # its orders shared one)
     path = tmp_path / "sp.json"
     path.write_text(json.dumps({"coefficients": coefficients, "hbar": hbar}))
     honest = swkb.spectrum.compile_integrands
@@ -230,8 +234,8 @@ def test_compile_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, 
                         lambda exprs: calls.append(len(exprs)) or honest(exprs))
     assert main([argv[0], "--config", str(path)] + argv[1:] + ["--json"]) == 0
     assert json.loads(capsys.readouterr().out)
-    assert len(calls) == compiles
-    print(f"\n{argv[0]}: PASS ({len(calls)} table compiles, budget {compiles})")
+    assert calls == compiles  # the rows of each compile
+    print(f"\n{argv[0]}: PASS ({len(calls)} table compiles, budget {len(compiles)})")
 
 
 def test_criterion_11_quadrature_self_consistency(cubic, split10, lseq9):

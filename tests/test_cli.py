@@ -503,23 +503,26 @@ def test_compare_solves_each_root_once(capsys, cubic_config, monkeypatch, levels
 
 
 def test_compare_solves_a_repeated_order_once(capsys, tmp_path, monkeypatch, cubic_config):
-    # 0,0,2 prints what 0,2 prints, from the same action calls; the first
-    # occurrence keeps its place, since 2,0 lists its degeneracy rows first
+    # 0,0,2 prints what 0,2 prints, from the same action calls on one table
+    # of two (A, A', A'') blocks; the first occurrence keeps its place,
+    # since 2,0 lists its degeneracy rows first
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({"coefficients": [0.0, 1.0, 0.0, 0.2], "hbar": 0.5}))
     parse = swkb.cli.build_parser().parse_args
     assert parse(["compare", "--config", cubic_config, "--orders", "2,0,2,0"]).orders == [2, 0]
     actions = _count_calls(monkeypatch, swkb.spectrum, "action")
+    compiles = _count_calls(monkeypatch, swkb.spectrum, "compile_integrands")
     outs, calls = [], []
     for orders in ("0,2", "0,0,2"):
         code, out = run(capsys, ["compare", "--config", str(path), "--orders", orders,
                                  "--levels", "3"])
         assert code == 0
         outs.append(out)
-        calls.append(len(actions))
+        calls.append((len(actions), [len(args[0]) for args in compiles]))
         actions.clear()
+        compiles.clear()
     assert outs[0] == outs[1]
-    assert calls == [10, 10]
+    assert calls == [(10, [6]), (10, [6])]
 
 
 def test_quantize_starts_each_level_from_the_one_below(capsys, cubic_config, monkeypatch):

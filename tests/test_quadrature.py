@@ -446,6 +446,25 @@ class TestContourIntegrate:
         assert r.samples_used == alone.samples_used > lead.samples_used
         assert abs(r.rows[0] - lead.value) < 1e-10
 
+    def test_only_the_gate_settles_the_table(self, cubic, monkeypatch):
+        # the flat ellipse of test_every_row_must_converge: gated by the lead
+        # row alone, the table stops where the lead does, with the slow row
+        # marked unsettled; a non-real row outside the gate raises nothing
+        xl, xr, _ = turning_points(cubic, 1.0)
+        c = Contour(0.5 * (xl + xr), 0.55 * (xr - xl), 0.05 * (xr - xl))
+        table = compile_integrands([u_half(1), phi(1, 2) * u_half(-5), P1])
+        lead = contour_integrate(u_half(1), cubic, 1.0, contour=c)
+        r = contour_integrate(table, cubic, 1.0, contour=c, gate=slice(0, 1))
+        assert r.samples_used == lead.samples_used and abs(r.rows[0] - lead.value) < 1e-15
+        assert r.settled == (True, False, False)
+        r = contour_integrate(table, cubic, 1.0, contour=c, gate=slice(0, 2))
+        assert r.samples_used > lead.samples_used and r.settled == (True, True, False)
+        assert contour_integrate(table, cubic, 1.0, contour=c, check_real=False).settled == (True,) * 3
+        # a row index in a message counts within the gate
+        monkeypatch.setattr(swkb.quadrature, "MAX_SAMPLES", 512)
+        with pytest.raises(ConvergenceError, match=r"within 512 samples: row 0 still moved"):
+            contour_integrate(table, cubic, 1.0, contour=c, gate=slice(1, 2))
+
     def test_nonconvergence_names_energy_samples_and_row(self, cubic, monkeypatch):
         # the flat ellipse of test_every_row_must_converge: the lead row
         # settles at 512 samples, the u^(-5/2) row only at 1024

@@ -130,12 +130,18 @@ class TestActionTable:
                 assert abs(a - b) <= 1e-12 * abs(b)
 
     def test_built_once_per_degree_and_hbar(self, cubic):
-        cond = build_conditions([4])[4]
-        table = cond.action_table(cubic)
-        assert cond.action_table(PolynomialSuperpotential([0.0, 1.0, 0.0, 0.2])) is table
-        assert cond.action_table(PolynomialSuperpotential(cubic.coefficients, 0.5)) is not table
-        assert cond.action_table(PolynomialSuperpotential([0.0, 1.0])) is not table
-        assert len(cond.action_tables) == 3
+        # one table per build, degree and hbar, with a block of three rows
+        # per order in ascending order, whichever condition asks first
+        conds = build_conditions([4, 2])
+        table = conds[4].action_table(cubic)
+        assert conds[2].tables is conds[4].tables and conds[2].action_table(cubic) is table
+        assert (conds[2].rows, conds[4].rows) == (slice(0, 3), slice(3, 6))
+        assert len(table.coeffs) == 6
+        assert conds[2].action_table(PolynomialSuperpotential([0.0, 1.0, 0.0, 0.2])) is table
+        assert conds[4].action_table(PolynomialSuperpotential(cubic.coefficients, 0.5)) is not table
+        assert conds[2].action_table(PolynomialSuperpotential([0.0, 1.0])) is not table
+        assert len(conds[4].tables.compiled) == 3
+        assert build_conditions([4])[4].action_table(cubic) is not table
 
     def test_quantize_compiles_the_action_table_once(self, capsys, tmp_path, monkeypatch):
         # the (A, A') table in the first action call, and no compile before
@@ -161,15 +167,17 @@ class TestSlope:
         assert lead.diff_E() == Expression.u_pow(-1).scale(Fraction(1, 2))
 
     def test_slope_rows_follow_action_rows(self, conditions, mixed_cubic):
-        # row 0 is the exact sum of sign * hbar^order * integrand, row 1 its
-        # E-derivative and row 2 its second; hbar = 0.2 is not a dyadic float
+        # the block of order k is the exact sum of sign * hbar^order *
+        # integrand over the orders up to k, its E-derivative and its
+        # second, for k = 0, 2, 4; hbar = 0.2 is not a dyadic float
         cond = conditions[4]
         sp = PolynomialSuperpotential(mixed_cubic.coefficients, 0.2)
         hbar = Fraction(sp.hbar)
-        lhs = Expression.zero()
+        lhs, rows = Expression.zero(), []
         for c in cond.corrections:
             lhs = lhs + c.integrand.scale(c.sign_factor * hbar ** c.order)
-        table = swkb.quadrature.compile_integrands([lhs, lhs.diff_E(), lhs.diff_E().diff_E()])
+            rows += [lhs, lhs.diff_E(), lhs.diff_E().diff_E()]
+        table = swkb.quadrature.compile_integrands(rows)
         assert np.array_equal(cond.action_table(sp).coeffs, table.coeffs)
 
     @pytest.mark.parametrize("E", [2.0, 4.0, 7.0])
@@ -209,18 +217,41 @@ class TestSlope:
             assert abs(bend - (slope_hi - slope_lo) / (2.0 * h)) < 1e-6 * abs(bend)
 
 
+def _rows_by_monomial(table):
+    """Each row of ``table`` as {(phi part, sqrt(u) power, E power):
+    coefficient} over its nonzero coefficients, so a row reads the same
+    whatever other rows share its table."""
+    rung = {}
+    for k, first, height in zip(table.orders, np.cumsum((1,) + table.ladder).tolist(),
+                                table.ladder):
+        rung.update({first + a - 1: (k, a) for a in range(1, height + 1)})
+    keys = [(tuple(rung[r] for r in table.parts[p] if r), int(table.powers[h]), int(e))
+            for p, h, e in zip(table.part_index, table.power_index, table.e)]
+    return [{key: c for key, c in zip(keys, row) if c} for row in table.coeffs]
+
+
 class TestBuildConditions:
     def test_prefix_equals_independent_reduction(self, conditions, cubic, mixed_cubic):
         shared, alone = conditions[2], build_conditions([2])[2]
         assert shared.order == alone.order == 2
         assert shared.corrections == alone.corrections
-        # every field of the (A, A') tables that takes part in equality;
-        # ``work`` holds scratch arrays
         for sp in (cubic, PolynomialSuperpotential(mixed_cubic.coefficients, 0.5)):
-            a, b = shared.action_table(sp), alone.action_table(sp)
-            for f in dataclasses.fields(b):
-                if f.compare:
-                    assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+            # each order's block of the shared table holds, coefficient for
+            # coefficient, the three rows of that order's table built alone
+            table = shared.action_table(sp)
+            by_monomial = _rows_by_monomial(table)
+            for k, cond in conditions.items():
+                assert by_monomial[cond.rows] == _rows_by_monomial(
+                    build_conditions([k])[k].action_table(sp))
+            # the highest order holds every monomial, so its rows sit on the
+            # same sums as in its table alone: every field of the two tables
+            # that takes part in equality (``work`` holds scratch arrays)
+            # agrees, its block's coefficients included
+            top = build_conditions([4])[4].action_table(sp)
+            for f in dataclasses.fields(top):
+                if f.compare and f.name != "coeffs":
+                    assert np.array_equal(getattr(table, f.name), getattr(top, f.name))
+            assert np.array_equal(table.coeffs[conditions[4].rows], top.coeffs)
 
 
 class TestSolveLevel:
@@ -392,36 +423,45 @@ class TestNewton:
     def test_failures_name_level_partner_energy_and_bracket(self, cubic, condition8, monkeypatch):
         honest = swkb.spectrum.action
         monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (0.0, 0.0, 0.0))
-        with pytest.raises(ConvergenceError,
-                           match=r"level 3 \(plus\): no root within 200 steps; last E = .*, bracket \["):
+        with pytest.raises(ConvergenceError, match=r"level 3 \(plus, order 8\): no root within 200 "
+                                                   r"steps; last E = .*, bracket \["):
             solve_level(condition8, cubic, 3, "plus")
         monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (1e9, 1.0, 0.0))
-        with pytest.raises(ConvergenceError, match=r"level 2 \(minus\): no lower bracket above the "
-                                                   r"validated range; last E = .*, bracket \[0.0, "):
+        with pytest.raises(ConvergenceError, match=r"level 2 \(minus, order 8\): no lower bracket "
+                                                   r"above the validated range; last E = .*, "
+                                                   r"bracket \[0.0, "):
             solve_level(condition8, cubic, 2)
         # a quadrature failure keeps its own message inside the level's; on
-        # phi = x^3 - x an excluded root pinches the contour at E = 0.5
+        # phi = x^3 - x an excluded root pinches the contour at E = 0.5.
+        # Order 8 holds rows 3 to 5 of a table shared with order 0, and the
+        # row the message names counts within that block
         monkeypatch.setattr(swkb.spectrum, "action", honest)
         monkeypatch.setattr(swkb.quadrature, "MAX_SAMPLES", 4096)
         pinched = PolynomialSuperpotential([0.0, -1.0, 0.0, 1.0], 1.0, "x^3 - x")
-        with pytest.raises(ConvergenceError, match=r"level 1 \(minus\): contour integral at E = 0.5 "
-                                                   r"did not converge within 4096 samples: row \d+ "
-                                                   r"still moved by .*; last E = 0.5, bracket"):
-            solve_level(condition8, pinched, 1, start=0.5)
+        shared = build_conditions([0, 8])[8]
+        assert shared.rows == slice(3, 6)
+        with pytest.raises(ConvergenceError, match=r"level 1 \(minus, order 8\): contour integral "
+                                                   r"at E = 0.5 did not converge within 4096 "
+                                                   r"samples: row [012] still moved by .*; "
+                                                   r"last E = 0.5, bracket"):
+            solve_level(shared, pinched, 1, start=0.5)
 
     def test_compare_starts_each_level_from_the_one_below(self, cubic, monkeypatch):
+        # level by level, the higher order first: each order starts from its
+        # own root of the level below, and the lower order also gets the
+        # higher order's root of its level as its peer
         honest = swkb.spectrum.solve_level
-        starts = []
+        calls = []
 
-        def spy(cond, sp, n, partner="minus", start=None):
-            starts.append((cond.order, start))
-            return honest(cond, sp, n, partner, start)
+        def spy(cond, sp, n, partner="minus", start=None, peer=None):
+            calls.append((n, cond.order, start, peer))
+            return honest(cond, sp, n, partner, start, peer)
 
         monkeypatch.setattr(swkb.spectrum, "solve_level", spy)
         rep = compare_report(cubic, [0, 2], 2)
-        for k in (0, 2):
-            roots = [r.e_by_order[k] for r in rep.levels]
-            assert [s for o, s in starts if o == k] == [None] + roots[:2]
+        roots = {k: [r.e_by_order[k] for r in rep.levels] for k in (0, 2)}
+        assert calls == [(n, k, roots[k][n - 1] if n else None, roots[2][n] if k == 0 else None)
+                         for n in range(3) for k in (2, 0)]
 
 
 def _bisected_root(cond, sp, target, guess):
@@ -471,6 +511,61 @@ def test_solved_roots_match_a_bisection_on_the_action(conditions, case):
         below = solve_level(cond, sp, n, start=below)
         reference = _bisected_root(cond, sp, 2.0 * n * math.pi * hbar, below)
         assert abs(below - reference) <= swkb.spectrum.DEFAULT_TOL_E, (n, below, reference)
+    # compare takes a lower order's root off the next higher order's
+    # evaluations, integrating nothing, where they settle the level; each
+    # root so taken is held to a bisection on its own action as well
+    if order == 0:
+        return
+    honest_action, honest_solve = swkb.spectrum.action, swkb.spectrum.solve_level
+    evaluated, taken = [], []
+
+    def spy(cond, sp, n, partner="minus", start=None, peer=None):
+        before = len(evaluated)
+        root = honest_solve(cond, sp, n, partner, start, peer)
+        if peer is not None and root and len(evaluated) == before:
+            taken.append((cond.order, n, root))
+        return root
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(swkb.spectrum, "action", lambda *a: evaluated.append(a[2]) or honest_action(*a))
+        mp.setattr(swkb.spectrum, "solve_level", spy)
+        compare_report(sp, [order - 2, order], 8)
+    for k, n, root in taken:
+        reference = _bisected_root(conditions[k], sp, 2.0 * n * math.pi * hbar, root)
+        assert abs(root - reference) <= swkb.spectrum.DEFAULT_TOL_E, (k, n, root, reference)
+
+
+class TestSharedOrders:
+    def test_a_broken_higher_order_does_not_seed_a_lower_one(self):
+        # on phi = 0.5 x + 0.2 x^3 + 2 x^5 at hbar = 1 the order-8 condition
+        # is broken: it has a root near E = 0.2123 at every level, next to
+        # a second root of the order-4 condition at 0.19105.  Order 4's
+        # level 1 solved on from order 8's root lands on that one; the stop
+        # rule refuses the step from order 8's evaluations, so order 4 is
+        # solved from its own level below
+        sp = PolynomialSuperpotential([0.0, 0.5, 0.0, 0.2, 0.0, 2.0], 1.0)
+        shared = compare_report(sp, [4, 8], 2)
+        alone = compare_report(sp, [4], 2)
+        assert [abs(r.e_by_order[8] - 0.2123) < 1e-4 for r in shared.levels] == [False, True, True]
+        for a, b in zip(shared.levels, alone.levels):
+            assert abs(a.e_by_order[4] - b.e_by_order[4]) <= swkb.spectrum.DEFAULT_TOL_E
+        assert abs(shared.levels[1].e_by_order[4] - 2.86007) < 1e-5
+
+    def test_only_the_asking_order_gates_its_integrals(self):
+        # phi = -1 + x^3/5 at hbar = 0.2: near E = 1 a double root of
+        # phi^2 = E meets the left turning point, and there the order-4
+        # rows settle far later than the order-0 rows.  Gated by every row
+        # of the shared table, order 0's solve fails at E ~ 1.006 (row 7,
+        # order 4's A', still moving by 6.2e-06 at the sample cap); gated
+        # by its own block, every order solves, and each within 1e-11 of a
+        # build of that order alone
+        sp = PolynomialSuperpotential([-1.0, 0.0, 0.0, 0.2], 0.2)
+        shared = compare_report(sp, [0, 2, 4], 8)
+        for k in (0, 2, 4):
+            alone = compare_report(sp, [k], 8)
+            for a, b in zip(shared.levels, alone.levels):
+                assert abs(a.e_by_order[k] - b.e_by_order[k]) <= 1e-11, (k, a.n)
+        assert all(d.gap == 0.0 for d in shared.degeneracy)
 
 
 class TestDegeneracy:
