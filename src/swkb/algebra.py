@@ -408,9 +408,6 @@ class Expression:
     def min_e_degree(self) -> int:
         return min(self._exponents(0, "min_e_degree"))
 
-    def max_e_degree(self) -> int:
-        return max(self._exponents(0, "max_e_degree"))
-
     def u_parity(self) -> str:
         """'all-odd-half' | 'all-even' | 'mixed' over the u half-powers."""
         parities = {h % 2 for h in self._exponents(FIELD_BITS, "u_parity")}
@@ -419,22 +416,6 @@ class Expression:
         if parities == {0}:
             return "all-even"
         return "mixed"
-
-    def min_h(self) -> int:
-        return min(self._exponents(FIELD_BITS, "min_h"))
-
-    def max_h(self) -> int:
-        return max(self._exponents(FIELD_BITS, "max_h"))
-
-    def max_deriv_order(self) -> int:
-        top = max([(key >> _SYM_SHIFT).bit_length() for key in self.num], default=0)
-        return max(0, (top - 1) // FIELD_BITS)
-
-    def weights(self) -> set:
-        return {key_bigrade(key, self.ring.sym_gdeg)[0] for key in self.num}
-
-    def gdegs(self) -> set:
-        return {key_bigrade(key, self.ring.sym_gdeg)[1] for key in self.num}
 
     def shift_e(self, delta: int) -> "Expression":
         """Multiply by E^delta (exact exponent shift)."""

@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (FIELD_BITS, KEY_ONE, _E_UNIT, _FIELD, _H_UNIT, _MOVE, _SYM_SHIFT, _SYM_UNIT,
-                      _BIAS, Expression, Ring, _check_keys, _collect, _reduced, decode, key_bigrade)
+                      _BIAS, Expression, Ring, _check_keys, _collect, decode, key_bigrade)
 from .errors import StructuralTheoremViolation
 
 # how many times the ansatz windows are widened before a certificate is
@@ -49,39 +49,43 @@ def _partitions(n: int, max_part: int):
             yield (first,) + rest
 
 
-def bigrade_components(a: Expression) -> List[Expression]:
-    """The parts of ``a`` homogeneous in (derivative weight, scaling grade);
-    d/dx maps each bigrade to its own, so each part gets its own ansatz."""
-    buckets: Dict[Tuple[int, int], dict] = {}
-    for key, xy in a.num.items():
-        buckets.setdefault(key_bigrade(key, a.ring.sym_gdeg), {})[key] = xy
-    return [_reduced(a.ring, num, a.den) for num in buckets.values()]
+def bigrade_components(a: Expression) -> List[Tuple[Tuple[int, int], List[int]]]:
+    """The keys of ``a`` grouped by (derivative weight, scaling grade);
+    d/dx maps each bigrade to its own, so each group gets its own ansatz."""
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for key in a.num:
+        groups.setdefault(key_bigrade(key, a.ring.sym_gdeg), []).append(key)
+    return list(groups.items())
 
 
-def candidate_monomials(a: Expression, widen: int = 0, min_e: Optional[int] = None) -> List[int]:
-    """Packed keys of the ansatz monomials whose derivative can overlap ``a``.
+def candidate_monomials(ring: Ring, bigrade: Tuple[int, int], keys: List[int], widen: int = 0,
+                        min_e: Optional[int] = None) -> List[int]:
+    """Packed keys of the ansatz monomials whose derivative can overlap the
+    ``keys`` of one bigraded component, ``bigrade`` = (derivative weight,
+    scaling grade).
 
-    Windows: derivative orders up to the maximum in ``a``; E-exponents in
-    [min_e-1, max_e+1]; u half-powers in [min_h-1, max_h+2]; both windows
-    grow by ``widen`` on each side.  ``min_e``, when set, also bounds the
-    E-exponents from below.  ``a`` must be homogeneous in (derivative
-    weight, scaling grade): one bigraded component.  Each key is the
-    partition's field sum plus its bare-symbol, u and E fields, so no
-    monomial tuple is built.
+    Windows: derivative orders up to the maximum in ``keys``; E-exponents
+    in [min_e-1, max_e+1]; u half-powers in [min_h-1, max_h+2]; both
+    windows grow by ``widen`` on each side.  ``min_e``, when set, also
+    bounds the E-exponents from below.  Each key is the partition's field
+    sum plus its bare-symbol, u and E fields, so no monomial tuple is built.
     """
-    ring = a.ring
-    (weight,) = a.weights()
-    (gdeg,) = a.gdegs()
+    weight, gdeg = bigrade
     wt = weight - 1
     if wt < 0:
         return []
-    maxk = max(a.max_deriv_order(), 1)
-    e_lo = a.min_e_degree() - 1 - widen
+    es, hs, top = [], [], 0
+    for key in keys:
+        es.append((key & _FIELD) - _BIAS)
+        hs.append(((key >> FIELD_BITS) & _FIELD) - _BIAS)
+        top = max(top, (key >> _SYM_SHIFT).bit_length())
+    maxk = max((top - 1) // FIELD_BITS, 1)  # the highest derivative order, at least 1
+    e_lo = min(es) - 1 - widen
     if min_e is not None:
         e_lo = max(e_lo, min_e)
-    e_hi = a.max_e_degree() + 1 + widen
-    h_lo = a.min_h() - 1 - widen
-    h_hi = a.max_h() + 2 + widen
+    e_hi = max(es) + 1 + widen
+    h_lo = min(hs) - 1 - widen
+    h_hi = max(hs) + 2 + widen
     out: List[int] = []
     for part in _partitions(wt, maxk):
         fields = KEY_ONE + sum(_SYM_UNIT << (k * FIELD_BITS) for k in part)
@@ -295,8 +299,8 @@ def _window_generators(x: Expression, widen: int, min_e: Optional[int]) -> List[
     ``x``, in ascending key order.  ``min_e``: when set, only monomials with
     at least that E-exponent are kept, so sweeping preserves manifest
     E-divisibility of the input."""
-    return sorted({key for comp in bigrade_components(x)
-                   for key in candidate_monomials(comp, widen, min_e)})
+    return sorted({key for bigrade, keys in bigrade_components(x)
+                   for key in candidate_monomials(x.ring, bigrade, keys, widen, min_e)})
 
 
 def _sweep(x: Expression, widen: int, min_e: Optional[int] = None) -> Tuple[Expression, Expression]:

@@ -47,7 +47,7 @@ from .series import (
     real_part_log,
     SplitSeries,
 )
-from .spectrum import build_conditions, compare_report, solve_level
+from .spectrum import build_conditions, compare_report, solve_levels
 from .wkb import MAX_SUBSTITUTION_ORDER, wkb_series_and_substitute
 
 DEFAULT_VERIFY_ORDER = 8
@@ -265,12 +265,8 @@ def cmd_verify(args) -> int:
 
 def cmd_quantize(args) -> int:
     sp = args.sp
-    cond = build_conditions([args.order])[args.order]
-    energies: List[float] = []
-    for n in range(args.levels + 1):
-        # each level starts from the one below it
-        energies.append(solve_level(cond, sp, n, args.partner,
-                                    start=energies[-1] if energies else None))
+    conds = build_conditions([args.order])
+    energies = solve_levels(conds, sp, args.levels, args.partner)[args.order]
     if args.json:
         print(json.dumps({
             "superpotential": sp.to_json_dict(),

@@ -251,11 +251,10 @@ def track_sqrt_u(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """``rows`` holds the integral of each row of the table and ``value``
-    their sum; ``settled`` is true for each row that met every rule of the
-    rows that gate the integral at its last level."""
+    """``rows`` holds the integral of each row of the table; ``settled`` is
+    true for each row that met every rule of the rows that gate the
+    integral at its last level."""
 
-    value: complex
     samples_used: int
     rows: Tuple[complex, ...]
     settled: Tuple[bool, ...]
@@ -422,8 +421,8 @@ def contour_integrate(
     imaginary part is required to stay below 10 times its tolerance
     (disable it to integrate deliberately non-real quantities).  A row
     index in a message counts within ``gate``.  ``rows`` holds every row's
-    integral at the level where the gating rows settled, ``value`` their
-    sum, and ``settled`` which rows would have passed both rules there.
+    integral at the level where the gating rows settled, and ``settled``
+    which rows would have passed both rules there.
     ``spectrum.action`` passes a table of (A, dA/dE, d2A/dE2) blocks, one
     per truncation order, and gates it by the block of the order it
     solves, so the rules meet the numbers the level solver reads."""
@@ -465,8 +464,7 @@ def contour_integrate(
             if len(bad):
                 raise BranchTrackingError(f"quantization integral {bad[0]} has imaginary part "
                                           f"{rows[gate][bad[0]].imag:.3e}")
-            return IntegralResult(complex(np.sum(rows)), samples, tuple(rows.tolist()),
-                                  tuple((still & real).tolist()))
+            return IntegralResult(samples, tuple(rows.tolist()), tuple((still & real).tolist()))
         if 2 * samples > MAX_SAMPLES:
             r = np.flatnonzero(~still[gate])[0]
             raise ConvergenceError(

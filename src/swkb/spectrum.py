@@ -125,23 +125,13 @@ def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     return {k: Condition(k, corrections[: k // 2 + 1], split, tables) for k in orders}
 
 
-class Evaluation(tuple):
-    """(A, dA/dE, d2A/dE2) of one condition at one energy, as ``action``
-    returns it; ``peers`` maps each other order of its build whose rows
-    settled on the same contour, finite and real, to its own triple."""
-
-    def __new__(cls, values, peers: Dict[int, Tuple[float, float, float]]):
-        evaluation = super().__new__(cls, values)
-        evaluation.peers = peers
-        return evaluation
-
-
-def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Evaluation:
-    """(A, dA/dE, d2A/dE2): A is the sum over even orders 2k <= cond.order
-    of sign * hbar^(2k) * the contour integral of the reduced integrand, and
-    the derivatives the same sums over the integrands' first and second
-    E-derivatives (the contour encloses the moving turning points, so d/dE
-    passes under the integral).
+def action(cond: Condition, sp: PolynomialSuperpotential,
+           E: float) -> Dict[int, Tuple[float, float, float]]:
+    """(A, dA/dE, d2A/dE2) by order: A is the sum over even orders
+    2k <= cond.order of sign * hbar^(2k) * the contour integral of the
+    reduced integrand, and the derivatives the same sums over the
+    integrands' first and second E-derivatives (the contour encloses the
+    moving turning points, so d/dE passes under the integral).
 
     The weighted sum is formed exactly before the quadrature, so settling
     and the realness check apply to A and its derivatives: a correction
@@ -150,8 +140,9 @@ def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Evaluatio
     table comes from ``cond.action_table``, built once per degree of phi
     and hbar for the whole build, and all its rows share one sampling of
     the contour, so an energy pays only for the quadrature.  Only this
-    condition's three rows gate the integral; the other orders' triples
-    come back in ``peers`` where they settled too."""
+    condition's three rows gate the integral, so its order is always
+    present; every other order of the build is present where its rows
+    settled too, finite and real."""
     if E <= MIN_VALIDATED_E_FACTOR * sp.hbar:
         raise OutOfValidatedRangeError(
             f"E = {E} below the validated range (turning points coalesce)"
@@ -159,42 +150,37 @@ def action(cond: Condition, sp: PolynomialSuperpotential, E: float) -> Evaluatio
     result = contour_integrate(cond.action_table(sp), sp, E, gate=cond.rows)
     rows = [r.real for r in result.rows]
     block = cond.tables.rows
-    peers = {k: tuple(rows[block(k)]) for k in cond.tables.orders
-             if k != cond.order and all(result.settled[block(k)])}
-    return Evaluation(rows[cond.rows], peers)
+    return {k: tuple(rows[block(k)]) for k in cond.tables.orders if all(result.settled[block(k)])}
 
 
-Probe = Tuple[float, float, float, float]
+Probe = Tuple[float, Dict[int, Tuple[float, float, float]]]  # (E, action(cond, sp, E))
 
 
 class Level(float):
     """A root found by ``solve_level``: the energy as a float, carrying the
-    last two (E, A, A', A'') the solve evaluated, older first (the older one
-    may come from the level below), the ``peers`` of each (the other orders'
-    triples, see ``Evaluation``; none by default), and the (condition,
-    superpotential, partner) it belongs to.  Passed as the ``start`` of a
-    solve of the same problem, the newer evaluation serves as the first
-    iteration, so the next level starts one exact second-order step away
-    without integrating again, and the pair gives the third-order term its
-    stop reads."""
+    last two (E, action by order) the solve evaluated, older first (the
+    older one may come from the level below or from another order), and the
+    (condition, superpotential, partner) it belongs to.  Passed as the
+    ``start`` of a solve of the same problem, the newer evaluation serves as
+    the first iteration, so the next level starts one exact second-order
+    step away without integrating again, and the pair gives the third-order
+    term its stop reads."""
 
-    __slots__ = ("source", "probes", "peers")
+    __slots__ = ("source", "probes")
 
-    def __new__(cls, value: float, source: tuple, probes: Tuple[Probe, ...],
-                peers: Optional[Tuple[dict, ...]] = None):
+    def __new__(cls, value: float, source: tuple, probes: Tuple[Probe, ...]):
         level = super().__new__(cls, value)
         level.source = source
         level.probes = probes
-        level.peers = ({},) * len(probes) if peers is None else peers
         return level
 
 
-def _log_chart(probe: Probe) -> Optional[Tuple[float, float, float]]:
-    """(x, s, c) at an evaluation (E, A, A', A''), with t = ln E and
-    x = ln A: s = dt/dx = 1 / g for g = E A' / A, and c = ds/dx = -x'' s^3
-    exactly, from x'' = d2x/dt2 = g + E^2 A'' / A - g^2.  None where A or A'
-    is not positive."""
-    E, A, slope, bend = probe
+def _log_chart(probe: Probe, order: int) -> Optional[Tuple[float, float, float]]:
+    """(x, s, c) at the evaluation (E, A, A', A'') of ``order`` in ``probe``,
+    with t = ln E and x = ln A: s = dt/dx = 1 / g for g = E A' / A, and
+    c = ds/dx = -x'' s^3 exactly, from x'' = d2x/dt2 = g + E^2 A'' / A - g^2.
+    None where A or A' is not positive."""
+    E, (A, slope, bend) = probe[0], probe[1][order]
     if not (A > 0.0 and slope > 0.0):
         return None
     g = E * slope / A
@@ -234,9 +220,9 @@ def solve_level(
     them.
 
     ``peer`` is a ``Level`` of the same level, superpotential and partner
-    from another condition (``compare_report`` passes the next higher
-    order's root).  Where this condition's rows settled at both of its
-    evaluations, they are this condition's own evaluations at those
+    from another condition of the build (``solve_levels`` passes the next
+    higher order's root).  Where both of its evaluations hold this
+    condition's order, they are this condition's own evaluations at those
     energies; if the stop rule accepts the step from them, that step is the
     root and nothing is integrated.  Otherwise the peer is dropped and the
     level is solved from ``start`` as without it.
@@ -254,37 +240,35 @@ def solve_level(
         return 0.0
     floor = MIN_VALIDATED_E_FACTOR * sp.hbar
     source = (cond, sp, partner)
+    order = cond.order
 
-    def newton(probes: List[Probe], peers: List[dict], E: float, fresh: bool,
-               trial: bool = False) -> Optional[Level]:
+    def newton(probes: List[Probe], E: float, fresh: bool, trial: bool = False) -> Optional[Level]:
         """The loop, from the carried ``probes`` unless ``fresh``; a
         ``trial`` takes its probes as this solve's own and returns None
         where its first step does not stop."""
         lo, hi = 0.0, math.inf
 
         def failure(why: str) -> ConvergenceError:
-            return ConvergenceError(f"level {n} ({partner}, order {cond.order}): {why}; "
+            return ConvergenceError(f"level {n} ({partner}, order {order}): {why}; "
                                     f"last E = {E}, bracket [{lo}, {hi}]")
 
         for _ in range(MAX_SOLVE_STEPS):
             if fresh:
                 try:
-                    values = action(cond, sp, E)
+                    probes.append((E, action(cond, sp, E)))
                 except ConvergenceError as exc:
                     raise failure(str(exc)) from exc
-                probes.append((E, *values))
-                peers.append(values.peers if isinstance(values, Evaluation) else {})
             own = fresh or trial
-            E, A = probes[-1][:2]
+            E, A = probes[-1][0], probes[-1][1][order][0]
             if A < target:
                 lo = E
             else:
                 hi = E
             tol = DEFAULT_TOL_E + 4.0 * _EPS * E
             if hi - lo <= tol:
-                return Level(0.5 * (lo + hi), source, tuple(probes[-2:]), tuple(peers[-2:]))
-            here = _log_chart(probes[-1])
-            back = _log_chart(probes[-2]) if here and len(probes) > 1 else None
+                return Level(0.5 * (lo + hi), source, tuple(probes[-2:]))
+            here = _log_chart(probes[-1], order)
+            back = _log_chart(probes[-2], order) if here and len(probes) > 1 else None
             nxt, cubic = math.nan, None
             if here:
                 x, s, c = here
@@ -299,7 +283,7 @@ def solve_level(
             inside = max(lo, floor) < nxt <= hi
             if inside and (abs(nxt - E) <= tol or (own and cubic is not None
                                                    and STOP_MARGIN * abs(cubic) * nxt <= tol)):
-                return Level(nxt, source, tuple(probes[-2:]), tuple(peers[-2:]))
+                return Level(nxt, source, tuple(probes[-2:]))
             if trial:
                 return None
             if not inside:
@@ -314,15 +298,36 @@ def solve_level(
         raise failure(f"no root within {MAX_SOLVE_STEPS} steps")
 
     if (isinstance(peer, Level) and peer.source[1:] == source[1:]
-            and all(cond.order in p for p in peer.peers)):
-        pair = [(probe[0], *p[cond.order]) for probe, p in zip(peer.probes, peer.peers)]
-        root = newton(pair, list(peer.peers), pair[-1][0], fresh=False, trial=True)
+            and all(order in values for _, values in peer.probes)):
+        root = newton(list(peer.probes), peer.probes[-1][0], fresh=False, trial=True)
         if root is not None:
             return root
     carried = isinstance(start, Level) and start.source == source
-    probes, peers = (list(start.probes), list(start.peers)) if carried else ([], [])
     E = float(start) if start is not None and start > floor else sp.hbar
-    return newton(probes, peers, E, fresh=not carried)
+    return newton(list(start.probes) if carried else [], E, fresh=not carried)
+
+
+def solve_levels(
+    conds: Dict[int, Condition],
+    sp: PolynomialSuperpotential,
+    n_max: int,
+    partner: str = "minus",
+) -> Dict[int, List[float]]:
+    """The roots of levels 0..n_max of each condition of ``conds`` (one
+    build, keyed by order), by order in the order of ``conds``.
+
+    Levels go up one at a time, each started from the same order's root of
+    the level below, and each level is solved at every order, highest
+    first: the conditions share one table, so a lower order first tries the
+    next higher order's root of the level as its ``peer``."""
+    roots: Dict[int, List[float]] = {k: [] for k in conds}
+    for n in range(n_max + 1):
+        higher = None
+        for k in sorted(conds, reverse=True):
+            higher = solve_level(conds[k], sp, n, partner, start=roots[k][-1] if n else None,
+                                 peer=higher)
+            roots[k].append(higher)
+    return roots
 
 
 @dataclass
@@ -424,7 +429,7 @@ def _table(head: Sequence[str], rows: List[Sequence[str]]) -> List[str]:
 
 
 def _degeneracy_rows(
-    by_order: Dict[int, Dict[int, float]], n_max: int, minus: SplitSeries
+    by_order: Dict[int, List[float]], n_max: int, minus: SplitSeries
 ) -> List[DegeneracyRecord]:
     """Degeneracy rows for n = 1..n_max at each order of ``by_order`` (minus
     roots by order and level); ``minus`` is the split minus series, generated
@@ -455,21 +460,11 @@ def compare_report(
     eigenvalues attached when provided, and the degeneracy rows
     E_n^(-) = E_{n-1}^(+) for n = 1..max(n_max, 1) built from the same roots
     (level 1 is solved for them when n_max is 0); the pairing rests on the
-    checked identity p_n^(+) = p_n, so each row needs one root solve, not two.
-
-    Levels go up one at a time, and each level is solved at every order,
-    highest first: the conditions share one table, so a lower order first
-    tries the next higher order's root of the level as its ``peer`` and
-    falls back to a solve from its own level below."""
+    checked identity p_n^(+) = p_n, so each row needs one root solve, not two."""
     conds = build_conditions(orders)
     report = SpectrumReport(sp)
     deg_max = max(n_max, 1)
-    by_order = {ordr: {} for ordr in orders}
-    for n in range(deg_max + 1):
-        higher = None
-        for ordr in sorted(conds, reverse=True):
-            roots = by_order[ordr]
-            roots[n] = higher = solve_level(conds[ordr], sp, n, start=roots.get(n - 1), peer=higher)
+    by_order = solve_levels(conds, sp, deg_max)
     report.degeneracy = _degeneracy_rows(by_order, deg_max, conds[max(orders)].split)
     for n in range(n_max + 1):
         rec = LevelRecord(n, "minus", {ordr: by_order[ordr][n] for ordr in orders})

@@ -160,6 +160,30 @@ def test_every_method_is_read():
     assert sorted(d for d in defined if d.rsplit(".", 1)[1] not in read) == []
 
 
+def test_every_function_is_read():
+    # a module-level function or class of the package that nothing in the
+    # package, its tests or its benchmark loads by name or as an attribute
+    # is dead code
+    root = SRC.parents[1]
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    defined = {
+        f"{path.relative_to(SRC)}:{node.name}"
+        for path, tree in trees.items()
+        if SRC in path.parents
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert defined, "no functions found"
+    assert sorted(d for d in defined if d.split(":")[1] not in read) == []
+
+
 def test_verify_runs_the_same_under_python_O():
     # python -O strips asserts: the run must print the same lines and its
     # negative control must still fail

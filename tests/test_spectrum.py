@@ -24,19 +24,19 @@ from conftest import broken_plus_series
 
 class TestAction:
     def test_oscillator_is_pi_e(self, oscillator, conditions):
-        assert abs(action(conditions[0], oscillator, 4.0)[0] - 4.0 * math.pi) < 1e-9
+        assert abs(action(conditions[0], oscillator, 4.0)[0][0] - 4.0 * math.pi) < 1e-9
 
     def test_oscillator_corrections_vanish(self, oscillator, conditions):
-        assert abs(action(conditions[4], oscillator, 4.0)[0] - 4.0 * math.pi) < 1e-9
+        assert abs(action(conditions[4], oscillator, 4.0)[4][0] - 4.0 * math.pi) < 1e-9
 
     def test_cubic_leading_matches_real_axis(self, cubic, conditions):
         a = 9.0 ** (1.0 / 6.0)
         expect, _ = quad(lambda x: math.sqrt(max(1.0 - x**6 / 9.0, 0.0)), -a, a, limit=200)
-        assert abs(action(conditions[0], cubic, 1.0)[0] - 2.0 * expect) < 1e-9
+        assert abs(action(conditions[0], cubic, 1.0)[0][0] - 2.0 * expect) < 1e-9
 
     def test_monotone_increasing_at_leading_order(self, cubic, oscillator, conditions):
         for sp in (cubic, oscillator):
-            vals = [action(conditions[0], sp, E)[0] for E in np.linspace(0.25, 6.0, 24)]
+            vals = [action(conditions[0], sp, E)[0][0] for E in np.linspace(0.25, 6.0, 24)]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_below_validated_range(self, cubic, conditions):
@@ -58,9 +58,9 @@ class TestSharedPass:
         corrections = quantization_integrands(order, split10, lseq9)
         cond = build_conditions([order])[order]
         for E in energies:
-            expect = sum(c.sign_factor * hbar ** c.order * contour_integrate(c.integrand, sp, E).value.real
-                         for c in corrections)
-            assert abs(action(cond, sp, E)[0] - expect) < 1e-12
+            expect = sum(c.sign_factor * hbar ** c.order
+                         * contour_integrate(c.integrand, sp, E).rows[0].real for c in corrections)
+            assert abs(action(cond, sp, E)[order][0] - expect) < 1e-12
 
     def test_one_contour_and_one_pass_per_energy(self, cubic, monkeypatch):
         cond = build_conditions([8])[8]
@@ -194,7 +194,7 @@ class TestSlope:
     def test_oscillator_slope_is_pi(self, oscillator, conditions):
         # A(E) = pi E at every order for phi = x, so A'' = 0
         for k in (0, 4):
-            A, slope, bend = action(conditions[k], oscillator, 4.0)
+            A, slope, bend = action(conditions[k], oscillator, 4.0)[k]
             assert abs(A - 4.0 * math.pi) < 1e-9 and abs(slope - math.pi) < 1e-9
             assert abs(bend) < 1e-9
 
@@ -211,8 +211,9 @@ class TestSlope:
         cond = build_conditions([order])[order]
         for E in energies:
             h = 1e-4 * E
-            _, slope, bend = action(cond, sp, E)
-            (A_hi, slope_hi, _), (A_lo, slope_lo, _) = action(cond, sp, E + h), action(cond, sp, E - h)
+            _, slope, bend = action(cond, sp, E)[order]
+            (A_hi, slope_hi, _), (A_lo, slope_lo, _) = (action(cond, sp, E + h)[order],
+                                                        action(cond, sp, E - h)[order])
             assert abs(slope - (A_hi - A_lo) / (2.0 * h)) < 1e-6 * abs(slope)
             assert abs(bend - (slope_hi - slope_lo) / (2.0 * h)) < 1e-6 * abs(bend)
 
@@ -327,8 +328,8 @@ class TestNewton:
 
         def no_slope(cond, sp, E):
             calls.append(E)
-            A, _, bend = honest(cond, sp, E)
-            return A, bad_slope, bend
+            A, _, bend = honest(cond, sp, E)[cond.order]
+            return {cond.order: (A, bad_slope, bend)}
 
         monkeypatch.setattr(swkb.spectrum, "action", no_slope)
         for n, root in CUBIC8_ROOTS.items():
@@ -360,17 +361,19 @@ class TestNewton:
         monkeypatch.setattr(swkb.spectrum, "action", counted)
         root = solve_level(condition8, cubic, 5, start=below)
         # the first evaluation is one third-order step in t = ln E off the
-        # carried pair of (E, A, A', A''): with x = ln A, s = dt/dx = 1 / g,
-        # g = E A' / A, and the exact c = ds/dx = -(g + E^2 A'' / A - g^2) s^3,
+        # carried pair of (E, action by order), read at order 8: with
+        # x = ln A, s = dt/dx = 1 / g, g = E A' / A, and the exact
+        # c = ds/dx = -(g + E^2 A'' / A - g^2) s^3,
         # t += s dx + c dx^2 / 2 + c2 dx^3 / 6, c2 the difference quotient of c
-        def chart(E, A, slope, bend):
+        def chart(E, values):
+            A, slope, bend = values[8]
             g = E * slope / A
             s = 1.0 / g
             return math.log(A), s, -(g + E * E * bend / A - g * g) * s ** 3
 
         older, newer = below.probes
         (x1, _, c1), (x, s, c) = chart(*older), chart(*newer)
-        E, A = newer[:2]
+        E, A = newer[0], newer[1][8][0]
         dx = math.log(10.0 * math.pi / A)
         step = s * dx + 0.5 * c * dx * dx + (c - c1) / (x - x1) * dx ** 3 / 6.0
         assert calls[0] == E * math.exp(step)
@@ -381,7 +384,7 @@ class TestNewton:
         # a carried pair 1e-7 above the root: the first step is already far
         # inside the quadratic stop, yet the solve evaluates once before it returns
         root = solve_level(condition8, cubic, 5)
-        pair = tuple((E, *action(condition8, cubic, E)) for E in (0.999 * root, (1 + 1e-7) * root))
+        pair = tuple((E, action(condition8, cubic, E)) for E in (0.999 * root, (1 + 1e-7) * root))
         start = swkb.spectrum.Level(pair[1][0], (condition8, cubic, "minus"), pair)
         honest = swkb.spectrum.action
         calls = []
@@ -422,11 +425,11 @@ class TestNewton:
 
     def test_failures_name_level_partner_energy_and_bracket(self, cubic, condition8, monkeypatch):
         honest = swkb.spectrum.action
-        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (0.0, 0.0, 0.0))
+        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: {8: (0.0, 0.0, 0.0)})
         with pytest.raises(ConvergenceError, match=r"level 3 \(plus, order 8\): no root within 200 "
                                                    r"steps; last E = .*, bracket \["):
             solve_level(condition8, cubic, 3, "plus")
-        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: (1e9, 1.0, 0.0))
+        monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: {8: (1e9, 1.0, 0.0)})
         with pytest.raises(ConvergenceError, match=r"level 2 \(minus, order 8\): no lower bracket "
                                                    r"above the validated range; last E = .*, "
                                                    r"bracket \[0.0, "):
@@ -468,13 +471,13 @@ def _bisected_root(cond, sp, target, guess):
     """The root of A(E) = target by plain bisection on A down to a bracket
     of 1e-13, from ``guess`` widened by factors of 2 until A changes sign."""
     lo, hi = guess * (1.0 - 1e-6), guess * (1.0 + 1e-6)
-    while action(cond, sp, lo)[0] >= target:
+    while action(cond, sp, lo)[cond.order][0] >= target:
         lo *= 0.5
-    while action(cond, sp, hi)[0] < target:
+    while action(cond, sp, hi)[cond.order][0] < target:
         hi *= 2.0
     while hi - lo > 1e-13 and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if action(cond, sp, mid)[0] < target:
+        if action(cond, sp, mid)[cond.order][0] < target:
             lo = mid
         else:
             hi = mid
@@ -566,6 +569,22 @@ class TestSharedOrders:
             for a, b in zip(shared.levels, alone.levels):
                 assert abs(a.e_by_order[k] - b.e_by_order[k]) <= 1e-11, (k, a.n)
         assert all(d.gap == 0.0 for d in shared.degeneracy)
+
+    def test_action_holds_the_orders_that_settled(self):
+        # phi = -1 + x^3/5 at hbar = 0.2 on a [0, 2, 4] build: at E = 1.006
+        # order 4's rows do not settle on the contour that settles order 0,
+        # so its triple is left out; at E = 1.5 every order settles.  Each
+        # order present is its own action's triple within its settling
+        # tolerance
+        sp = PolynomialSuperpotential([-1.0, 0.0, 0.0, 0.2], 0.2)
+        conds = build_conditions([0, 2, 4])
+        for E, orders in ((1.006, [0, 2]), (1.5, [0, 2, 4])):
+            values = action(conds[0], sp, E)
+            assert sorted(values) == orders
+            for k in orders:
+                for got, own in zip(values[k], action(conds[k], sp, E)[k]):
+                    tol = max(swkb.quadrature.TOL, swkb.quadrature.REL_TOL * abs(own))
+                    assert abs(got - own) < tol, (E, k)
 
 
 class TestDegeneracy:
