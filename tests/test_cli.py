@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -148,6 +149,24 @@ def test_quantize_json_deterministic(capsys, osc_config):
     assert out1 == out2
     data = json.loads(out1)
     assert abs(data["levels"]["2"] - 4.0) < 1e-8
+
+
+def test_quantize_is_the_same_at_any_blas_thread_count(cubic_config):
+    # the monomial sums are matrix products on BLAS, whose thread count the
+    # environment sets: the energies must not depend on it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swkb.cli.__file__)))
+
+    def stdout(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", "swkb.cli", "quantize", "--config", cubic_config,
+                              "--order", "8", "--levels", "30", "--json"],
+                             env=env, capture_output=True, text=True, check=True)
+        return out.stdout
+
+    one = stdout("1")
+    assert len(json.loads(one)["levels"]) == 31
+    assert stdout("2") == one
 
 
 def test_compare_runs(capsys, cubic_config):

@@ -627,8 +627,9 @@ class TestIntegrandTable:
     def test_parts_built_in_place_match_the_stacked_product(self, table8):
         # monomial_sums multiplies each phi part's rungs into one array in
         # place; np.prod over a stacked (parts, width, samples) copy takes
-        # them in the same order, so the sums agree bit for bit.  Random
-        # samples keep every rung nonzero (phi = x^3/3 zeroes its 4th derivative)
+        # them in the same order, so contracted by the same batched matrix
+        # product the sums agree bit for bit.  Random samples keep every
+        # rung nonzero (phi = x^3/3 zeroes its 4th derivative)
         table = table8
         rng = np.random.default_rng(0)
         phi_vals, s, dz = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -646,9 +647,15 @@ class TestIntegrandTable:
             ladder[i] = ladder[i + 1] * (1.0 / s)
         sq = ladder[table.powers - lo] * dz
         chunks = (512 // swkb.quadrature.CHUNK, swkb.quadrature.CHUNK)
-        old = np.einsum("pbc,hbc->phb", part.reshape(len(part), *chunks),
-                        sq.reshape(len(sq), *chunks)).sum(axis=-1)
-        assert np.array_equal(table.monomial_sums(phi_vals, s, dz), old)
+        part_c, sq_c = part.reshape(len(part), *chunks), sq.reshape(len(sq), *chunks)
+        stacked = np.matmul(part_c.transpose(1, 0, 2), sq_c.transpose(1, 2, 0)).sum(axis=0)
+        sums = table.monomial_sums(phi_vals, s, dz)
+        assert np.array_equal(sums, stacked)
+        # the reference contraction: an einsum over each chunk, then the
+        # chunk sums; the two differ only in the order of their roundoff
+        reference = np.einsum("pbc,hbc->phb", part_c, sq_c).sum(axis=-1)
+        scale = np.abs(part) @ np.abs(sq).T
+        assert np.all(np.abs(sums - reference) <= 1e-12 * scale)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.lists(ring_expressions(max_terms=4), min_size=2, max_size=4))
