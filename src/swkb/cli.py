@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 property violation, 2 usage error (an invalid
 argument value, an unreadable ``--config`` file, or for ``quantize`` and
 ``compare`` a superpotential of even degree or nonpositive leading
 coefficient, or one whose phi^2 or hbar^2 leaves the normal float range),
-3 numerical non-convergence.  Output is deterministic for a
+3 numerical non-convergence, 141 (128 + SIGPIPE) the reader of stdout
+closed it before the output ended.  Output is deterministic for a
 fixed set of flags.
 """
 
@@ -16,6 +17,7 @@ import json
 # the module keeps that import out of every command's run
 import locale  # noqa: F401
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -31,6 +33,7 @@ from .reduction import (
     quantization_integrands,
     reconstruction_residual,
     reduce_via_pbar,
+    require_odd_real_certificates,
 )
 from .series import (
     HALF,
@@ -102,8 +105,11 @@ def cmd_series(args) -> int:
 def cmd_reduce(args) -> int:
     s = generate_series(args.max_order, "minus")
     lseq = l_sequence(max(args.max_order - 1, 0), s)
+    split = split_series(s)
+    corrections = quantization_integrands(args.max_order, split, lseq)
+    require_odd_real_certificates(args.max_order, split)
     records = []
-    for corr in quantization_integrands(args.max_order, split_series(s), lseq):
+    for corr in corrections:
         records.append(
             {
                 "order": corr.order,
@@ -162,8 +168,9 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
         check(f"u-parity split order {n}", ok, f"p={parity_p} q={parity_q}")
 
     lseq = l_sequence(order, s)
-    for n in range(1, order + 1):
-        check(f"imag-part certificate identity n={n}", check_l_identity(lseq, split, n))
+    l_identity = {n: check_l_identity(lseq, split, n) for n in range(1, order + 1)}
+    for n, ok in l_identity.items():
+        check(f"imag-part certificate identity n={n}", ok)
 
     via_log = partner_via_log_identity(s, lseq, order)
     direct = sp
@@ -175,9 +182,9 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
         )
 
     for n in range(3, order + 1, 2):
-        # its certificate is (i/2) l[n-1], from the l-sequence above
-        check(f"odd imaginary part q_{n} is a total derivative",
-              check_l_identity(lseq, split, n - 1))
+        # its certificate is (i/2) l[n-1]: the identity line n-1 above
+        # restated, which has already passed, so this line cannot fail
+        check(f"odd imaginary part q_{n} is a total derivative", l_identity[n - 1])
     pb = pbar_series(order)
     check("log-fixed-point leading coefficient", pb[0] == Expression.u_pow(1))
     check("log-fixed-point first coefficient equals first real part",
@@ -436,7 +443,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             if reason:
                 parser.error(f"--config {args.config}: {reason}")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (``swkb ... | head``): as the Python docs on
+        # SIGPIPE advise, point stdout at devnull so that the interpreter's
+        # last flush cannot raise again, and end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except StructuralTheoremViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1

@@ -49,10 +49,12 @@ def decompose(n: int, split: SplitSeries) -> Tuple[Expression, Expression]:
     """alpha_n, beta_n with p_n = F q_n + E alpha_n and q_n = -F p_n + E beta_n."""
     if n < 1:
         raise ValueError("decomposition starts at order 1")
-    F = F_factor()
-    alpha = divide_by_e(split.p[n] - F * split.q[n], f"p_{n} - F q_{n}")
-    beta = divide_by_e(split.q[n] + F * split.p[n], f"q_{n} + F p_{n}")
-    return alpha, beta
+    return _alpha(n, split), divide_by_e(split.q[n] + F_factor() * split.p[n], f"q_{n} + F p_{n}")
+
+
+def _alpha(n: int, split: SplitSeries) -> Expression:
+    """alpha_n of ``decompose``, the half that the reduction reads."""
+    return divide_by_e(split.p[n] - F_factor() * split.q[n], f"p_{n} - F q_{n}")
 
 
 # -- deterministic residual sweep ---------------------------------------------
@@ -111,7 +113,7 @@ def reduce_even_order(order: int, split: SplitSeries, lseq: LSequence) -> Reduce
         raise ValueError("even order >= 2 required")
     if lseq.order < order - 1:
         raise ValueError("certificate sequence not generated far enough")
-    alpha, _ = decompose(order, split)
+    alpha = _alpha(order, split)
     Q = i_times(lseq.l[order - 1]).scale(HALF)
     fprime_u32 = Expression.sym(1, 1) * Expression.u_pow(-3)
     corr = _swept_correction(order, split, (alpha - fprime_u32 * Q).shift_e(1), F_factor() * Q)
@@ -160,8 +162,9 @@ def quantization_integrands(
     (order 0 is the classical term with certificate 0).  The first-order
     coefficient integrates to the constant pi, which converts the
     right-hand side from 2(n + 1/2) pi hbar to 2 n pi hbar; every other
-    part dropped is a total derivative (``dropped_certificates``), and each
-    odd real part is searched for its certificate, which must exist.
+    part dropped is a total derivative (``dropped_certificates``, which
+    ``verify`` checks; ``require_odd_real_certificates`` searches the odd
+    real parts where no such check runs).
 
     ``split`` is the split minus series and ``lseq`` its certificate
     sequence, generated at least to max_order and max_order - 1.
@@ -171,14 +174,21 @@ def quantization_integrands(
     if min(split.order, lseq.order + 1) < max_order:
         raise ValueError("series not generated far enough")
     corrections = [ReducedCorrection(0, Expression.u_pow(1), Expression.zero())]
-    for n in range(2, max_order + 1):
-        if n % 2 == 0:
-            corrections.append(reduce_even_order(n, split, lseq))
-        elif antiderivative(split.p[n]) is None:
+    for n in range(2, max_order + 1, 2):
+        corrections.append(reduce_even_order(n, split, lseq))
+    return tuple(corrections)
+
+
+def require_odd_real_certificates(max_order: int, split: SplitSeries) -> None:
+    """Raise unless each odd real part p_n, 3 <= n <= max_order, of the
+    split minus series has a derivative certificate found by search: the
+    guard of the runs that drop them without ``verify``'s reconstruction,
+    which re-adds their closed forms +-(1/2) (ln R)_(n-1) exactly."""
+    for n in range(3, max_order + 1, 2):
+        if antiderivative(split.p[n]) is None:
             raise StructuralTheoremViolation(
                 f"odd-order real part p_{n} has no derivative certificate"
             )
-    return tuple(corrections)
 
 
 def dropped_certificates(

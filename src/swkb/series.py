@@ -69,11 +69,15 @@ class HbarSeries:
 
     def riccati_residual(self, n: int) -> Expression:
         """Substitute the truncated series back into the order-n identity;
-        zero exactly when the recursion is consistent at that order."""
+        zero exactly when the recursion is consistent at that order.  Each
+        product c_k c_(n-k) is formed once, as in ``generate_series``: twice
+        the k < n - k half, c_0 c_n included, plus the middle square."""
         ring = self.ring
         c = self.coeffs
-        acc = Expression.sum_of_products(ring, [(1, c[k], c[n - k]) for k in range(n + 1)
-                                                if k <= self.order and n - k <= self.order])
+        pairs = [(2, c[k], c[n - k]) for k in range((n + 1) // 2) if n - k <= self.order]
+        if n % 2 == 0 and n // 2 <= self.order:
+            pairs.append((1, c[n // 2], c[n // 2]))
+        acc = Expression.sum_of_products(ring, pairs)
         if n == 0:
             return acc - Expression.u_pow(2, ring)
         acc = acc + c[n - 1].differentiate()

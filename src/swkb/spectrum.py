@@ -33,7 +33,7 @@ from .quadrature import (
     compile_integrands,
     contour_integrate,
 )
-from .reduction import ReducedCorrection, quantization_integrands
+from .reduction import ReducedCorrection, quantization_integrands, require_odd_real_certificates
 from .series import SplitSeries, generate_series, l_sequence, split_series
 
 DEFAULT_TOL_E = 1e-9
@@ -121,6 +121,7 @@ def build_conditions(orders: Sequence[int]) -> Dict[int, Condition]:
     s = generate_series(top, "minus")
     split = split_series(s)
     corrections = quantization_integrands(top, split, l_sequence(max(top - 1, 0), s))
+    require_odd_real_certificates(top, split)
     tables = ActionTables(tuple(sorted(set(orders))), corrections)
     return {k: Condition(k, corrections[: k // 2 + 1], split, tables) for k in orders}
 

@@ -34,70 +34,53 @@ def _i_pow_times(k: int, q: Fraction) -> tuple:
     return ((q, 0), (0, q), (-q, 0), (0, -q))[k % 4]
 
 
-def _half_binomial(h: int, j: int) -> Fraction:
-    """Binomial coefficient C(h/2, j) as an exact rational."""
-    num = Fraction(1)
-    for t in range(j):
-        num *= Fraction(h, 2) - t
-    for t in range(1, j + 1):
-        num /= t
-    return num
-
-
-def _phi_square_derivs(order: int) -> List[Expression]:
-    """x-derivatives of f^2 = E - u in the superpotential ring, k = 0..order."""
-    out = [Expression.e_pow(1) - Expression.u_pow(2)]
-    for _ in range(order):
-        out.append(out[-1].differentiate())
-    return out
-
-
 class Substitution:
     """Maps potential-ring expressions to nu-series of superpotential-ring
     expressions under V = f^2 - hbar f' (hbar = i nu), truncated at ``order``."""
 
     def __init__(self, order: int):
         self.order = order
-        self._sq = _phi_square_derivs(order + V_RING.relation_power + 8)
-        self._u_half: Dict[int, List[Expression]] = {}
+        # the x-derivatives of f^2 = E - u, taken as far as a factor asks
+        self._sq = [Expression.e_pow(1) - Expression.u_pow(2)]
+        one = [Expression.const(1)] + [Expression.zero(PHI_RING)] * order
+        self._products: Dict[tuple, List[Expression]] = {((), 0): one}
 
-    def _factor_series(self, k: int) -> List[Expression]:
-        """V^(k) -> (f^2)^(k) - i nu f^(k+1), as a two-term nu-series."""
-        zero = Expression.zero(PHI_RING)
-        out = [zero] * (self.order + 1)
-        out[0] = self._sq[k]
-        if self.order >= 1:
-            out[1] = Expression.sym(k + 1, 1).scale((0, -1))
-        return out
-
-    def _u_half_series(self, h: int) -> List[Expression]:
-        """u_V^(h/2) -> u^(h/2) (1 + hbar f'/u)^(h/2), binomially re-expanded;
-        built once per h and shared, since callers only read it."""
-        out = self._u_half.get(h)
+    def _product_series(self, derivs: tuple, h: int) -> List[Expression]:
+        """The substituted product of V^(k)^a over the (k, a) pairs of
+        ``derivs`` and of u_V^(h/2), built once per (derivs, h) and shared
+        by every term and every check that substitutes it.  A derivative
+        product is its prefix with one factor fewer times one factor
+        V^(k) -> (f^2)^(k) - i nu f^(k+1); u_V^(h/2) -> u^(h/2) (1 + hbar
+        f'/u)^(h/2), binomially re-expanded, has the nu^j coefficient
+        C(h/2, j) i^j f'^j u^(h/2 - j), the one before it times
+        i (h/2 - j + 1)/j f'/u."""
+        out = self._products.get((derivs, h))
         if out is None:
-            out = self._u_half[h] = []
-            for j in range(self.order + 1):
-                out.append((Expression.sym(1, j) * Expression.u_pow(h - 2 * j)).scale(
-                    _i_pow_times(j, _half_binomial(h, j))))
+            if derivs and h:
+                out = series_mul(self._product_series(derivs, 0),
+                                 self._product_series((), h), self.order)
+            elif h:
+                ratio = Expression.sym(1, 1) * Expression.u_pow(-2)
+                out = [Expression.u_pow(h)]
+                for j in range(1, self.order + 1):
+                    out.append((out[-1] * ratio).scale((0, Fraction(h - 2 * j + 2, 2 * j))))
+            else:
+                k, a = derivs[-1]
+                while len(self._sq) <= k:
+                    self._sq.append(self._sq[-1].differentiate())
+                prefix = self._product_series(derivs[:-1] + (((k, a - 1),) if a > 1 else ()), 0)
+                factor = [self._sq[k], Expression.sym(k + 1, 1).scale((0, -1))]
+                out = series_mul(prefix, factor, self.order)
+            self._products[derivs, h] = out
         return out
 
     def apply(self, x: Expression) -> List[Expression]:
         if x.ring != V_RING:
             raise ValueError("substitution applies to potential-ring expressions")
-        zero = Expression.zero(PHI_RING)
-        total = [zero] * (self.order + 1)
+        total = [Expression.zero(PHI_RING)] * (self.order + 1)
         for m, c in x.terms.items():
-            fac: List[Expression] = [Expression.const(c)] + [zero] * self.order
-            for k, a in m.derivs:
-                fs = self._factor_series(k)
-                for _ in range(a):
-                    fac = series_mul(fac, fs, self.order)
-            if m.h:
-                fac = series_mul(fac, self._u_half_series(m.h), self.order)
-            if m.e:
-                epow = Expression.e_pow(m.e)
-                fac = [f * epow for f in fac]
-            total = [t + f for t, f in zip(total, fac)]
+            fac = self._product_series(m.derivs, m.h)
+            total = [t + f.scale(c).shift_e(m.e) for t, f in zip(total, fac)]
         return total
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import sys
 from fractions import Fraction
 
 import pytest
@@ -152,3 +153,19 @@ def ring_expressions(ring=PHI_RING, max_terms: int = 4):
     simpler terms."""
     return st.lists(st.tuples(_monomials, coefficients), min_size=1,
                     max_size=max_terms).map(lambda terms: Expression(ring, terms))
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` through every swkb namespace that
+    bound it; returns the list the calls are appended to."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name == "swkb" or mod_name.startswith("swkb.")) and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls

@@ -10,6 +10,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
+import swkb.antiderivative
+import swkb.series
 import swkb.spectrum
 from swkb.algebra import i_times, phi, u_half
 from swkb.antiderivative import antiderivative
@@ -33,6 +35,8 @@ from swkb.series import (
 )
 from swkb.spectrum import compare_report, solve_level
 from swkb.wkb import log_term_expansion_check, substituted_condition_check
+
+from conftest import count_calls
 
 
 def test_criterion_01_second_order_term():
@@ -213,6 +217,21 @@ def test_action_call_budget(capsys, tmp_path, monkeypatch, coefficients, hbar, a
     assert len(calls) <= budget and sum(samples) <= sample_budget
     print(f"\n{argv[0]}: PASS ({len(calls)} action calls, budget {budget}; "
           f"{sum(samples)} samples, budget {sample_budget})")
+
+
+def test_verify_work_budget(capsys, monkeypatch):
+    # verify computes each exact result once: the residual sweeps of the
+    # two subtraction routes and the wkb checks, no search of an odd real
+    # part whose closed form the reconstruction line re-adds (17 sweeps and
+    # 7 searches when it searched them), and each series built once
+    swept = count_calls(monkeypatch, swkb.antiderivative, "_sweep")
+    searched = count_calls(monkeypatch, swkb.antiderivative, "antiderivative")
+    series = count_calls(monkeypatch, swkb.series, "generate_series")
+    assert main(["verify", "--order", "8"]) == 0
+    assert capsys.readouterr().out.endswith("verification PASSED at order 8\n")
+    assert len(swept) <= 14 and len(searched) <= 4 and len(series) <= 3
+    print(f"\nverify --order 8: PASS ({len(swept)} sweeps, budget 14; {len(searched)} "
+          f"antiderivative calls, budget 4; {len(series)} series, budget 3)")
 
 
 @pytest.mark.parametrize("coefficients, hbar, argv, compiles", [

@@ -363,7 +363,7 @@ def test_verify_unpacks_keys_only_for_output(capsys, monkeypatch):
     for name, caller in calls:
         by_name.setdefault(name, set()).add(caller)
     assert by_name["decode"] == {"terms"}
-    assert len(sweeps) == 17 and max(priorities.values()) == 1
+    assert len(sweeps) == 14 and max(priorities.values()) == 1
     assert by_name.get("encode", set()) <= {"__init__"}
 
 
@@ -388,8 +388,8 @@ def test_pivot_key_matches_the_decoding_reference(verify12_run):
 @pytest.fixture(scope="module")
 def verify8_sweeps():
     """(x, widen, min_e) of every certificate sweep of ``verify --order 8``:
-    the residual sweeps of ``reduce --max-order 8`` and the searches of the
-    odd real parts and of the wkb checks."""
+    the residual sweeps of both subtraction routes and the searches of the
+    wkb checks."""
     cases = []
 
     def spy(x, widen, min_e=None):

@@ -22,7 +22,7 @@ from swkb import wkb
 from swkb.algebra import Expression, V_RING
 from swkb.cli import _verify_lines, main
 
-from conftest import broken_plus_series
+from conftest import broken_plus_series, count_calls
 
 
 @pytest.fixture()
@@ -167,6 +167,25 @@ def test_quantize_is_the_same_at_any_blas_thread_count(cubic_config):
     one = stdout("1")
     assert len(json.loads(one)["levels"]) == 31
     assert stdout("2") == one
+
+
+def test_a_closed_pipe_ends_quietly_with_141():
+    # the reader takes one line and closes its end; the output (150 kB)
+    # outgrows the pipe's buffer, so the print meets the closed pipe
+    src = os.path.dirname(os.path.dirname(os.path.abspath(swkb.cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "swkb.cli", "series", "--order", "8",
+                             "--format", "json"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_compare_runs(capsys, cubic_config):
@@ -475,26 +494,10 @@ def test_a_wrong_odd_real_certificate_fails_verify(capsys, monkeypatch):
     assert "FAIL certificates + integrands reconstruct the series" in out
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count the calls of ``module.name`` through every swkb namespace that
-    bound it; returns the list the calls are appended to."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if (mod_name == "swkb" or mod_name.startswith("swkb.")) and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def test_verify_builds_each_series_once(monkeypatch):
     # the minus series to order + 1, the plus series, the potential-ring series
-    series_calls = _count_calls(monkeypatch, swkb.series, "generate_series")
-    lseq_calls = _count_calls(monkeypatch, swkb.series, "l_sequence")
+    series_calls = count_calls(monkeypatch, swkb.series, "generate_series")
+    lseq_calls = count_calls(monkeypatch, swkb.series, "l_sequence")
     lines = _verify_lines(4, False)
     assert not any(line.startswith("FAIL") for line in lines)
     assert len(series_calls) == 3
@@ -504,7 +507,7 @@ def test_verify_builds_each_series_once(monkeypatch):
 def test_verify_reuses_the_odd_imaginary_certificates(monkeypatch, split10, pbar8):
     # q_3 and q_5 are checked against (i/2) l[n-1] and p-bar_2 .. p-bar_6
     # against -(1/2) (ln p-bar)_(n-1): no certificate sweep runs on any of them
-    swept = _count_calls(monkeypatch, swkb.antiderivative, "_sweep")
+    swept = count_calls(monkeypatch, swkb.antiderivative, "_sweep")
     lines = _verify_lines(6, False)
     assert "PASS odd imaginary part q_5 is a total derivative" in lines
     assert "PASS log-fixed-point coefficient 6 is a total derivative" in lines
@@ -513,10 +516,48 @@ def test_verify_reuses_the_odd_imaginary_certificates(monkeypatch, split10, pbar
     assert not hasattr(swkb.cli, "antiderivative")
 
 
+def test_verify_sweeps_no_odd_real_part(monkeypatch, split10):
+    # the reconstruction line re-adds the closed forms +-(1/2) (ln R)_(n-1)
+    # of p_3, p_5 and p_7 exactly, so verify searches none of them; what
+    # is left is the residual sweeps of the two subtraction routes and the
+    # wkb searches
+    swept = count_calls(monkeypatch, swkb.antiderivative, "_sweep")
+    searched = count_calls(monkeypatch, swkb.antiderivative, "antiderivative")
+    lines = _verify_lines(8, False)
+    assert "PASS certificates + integrands reconstruct the series" in lines
+    assert not any(args[0] == split10.p[n] for args in swept for n in (3, 5, 7))
+    assert (len(swept), len(searched)) == (14, 4)
+
+
+def test_verify_checks_each_l_identity_once(monkeypatch):
+    # the "odd imaginary part" lines restate identity lines n - 1
+    identities = count_calls(monkeypatch, swkb.series, "check_l_identity")
+    lines = _verify_lines(8, False)
+    assert "PASS odd imaginary part q_7 is a total derivative" in lines
+    assert sorted(args[2] for args in identities) == list(range(1, 9))
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--max-order", "4"],
+    ["quantize", "--order", "4", "--levels", "1"],
+    ["compare", "--orders", "0,4", "--levels", "1"],
+])
+def test_runs_without_verify_guard_the_odd_real_parts(capsys, monkeypatch, cubic_config, argv):
+    # where no reconstruction line re-adds the closed forms, a missing
+    # certificate of p_3 stops the run
+    monkeypatch.setattr(swkb.reduction, "antiderivative", lambda x: None)
+    if argv[0] != "reduce":
+        argv = argv[:1] + ["--config", cubic_config] + argv[1:]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "odd-order real part p_3 has no derivative certificate" in captured.err
+
+
 def test_verify_sweeps_no_nu_coefficient(monkeypatch, substitution4):
     # each nu-coefficient of V'/(E - V) is compared with the derivative of its
     # closed form, which is its certificate: no certificate sweep runs on it
-    swept = _count_calls(monkeypatch, swkb.antiderivative, "_sweep")
+    swept = count_calls(monkeypatch, swkb.antiderivative, "_sweep")
     lines = _verify_lines(4, False)
     assert "PASS log-term corrections are certified derivatives" in lines
     log_term = Expression.sym(1, 1, V_RING) * Expression.u_pow(-2, V_RING)
@@ -527,7 +568,7 @@ def test_verify_sweeps_no_nu_coefficient(monkeypatch, substitution4):
 @pytest.mark.parametrize("levels", [2, 0])
 def test_compare_solves_each_root_once(capsys, cubic_config, monkeypatch, levels):
     # --levels 0 also solves level 1, for the degeneracy row n = 1
-    solves = _count_calls(monkeypatch, swkb.spectrum, "solve_level")
+    solves = count_calls(monkeypatch, swkb.spectrum, "solve_level")
     code, out = run(capsys, ["compare", "--config", cubic_config, "--orders", "0,2",
                              "--levels", str(levels), "--json"])
     assert code == 0
@@ -547,8 +588,8 @@ def test_compare_solves_a_repeated_order_once(capsys, tmp_path, monkeypatch, cub
     path.write_text(json.dumps({"coefficients": [0.0, 1.0, 0.0, 0.2], "hbar": 0.5}))
     parse = swkb.cli.build_parser().parse_args
     assert parse(["compare", "--config", cubic_config, "--orders", "2,0,2,0"]).orders == [2, 0]
-    actions = _count_calls(monkeypatch, swkb.spectrum, "action")
-    compiles = _count_calls(monkeypatch, swkb.spectrum, "compile_integrands")
+    actions = count_calls(monkeypatch, swkb.spectrum, "action")
+    compiles = count_calls(monkeypatch, swkb.spectrum, "compile_integrands")
     outs, calls = [], []
     for orders in ("0,2", "0,0,2"):
         code, out = run(capsys, ["compare", "--config", str(path), "--orders", orders,
@@ -571,7 +612,7 @@ def test_quantize_starts_each_level_from_the_one_below(capsys, cubic_config, mon
         return honest(cond, sp, n, partner, start, peer)
 
     monkeypatch.setattr(swkb.spectrum, "solve_level", spy)
-    actions = _count_calls(monkeypatch, swkb.spectrum, "action")
+    actions = count_calls(monkeypatch, swkb.spectrum, "action")
     code, out = run(capsys, ["quantize", "--config", cubic_config, "--order", "8",
                              "--levels", "30", "--json"])
     assert code == 0
@@ -586,7 +627,7 @@ def test_quantize_carries_each_root_into_the_next_solve(capsys, cubic_config, mo
     # one step off the last evaluations of the level below, without
     # evaluating its start again (97 calls in all when each solve does;
     # test_acceptance holds the tighter budget of the curvature-aware step)
-    actions = _count_calls(monkeypatch, swkb.spectrum, "action")
+    actions = count_calls(monkeypatch, swkb.spectrum, "action")
     code, _ = run(capsys, ["quantize", "--config", cubic_config, "--order", "8",
                            "--levels", "30", "--json"])
     assert code == 0
@@ -596,9 +637,9 @@ def test_quantize_carries_each_root_into_the_next_solve(capsys, cubic_config, mo
 def test_compare_reduces_the_series_once(capsys, cubic_config, monkeypatch):
     # the minus series once for every order, plus the plus series for the
     # degeneracy check
-    series_calls = _count_calls(monkeypatch, swkb.series, "generate_series")
-    lseq_calls = _count_calls(monkeypatch, swkb.series, "l_sequence")
-    qc_calls = _count_calls(monkeypatch, swkb.reduction, "quantization_integrands")
+    series_calls = count_calls(monkeypatch, swkb.series, "generate_series")
+    lseq_calls = count_calls(monkeypatch, swkb.series, "l_sequence")
+    qc_calls = count_calls(monkeypatch, swkb.reduction, "quantization_integrands")
     code, _ = run(capsys, ["compare", "--config", cubic_config, "--orders", "0,2,4",
                            "--levels", "1", "--json"])
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swkb.algebra import E_pow, Expression, i_times, phi, u_half
+from swkb.algebra import E_pow, Expression, PHI_RING, V_RING, i_times, phi, u_half
 from swkb.antiderivative import antiderivative
 from swkb.errors import StructuralTheoremViolation
 from swkb.series import (
@@ -36,6 +36,22 @@ S1_PLUS = (phi() * phi(1) * u_half(-2)).scale(Fr(1, 2)) - i_times(
 )
 
 
+def full_riccati_residual(s, n):
+    """The order-n Riccati residual with every product c_k c_(n-k),
+    0 <= k <= n, formed on its own."""
+    ring, c = s.ring, s.coeffs
+    acc = Expression.zero(ring)
+    for k in range(n + 1):
+        acc = acc + c[k] * c[n - k]
+    if n == 0:
+        return acc - Expression.u_pow(2, ring)
+    acc = acc + c[n - 1].differentiate()
+    if n == 1 and ring == PHI_RING:
+        source = i_times(phi(1))
+        acc = acc - source if s.sign == "minus" else acc + source
+    return acc
+
+
 class TestGeneration:
     def test_order_zero(self):
         s = generate_series(0, "minus")
@@ -63,6 +79,21 @@ class TestGeneration:
             assert broken.riccati_residual(4).is_zero()
             assert not broken.riccati_residual(5).is_zero()
             assert not broken.riccati_residual(6).is_zero()
+
+    @pytest.mark.parametrize("sign, ring", [("minus", PHI_RING), ("plus", PHI_RING),
+                                            ("minus", V_RING)])
+    def test_riccati_residual_is_the_full_convolution(self, sign, ring):
+        # each pair c_k c_(n-k) formed once, weighted twice, must give the
+        # convolution over every k: on the series and on a copy with a
+        # term added to every coefficient, whose residuals are not zero
+        s = generate_series(10, sign, ring)
+        junk = [(Expression.sym(2, 1, ring) * Expression.u_pow(-2 - n, ring)).scale(Fr(1, n + 1))
+                for n in range(11)]
+        broken = HbarSeries([s.coeffs[0]] + [c + j for c, j in zip(s.coeffs[1:], junk[1:])], sign)
+        for n in range(11):
+            assert s.riccati_residual(n) == full_riccati_residual(s, n)
+            assert broken.riccati_residual(n) == full_riccati_residual(broken, n)
+            assert n == 0 or not broken.riccati_residual(n).is_zero()
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swkb.algebra import Expression, Monomial, V_RING
+from swkb.algebra import Expression, Monomial, PHI_RING, V_RING
 from swkb.antiderivative import antiderivative
+from swkb.series import series_mul
 from swkb.wkb import (
     MAX_SUBSTITUTION_ORDER,
     Substitution,
@@ -63,6 +66,63 @@ def test_substitution_commutes_with_differentiation():
         lhs = sub.apply(x.differentiate())
         rhs = [c.differentiate() for c in sub.apply(x)]
         assert lhs == rhs
+
+
+def naive_substitution(order, x):
+    """``Substitution(order).apply(x)`` term by term: each factor V^(k)
+    multiplied in as (f^2)^(k) - i nu f^(k+1), u_V^(h/2) as the binomial
+    series sum_j C(h/2, j) (i nu)^j f'^j u^(h/2 - j), E^e last."""
+    zero = Expression.zero(PHI_RING)
+    total = [zero] * (order + 1)
+    for m, c in x.terms.items():
+        fac = [Expression.const(c)] + [zero] * order
+        for k, a in m.derivs:
+            square = Expression.e_pow(1) - Expression.u_pow(2)
+            for _ in range(k):
+                square = square.differentiate()
+            factor = [square, Expression.sym(k + 1, 1).scale((0, -1))] + [zero] * (order - 1)
+            for _ in range(a):
+                fac = series_mul(fac, factor, order)
+        if m.h:
+            binomial = []
+            for j in range(order + 1):
+                b = Fr(1)
+                for t in range(j):
+                    b = b * (Fr(m.h, 2) - t) / (t + 1)
+                i_pow = ((b, 0), (0, b), (-b, 0), (0, -b))[j % 4]
+                binomial.append((Expression.sym(1, j) * Expression.u_pow(m.h - 2 * j)).scale(i_pow))
+            fac = series_mul(fac, binomial, order)
+        fac = [f * Expression.e_pow(m.e) for f in fac]
+        total = [t + f for t, f in zip(total, fac)]
+    return total
+
+
+def test_substitution_is_the_term_by_term_expansion(substitution4, wkb4):
+    for c in wkb4.coeffs:
+        assert substitution4.apply(c) == naive_substitution(4, c)
+    # a derivative order far above the truncation order
+    x = Expression.sym(12, 1, V_RING) * Expression.u_pow(-3, V_RING)
+    assert Substitution(1).apply(x) == naive_substitution(1, x)
+
+
+SUBSTITUTIONS = [Substitution(order) for order in range(MAX_SUBSTITUTION_ORDER + 1)]
+v_monomials = st.builds(
+    Monomial,
+    st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=3).map(dict.items),
+    st.integers(-9, 5),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(v_monomials, st.fractions(max_denominator=6).filter(bool)),
+                min_size=1, max_size=3),
+       st.integers(0, MAX_SUBSTITUTION_ORDER))
+def test_substitution_of_drawn_monomials_is_the_term_by_term_expansion(terms, order):
+    # a substitution keeps the products it has built, so one instance per
+    # order meets the draws in turn
+    x = Expression(V_RING, terms)
+    assert SUBSTITUTIONS[order].apply(x) == naive_substitution(order, x)
 
 
 def test_substituted_series_matches_exactly(substitution4, wkb4, series10):
