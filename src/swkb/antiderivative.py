@@ -10,7 +10,8 @@ count are chosen, which keeps the candidate bases small.
 The ansatz derivatives are eliminated by ``DerivativeSweep``, a sparse
 incremental echelon of primitive integer rows (twice each derivative, so
 the half-powers of u leave no denominator) keyed by the packed monomial
-keys of ``algebra``; rationals appear only in its results.  One windowed
+keys of ``algebra``, each augmented by the generator combination behind
+it; rationals appear only in its results.  One windowed
 sweep (generators, elimination, exact re-check) serves both
 ``antiderivative`` and ``reduction.residual_sweep``.
 
@@ -170,16 +171,6 @@ def _derivative_row(ring: Ring, m: int) -> Dict[int, int]:
     return row
 
 
-def _sub_multiple(acc: dict, c: int, src: dict) -> None:
-    """acc -= c * src in place, storing no zero entries."""
-    for key, v in src.items():
-        new = acc.get(key, 0) - c * v
-        if new:
-            acc[key] = new
-        else:
-            del acc[key]
-
-
 class DerivativeSweep:
     """Sparse incremental echelon of the derivatives of ansatz monomials: the
     one exact elimination engine behind certificates and residual sweeps.
@@ -187,110 +178,109 @@ class DerivativeSweep:
     The generators, packed keys, are taken in the order given; a generator
     whose derivative is zero or lies in the span of the earlier ones is
     dropped.  The order cannot change ``normal_form``.  Each row's pivot is
-    the highest-priority entry left in it after the earlier pivots are
+    the highest-priority monomial left in it after the earlier pivots are
     cleared, so the rows have distinct leading monomials, and the pivot set
     is the set of leading monomials of the span, whatever the order.
     ``kept`` is then the unique element of x + span free of every pivot,
     and ``cert`` is unique because d/dx is injective off the pure E-powers,
     which are dropped as zero rows.  Callers pass ascending key order,
-    which keeps the fill-in low.  Each row is (pivot, vec,
-    comb): ``vec`` is a primitive integer vector keyed by packed keys,
-    positive at the pivot that ``_pivot_key`` picks (computed once per key
-    in the sweep), and ``comb`` the integer combination of generator
-    indices whose ``_derivative_row``s sum to it.  Elimination is fraction-free, as in
-    Bareiss's integer-preserving elimination, but keeps each row primitive
-    instead of dividing by the previous pivot: a pivot is cleared by
-    vec <- d*vec - c*pvec, with c and d divided by their gcd first.
+    which keeps the fill-in low.
+
+    Each row is (pivot, row), one primitive integer row of the augmented
+    matrix [2 D(g) | I]: under the packed monomial keys, all >= 0, it holds
+    the derivative part, positive at the pivot that ``_pivot_key`` picks
+    (computed once per key in the sweep); under the key ~j = -j-1, which no
+    monomial takes, it holds the coefficient of generator j, so the
+    derivative part is the sum of those coefficients times the generators'
+    ``_derivative_row``s.  Elimination is fraction-free, as in Bareiss's
+    integer-preserving elimination, but keeps each row primitive instead of
+    dividing by the previous pivot: a pivot is cleared by
+    row <- d*row - c*prow, with c and d divided by their gcd first.
     """
 
     def __init__(self, ring: Ring, generators: List[int]):
         self.ring = ring
         self.generators = generators
-        self.rows: List[Tuple[int, Dict[int, int], Dict[int, int]]] = []
+        self.rows: List[Tuple[int, Dict[int, int]]] = []
         self.row_of: Dict[int, int] = {}  # pivot -> index of its row
         priority = lru_cache(maxsize=None)(_pivot_key)  # once per key in this sweep
         for j, m in enumerate(generators):
-            vec = _derivative_row(ring, m)
-            comb = {j: 1}
-            self._reduce(vec, comb)
-            if not vec:
+            row = _derivative_row(ring, m)
+            row[~j] = 1
+            self._reduce(row)
+            pivot = max((key for key in row if key >= 0), key=priority, default=None)
+            if pivot is None:
                 continue
-            pivot = max(vec, key=priority)
-            g = gcd(*vec.values(), *comb.values())
-            if vec[pivot] < 0:
+            g = gcd(*row.values())
+            if row[pivot] < 0:
                 g = -g
             if g != 1:
-                vec = {mm: c // g for mm, c in vec.items()}
-                comb = {i: c // g for i, c in comb.items()}
+                row = {key: c // g for key, c in row.items()}
             self.row_of[pivot] = len(self.rows)
-            self.rows.append((pivot, vec, comb))
+            self.rows.append((pivot, row))
 
-    def _reduce(self, vec: Dict[int, int], comb: Dict[int, int]) -> int:
-        """Clear every pivot from ``vec`` in place, doing the same row steps
-        on ``comb``, and return the product S of the factors d.  Afterwards
-        vec - sum(comb[i] * derivative row of generator i) is S times what
-        it was before.
+    def _reduce(self, row: Dict[int, int]) -> int:
+        """Clear every pivot from ``row`` in place and return the product S
+        of the factors d: each generator key ~i the row gains records the
+        multiple of generator i's derivative row taken off, so afterwards
+        the row's monomial part minus the sum of its generator coefficients
+        times those derivative rows is S times what it was before.
 
-        Rows are taken in echelon order, but only those whose pivot ``vec``
+        Rows are taken in echelon order, but only those whose pivot ``row``
         holds: bit i of ``pending`` marks row i, set for the pivots among
-        ``vec``'s keys and for those each subtraction adds.  Row i holds no
+        ``row``'s keys and for those each subtraction adds.  Row i holds no
         pivot of an earlier row, so every bit set while row i is subtracted
         is above bit i and the steps are those of a scan over every row."""
         scale = 1
         row_of = self.row_of
         pending = 0
-        for key in vec:
+        for key in row:
             if key in row_of:
                 pending |= 1 << row_of[key]
         while pending:
             low = pending & -pending
             pending ^= low
-            pivot, pvec, pcomb = self.rows[low.bit_length() - 1]
-            c = vec.get(pivot)
+            pivot, prow = self.rows[low.bit_length() - 1]
+            c = row.get(pivot)
             if c is None:
                 continue
-            d = pvec[pivot]
+            d = prow[pivot]
             g = gcd(c, d)
             c //= g
             d //= g
             if d != 1:
                 scale *= d
-                for key in vec:
-                    vec[key] *= d
-                for key in comb:
-                    comb[key] *= d
-            # vec -= c * pvec, as _sub_multiple, marking the pivots it adds
-            for key, v in pvec.items():
-                old = vec.get(key)
+                for key in row:
+                    row[key] *= d
+            # row -= c * prow, storing no zero entries and marking the pivots it adds
+            for key, v in prow.items():
+                old = row.get(key)
                 if old is None:
-                    vec[key] = -c * v
+                    row[key] = -c * v
                     if key in row_of:
                         pending |= 1 << row_of[key]
                 elif old == c * v:
-                    del vec[key]
+                    del row[key]
                 else:
-                    vec[key] = old - c * v
-            _sub_multiple(comb, c, pcomb)
+                    row[key] = old - c * v
         return scale
 
     def normal_form(self, x: Expression) -> Tuple[Expression, Expression]:
         """Return (kept, cert) with x = kept + differentiate(cert) and kept
         free of every pivot monomial.  The integer numerators of the real
         and imaginary parts of x are reduced separately, since every row is
-        real; with S the product of the factors of ``_reduce``, kept =
-        vec/(den*S) and, as each row is twice a derivative, cert =
-        -2*comb/(den*S)."""
-        vec_re = {key: re for key, (re, _) in x.num.items() if re}
-        vec_im = {key: im for key, (_, im) in x.num.items() if im}
-        comb_re: Dict[int, int] = {}
-        comb_im: Dict[int, int] = {}
-        s_re, s_im = self._reduce(vec_re, comb_re), self._reduce(vec_im, comb_im)
+        real; with S the product of the factors of ``_reduce``, kept is the
+        monomial part over den*S and, as each row is twice a derivative,
+        cert is -2 times the generator part over den*S."""
+        row_re = {key: re for key, (re, _) in x.num.items() if re}
+        row_im = {key: im for key, (_, im) in x.num.items() if im}
+        s_re, s_im = self._reduce(row_re), self._reduce(row_im)
         s = lcm(s_re, s_im)
-        f_re, f_im, den = s // s_re, s // s_im, x.den * s
-        kept = [(m, c * f_re, 0) for m, c in vec_re.items()]
-        kept += [(m, 0, c * f_im) for m, c in vec_im.items()]
-        cert = [(self.generators[i], -2 * c * f_re, 0) for i, c in comb_re.items()]
-        cert += [(self.generators[i], 0, -2 * c * f_im) for i, c in comb_im.items()]
+        f_re, f_im, den, gens = s // s_re, s // s_im, x.den * s, self.generators
+        kept = [(k, c * f_re, 0) for k, c in row_re.items() if k >= 0]
+        kept += [(k, 0, c * f_im) for k, c in row_im.items() if k >= 0]
+        cert = [(gens[~k], -2 * c * f_re, 0) for k, c in row_re.items() if k < 0]
+        cert += [(gens[~k], 0, -2 * c * f_im) for k, c in row_im.items() if k < 0]
         return _collect(self.ring, kept, den), _collect(self.ring, cert, den)
 
 

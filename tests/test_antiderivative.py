@@ -99,23 +99,22 @@ def test_certificate_is_independent_of_the_window(split10, part, n):
         assert _sweep(x, widen) == (Expression.zero(), cert)
 
 
-def _scan_reduce(sweep, vec, comb):
+def _scan_reduce(sweep, row):
     """Reference for ``DerivativeSweep._reduce``: clear each row's pivot in
     echelon order, testing every row."""
     scale = 1
-    for pivot, pvec, pcomb in sweep.rows:
-        if pivot not in vec:
+    for pivot, prow in sweep.rows:
+        if pivot not in row:
             continue
-        g = gcd(vec[pivot], pvec[pivot])
-        c, d = vec[pivot] // g, pvec[pivot] // g
+        g = gcd(row[pivot], prow[pivot])
+        c, d = row[pivot] // g, prow[pivot] // g
         scale *= d
-        for acc, src in ((vec, pvec), (comb, pcomb)):
-            for key in acc:
-                acc[key] *= d
-            for key, v in src.items():
-                acc[key] = acc.get(key, 0) - c * v
-                if not acc[key]:
-                    del acc[key]
+        for key in row:
+            row[key] *= d
+        for key, v in prow.items():
+            row[key] = row.get(key, 0) - c * v
+            if not row[key]:
+                del row[key]
     return scale
 
 
@@ -159,9 +158,9 @@ class TestEngine:
         monkeypatch.undo()
         assert fast.rows == slow.rows and len(fast.rows) > 10
         vec = {key: re + im for key, (re, im) in x.num.items() if re + im}
-        fast_vec, fast_comb, slow_vec, slow_comb = dict(vec), {}, dict(vec), {}
-        assert fast._reduce(fast_vec, fast_comb) == _scan_reduce(fast, slow_vec, slow_comb)
-        assert (fast_vec, fast_comb) == (slow_vec, slow_comb)
+        fast_row, slow_row = dict(vec), dict(vec)
+        assert fast._reduce(fast_row) == _scan_reduce(fast, slow_row)
+        assert fast_row == slow_row
 
     def test_imaginary_and_mixed_rhs(self):
         y_re = (phi() * phi(1, 2) * u_half(-5)).scale(Fr(5, 16))
@@ -270,11 +269,13 @@ class FractionSweep:
 
 def _assert_engines_agree(ring, generators, rhs):
     sweep, oracle = DerivativeSweep(ring, generators), FractionSweep(ring, generators)
-    assert [p for p, _, _ in sweep.rows] == [encode(p) for p, _, _ in oracle.rows]
-    for (_, vec, comb), (_, ovec, ocomb) in zip(sweep.rows, oracle.rows):
-        # each integer row is the normalized row times its pivot entry s, and
-        # its combination, doubled (a row is twice a derivative), the oracle's
-        # times s
+    assert [p for p, _ in sweep.rows] == [encode(p) for p, _, _ in oracle.rows]
+    for (_, row), (_, ovec, ocomb) in zip(sweep.rows, oracle.rows):
+        # each integer row's monomial part is the normalized row times its
+        # pivot entry s, and its generator part, doubled (a row is twice a
+        # derivative), the oracle's combination times s
+        vec = {key: c for key, c in row.items() if key >= 0}
+        comb = {~key: c for key, c in row.items() if key < 0}
         s = vec[max(vec, key=_pivot_key)]
         assert s > 0
         assert vec == {encode(m): c * s for m, c in ovec.items()}
@@ -413,5 +414,23 @@ def test_normal_form_is_independent_of_the_generator_order(verify8_sweeps, data)
     assert gens == sorted(set(gens))
     ordered = DerivativeSweep(x.ring, gens)
     permuted = DerivativeSweep(x.ring, data.draw(st.permutations(gens)))
-    assert {p for p, _, _ in permuted.rows} == {p for p, _, _ in ordered.rows}
+    assert {p for p, _ in permuted.rows} == {p for p, _ in ordered.rows}
     assert permuted.normal_form(x) == ordered.normal_form(x)
+
+
+def test_each_row_holds_its_derivative_part_and_the_combination_behind_it(verify8_sweeps):
+    # a row of the augmented matrix [2 D(g) | I]: its monomial part is the
+    # sum of its generator coefficients times those generators' derivative rows
+    for x, widen, min_e in verify8_sweeps:
+        sweep = DerivativeSweep(x.ring, _window_generators(x, widen, min_e))
+        assert sweep.rows
+        for pivot, row in sweep.rows:
+            assert pivot >= 0 and row[pivot] > 0
+            comb = {~key: c for key, c in row.items() if key < 0}
+            assert comb
+            total = Counter()
+            for j, c in comb.items():
+                for key, v in _derivative_row(x.ring, sweep.generators[j]).items():
+                    total[key] += c * v
+            assert {key: v for key, v in total.items() if v} == \
+                {key: c for key, c in row.items() if key >= 0}

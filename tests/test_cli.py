@@ -265,13 +265,15 @@ def test_numerical_failure_exits_3(capsys, tmp_path):
 
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 5 (uniqueness): the broken order-8 condition has a root "
-    "near E = 0.2123 at every level, 5.1e-6 above the one below, and each "
-    "level is accepted from the start the level below hands it"))
-def test_a_spectrum_that_does_not_rise_is_not_accepted(capsys, tmp_path):
-    # phi = 0.5 x + 0.2 x^3 + 2 x^5 at hbar = 1: levels 1-4 come out at
-    # 0.21229-0.21231, each more than the tolerance above the last, so a
+    "near E = 0.212 at every level, more than the tolerance above the one "
+    "below, and each level is accepted from the start the level below hands it"))
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+def test_a_spectrum_that_does_not_rise_is_not_accepted(capsys, tmp_path, hbar):
+    # phi = 0.5 x + 0.2 x^3 + 2 x^5: levels 1-4 come out at 0.21229-0.21231
+    # at hbar = 1 and 0.21205-0.21405 at hbar = 0.5 (the oracle's level 1 is
+    # 1.12135 there), each more than the tolerance above the last, so a
     # check that E_n rises past E_(n-1) by the tolerance would pass them
-    coefficients, hbar = [0.0, 0.5, 0.0, 0.2, 0.0, 2.0], 1.0
+    coefficients = [0.0, 0.5, 0.0, 0.2, 0.0, 2.0]
     path = tmp_path / "quintic.json"
     path.write_text(json.dumps({"coefficients": coefficients, "hbar": hbar}))
     code, out = run(capsys, ["quantize", "--config", str(path), "--order", "8",

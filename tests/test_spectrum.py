@@ -604,11 +604,15 @@ class TestDegeneracy:
             assert abs(solve_level(conditions[0], oscillator, n, "minus") - 2.0 * n) < 1e-8
             assert abs(solve_level(conditions[0], oscillator, n - 1, "plus") - 2.0 * n) < 1e-8
 
-    def test_cubic_gaps_small_at_all_orders(self, cubic):
+    def test_cubic_gaps_small_at_all_orders(self, cubic, conditions):
+        # the report reads each plus root off the minus root it pairs with,
+        # so the gap is 0 by construction; an independent plus solve checks it
         rep = compare_report(cubic, [0, 2, 4], 3)
         assert len(rep.degeneracy) == 9
         for rec in rep.degeneracy:
             assert rec.gap == 0.0
+            plus = solve_level(conditions[rec.order], cubic, rec.n - 1, "plus")
+            assert abs(rec.e_plus_below - plus) < 1e-9
 
     def test_report_checks_plus_real_parts(self, cubic, monkeypatch):
         monkeypatch.setattr(swkb.spectrum, "generate_series", broken_plus_series)
