@@ -684,10 +684,6 @@ def u_half(h: int) -> Expression:
     return Expression.u_pow(h, PHI_RING)
 
 
-def E_pow(e: int) -> Expression:
-    return Expression.e_pow(e, PHI_RING)
-
-
 def const(c) -> Expression:
     return Expression.const(c, PHI_RING)
 

@@ -19,8 +19,9 @@ d/dx is injective on every canonical monomial except the pure powers of
 E, which the sweep drops as zero columns.  So a certificate is unique:
 the window decides only whether the sweep finds it, never which one comes
 back.  A returned certificate Y always satisfies differentiate(Y) ==
-input exactly; absence is reported only after the windows have been
-widened ``MAX_WIDEN`` times.
+input exactly.  ``antiderivative`` sweeps one window, unwidened: every
+certificate the package asks for lies in it, and one outside it is
+reported absent.
 """
 
 from __future__ import annotations
@@ -32,10 +33,6 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import (FIELD_BITS, KEY_ONE, _E_UNIT, _FIELD, _H_UNIT, _MOVE, _SYM_SHIFT, _SYM_UNIT,
                       _BIAS, Expression, Ring, _check_keys, _collect, decode, key_bigrade)
 from .errors import StructuralTheoremViolation
-
-# how many times the ansatz windows are widened before a certificate is
-# reported absent
-MAX_WIDEN = 3
 
 
 def _partitions(n: int, max_part: int):
@@ -304,9 +301,6 @@ def _sweep(x: Expression, widen: int, min_e: Optional[int] = None) -> Tuple[Expr
 
 def antiderivative(a: Expression) -> Optional[Expression]:
     """Return the Y free of pure E-powers with differentiate(Y) == a, or None
-    when no window up to ``MAX_WIDEN`` holds it."""
-    for widen in range(MAX_WIDEN + 1):
-        kept, cert = _sweep(a, widen)
-        if kept.is_zero():
-            return cert
-    return None
+    when the unwidened ansatz window of ``a`` does not hold it."""
+    kept, cert = _sweep(a, 0)
+    return cert if kept.is_zero() else None

@@ -57,8 +57,6 @@ DEFAULT_VERIFY_ORDER = 8
 
 
 def _emit_expr(x: Expression, fmt: str) -> str:
-    if fmt == "json":
-        return x.to_json()
     if fmt == "latex":
         return x.to_latex()
     return x.to_text()
@@ -239,11 +237,11 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
     check("certificates + integrands reconstruct the series",
           all(r.is_zero() for r in res))
 
-    wk = wkb_series_and_substitute(min(MAX_SUBSTITUTION_ORDER, order), s)
-    check("substituted series matches", wk.series_match.all_ok)
-    check("log-term corrections are certified derivatives", wk.log_term.all_ok)
-    check("substituted simplified condition matches modulo derivatives",
-          wk.condition.all_ok)
+    series_match, log_term, condition = wkb_series_and_substitute(
+        min(MAX_SUBSTITUTION_ORDER, order), s)
+    check("substituted series matches", series_match.all_ok)
+    check("log-term corrections are certified derivatives", log_term.all_ok)
+    check("substituted simplified condition matches modulo derivatives", condition.all_ok)
 
     lines.append("")
     lines.append("per-order structure (exploration record):")
@@ -273,7 +271,9 @@ def cmd_verify(args) -> int:
 def cmd_quantize(args) -> int:
     sp = args.sp
     conds = build_conditions([args.order])
-    energies = solve_levels(conds, sp, args.levels, args.partner)[args.order]
+    # the partners share one action, so plus level n is minus level n + 1
+    shift = args.partner == "plus"
+    energies = solve_levels(conds, sp, args.levels + shift)[args.order][shift:]
     if args.json:
         print(json.dumps({
             "superpotential": sp.to_json_dict(),

@@ -11,7 +11,8 @@ of writing the right-hand side, leaving
 The integrands reduce the real parts p_n alone, and the plus series
 has the same real parts (c_n^(+) = c_n - 2 i q_n), so both partners share
 one action and the degeneracy E_n^(-) = E_{n-1}^(+) holds at every
-truncation order.  The report rests on that identity: it checks
+truncation order.  So only the minus condition is solved: plus level n is
+minus level n + 1.  The report rests on that identity: it checks
 p_n^(+) = p_n exactly and then reads E_{n-1}^(+) off the minus root already
 solved for level n.
 """
@@ -161,7 +162,7 @@ class Level(float):
     """A root found by ``solve_level``: the energy as a float, carrying the
     last two (E, action by order) the solve evaluated, older first (the
     older one may come from the level below or from another order), and the
-    (condition, superpotential, partner) it belongs to.  Passed as the
+    (condition, superpotential) it belongs to.  Passed as the
     ``start`` of a solve of the same problem, the newer evaluation serves as
     the first iteration, so the next level starts one exact second-order
     step away without integrating again, and the pair gives the third-order
@@ -193,16 +194,14 @@ def solve_level(
     cond: Condition,
     sp: PolynomialSuperpotential,
     n: int,
-    partner: str = "minus",
     start: Optional[float] = None,
     peer: Optional[float] = None,
 ) -> float:
-    """Root of action(E) = 2 n pi hbar (minus partner) or 2 (n + 1) pi hbar
-    (plus partner) by Newton's method in ln E, from ``start`` (a nearby
-    root, say) or else from hbar.  A ``Level`` returned by a solve of the
-    same condition, superpotential and partner is not evaluated again: its
-    last evaluation is the first iteration, and any other start is a plain
-    energy.
+    """Root of action(E) = 2 n pi hbar, minus level n and plus level n - 1,
+    by Newton's method in ln E, from ``start`` (a nearby root, say) or else
+    from hbar.  A ``Level`` returned by a solve of the same condition and
+    superpotential is not evaluated again: its last evaluation is the first
+    iteration, and any other start is a plain energy.
 
     A ~ c E^alpha makes ln A nearly linear in ln E: with t = ln E,
     x = ln A and dx = ln(target / A), each step is Chebyshev's
@@ -220,27 +219,23 @@ def solve_level(
     the last two evaluations; the root is returned as a ``Level`` holding
     them.
 
-    ``peer`` is a ``Level`` of the same level, superpotential and partner
-    from another condition of the build (``solve_levels`` passes the next
-    higher order's root).  Where both of its evaluations hold this
-    condition's order, they are this condition's own evaluations at those
-    energies; if the stop rule accepts the step from them, that step is the
+    ``peer`` is a ``Level`` of the same level and superpotential from
+    another condition of the build (``solve_levels`` passes the next higher
+    order's root).  Where both of its evaluations hold this condition's
+    order, they are this condition's own evaluations at those energies; if the stop rule accepts the step from them, that step is the
     root and nothing is integrated.  Otherwise the peer is dropped and the
     level is solved from ``start`` as without it.
 
-    The minus-partner ground state sits at the E -> 0 edge where the
-    turning points coalesce; the action decreases monotonically to zero
-    there, so the analytic root E = 0 is returned without integrating."""
+    The ground state sits at the E -> 0 edge where the turning points
+    coalesce; the action decreases monotonically to zero there, so the
+    analytic root E = 0 is returned without integrating."""
     if n < 0:
         raise ValueError("level index must be >= 0")
-    if partner not in ("minus", "plus"):
-        raise ValueError("partner must be 'minus' or 'plus'")
-    shift = n if partner == "minus" else n + 1
-    target = 2.0 * shift * math.pi * sp.hbar
+    target = 2.0 * n * math.pi * sp.hbar
     if target == 0.0:
         return 0.0
     floor = MIN_VALIDATED_E_FACTOR * sp.hbar
-    source = (cond, sp, partner)
+    source = (cond, sp)
     order = cond.order
 
     def newton(probes: List[Probe], E: float, fresh: bool, trial: bool = False) -> Optional[Level]:
@@ -250,7 +245,7 @@ def solve_level(
         lo, hi = 0.0, math.inf
 
         def failure(why: str) -> ConvergenceError:
-            return ConvergenceError(f"level {n} ({partner}, order {order}): {why}; "
+            return ConvergenceError(f"level {n} (minus, order {order}): {why}; "
                                     f"last E = {E}, bracket [{lo}, {hi}]")
 
         for _ in range(MAX_SOLVE_STEPS):
@@ -298,7 +293,7 @@ def solve_level(
             fresh = True
         raise failure(f"no root within {MAX_SOLVE_STEPS} steps")
 
-    if (isinstance(peer, Level) and peer.source[1:] == source[1:]
+    if (isinstance(peer, Level) and peer.source[1] == sp
             and all(order in values for _, values in peer.probes)):
         root = newton(list(peer.probes), peer.probes[-1][0], fresh=False, trial=True)
         if root is not None:
@@ -312,7 +307,6 @@ def solve_levels(
     conds: Dict[int, Condition],
     sp: PolynomialSuperpotential,
     n_max: int,
-    partner: str = "minus",
 ) -> Dict[int, List[float]]:
     """The roots of levels 0..n_max of each condition of ``conds`` (one
     build, keyed by order), by order in the order of ``conds``.
@@ -325,7 +319,7 @@ def solve_levels(
     for n in range(n_max + 1):
         higher = None
         for k in sorted(conds, reverse=True):
-            higher = solve_level(conds[k], sp, n, partner, start=roots[k][-1] if n else None,
+            higher = solve_level(conds[k], sp, n, start=roots[k][-1] if n else None,
                                  peer=higher)
             roots[k].append(higher)
     return roots
@@ -334,7 +328,6 @@ def solve_levels(
 @dataclass
 class LevelRecord:
     n: int
-    partner: str
     e_by_order: Dict[int, float]
     e_oracle: Optional[float] = None
 
@@ -368,7 +361,7 @@ class SpectrumReport:
             "levels": [
                 {
                     "n": r.n,
-                    "partner": r.partner,
+                    "partner": "minus",
                     "e_swkb": {str(k): v for k, v in sorted(r.e_by_order.items())},
                     "e_oracle": r.e_oracle,
                     "abs_error": {str(k): v for k, v in sorted(r.abs_errors().items())},
@@ -399,7 +392,7 @@ class SpectrumReport:
                 head += ["E(oracle)"] + [f"err(order {k})" for k in orders]
             rows = []
             for r in self.levels:
-                row = [str(r.n), r.partner] + [
+                row = [str(r.n), "minus"] + [
                     f"{r.e_by_order[k]:.10f}" if k in r.e_by_order else "-" for k in orders
                 ]
                 if r.e_oracle is not None:
@@ -468,7 +461,7 @@ def compare_report(
     by_order = solve_levels(conds, sp, deg_max)
     report.degeneracy = _degeneracy_rows(by_order, deg_max, conds[max(orders)].split)
     for n in range(n_max + 1):
-        rec = LevelRecord(n, "minus", {ordr: by_order[ordr][n] for ordr in orders})
+        rec = LevelRecord(n, {ordr: by_order[ordr][n] for ordr in orders})
         if oracle_values is not None and n < len(oracle_values):
             rec.e_oracle = float(oracle_values[n])
         report.levels.append(rec)

@@ -11,9 +11,8 @@ checks bundled in :func:`wkb_series_and_substitute`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .algebra import Expression, PHI_RING, V_RING
 from .antiderivative import antiderivative
@@ -90,22 +89,12 @@ def wkb_series(order: int) -> HbarSeries:
     return generate_series(order, "minus", V_RING)
 
 
-@dataclass
-class SimplifiedWkbCondition:
-    """Kept integrands of the potential-ring quantization condition.
-
-    kept[k] is the canonical even-order integrand (k = 0 is u_V^(1/2));
-    ``first_order`` is the order-1 coefficient, kept whole as the carrier
-    of the constant term; everything else is dropped as a certified
-    derivative."""
-
-    kept: Dict[int, Expression]
-    first_order: Expression
-
-
-def simplify_wkb_condition(w: HbarSeries, max_order: int) -> SimplifiedWkbCondition:
-    """Simplified condition of the potential-ring series ``w`` up to ``max_order``."""
-    kept: Dict[int, Expression] = {0: w.coeffs[0]}
+def simplify_wkb_condition(w: HbarSeries, max_order: int) -> Dict[int, Expression]:
+    """Kept integrands of the potential-ring series ``w`` up to
+    ``max_order``, by order: the canonical even-order integrands (order 0 is
+    u_V^(1/2)) and the order-1 coefficient, kept whole as the carrier of the
+    constant term; every other order is dropped as a certified derivative."""
+    kept: Dict[int, Expression] = {0: w.coeffs[0], 1: w.coeffs[1]}
     for n in range(2, max_order + 1):
         if n % 2 == 0:
             kept[n] = residual_sweep(w.coeffs[n])[0]
@@ -113,7 +102,7 @@ def simplify_wkb_condition(w: HbarSeries, max_order: int) -> SimplifiedWkbCondit
             raise StructuralTheoremViolation(
                 f"odd-order coefficient {n} unexpectedly not a derivative"
             )
-    return SimplifiedWkbCondition(kept, w.coeffs[1])
+    return kept
 
 
 def log_term_expansion_check(sub: Substitution) -> CheckReport:
@@ -167,8 +156,7 @@ def substituted_condition_check(sub: Substitution, w: HbarSeries, s: HbarSeries)
     ``sub.order``: the order-n difference must be a certified total
     derivative (exactly zero at orders 0 and 1)."""
     order = sub.order
-    simp = simplify_wkb_condition(w, order)
-    total = _substitute_orders(sub, {**simp.kept, 1: simp.first_order})
+    total = _substitute_orders(sub, simplify_wkb_condition(w, order))
     report = CheckReport()
     for n in range(order + 1):
         diff = total[n] - s.coeffs[n]
@@ -180,20 +168,10 @@ def substituted_condition_check(sub: Substitution, w: HbarSeries, s: HbarSeries)
     return report
 
 
-@dataclass
-class WkbSubstitutionReport:
-    series_match: CheckReport
-    log_term: CheckReport
-    condition: CheckReport
-
-    @property
-    def all_ok(self) -> bool:
-        return self.series_match.all_ok and self.log_term.all_ok and self.condition.all_ok
-
-
-def wkb_series_and_substitute(order: int, s: HbarSeries) -> WkbSubstitutionReport:
-    """Bundle of the three substitution checks against the minus series
-    ``s``, bounded at order 4 (the potential-ring condition is only
+def wkb_series_and_substitute(order: int,
+                              s: HbarSeries) -> Tuple[CheckReport, CheckReport, CheckReport]:
+    """The three substitution checks against the minus series ``s``, as
+    (series match, log term, simplified condition), bounded at order 4 (the potential-ring condition is only
     simplified that far here).  The potential-ring series and the
     substitution are built once and shared by the three checks."""
     if order > MAX_SUBSTITUTION_ORDER:
@@ -203,8 +181,5 @@ def wkb_series_and_substitute(order: int, s: HbarSeries) -> WkbSubstitutionRepor
         )
     sub = Substitution(order)
     w = wkb_series(order)
-    return WkbSubstitutionReport(
-        substitution_series_check(sub, w, s),
-        log_term_expansion_check(sub),
-        substituted_condition_check(sub, w, s),
-    )
+    return (substitution_series_check(sub, w, s), log_term_expansion_check(sub),
+            substituted_condition_check(sub, w, s))

@@ -15,6 +15,11 @@ from swkb.spectrum import build_conditions
 from swkb.wkb import Substitution, wkb_series
 
 
+def E_pow(e: int) -> Expression:
+    """E^e in the superpotential ring."""
+    return Expression.e_pow(e, PHI_RING)
+
+
 @pytest.fixture(scope="session")
 def series10():
     return generate_series(10, "minus")

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swkb.algebra import (
-    E_pow,
     Expression,
     F_factor,
     Monomial,
@@ -25,7 +24,7 @@ import swkb.algebra
 from swkb.errors import PoleError, UndefinedDegreeError
 from swkb.series import generate_series
 
-from conftest import coefficients, ring_expressions
+from conftest import E_pow, coefficients, ring_expressions
 
 
 def examples(n):
@@ -267,6 +266,10 @@ class TestSerialization:
 
     def test_latex_nonempty(self):
         assert "\\phi" in (phi(1, 2) * u_half(-5)).to_latex()
+
+    def test_latex_puts_negative_e_powers_below_the_line(self):
+        assert (E_pow(-1) * phi()).to_latex() == r"\frac{\phi}{E}"
+        assert (E_pow(-2) * phi(1)).to_latex() == r"\frac{{\phi'}}{E^{2}}"
 
 
 # -- the exact kernel against textbook definitions ---------------------------

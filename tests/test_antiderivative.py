@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 import swkb.algebra
 import swkb.reduction
-from swkb.algebra import E_pow, Expression, Monomial, PHI_RING, V_RING, decode, encode, phi, u_half
+from swkb.algebra import Expression, Monomial, PHI_RING, V_RING, decode, encode, phi, u_half
 from swkb.antiderivative import (
-    MAX_WIDEN,
     DerivativeSweep,
     _derivative_row,
     _pivot_key,
@@ -23,7 +22,7 @@ from swkb.antiderivative import (
 from swkb.cli import _verify_lines, main
 from swkb.errors import StructuralTheoremViolation
 
-from conftest import ring_expressions
+from conftest import E_pow, ring_expressions
 
 
 def test_q3_certificate_matches_closed_form(split10):
@@ -35,18 +34,18 @@ def test_q3_certificate_matches_closed_form(split10):
     assert y == expect
 
 
-def test_widening_finds_shifted_half_power(monkeypatch):
+def test_widening_finds_shifted_half_power():
     # E f' u^{-3/2} integrates to f u^{-1/2}
     x = E_pow(1) * phi(1) * u_half(-3)
     y = antiderivative(x)
     assert y == phi() * u_half(-1)
     # 3 E f' u^{-5/2} integrates to f u^{-3/2} + 2 E^{-1} f u^{-1/2}, whose
-    # E- and u-powers lie two steps outside the first window
+    # E- and u-powers lie two steps outside the one window antiderivative
+    # sweeps: it answers None, and the window widened by 2 holds the certificate
     x = (E_pow(1) * phi(1) * u_half(-5)).scale(3)
-    with monkeypatch.context() as m:
-        m.setattr(importlib.import_module("swkb.antiderivative"), "MAX_WIDEN", 1)
-        assert antiderivative(x) is None
-    assert antiderivative(x) == phi() * u_half(-3) + (E_pow(-1) * phi() * u_half(-1)).scale(2)
+    assert antiderivative(x) is None
+    cert = phi() * u_half(-3) + (E_pow(-1) * phi() * u_half(-1)).scale(2)
+    assert _sweep(x, 2) == (Expression.zero(), cert)
 
 
 def test_failed_recheck_raises(monkeypatch):
@@ -95,7 +94,7 @@ def test_certificates_are_sound_on_generated_roundtrips(case):
 def test_certificate_is_independent_of_the_window(split10, part, n):
     x = getattr(split10, part)[n]
     cert = antiderivative(x)
-    for widen in range(MAX_WIDEN + 1):
+    for widen in range(4):
         assert _sweep(x, widen) == (Expression.zero(), cert)
 
 

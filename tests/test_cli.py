@@ -19,7 +19,7 @@ import swkb.reduction
 import swkb.series
 import swkb.spectrum
 from swkb import wkb
-from swkb.algebra import Expression, V_RING
+from swkb.algebra import Expression, V_RING, phi, u_half
 from swkb.cli import _verify_lines, main
 
 from conftest import broken_plus_series, count_calls
@@ -283,6 +283,22 @@ def test_a_spectrum_that_does_not_rise_is_not_accepted(capsys, tmp_path, hbar):
     assert code == 3 or abs(json.loads(out)["levels"]["1"] - oracle[1]) < 1e-2
 
 
+def test_trailing_zero_coefficients_are_trimmed(capsys, tmp_path, cubic_config):
+    # the degree and leading-coefficient checks read the trimmed list, so a
+    # cubic written with a zero x^4 term is the cubic, and a quadratic with a
+    # zero x^3 term is a quadratic
+    argv = ["--order", "4", "--levels", "5"]
+    padded = tmp_path / "padded.json"
+    padded.write_text(json.dumps({"coefficients": [0, 0, 0, 1 / 3, 0], "name": "x^3/3"}))
+    assert run(capsys, ["quantize", "--config", str(padded)] + argv) == \
+        run(capsys, ["quantize", "--config", cubic_config] + argv)
+    padded.write_text(json.dumps({"coefficients": [0, 0, 1, 0]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["quantize", "--config", str(padded)])
+    assert exc.value.code == 2
+    assert "SUSY is broken for even degree 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coefficients, reason", [
     ([0, 0, 1], "SUSY is broken for even degree 2"),
     ([-1, 0, 1], "SUSY is broken for even degree 2"),
@@ -496,6 +512,39 @@ def test_a_wrong_odd_real_certificate_fails_verify(capsys, monkeypatch):
     assert "FAIL certificates + integrands reconstruct the series" in out
 
 
+def test_a_p3_without_an_e_factor_fails_verify(capsys, monkeypatch):
+    # phi' / u added to p_3 keeps its u-parity but leaves no E factor after
+    # the subtraction, so the E-factorization line is the one that fails
+    honest = swkb.cli.split_series
+
+    def bent(s):
+        split = honest(s)
+        p = list(split.p)
+        p[3] = p[3] + phi(1) * u_half(-2)
+        return swkb.series.SplitSeries(p, split.q)
+
+    monkeypatch.setattr(swkb.cli, "split_series", bent)
+    code, out = run(capsys, ["verify", "--order", "4"])
+    assert code == 1
+    assert out == "FAIL E-factorization order 3\nverification FAILED\n"
+
+
+def test_a_wrong_q_certificate_fails_series(capsys, monkeypatch):
+    # series --show-certificates re-checks each q_n certificate it prints:
+    # phi u^(-1/2) added to l[2] breaks the one of q_3
+    honest = swkb.cli.l_sequence
+
+    def bent(order, s):
+        lseq = honest(order, s)
+        lseq.l[2] = lseq.l[2] + phi() * u_half(-1)
+        return lseq
+
+    monkeypatch.setattr(swkb.cli, "l_sequence", bent)
+    assert main(["series", "--order", "4", "--show-certificates"]) == 1
+    err = capsys.readouterr().err
+    assert "property violation: q_3 certificate failed re-check" in err
+
+
 def test_verify_builds_each_series_once(monkeypatch):
     # the minus series to order + 1, the plus series, the potential-ring series
     series_calls = count_calls(monkeypatch, swkb.series, "generate_series")
@@ -609,9 +658,9 @@ def test_quantize_starts_each_level_from_the_one_below(capsys, cubic_config, mon
     honest = swkb.spectrum.solve_level
     starts = []
 
-    def spy(cond, sp, n, partner="minus", start=None, peer=None):
+    def spy(cond, sp, n, start=None, peer=None):
         starts.append((start, peer))
-        return honest(cond, sp, n, partner, start, peer)
+        return honest(cond, sp, n, start, peer)
 
     monkeypatch.setattr(swkb.spectrum, "solve_level", spy)
     actions = count_calls(monkeypatch, swkb.spectrum, "action")

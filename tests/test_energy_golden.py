@@ -8,6 +8,8 @@ benchmark holds its seed-0 energies to.
 
 import json
 
+import pytest
+
 from swkb.cli import main
 
 ENERGY_TOL = 1e-9
@@ -63,3 +65,20 @@ def test_compare_mixed_orders_0_2_4(capsys, tmp_path):
     levels = sorted(out["levels"], key=lambda r: r["n"])
     for order, want in MIXED_BY_ORDER.items():
         assert _worst([r["e_swkb"][order] for r in levels], want) < ENERGY_TOL
+
+
+@pytest.mark.parametrize("coefficients, hbar, order, top", [
+    ([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0, 8, 29),
+    ([0.0, 1.0, 0.0, 0.2], 0.5, 4, 10),
+])
+def test_plus_level_n_is_minus_level_n_plus_1(capsys, tmp_path, coefficients, hbar, order, top):
+    # the partners share their real parts p_n, so their conditions differ
+    # only by 2 pi hbar on the right: E_n(plus) = E_{n+1}(minus), exactly
+    levels = {}
+    for partner, highest in (("plus", top), ("minus", top + 1)):
+        out = _run_json(capsys, tmp_path, coefficients, hbar,
+                        ["quantize", "--order", str(order), "--levels", str(highest),
+                         "--partner", partner, "--json"])
+        assert out["partner"] == partner
+        levels[partner] = [out["levels"][str(n)] for n in range(highest + 1)]
+    assert levels["plus"] == levels["minus"][1:]

@@ -134,12 +134,24 @@ def test_every_module_is_imported_by_the_package():
     assert sorted(set(trees) - imported - {"cli", "__init__"}) == []
 
 
-def test_every_method_is_read():
-    # a method or property of a package class that nothing in the package,
-    # its tests or its benchmark reads as an attribute is dead code
+# package API that only tests read, each for a reason: the integrand tables'
+# sums are compared against Expression.evaluate, one monomial at a time
+READ_BY_TESTS_ONLY = {"algebra.py:Expression.evaluate"}
+
+
+def _package_trees():
+    """The syntax trees of the package and of its benchmark, by path: the
+    code whose reads keep a package name alive.  Tests do not count, so API
+    that only tests read shows up unless ``READ_BY_TESTS_ONLY`` names it."""
     root = SRC.parents[1]
-    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    paths = sorted(p for d in ("src", "perfbench") for p in (root / d).rglob("*.py"))
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
+def test_every_method_is_read():
+    # a method or property of a package class that nothing in the package
+    # or its benchmark reads as an attribute is dead code
+    trees = _package_trees()
     defined = {
         f"{path.relative_to(SRC)}:{cls.name}.{node.name}"
         for path, tree in trees.items()
@@ -157,16 +169,15 @@ def test_every_method_is_read():
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
     assert defined, "no methods found"
-    assert sorted(d for d in defined if d.rsplit(".", 1)[1] not in read) == []
+    assert READ_BY_TESTS_ONLY <= defined
+    assert sorted(d for d in defined - READ_BY_TESTS_ONLY
+                  if d.rsplit(".", 1)[1] not in read) == []
 
 
 def test_every_function_is_read():
     # a module-level function or class of the package that nothing in the
-    # package, its tests or its benchmark loads by name or as an attribute
-    # is dead code
-    root = SRC.parents[1]
-    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    # package or its benchmark loads by name or as an attribute is dead code
+    trees = _package_trees()
     defined = {
         f"{path.relative_to(SRC)}:{node.name}"
         for path, tree in trees.items()
@@ -181,7 +192,7 @@ def test_every_function_is_read():
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
     assert defined, "no functions found"
-    assert sorted(d for d in defined if d.split(":")[1] not in read) == []
+    assert sorted(d for d in defined - READ_BY_TESTS_ONLY if d.split(":")[1] not in read) == []
 
 
 def test_verify_runs_the_same_under_python_O():

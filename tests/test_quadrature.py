@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import swkb.quadrature
-from swkb.algebra import E_pow, Expression, phi, u_half
+from swkb.algebra import Expression, phi, u_half
 from swkb.cli import main
 from swkb.errors import (
     AmbiguousRegionError,
@@ -29,7 +29,7 @@ from swkb.quadrature import (
 from swkb.oracle import oracle_eigenvalues
 from swkb.reduction import reduce_even_order
 
-from conftest import ring_expressions
+from conftest import E_pow, ring_expressions
 
 Q1 = (phi(1) * u_half(-1)).scale(Fr(1, 2))
 P1 = (phi() * phi(1) * u_half(-2)).scale(Fr(1, 2))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swkb.algebra import E_pow, Expression, phi, u_half
+from swkb.algebra import Expression, phi, u_half
 from swkb.antiderivative import DerivativeSweep, _window_generators, antiderivative
 from swkb.errors import StructuralTheoremViolation
 from swkb.reduction import (
@@ -20,7 +20,7 @@ from swkb.reduction import (
 )
 from swkb.series import SplitSeries, real_part_log
 
-from conftest import ring_expressions
+from conftest import E_pow, ring_expressions
 
 
 class TestDecompose:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swkb.algebra import E_pow, Expression, PHI_RING, V_RING, i_times, phi, u_half
+from swkb.algebra import Expression, PHI_RING, V_RING, i_times, phi, u_half
 from swkb.antiderivative import antiderivative
 from swkb.errors import StructuralTheoremViolation
 from swkb.series import (
@@ -26,7 +26,7 @@ from swkb.series import (
     series_mul,
 )
 
-from conftest import ring_expressions
+from conftest import E_pow, ring_expressions
 
 S1_MINUS = (phi() * phi(1) * u_half(-2)).scale(Fr(1, 2)) + i_times(
     (phi(1) * u_half(-1)).scale(Fr(1, 2))

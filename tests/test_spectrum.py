@@ -285,8 +285,6 @@ class TestSolveLevel:
             build_conditions([-2])
         with pytest.raises(ValueError):
             solve_level(conditions[2], cubic, -1)
-        with pytest.raises(ValueError):
-            solve_level(conditions[2], cubic, 1, "up")
 
 
 # order-8 roots of the cubic with hbar = 1 found by the bracket scan and
@@ -385,7 +383,7 @@ class TestNewton:
         # inside the quadratic stop, yet the solve evaluates once before it returns
         root = solve_level(condition8, cubic, 5)
         pair = tuple((E, action(condition8, cubic, E)) for E in (0.999 * root, (1 + 1e-7) * root))
-        start = swkb.spectrum.Level(pair[1][0], (condition8, cubic, "minus"), pair)
+        start = swkb.spectrum.Level(pair[1][0], (condition8, cubic), pair)
         honest = swkb.spectrum.action
         calls = []
 
@@ -397,13 +395,11 @@ class TestNewton:
         assert abs(solve_level(condition8, cubic, 5, start=start) - root) < 1e-9
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("other", ["condition", "partner", "superpotential", "coefficients"])
+    @pytest.mark.parametrize("other", ["condition", "superpotential", "coefficients"])
     def test_a_start_from_another_problem_is_a_plain_energy(self, cubic, conditions, condition8,
                                                            monkeypatch, other):
         if other == "condition":
             start = solve_level(conditions[4], cubic, 4)
-        elif other == "partner":
-            start = solve_level(condition8, cubic, 3, "plus")
         elif other == "superpotential":
             start = solve_level(condition8, PolynomialSuperpotential(cubic.coefficients, 1.1), 4)
         else:
@@ -426,9 +422,9 @@ class TestNewton:
     def test_failures_name_level_partner_energy_and_bracket(self, cubic, condition8, monkeypatch):
         honest = swkb.spectrum.action
         monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: {8: (0.0, 0.0, 0.0)})
-        with pytest.raises(ConvergenceError, match=r"level 3 \(plus, order 8\): no root within 200 "
+        with pytest.raises(ConvergenceError, match=r"level 4 \(minus, order 8\): no root within 200 "
                                                    r"steps; last E = .*, bracket \["):
-            solve_level(condition8, cubic, 3, "plus")
+            solve_level(condition8, cubic, 4)
         monkeypatch.setattr(swkb.spectrum, "action", lambda cond, sp, E: {8: (1e9, 1.0, 0.0)})
         with pytest.raises(ConvergenceError, match=r"level 2 \(minus, order 8\): no lower bracket "
                                                    r"above the validated range; last E = .*, "
@@ -456,9 +452,9 @@ class TestNewton:
         honest = swkb.spectrum.solve_level
         calls = []
 
-        def spy(cond, sp, n, partner="minus", start=None, peer=None):
+        def spy(cond, sp, n, start=None, peer=None):
             calls.append((n, cond.order, start, peer))
-            return honest(cond, sp, n, partner, start, peer)
+            return honest(cond, sp, n, start, peer)
 
         monkeypatch.setattr(swkb.spectrum, "solve_level", spy)
         rep = compare_report(cubic, [0, 2], 2)
@@ -522,9 +518,9 @@ def test_solved_roots_match_a_bisection_on_the_action(conditions, case):
     honest_action, honest_solve = swkb.spectrum.action, swkb.spectrum.solve_level
     evaluated, taken = [], []
 
-    def spy(cond, sp, n, partner="minus", start=None, peer=None):
+    def spy(cond, sp, n, start=None, peer=None):
         before = len(evaluated)
-        root = honest_solve(cond, sp, n, partner, start, peer)
+        root = honest_solve(cond, sp, n, start, peer)
         if peer is not None and root and len(evaluated) == before:
             taken.append((cond.order, n, root))
         return root
@@ -598,20 +594,27 @@ class TestSharedOrders:
 
 
 class TestDegeneracy:
-    def test_oscillator_partner_levels(self, oscillator, conditions):
+    def test_oscillator_partner_levels(self, oscillator, conditions, capsys, tmp_path):
         # V_- levels are 2n; V_+ levels are 2m + 2: exact pairing
         for n in (1, 2, 3):
-            assert abs(solve_level(conditions[0], oscillator, n, "minus") - 2.0 * n) < 1e-8
-            assert abs(solve_level(conditions[0], oscillator, n - 1, "plus") - 2.0 * n) < 1e-8
+            assert abs(solve_level(conditions[0], oscillator, n) - 2.0 * n) < 1e-8
+        path = tmp_path / "oscillator.json"
+        path.write_text(json.dumps(oscillator.to_json_dict()))
+        assert swkb.cli.main(["quantize", "--config", str(path), "--order", "0", "--levels", "2",
+                              "--partner", "plus", "--json"]) == 0
+        plus = json.loads(capsys.readouterr().out)["levels"]
+        for m in range(3):
+            assert abs(plus[str(m)] - 2.0 * (m + 1)) < 1e-8
 
     def test_cubic_gaps_small_at_all_orders(self, cubic, conditions):
         # the report reads each plus root off the minus root it pairs with,
-        # so the gap is 0 by construction; an independent plus solve checks it
+        # so the gap is 0 by construction; a solve of its own, from no start
+        # and no peer, checks it
         rep = compare_report(cubic, [0, 2, 4], 3)
         assert len(rep.degeneracy) == 9
         for rec in rep.degeneracy:
             assert rec.gap == 0.0
-            plus = solve_level(conditions[rec.order], cubic, rec.n - 1, "plus")
+            plus = solve_level(conditions[rec.order], cubic, rec.n)
             assert abs(rec.e_plus_below - plus) < 1e-9
 
     def test_report_checks_plus_real_parts(self, cubic, monkeypatch):
