@@ -13,7 +13,11 @@ the half-powers of u leave no denominator) keyed by the packed monomial
 keys of ``algebra``, each augmented by the generator combination behind
 it; rationals appear only in its results.  One windowed
 sweep (generators, elimination, exact re-check) serves both
-``antiderivative`` and ``reduction.residual_sweep``.
+``antiderivative`` and ``reduction.residual_sweep``.  A sweep can be
+extended by more generators: the new sweep shares the rows already
+eliminated and eliminates only the rest, and since the pivot set and the
+normal form of a span do not depend on the order of its generators, an
+extended sweep answers exactly as a fresh sweep of the whole window.
 
 d/dx is injective on every canonical monomial except the pure powers of
 E, which the sweep drops as zero columns.  So a certificate is unique:
@@ -26,6 +30,7 @@ reported absent.
 
 from __future__ import annotations
 
+from copy import copy
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
@@ -181,7 +186,10 @@ class DerivativeSweep:
     ``kept`` is then the unique element of x + span free of every pivot,
     and ``cert`` is unique because d/dx is injective off the pure E-powers,
     which are dropped as zero rows.  Callers pass ascending key order,
-    which keeps the fill-in low.
+    which keeps the fill-in low.  ``extended`` continues the same loop over
+    more generators in a new sweep that shares these rows, which are never
+    changed once inserted, so how a window is split between a sweep and
+    its extension changes neither the pivot set nor ``normal_form``.
 
     Each row is (pivot, row), one primitive integer row of the augmented
     matrix [2 D(g) | I]: under the packed monomial keys, all >= 0, it holds
@@ -197,15 +205,33 @@ class DerivativeSweep:
 
     def __init__(self, ring: Ring, generators: List[int]):
         self.ring = ring
-        self.generators = generators
+        self.generators: List[int] = []
         self.rows: List[Tuple[int, Dict[int, int]]] = []
         self.row_of: Dict[int, int] = {}  # pivot -> index of its row
-        priority = lru_cache(maxsize=None)(_pivot_key)  # once per key in this sweep
-        for j, m in enumerate(generators):
-            row = _derivative_row(ring, m)
+        self._priority = lru_cache(maxsize=None)(_pivot_key)  # once per key in this sweep
+        self._eliminate(generators)
+
+    def extended(self, generators: List[int]) -> "DerivativeSweep":
+        """A new sweep over ``self.generators`` followed by ``generators``
+        that shares this one's rows and pivot priorities: rows are never
+        changed once inserted, so this sweep stays valid, and the indices
+        ``~j`` of the new generators continue after the held ones."""
+        new = copy(self)
+        new.generators, new.rows = list(self.generators), list(self.rows)
+        new.row_of = dict(self.row_of)
+        new._eliminate(generators)
+        return new
+
+    def _eliminate(self, generators: List[int]) -> None:
+        """Append ``generators`` and insert the row of each whose derivative
+        leaves the span of the rows before it."""
+        start = len(self.generators)
+        self.generators += generators
+        for j, m in enumerate(generators, start):
+            row = _derivative_row(self.ring, m)
             row[~j] = 1
             self._reduce(row)
-            pivot = max((key for key in row if key >= 0), key=priority, default=None)
+            pivot = max((key for key in row if key >= 0), key=self._priority, default=None)
             if pivot is None:
                 continue
             g = gcd(*row.values())
@@ -290,17 +316,28 @@ def _window_generators(x: Expression, widen: int, min_e: Optional[int]) -> List[
                    for key in candidate_monomials(x.ring, bigrade, keys, widen, min_e)})
 
 
-def _sweep(x: Expression, widen: int, min_e: Optional[int] = None) -> Tuple[Expression, Expression]:
-    """(kept, cert) with x = kept + differentiate(cert), re-checked exactly,
-    from the ansatz windows of ``x`` widened by ``widen``."""
-    kept, cert = DerivativeSweep(x.ring, _window_generators(x, widen, min_e)).normal_form(x)
+def _sweep(x: Expression, widen: int, min_e: Optional[int] = None,
+           base: Optional[DerivativeSweep] = None
+           ) -> Tuple[Expression, Expression, DerivativeSweep]:
+    """(kept, cert, sweep) with x = kept + differentiate(cert), re-checked
+    exactly, from the ansatz windows of ``x`` widened by ``widen``, and the
+    sweep that gave them.  With ``base``, that sweep is ``base`` extended by
+    the window's generators it does not hold; where they hold all of
+    ``base``'s, the result is the window's own."""
+    window = _window_generators(x, widen, min_e)
+    if base is None:
+        sweep = DerivativeSweep(x.ring, window)
+    else:
+        held = set(base.generators)
+        sweep = base.extended([m for m in window if m not in held])
+    kept, cert = sweep.normal_form(x)
     if kept + cert.differentiate() != x:
         raise StructuralTheoremViolation("certificate failed re-check")
-    return kept, cert
+    return kept, cert, sweep
 
 
 def antiderivative(a: Expression) -> Optional[Expression]:
     """Return the Y free of pure E-powers with differentiate(Y) == a, or None
     when the unwidened ansatz window of ``a`` does not hold it."""
-    kept, cert = _sweep(a, 0)
+    kept, cert, _ = _sweep(a, 0)
     return cert if kept.is_zero() else None

@@ -166,18 +166,20 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
         check(f"u-parity split order {n}", ok, f"p={parity_p} q={parity_q}")
 
     lseq = l_sequence(order, s)
-    l_identity = {n: check_l_identity(lseq, split, n) for n in range(1, order + 1)}
+    l_prime = lseq.derivatives()
+    l_identity = {n: check_l_identity(l_prime, split, n) for n in range(1, order + 1)}
     for n, ok in l_identity.items():
         check(f"imag-part certificate identity n={n}", ok)
 
-    via_log = partner_via_log_identity(s, lseq, order)
-    direct = sp
+    via_log = partner_via_log_identity(s, l_prime, order)
     via_shift = partner_via_imag_shift(s, split, order)
     for n in range(order + 1):
         check(
             f"partner series order {n}",
-            via_log.coeffs[n] == direct.coeffs[n] == via_shift.coeffs[n],
+            via_log.coeffs[n] == sp.coeffs[n] == via_shift.coeffs[n],
         )
+    # nothing below reads the plus series or l': let them go before the sweeps
+    del sp, via_log, via_shift, l_prime
 
     for n in range(3, order + 1, 2):
         # its certificate is (i/2) l[n-1]: the identity line n-1 above
@@ -192,9 +194,10 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
         check(f"log-fixed-point coefficient {n} is a total derivative",
               cert.differentiate() == pb[n])
 
+    alphas = {}
     for n in range(1, order + 1):
         try:
-            decompose(n, split)
+            alphas[n] = decompose(n, split)[0]
             ok = True
         except StructuralTheoremViolation:
             ok = False
@@ -218,14 +221,18 @@ def _verify_lines(order: int, mutate: bool) -> List[str]:
     for entry in ir.entries:
         check(f"imaginary-part relation order {entry.order}", entry.ok, entry.detail)
 
-    corrections = quantization_integrands(max_order, split, lseq)
+    # each order's F*Q residual sweep is extended by the log-fixed-point
+    # route of that order, whose window holds it, and then let go
+    sweeps = {}
+    corrections = quantization_integrands(max_order, split, lseq, alphas, sweeps)
     for corr in corrections[1:]:
         check(
             f"reduced integrand order {corr.order} has overall E factor",
             corr.e_degree >= 1,
             f"e_degree={corr.e_degree}",
         )
-        alt = reduce_via_pbar(corr.order, split, pb, pbar_cert=pbar_certs[corr.order])
+        alt = reduce_via_pbar(corr.order, split, pb, pbar_certs[corr.order],
+                              base=sweeps.pop(corr.order))
         check(f"subtraction routes agree at order {corr.order}",
               alt.integrand == corr.integrand)
     check("order-2 integrand equals the known closed form",

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import Expression, Monomial
+from .algebra import Expression, decode
 from .errors import (
     AmbiguousRegionError,
     BranchTrackingError,
@@ -353,29 +353,34 @@ class IntegrandTable:
 
 
 def compile_integrands(exprs: Sequence[Expression]) -> IntegrandTable:
-    """One table row per expression, over the union of their monomials."""
-    monos = sorted({m for x in exprs for m in x.terms}, key=Monomial.sort_key)
-    orders = tuple(sorted({k for m in monos for k, _ in m.derivs} | {0}))
-    ladder = tuple(max([a for m in monos for j, a in m.derivs if j == k], default=0) for k in orders)
+    """One table row per expression, over the union of their monomials,
+    read off the packed keys: each distinct key is decoded once, and each
+    coefficient x/den is correctly rounded, as ``float`` of its ``Fraction``."""
+    monos = sorted({key: decode(key) for x in exprs for key in x.num}.items(),
+                   key=lambda item: item[1].sort_key())
+    orders = tuple(sorted({k for _, m in monos for k, _ in m.derivs} | {0}))
+    ladder = tuple(max([a for _, m in monos for j, a in m.derivs if j == k], default=0)
+                   for k in orders)
     first = dict(zip(orders, np.cumsum((1,) + ladder).tolist()))
-    parts = sorted({m.derivs for m in monos})
-    powers = sorted({m.h for m in monos})
+    parts = {d: i for i, d in enumerate(sorted({m.derivs for _, m in monos}))}
+    powers = {h: i for i, h in enumerate(sorted({m.h for _, m in monos}))}
     part_rows = np.zeros((len(parts), max([1] + [len(d) for d in parts])), dtype=int)
-    for i, derivs in enumerate(parts):
+    for derivs, i in parts.items():
         part_rows[i, :len(derivs)] = [first[k] + a - 1 for k, a in derivs]
-    pos = {m: i for i, m in enumerate(monos)}
+    pos = {key: i for i, (key, _) in enumerate(monos)}
     coeffs = np.zeros((len(exprs), len(monos)), dtype=complex)
     for r, x in enumerate(exprs):
-        for m, (re, im) in x.terms.items():
-            coeffs[r, pos[m]] = complex(float(re), float(im))
+        den = x.den
+        for key, (re, im) in x.num.items():
+            coeffs[r, pos[key]] = complex(re / den, im / den)
     return IntegrandTable(
         orders,
         ladder,
         part_rows,
-        np.array(powers, dtype=int),
-        np.array([parts.index(m.derivs) for m in monos], dtype=int),
-        np.array([powers.index(m.h) for m in monos], dtype=int),
-        np.array([m.e for m in monos], dtype=int),
+        np.array(list(powers), dtype=int),
+        np.array([parts[m.derivs] for _, m in monos], dtype=int),
+        np.array([powers[m.h] for _, m in monos], dtype=int),
+        np.array([m.e for _, m in monos], dtype=int),
         coeffs,
     )
 

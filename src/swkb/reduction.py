@@ -11,7 +11,14 @@ Even-order real parts are reduced in two independent ways:
 Both are followed by a deterministic residual sweep that removes any
 remaining exact-derivative content, so the two routes must agree exactly,
 not just modulo derivatives.  Every dropped piece carries a certificate Y
-with differentiate(Y) equal to it.
+with differentiate(Y) equal to it.  Where both routes run (``verify``),
+they share one elimination per order: the F*Q route's window lies in the
+log-fixed-point route's, so the second route extends the first one's
+sweep by the rest of its window.  The normal form is unique on a span, so
+the shared sweep changes no result, and the agreement check keeps its
+force: every normal form is re-checked exactly (kept + cert' == x, then
+the bookkeeping identity), so a shared echelon cannot let a wrong one
+through.
 
 Each closed-form certificate is a coefficient of a log that
 ``series.series_log``, the one log recurrence, takes: ln(f + i S') for
@@ -26,7 +33,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import Expression, F_factor
-from .antiderivative import _sweep, antiderivative
+from .antiderivative import DerivativeSweep, _sweep, antiderivative
 from .errors import StructuralTheoremViolation
 from .series import HbarSeries, LSequence, SplitSeries, i_times
 
@@ -61,17 +68,18 @@ def _alpha(n: int, split: SplitSeries) -> Expression:
 
 
 def residual_sweep(
-    x: Expression, min_e: Optional[int] = None
-) -> Tuple[Expression, Expression]:
+    x: Expression, min_e: Optional[int] = None, base: Optional[DerivativeSweep] = None
+) -> Tuple[Expression, Expression, DerivativeSweep]:
     """Remove the exact-derivative content of ``x`` deterministically.
 
-    Returns (kept, cert) with x = kept + differentiate(cert); kept is the
-    canonical quotient representative under the fixed basis ordering: the
-    certificate sweep with its windows widened once.  ``min_e``: when set,
-    only ansatz monomials with at least that E-exponent are used, so
-    sweeping preserves manifest E-divisibility of the input.
+    Returns (kept, cert, sweep) with x = kept + differentiate(cert); kept is
+    the canonical quotient representative under the fixed basis ordering:
+    the certificate sweep with its windows widened once, which ``sweep``
+    holds.  ``min_e``: when set, only ansatz monomials with at least that
+    E-exponent are used, so sweeping preserves manifest E-divisibility of
+    the input.  ``base``: a sweep to extend by the generators it lacks.
     """
-    return _sweep(x, 1, min_e)
+    return _sweep(x, 1, min_e, base)
 
 
 # -- reduced corrections -------------------------------------------------------
@@ -101,29 +109,36 @@ class ReducedCorrection:
         return 0 if self.integrand.is_zero() else self.integrand.min_e_degree()
 
 
-def reduce_even_order(order: int, split: SplitSeries, lseq: LSequence) -> ReducedCorrection:
+def reduce_even_order(order: int, split: SplitSeries, lseq: LSequence,
+                      alpha: Optional[Expression] = None,
+                      sweeps: Optional[Dict[int, DerivativeSweep]] = None) -> ReducedCorrection:
     """Reduce the real part at an even order >= 2 by the F*Q subtraction.
 
     Q = (i/2) l[order-1] integrates the even imaginary part; subtracting
     (F Q)' from p_order leaves E * (alpha - f' Q u^(-3/2)), manifestly
     divisible by E.  The residual sweep then removes whatever
-    exact-derivative content remains, keeping E-divisibility.
+    exact-derivative content remains, keeping E-divisibility.  ``alpha``:
+    alpha_order of ``decompose``, when the caller holds it.  ``sweeps``:
+    a dict that receives the residual sweep under ``order``.
     """
     if order < 2 or order % 2:
         raise ValueError("even order >= 2 required")
     if lseq.order < order - 1:
         raise ValueError("certificate sequence not generated far enough")
-    alpha = _alpha(order, split)
+    if alpha is None:
+        alpha = _alpha(order, split)
     Q = i_times(lseq.l[order - 1]).scale(HALF)
     fprime_u32 = Expression.sym(1, 1) * Expression.u_pow(-3)
-    corr = _swept_correction(order, split, (alpha - fprime_u32 * Q).shift_e(1), F_factor() * Q)
+    corr = _swept_correction(order, split, (alpha - fprime_u32 * Q).shift_e(1), F_factor() * Q,
+                             sweeps=sweeps)
     if not corr.integrand.is_zero() and corr.integrand.min_e_degree() < 1:
         raise StructuralTheoremViolation(f"no overall E factor at order {order}")
     return corr
 
 
 def reduce_via_pbar(
-    order: int, split: SplitSeries, pbar: List[Expression], pbar_cert: Expression
+    order: int, split: SplitSeries, pbar: List[Expression], pbar_cert: Expression,
+    base: Optional[DerivativeSweep] = None
 ) -> ReducedCorrection:
     """Reduce by subtracting the log-fixed-point coefficient instead.
 
@@ -132,23 +147,30 @@ def reduce_via_pbar(
     sweep the result equals the F*Q route's correction exactly, certificate
     included (``swkb verify`` compares the integrands).  ``pbar_cert`` is
     the certificate of ``pbar[order]`` (unread at order 0); the bookkeeping
-    identity re-checks it.
+    identity re-checks it.  ``base``: the F*Q route's residual sweep of the
+    same order, whose window lies in this route's, so that only the rest
+    of the window is eliminated.
     """
     if order % 2:
         raise ValueError("even order required")
     if order == 0:
         zero = Expression.zero(split.p[0].ring)
         return ReducedCorrection(0, zero, zero)
-    return _swept_correction(order, split, split.p[order] - pbar[order], pbar_cert)
+    return _swept_correction(order, split, split.p[order] - pbar[order], pbar_cert, base=base)
 
 
 def _swept_correction(
-    order: int, split: SplitSeries, raw: Expression, base_cert: Expression
+    order: int, split: SplitSeries, raw: Expression, base_cert: Expression,
+    base: Optional[DerivativeSweep] = None, sweeps: Optional[Dict[int, DerivativeSweep]] = None
 ) -> ReducedCorrection:
     """The shared tail of both subtraction routes: ``raw`` = p_order minus
-    differentiate(base_cert), residual-swept keeping E-divisibility, with
-    the bookkeeping identity p_order - integrand = cert' re-checked."""
-    integrand, resid = residual_sweep(raw, min_e=1)
+    differentiate(base_cert), residual-swept keeping E-divisibility from
+    ``base`` when given, with the bookkeeping identity p_order - integrand
+    = cert' re-checked.  ``sweeps`` receives the residual sweep."""
+    integrand, resid, sweep = residual_sweep(raw, min_e=1, base=base)
+    if sweeps is not None:
+        sweeps[order] = sweep
+    del sweep  # unless a caller keeps it, let go before the products below
     cert = base_cert + resid
     if split.p[order] - integrand != cert.differentiate():
         raise StructuralTheoremViolation(f"bookkeeping identity failed at order {order}")
@@ -156,7 +178,9 @@ def _swept_correction(
 
 
 def quantization_integrands(
-    max_order: int, split: SplitSeries, lseq: LSequence
+    max_order: int, split: SplitSeries, lseq: LSequence,
+    alphas: Optional[Dict[int, Expression]] = None,
+    sweeps: Optional[Dict[int, DerivativeSweep]] = None,
 ) -> Tuple[ReducedCorrection, ...]:
     """The reduced corrections up to max_order, the k-th of order 2k
     (order 0 is the classical term with certificate 0).  The first-order
@@ -168,6 +192,9 @@ def quantization_integrands(
 
     ``split`` is the split minus series and ``lseq`` its certificate
     sequence, generated at least to max_order and max_order - 1.
+    ``alphas``: {n: alpha_n} of ``decompose``, when the caller holds them.
+    ``sweeps``: a dict that receives each order's residual sweep, for the
+    log-fixed-point route to extend; without it no sweep is kept.
     """
     if max_order % 2:
         raise ValueError("max_order must be even")
@@ -175,7 +202,7 @@ def quantization_integrands(
         raise ValueError("series not generated far enough")
     corrections = [ReducedCorrection(0, Expression.u_pow(1), Expression.zero())]
     for n in range(2, max_order + 1, 2):
-        corrections.append(reduce_even_order(n, split, lseq))
+        corrections.append(reduce_even_order(n, split, lseq, (alphas or {}).get(n), sweeps))
     return tuple(corrections)
 
 

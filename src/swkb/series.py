@@ -111,6 +111,10 @@ class LSequence:
     def order(self) -> int:
         return len(self.l) - 1
 
+    def derivatives(self) -> List[Optional[Expression]]:
+        """l[n]' for 1 <= n <= order; index 0 is unused, as in ``l``."""
+        return [None] + [x.differentiate() for x in self.l[1:]]
+
 
 def generate_series(order: int, sign: str = "minus", ring: Ring = PHI_RING) -> HbarSeries:
     """Recursive generation: c_0 = u^(1/2) and, for n >= 1,
@@ -173,29 +177,32 @@ def l_sequence(order: int, s: HbarSeries) -> LSequence:
         l[n] = (i/n) (f + i sqrt(u))^(-1) [ n c_n - sum_{k=1}^{n-1} k l[k] c_{n-k} ].
 
     The order-0 logarithm never enters.  The defining identity
-    q_{n+1} = (i/2) l[n]' is verified mechanically by ``check_l_identity``.
+    q_{n+1} = (i/2) l[n]' is verified mechanically by ``check_l_identity``
+    on the ``LSequence.derivatives``.
     """
     return LSequence(series_log(_lead_log_argument(s, order), inverse_lead_factor(), order))
 
 
-def check_l_identity(lseq: LSequence, split: SplitSeries, n: int) -> bool:
-    """q_{n+1} == (i/2) l[n]' exactly."""
-    lhs = i_times(lseq.l[n].differentiate()).scale(HALF)
-    return lhs == split.q[n + 1]
+def check_l_identity(l_prime: List[Optional[Expression]], split: SplitSeries, n: int) -> bool:
+    """q_{n+1} == (i/2) l[n]' exactly, with ``l_prime`` the
+    ``LSequence.derivatives`` of the l-sequence."""
+    return i_times(l_prime[n]).scale(HALF) == split.q[n + 1]
 
 
-def partner_via_log_identity(s: HbarSeries, lseq: LSequence, order: int) -> HbarSeries:
+def partner_via_log_identity(s: HbarSeries, l_prime: List[Optional[Expression]],
+                             order: int) -> HbarSeries:
     """Plus-sign series from the minus one through the exact expansion
 
         d/dx ln(f + i S') = g_0'/g_0 + sum_{n >= 1} nu^n l[n]',
 
     with g_0 = f + i sqrt(u): order 1 adds the leading factor's own
     log-derivative, through the exact (f - i sqrt(u))/E inverse, and each
-    order n >= 2 adds l[n-1]' from ``lseq``, the l-sequence of ``s``."""
-    if min(s.order, lseq.order + 1) < order:
+    order n >= 2 adds l[n-1]' from ``l_prime``, the ``LSequence.derivatives``
+    of the l-sequence of ``s``."""
+    if min(s.order, len(l_prime)) < order:
         raise ValueError("series not generated far enough")
     log_d = [_lead_log_argument(s, 0)[0].differentiate() * inverse_lead_factor()]
-    log_d += [x.differentiate() for x in lseq.l[1:order]]
+    log_d += l_prime[1:order]
     return HbarSeries([s.coeffs[0]] + [s.coeffs[n] + log_d[n - 1] for n in range(1, order + 1)],
                       "plus")
 

@@ -119,7 +119,7 @@ def test_criterion_04_first_pbar_obstruction(pbar8, cubic):
 
 
 def test_criterion_05_partner_identity(series10, lseq9, plus8):
-    via_log = partner_via_log_identity(series10, lseq9, 8)
+    via_log = partner_via_log_identity(series10, lseq9.derivatives(), 8)
     for n in range(9):
         assert via_log.coeffs[n] == plus8.coeffs[n], f"partner mismatch at order {n}"
     print("\ncriterion 5: PASS (partner series agree exactly through order 8)")
@@ -223,15 +223,21 @@ def test_verify_work_budget(capsys, monkeypatch):
     # verify computes each exact result once: the residual sweeps of the
     # two subtraction routes and the wkb checks, no search of an odd real
     # part whose closed form the reconstruction line re-adds (17 sweeps and
-    # 7 searches when it searched them), and each series built once
+    # 7 searches when it searched them), and each series built once.  The
+    # log-fixed-point route of each order extends the F*Q route's sweep, so
+    # a generator row is eliminated once per order (583 rows when the
+    # second route swept its whole window again)
     swept = count_calls(monkeypatch, swkb.antiderivative, "_sweep")
     searched = count_calls(monkeypatch, swkb.antiderivative, "antiderivative")
     series = count_calls(monkeypatch, swkb.series, "generate_series")
+    rows = count_calls(monkeypatch, swkb.antiderivative, "_derivative_row")
     assert main(["verify", "--order", "8"]) == 0
     assert capsys.readouterr().out.endswith("verification PASSED at order 8\n")
     assert len(swept) <= 14 and len(searched) <= 4 and len(series) <= 3
+    assert len(rows) <= 344
     print(f"\nverify --order 8: PASS ({len(swept)} sweeps, budget 14; {len(searched)} "
-          f"antiderivative calls, budget 4; {len(series)} series, budget 3)")
+          f"antiderivative calls, budget 4; {len(series)} series, budget 3; "
+          f"{len(rows)} generator rows, budget 344)")
 
 
 @pytest.mark.parametrize("coefficients, hbar, argv, compiles", [

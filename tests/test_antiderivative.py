@@ -45,7 +45,7 @@ def test_widening_finds_shifted_half_power():
     x = (E_pow(1) * phi(1) * u_half(-5)).scale(3)
     assert antiderivative(x) is None
     cert = phi() * u_half(-3) + (E_pow(-1) * phi() * u_half(-1)).scale(2)
-    assert _sweep(x, 2) == (Expression.zero(), cert)
+    assert _sweep(x, 2)[:2] == (Expression.zero(), cert)
 
 
 def test_failed_recheck_raises(monkeypatch):
@@ -95,7 +95,7 @@ def test_certificate_is_independent_of_the_window(split10, part, n):
     x = getattr(split10, part)[n]
     cert = antiderivative(x)
     for widen in range(4):
-        assert _sweep(x, widen) == (Expression.zero(), cert)
+        assert _sweep(x, widen)[:2] == (Expression.zero(), cert)
 
 
 def _scan_reduce(sweep, row):
@@ -344,18 +344,26 @@ def test_verify_unpacks_keys_only_for_output(capsys, monkeypatch):
         monkeypatch.setattr(mod, "decode", wrapper)
     monkeypatch.setattr(algebra.Monomial, "__new__",
                         staticmethod(spy("Monomial", algebra.Monomial.__new__)))
+    # a sweep built and a sweep extended each open a new index; an
+    # extension shares its base's priorities, so it asks only for new keys
     sweeps, priorities = [], Counter()
-    honest_init, honest_pivot_key = anti.DerivativeSweep.__init__, anti._pivot_key
+    honest_init, honest_extended = anti.DerivativeSweep.__init__, anti.DerivativeSweep.extended
+    honest_pivot_key = anti._pivot_key
 
     def init(self, ring, generators):
-        sweeps.append(self)
+        sweeps.append("built")
         honest_init(self, ring, generators)
+
+    def extended(self, generators):
+        sweeps.append("extended")
+        return honest_extended(self, generators)
 
     def pivot_key(key):
         priorities[len(sweeps), key] += 1
         return honest_pivot_key(key)
 
     monkeypatch.setattr(anti.DerivativeSweep, "__init__", init)
+    monkeypatch.setattr(anti.DerivativeSweep, "extended", extended)
     monkeypatch.setattr(anti, "_pivot_key", spy("_pivot_key", pivot_key))
     assert main(["verify", "--order", "8"]) == 0
     assert capsys.readouterr().out.endswith("verification PASSED at order 8\n")
@@ -363,7 +371,7 @@ def test_verify_unpacks_keys_only_for_output(capsys, monkeypatch):
     for name, caller in calls:
         by_name.setdefault(name, set()).add(caller)
     assert by_name["decode"] == {"terms"}
-    assert len(sweeps) == 14 and max(priorities.values()) == 1
+    assert Counter(sweeps) == {"built": 10, "extended": 4} and max(priorities.values()) == 1
     assert by_name.get("encode", set()) <= {"__init__"}
 
 
@@ -389,12 +397,12 @@ def test_pivot_key_matches_the_decoding_reference(verify12_run):
 def verify8_sweeps():
     """(x, widen, min_e) of every certificate sweep of ``verify --order 8``:
     the residual sweeps of both subtraction routes and the searches of the
-    wkb checks."""
+    wkb checks, each as the sweep of its whole window."""
     cases = []
 
-    def spy(x, widen, min_e=None):
+    def spy(x, widen, min_e=None, base=None):
         cases.append((x, widen, min_e))
-        return _sweep(x, widen, min_e)
+        return _sweep(x, widen, min_e, base)
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (importlib.import_module("swkb.antiderivative"), swkb.reduction):
@@ -417,19 +425,74 @@ def test_normal_form_is_independent_of_the_generator_order(verify8_sweeps, data)
     assert permuted.normal_form(x) == ordered.normal_form(x)
 
 
-def test_each_row_holds_its_derivative_part_and_the_combination_behind_it(verify8_sweeps):
+def _assert_rows_hold_their_combinations(sweep):
     # a row of the augmented matrix [2 D(g) | I]: its monomial part is the
     # sum of its generator coefficients times those generators' derivative rows
+    assert sweep.rows
+    for pivot, row in sweep.rows:
+        assert pivot >= 0 and row[pivot] > 0
+        comb = {~key: c for key, c in row.items() if key < 0}
+        assert comb
+        total = Counter()
+        for j, c in comb.items():
+            for key, v in _derivative_row(sweep.ring, sweep.generators[j]).items():
+                total[key] += c * v
+        assert {key: v for key, v in total.items() if v} == \
+            {key: c for key, c in row.items() if key >= 0}
+
+
+def test_each_row_holds_its_derivative_part_and_the_combination_behind_it(verify8_sweeps):
     for x, widen, min_e in verify8_sweeps:
-        sweep = DerivativeSweep(x.ring, _window_generators(x, widen, min_e))
-        assert sweep.rows
-        for pivot, row in sweep.rows:
-            assert pivot >= 0 and row[pivot] > 0
-            comb = {~key: c for key, c in row.items() if key < 0}
-            assert comb
-            total = Counter()
-            for j, c in comb.items():
-                for key, v in _derivative_row(x.ring, sweep.generators[j]).items():
-                    total[key] += c * v
-            assert {key: v for key, v in total.items() if v} == \
-                {key: c for key, c in row.items() if key >= 0}
+        _assert_rows_hold_their_combinations(
+            DerivativeSweep(x.ring, _window_generators(x, widen, min_e)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_an_extended_sweep_is_the_sweep_of_the_whole_window(verify8_sweeps, data):
+    # rows are never changed once inserted, so a sweep of A extended by B
+    # spans what a sweep of A + B spans, with the same leading monomials:
+    # the pivot set and the normal form do not depend on the split
+    x, widen, min_e = data.draw(st.sampled_from(verify8_sweeps))
+    gens = _window_generators(x, widen, min_e)
+    first = data.draw(st.sets(st.sampled_from(gens)))
+    base = DerivativeSweep(x.ring, [m for m in gens if m in first])
+    whole = DerivativeSweep(x.ring, gens)
+    grown = base.extended([m for m in gens if m not in first])
+    assert sorted(grown.generators) == gens
+    assert {p for p, _ in grown.rows} == {p for p, _ in whole.rows}
+    assert grown.normal_form(x) == whole.normal_form(x)
+    _assert_rows_hold_their_combinations(grown)
+
+
+def test_extending_leaves_the_base_sweep_as_it_was(verify8_sweeps):
+    # the p-bar route of each order extends the F*Q route's sweep; the
+    # F*Q sweep keeps its generators, rows and normal form
+    for x, widen, min_e in verify8_sweeps:
+        gens = _window_generators(x, widen, min_e)
+        base = DerivativeSweep(x.ring, gens[::2])
+        rows, before = [(p, dict(row)) for p, row in base.rows], base.normal_form(x)
+        grown = base.extended(gens[1::2])
+        assert len(grown.rows) >= len(rows)
+        assert base.generators == gens[::2] and base.rows == rows
+        assert all(a is b for a, b in zip(grown.rows, base.rows))
+        assert base.normal_form(x) == before
+
+
+def test_the_f_q_window_lies_in_the_p_bar_window_at_every_order(monkeypatch):
+    # the normal form is unique on a span, so the p-bar route extending
+    # the F*Q route's sweep gives the integrand of a fresh sweep of W2 only
+    # where W1 lies in W2
+    windows = {}
+    honest = swkb.reduction._sweep
+
+    def spy(x, widen, min_e=None, base=None):
+        if base is not None:
+            assert set(base.generators) <= set(_window_generators(x, widen, min_e))
+            windows[len(base.generators)] = len(_window_generators(x, widen, min_e))
+        return honest(x, widen, min_e, base)
+
+    monkeypatch.setattr(swkb.reduction, "_sweep", spy)
+    lines = _verify_lines(12, False)
+    assert "PASS subtraction routes agree at order 12" in lines
+    assert windows == {4: 4, 13: 21, 57: 67, 165: 177, 403: 417, 877: 893}

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import swkb.quadrature
-from swkb.algebra import Expression, phi, u_half
+import swkb.spectrum
+from swkb.algebra import Expression, Monomial, phi, u_half
 from swkb.cli import main
 from swkb.errors import (
     AmbiguousRegionError,
@@ -28,6 +29,7 @@ from swkb.quadrature import (
 )
 from swkb.oracle import oracle_eigenvalues
 from swkb.reduction import reduce_even_order
+from swkb.spectrum import ActionTables
 
 from conftest import E_pow, ring_expressions
 
@@ -585,7 +587,67 @@ class TestContourIntegrate:
         assert max(abs(a - b) for a, b in zip(r.rows, plain.rows)) < 1e-12
 
 
+def _compile_from_terms(exprs):
+    """``compile_integrands`` as first written: every coefficient read
+    through the ``Fraction`` pairs of ``Expression.terms``, each part and
+    power found by ``list.index``."""
+    monos = sorted({m for x in exprs for m in x.terms}, key=Monomial.sort_key)
+    orders = tuple(sorted({k for m in monos for k, _ in m.derivs} | {0}))
+    ladder = tuple(max([a for m in monos for j, a in m.derivs if j == k], default=0) for k in orders)
+    first = dict(zip(orders, np.cumsum((1,) + ladder).tolist()))
+    parts = sorted({m.derivs for m in monos})
+    powers = sorted({m.h for m in monos})
+    part_rows = np.zeros((len(parts), max([1] + [len(d) for d in parts])), dtype=int)
+    for i, derivs in enumerate(parts):
+        part_rows[i, :len(derivs)] = [first[k] + a - 1 for k, a in derivs]
+    pos = {m: i for i, m in enumerate(monos)}
+    coeffs = np.zeros((len(exprs), len(monos)), dtype=complex)
+    for r, x in enumerate(exprs):
+        for m, (re, im) in x.terms.items():
+            coeffs[r, pos[m]] = complex(float(re), float(im))
+    return swkb.quadrature.IntegrandTable(
+        orders, ladder, part_rows, np.array(powers, dtype=int),
+        np.array([parts.index(m.derivs) for m in monos], dtype=int),
+        np.array([powers.index(m.h) for m in monos], dtype=int),
+        np.array([m.e for m in monos], dtype=int), coeffs)
+
+
+def _assert_same_table(got, want):
+    # field by field, each array with its dtype, shape and every bit
+    assert (got.orders, got.ladder) == (want.orders, want.ladder)
+    for name in ("parts", "powers", "part_index", "power_index", "e", "coeffs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
 class TestIntegrandTable:
+    @pytest.mark.parametrize("coefficients, hbar, orders", [
+        ([0.0, 0.0, 0.0, 1.0 / 3.0], 1.0, (8,)),
+        ([0.0, 1.0, 0.0, 0.2], 0.5, (0, 2, 4)),
+    ], ids=["quantize8-cubic", "compare-mixed"])
+    def test_packed_keys_compile_the_table_of_the_terms(self, monkeypatch, condition8,
+                                                        coefficients, hbar, orders):
+        # the action table of each benchmark run and the order-8 row table
+        # (integrands and their E-derivatives), compiled from the packed
+        # keys, equal the tables built from the Fraction terms
+        rows = []
+        honest = swkb.spectrum.compile_integrands
+        monkeypatch.setattr(swkb.spectrum, "compile_integrands",
+                            lambda exprs: rows.append(exprs) or honest(exprs))
+        tables = ActionTables(orders, condition8.corrections[:max(orders) // 2 + 1])
+        table = tables.table(PolynomialSuperpotential(coefficients, hbar))
+        _assert_same_table(table, _compile_from_terms(rows[0]))
+        integrands = [c.integrand for c in condition8.corrections]
+        exprs = integrands + [x.diff_E() for x in integrands]
+        _assert_same_table(compile_integrands(exprs), _compile_from_terms(exprs))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(ring_expressions(max_terms=4), min_size=1, max_size=3))
+    def test_packed_keys_compile_drawn_tables_of_the_terms(self, exprs):
+        # complex coefficients over several denominators, shared monomials
+        _assert_same_table(compile_integrands(exprs), _compile_from_terms(exprs))
+
     def test_stack_holds_only_the_factor_powers_in_use(self, table8, table4):
         # one row per distinct phi part and one entry per distinct sqrt(u)
         # power, each used by some monomial; the top rung of every ladder

@@ -91,6 +91,23 @@ class TestReduceViaPbar:
             reduce_via_pbar(4, split10, pbar8, pbar_cert=cert + phi() * u_half(-1))
 
 
+def test_the_p_bar_route_on_the_handed_sweep_is_the_fresh_one(split10, lseq9, pbar8):
+    # verify hands each order's F*Q residual sweep, built from the alphas
+    # its E-factorization line holds, to the p-bar route of that order
+    alphas = {n: decompose(n, split10)[0] for n in (2, 4, 6, 8)}
+    sweeps = {}
+    corrections = quantization_integrands(8, split10, lseq9, alphas, sweeps)
+    assert corrections == quantization_integrands(8, split10, lseq9)
+    assert sorted(sweeps) == [2, 4, 6, 8]
+    for corr in corrections[1:]:
+        cert = antiderivative(pbar8[corr.order])
+        base = sweeps[corr.order]
+        held = list(base.generators)
+        alt = reduce_via_pbar(corr.order, split10, pbar8, cert, base=base)
+        assert alt == reduce_via_pbar(corr.order, split10, pbar8, cert) == corr
+        assert base.generators == held
+
+
 class TestEquivalence:
     def test_self_equivalence_zero_certificate(self, split10):
         cert = antiderivative(split10.p[2] - split10.p[2])
@@ -108,13 +125,13 @@ class TestEquivalence:
 
 class TestResidualSweep:
     def test_keeps_known_form_fixed(self):
-        kept, cert = residual_sweep(known_integrand_order2(), min_e=1)
+        kept, cert, _ = residual_sweep(known_integrand_order2(), min_e=1)
         assert kept == known_integrand_order2()
         assert cert.is_zero()
 
     def test_removes_pure_derivative(self):
         y = (phi() * phi(1) * u_half(-3)).scale(Fr(2, 3))
-        kept, cert = residual_sweep(y.differentiate())
+        kept, cert, _ = residual_sweep(y.differentiate())
         assert kept.is_zero()
         assert cert.differentiate() == y.differentiate()
 
@@ -122,7 +139,7 @@ class TestResidualSweep:
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(ring_expressions(), st.sampled_from([None, 0, 1]))
 def test_residual_sweep_normal_form(x, min_e):
-    kept, cert = residual_sweep(x, min_e=min_e)
+    kept, cert, _ = residual_sweep(x, min_e=min_e)
     assert kept + cert.differentiate() == x
     if not x.is_zero():
         pivots = {p for p, _ in DerivativeSweep(x.ring, _window_generators(x, 1, min_e)).rows}

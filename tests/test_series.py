@@ -144,7 +144,7 @@ class TestLSequence:
 
     def test_defining_identity_all_orders(self, lseq9, split10):
         for n in range(1, 10):
-            assert check_l_identity(lseq9, split10, n)
+            assert check_l_identity(lseq9.derivatives(), split10, n)
 
     def test_q3_from_second_member(self, lseq9, split10):
         assert i_times(lseq9.l[2].differentiate()).scale(Fr(1, 2)) == split10.q[3]
@@ -173,7 +173,7 @@ class TestLSequence:
 
 class TestPartner:
     def test_log_route_matches_direct(self, series10, lseq9, plus8):
-        via_log = partner_via_log_identity(series10, lseq9, 8)
+        via_log = partner_via_log_identity(series10, lseq9.derivatives(), 8)
         for n in range(9):
             assert via_log.coeffs[n] == plus8.coeffs[n]
 
@@ -183,7 +183,8 @@ class TestPartner:
             assert via_shift.coeffs[n] == plus8.coeffs[n]
 
     def test_order_zero_equal(self, series10, lseq9):
-        assert partner_via_log_identity(series10, lseq9, 0).coeffs[0] == series10.coeffs[0]
+        via_log = partner_via_log_identity(series10, lseq9.derivatives(), 0)
+        assert via_log.coeffs[0] == series10.coeffs[0]
 
 
 class TestPbar:
