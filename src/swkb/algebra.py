@@ -37,12 +37,16 @@ with the denominator.  Products, derivatives and ``Expression(ring, raw)``
 sum every term product (or Leibniz term, doubled so that h/2 stays an
 integer) as an int pair per raw key, and one fold applies the relation,
 merges and divides out the common factor.  ``Expression.sum_of_products``
-is the one product loop: it sums w*a*b over weighted pairs, so a whole
-series convolution folds once, and ``a * b`` is its one-triple case.
-``terms`` is a read-only {Monomial: (re, im)} view of ``Fraction`` pairs
-for output, decoded on each access.  At the edges a coefficient is an
-``int``, a ``Fraction`` or an (re, im) pair of them; a float raises
-``TypeError``.
+is the one accumulation for products and terms: it sums w*a*b over
+product terms, w*a over linear ones and w*a' over derivative ones, with
+rational or Gaussian weights w, so an exact result that is a sum of
+products, weighted terms and derivatives (a series convolution with its
+derivative and source terms, say) folds and normalizes once; ``a * b``
+and ``differentiate`` are its one-term cases, and ``+``, ``-`` and
+``scale`` are for two operands.  ``terms`` is a read-only
+{Monomial: (re, im)} view of ``Fraction`` pairs, decoded on each access
+and read only for output.  At the edges a coefficient is an ``int``, a
+``Fraction`` or an (re, im) pair of them; a float raises ``TypeError``.
 
 Everything here is immutable and pure; no floating point enters except in
 ``evaluate``.
@@ -132,6 +136,8 @@ _SYM_UNIT = 1 << _SYM_SHIFT       # f
 _MOVE = _FIELD << _SYM_SHIFT      # f -> f': one exponent moves up one field
 KEY_ONE = _BIAS * (_H_UNIT + _E_UNIT)   # the key of the monomial 1
 
+DX = object()  # the last item of a derivative term (w, a, DX) of ``sum_of_products``
+
 
 def encode(m: Tuple[tuple, int, int]) -> int:
     """The packed key of the monomial ``m`` = (derivs, h, e)."""
@@ -162,18 +168,24 @@ def decode(key: int) -> Monomial:
                                     (key & _FIELD) - _BIAS))
 
 
+def key_fields(key: int) -> Tuple[int, int, int]:
+    """(syms, h, e) of a packed key: ``syms`` its derivative fields as one
+    int, whose field k (bits k * FIELD_BITS up) holds the exponent of
+    f^(k), and h and e without their bias."""
+    return key >> _SYM_SHIFT, ((key >> FIELD_BITS) & _FIELD) - _BIAS, (key & _FIELD) - _BIAS
+
+
 def key_bigrade(key: int, sym_gdeg: int) -> Tuple[int, int]:
     """(derivative weight sum k * a_k, scaling grade sym_gdeg * sum a_k + h
     + 2 e) of a key, with ``sym_gdeg`` the grade of one symbol factor."""
     weight = count = k = 0
-    d = key >> _SYM_SHIFT
+    d, h, e = key_fields(key)
     while d:
         a = d & _FIELD
         weight += k * a
         count += a
         d >>= FIELD_BITS
         k += 1
-    h, e = ((key >> FIELD_BITS) & _FIELD) - _BIAS, (key & _FIELD) - _BIAS
     return weight, sym_gdeg * count + h + 2 * e
 
 
@@ -292,27 +304,63 @@ class Expression:
         return Expression.sum_of_products(self.ring, [(1, self, other)])
 
     @staticmethod
-    def sum_of_products(ring: Ring, triples: Iterable[tuple]) -> "Expression":
-        """sum w*a*b over (w, a, b) triples with rational weights w, the one
-        product loop of the ring: every term product is summed as an int
-        pair per raw key k1 + k2 - KEY_ONE over the lcm D of the triples'
-        denominators, and one fold follows."""
+    def sum_of_products(ring: Ring, terms: Iterable[tuple]) -> "Expression":
+        """The sum of w*a*b over the (w, a, b) terms, of w*a over the (w, a)
+        terms and of w*a' over the (w, a, DX) terms, each weight w an int,
+        a Fraction or an (re, im) pair of them: the one accumulation of the
+        ring.  Every term product, Leibniz term (doubled, over twice the
+        denominator, so that h/2 stays an integer) and term of a linear
+        one is summed as an int pair per raw key over the lcm D of the
+        terms' denominators, and one fold follows.  On the keys a product
+        is k1 + k2 - KEY_ONE, and a Leibniz term moves one exponent up a
+        field per f^(k) it holds or adds the one constant of the u term."""
+        r = ring.relation_power
+        u_step = (r - 1) * _SYM_UNIT + (_SYM_UNIT << FIELD_BITS) - 2 * _H_UNIT  # f^(r-1) f' / u
         scaled = []
-        for w, a, b in triples:
+        for w, a, *b in terms:
             _check(ring, a)
-            _check(ring, b)
-            w = Fraction(w)
-            scaled.append((w.numerator, w.denominator * a.den * b.den, a.num, b.num))
-        d = lcm(*(dd for _, dd, _, _ in scaled))
+            re, im = _parts(w)
+            dd = lcm(re.denominator, im.denominator)
+            wr, wi, dd = _over(re, dd), _over(im, dd), dd * a.den
+            if not b:
+                scaled.append((wr, wi, dd, a.num, None))
+            elif b[0] is DX:
+                scaled.append((wr, wi, 2 * dd, a.num, DX))
+            else:
+                b = b[0]
+                _check(ring, b)
+                scaled.append((wr, wi, dd * b.den, a.num, b.num.items()))
+        d = lcm(*(dd for _, _, dd, _, _ in scaled))
         raw: Dict[int, list] = {}
         get = raw.get
-        for w, dd, left, right in scaled:
-            w *= d // dd
-            right = right.items()
+        for wr, wi, dd, left, right in scaled:
+            s = d // dd
+            wr *= s
+            wi *= s
             for k1, (x1, y1) in left.items():
+                x1, y1 = x1 * wr - y1 * wi, x1 * wi + y1 * wr
+                if right is None:
+                    acc = get(k1)
+                    if acc is None:
+                        raw[k1] = [x1, y1]
+                    else:
+                        acc[0] += x1
+                        acc[1] += y1
+                    continue
+                if right is DX:
+                    fields, step = k1 >> _SYM_SHIFT, _MOVE
+                    while fields:
+                        c = 2 * (fields & _FIELD)
+                        if c:
+                            _accumulate(raw, k1 + step, c * x1, c * y1)
+                        fields >>= FIELD_BITS
+                        step <<= FIELD_BITS
+                    # 2 (h/2) u^((h-2)/2) * (-r f^(r-1) f')
+                    c = (_BIAS - ((k1 >> FIELD_BITS) & _FIELD)) * r
+                    if c:
+                        _accumulate(raw, k1 + u_step, c * x1, c * y1)
+                    continue
                 k1 -= KEY_ONE
-                x1 *= w
-                y1 *= w
                 for k2, (x2, y2) in right:
                     acc = get(k1 + k2)
                     if acc is None:
@@ -355,25 +403,8 @@ class Expression:
 
     def differentiate(self) -> "Expression":
         """d/dx with E constant: d f^(k) = f^(k+1), d u^(h/2) follows from
-        u' = -r f^(r-1) f'; Leibniz terms are doubled so h/2 stays integral.
-        Each term moves one exponent up a field per f^(k) it holds, and the
-        u term adds one constant to its key."""
-        r = self.ring.relation_power
-        u_step = (r - 1) * _SYM_UNIT + (_SYM_UNIT << FIELD_BITS) - 2 * _H_UNIT  # f^(r-1) f' / u
-        raw: Dict[int, list] = {}
-        for key, (x, y) in self.num.items():
-            d, step = key >> _SYM_SHIFT, _MOVE
-            while d:
-                a = 2 * (d & _FIELD)
-                if a:
-                    _accumulate(raw, key + step, a * x, a * y)
-                d >>= FIELD_BITS
-                step <<= FIELD_BITS
-            # 2 (h/2) u^((h-2)/2) * (-r f^(r-1) f')
-            c = (_BIAS - ((key >> FIELD_BITS) & _FIELD)) * r
-            if c:
-                _accumulate(raw, key + u_step, c * x, c * y)
-        return _fold(self.ring, raw, 2 * self.den)
+        u' = -r f^(r-1) f'; the one-term case of ``sum_of_products``."""
+        return Expression.sum_of_products(self.ring, [(1, self, DX)])
 
     def diff_E(self) -> "Expression":
         """d/dE with x held fixed: the symbols do not move, u' = 1, so
@@ -423,6 +454,13 @@ class Expression:
         if es and (min(es) < 0 or max(es) >= _SPARE):
             raise OverflowError("E exponent left its packed field")
         return _make(self.ring, {key + delta: xy for key, xy in self.num.items()}, self.den)
+
+    def derivs_at_most(self, order: int) -> "Expression":
+        """The terms whose every f^(k) has k <= ``order``: the keys below
+        the first bit of the order + 1 field."""
+        limit = _SYM_UNIT << (order + 1) * FIELD_BITS
+        return _reduced(self.ring, {key: xy for key, xy in self.num.items() if key < limit},
+                        self.den)
 
     def term_count(self) -> int:
         return len(self.num)

@@ -21,7 +21,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .algebra import Expression, i_times
+from .algebra import Expression
 from .errors import SwkbError, StructuralTheoremViolation
 from .oracle import MAX_STATES, default_grid, eigenvalues, oracle_eigenvalues
 from .quadrature import PolynomialSuperpotential
@@ -76,7 +76,7 @@ def cmd_series(args) -> int:
     out = []
     for n in range(args.order + 1):
         certify = args.show_certificates and n >= 2 and not split.q[n].is_zero()
-        cert = i_times(lseq.l[n - 1]).scale(half) if certify else None
+        cert = lseq.l[n - 1].scale((0, half)) if certify else None
         if certify and cert.differentiate() != split.q[n]:
             raise StructuralTheoremViolation(f"q_{n} certificate failed re-check")
         if args.format == "json":
@@ -379,56 +379,74 @@ def _even_orders(text: str) -> List[int]:
     return list(dict.fromkeys(_even_order(t) for t in text.split(",")))
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("series", "reduce", "verify", "quantize", "compare", "oracle")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names
+    one.  A run that names its command builds only that subparser, and its
+    parent's usage, which the command's errors print, still lists every
+    command through an explicit metavar.  The full parser keeps the default
+    one, which its errors of a missing or unknown command name as
+    ``command``."""
     p = argparse.ArgumentParser(prog="swkb", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    wanted = COMMANDS if command is None else (command,)
 
-    ps = sub.add_parser("series", help="print series coefficients and their parts")
-    ps.add_argument("--order", type=_at_least(0), default=4)
-    ps.add_argument("--sign", choices=("minus", "plus"), default="minus")
-    ps.add_argument("--show-certificates", action="store_true")
-    ps.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    ps.set_defaults(fn=cmd_series)
+    if "series" in wanted:
+        ps = sub.add_parser("series", help="print series coefficients and their parts")
+        ps.add_argument("--order", type=_at_least(0), default=4)
+        ps.add_argument("--sign", choices=("minus", "plus"), default="minus")
+        ps.add_argument("--show-certificates", action="store_true")
+        ps.add_argument("--format", choices=("text", "json", "latex"), default="text")
+        ps.set_defaults(fn=cmd_series)
 
-    pr = sub.add_parser("reduce", help="print reduced quantization integrands")
-    pr.add_argument("--max-order", type=_even_order, default=4)
-    pr.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    pr.set_defaults(fn=cmd_reduce)
+    if "reduce" in wanted:
+        pr = sub.add_parser("reduce", help="print reduced quantization integrands")
+        pr.add_argument("--max-order", type=_even_order, default=4)
+        pr.add_argument("--format", choices=("text", "json", "latex"), default="text")
+        pr.set_defaults(fn=cmd_reduce)
 
-    pv = sub.add_parser("verify", help="run the exact property suite")
-    pv.add_argument("--order", type=_at_least(2), default=DEFAULT_VERIFY_ORDER)
-    pv.add_argument("--mutate", action="store_true",
-                    help="inject a wrong coefficient (negative control, must fail)")
-    pv.set_defaults(fn=cmd_verify)
+    if "verify" in wanted:
+        pv = sub.add_parser("verify", help="run the exact property suite")
+        pv.add_argument("--order", type=_at_least(2), default=DEFAULT_VERIFY_ORDER)
+        pv.add_argument("--mutate", action="store_true",
+                        help="inject a wrong coefficient (negative control, must fail)")
+        pv.set_defaults(fn=cmd_verify)
 
-    pq = sub.add_parser("quantize", help="solve levels of the truncated condition")
-    pq.add_argument("--config", required=True, help="superpotential JSON file")
-    pq.add_argument("--order", type=_even_order, default=4)
-    pq.add_argument("--levels", type=_at_least(0), default=4, help="highest level index")
-    pq.add_argument("--partner", choices=("minus", "plus"), default="minus")
-    pq.add_argument("--json", action="store_true")
-    pq.set_defaults(fn=cmd_quantize)
+    if "quantize" in wanted:
+        pq = sub.add_parser("quantize", help="solve levels of the truncated condition")
+        pq.add_argument("--config", required=True, help="superpotential JSON file")
+        pq.add_argument("--order", type=_even_order, default=4)
+        pq.add_argument("--levels", type=_at_least(0), default=4, help="highest level index")
+        pq.add_argument("--partner", choices=("minus", "plus"), default="minus")
+        pq.add_argument("--json", action="store_true")
+        pq.set_defaults(fn=cmd_quantize)
 
-    pc = sub.add_parser("compare", help="levels vs the grid oracle, plus degeneracy")
-    pc.add_argument("--config", required=True)
-    pc.add_argument("--orders", type=_even_orders, default="0,2,4",
-                    help="comma-separated even orders")
-    # MAX_STATES is the most the oracle's capped grids hold; compare asks for levels + 2
-    pc.add_argument("--levels", type=_at_least(0, most=MAX_STATES - 2), default=3)
-    pc.add_argument("--json", action="store_true")
-    pc.set_defaults(fn=cmd_compare)
+    if "compare" in wanted:
+        pc = sub.add_parser("compare", help="levels vs the grid oracle, plus degeneracy")
+        pc.add_argument("--config", required=True)
+        pc.add_argument("--orders", type=_even_orders, default="0,2,4",
+                        help="comma-separated even orders")
+        # MAX_STATES is the most the oracle's capped grids hold; compare asks for levels + 2
+        pc.add_argument("--levels", type=_at_least(0, most=MAX_STATES - 2), default=3)
+        pc.add_argument("--json", action="store_true")
+        pc.set_defaults(fn=cmd_compare)
 
-    po = sub.add_parser("oracle", help="grid eigenvalues of the partner potentials")
-    po.add_argument("--config", required=True)
-    po.add_argument("--count", type=_at_least(1, most=MAX_STATES), default=5)
-    po.add_argument("--potential", choices=("minus", "plus", "both"), default="both")
-    po.add_argument("--json", action="store_true")
-    po.set_defaults(fn=cmd_oracle)
+    if "oracle" in wanted:
+        po = sub.add_parser("oracle", help="grid eigenvalues of the partner potentials")
+        po.add_argument("--config", required=True)
+        po.add_argument("--count", type=_at_least(1, most=MAX_STATES), default=5)
+        po.add_argument("--potential", choices=("minus", "plus", "both"), default="both")
+        po.add_argument("--json", action="store_true")
+        po.set_defaults(fn=cmd_oracle)
     return p
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if hasattr(args, "config"):
         try:

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Expression, F_factor
+from .algebra import DX, Expression, F_factor, Monomial, PHI_RING
 from .antiderivative import DerivativeSweep, _sweep, antiderivative
 from .errors import StructuralTheoremViolation
-from .series import HbarSeries, LSequence, SplitSeries, i_times
+from .series import HbarSeries, LSequence, SplitSeries
 
 HALF = Fraction(1, 2)
 
@@ -56,12 +56,14 @@ def decompose(n: int, split: SplitSeries) -> Tuple[Expression, Expression]:
     """alpha_n, beta_n with p_n = F q_n + E alpha_n and q_n = -F p_n + E beta_n."""
     if n < 1:
         raise ValueError("decomposition starts at order 1")
-    return _alpha(n, split), divide_by_e(split.q[n] + F_factor() * split.p[n], f"q_{n} + F p_{n}")
+    e_beta = Expression.sum_of_products(PHI_RING, [(1, split.q[n]), (1, F_factor(), split.p[n])])
+    return _alpha(n, split), divide_by_e(e_beta, f"q_{n} + F p_{n}")
 
 
 def _alpha(n: int, split: SplitSeries) -> Expression:
     """alpha_n of ``decompose``, the half that the reduction reads."""
-    return divide_by_e(split.p[n] - F_factor() * split.q[n], f"p_{n} - F q_{n}")
+    e_alpha = Expression.sum_of_products(PHI_RING, [(1, split.p[n]), (-1, F_factor(), split.q[n])])
+    return divide_by_e(e_alpha, f"p_{n} - F q_{n}")
 
 
 # -- deterministic residual sweep ---------------------------------------------
@@ -127,10 +129,11 @@ def reduce_even_order(order: int, split: SplitSeries, lseq: LSequence,
         raise ValueError("certificate sequence not generated far enough")
     if alpha is None:
         alpha = _alpha(order, split)
-    Q = i_times(lseq.l[order - 1]).scale(HALF)
-    fprime_u32 = Expression.sym(1, 1) * Expression.u_pow(-3)
-    corr = _swept_correction(order, split, (alpha - fprime_u32 * Q).shift_e(1), F_factor() * Q,
-                             sweeps=sweeps)
+    Q = lseq.l[order - 1].scale((0, HALF))
+    e_fprime_u32 = Expression(PHI_RING, [(Monomial([(1, 1)], h=-3, e=1), 1)])
+    raw = Expression.sum_of_products(PHI_RING, [(1, alpha, Expression.e_pow(1)),
+                                                (-1, e_fprime_u32, Q)])
+    corr = _swept_correction(order, split, raw, F_factor() * Q, sweeps=sweeps)
     if not corr.integrand.is_zero() and corr.integrand.min_e_degree() < 1:
         raise StructuralTheoremViolation(f"no overall E factor at order {order}")
     return corr
@@ -172,7 +175,8 @@ def _swept_correction(
         sweeps[order] = sweep
     del sweep  # unless a caller keeps it, let go before the products below
     cert = base_cert + resid
-    if split.p[order] - integrand != cert.differentiate():
+    if not Expression.sum_of_products(
+            PHI_RING, [(1, split.p[order]), (-1, integrand), (-1, cert, DX)]).is_zero():
         raise StructuralTheoremViolation(f"bookkeeping identity failed at order {order}")
     return ReducedCorrection(order, integrand, cert)
 
@@ -229,7 +233,7 @@ def dropped_certificates(
     series.  Only ``reconstruction_residual`` checks them."""
     dropped: Dict[Tuple[int, str], Expression] = {}
     for n in range(2, max_order + 1):
-        dropped[(n, "q")] = i_times(lseq.l[n - 1]).scale(HALF)
+        dropped[(n, "q")] = lseq.l[n - 1].scale((0, HALF))
         if n % 2:
             dropped[(n, "p")] = ln_r[n - 1].scale(HALF if n % 4 == 3 else -HALF)
     return dropped
@@ -241,33 +245,33 @@ def reconstruction_residual(s: HbarSeries, corrections: Sequence[ReducedCorrecti
     certificate derivatives), through the order of the last correction,
     with the first order set aside as the pi constant.  All residuals must
     be zero."""
-    by_order = {c.order: c.integrand + c.certificate.differentiate() for c in corrections}
+    by_order = {c.order: c for c in corrections}
     out = []
     for n in range(corrections[-1].order + 1):
-        acc = by_order.get(n, Expression.zero(s.ring))
+        if n == 1:  # the pi-constant carrier, kept whole
+            out.append(Expression.zero(s.ring))
+            continue
+        terms = [(1, s.coeffs[n])]
+        if n in by_order:
+            terms += [(-1, by_order[n].integrand), (-1, by_order[n].certificate, DX)]
         if (n, "q") in dropped:
-            acc = acc + i_times(dropped[(n, "q")].differentiate())
+            terms.append(((0, -1), dropped[(n, "q")], DX))
         if (n, "p") in dropped:
-            acc = acc + dropped[(n, "p")].differentiate()
-        if n == 1:
-            acc = s.coeffs[1]  # the pi-constant carrier, kept whole
-        out.append(s.coeffs[n] - acc)
+            terms.append((-1, dropped[(n, "p")], DX))
+        out.append(Expression.sum_of_products(s.ring, terms))
     return out
 
 
 def known_integrand_order2() -> Expression:
     """(E/8) f'^2 u^(-5/2): the known closed form of the second-order correction integrand."""
-    return (Expression.e_pow(1) * Expression.sym(1, 2) * Expression.u_pow(-5)).scale(Fraction(1, 8))
+    return Expression(PHI_RING, [(Monomial([(1, 2)], h=-5, e=1), Fraction(1, 8))])
 
 
 def known_integrand_order4() -> Expression:
     """(E/128) (49 E f'^4 u^(-11/2) - 140/3 f'^4 u^(-9/2) - 4 f' f''' u^(-7/2)),
     the known closed form of the fourth-order bracket (quantization sign -hbar^4)."""
-    e1 = Expression.e_pow(1)
-    f1_4 = Expression.sym(1, 4)
-    t1 = (Expression.e_pow(2) * f1_4 * Expression.u_pow(-11)).scale(Fraction(49, 128))
-    t2 = (e1 * f1_4 * Expression.u_pow(-9)).scale(Fraction(-140, 3 * 128))
-    t3 = (e1 * Expression.sym(1, 1) * Expression.sym(3, 1) * Expression.u_pow(-7)).scale(
-        Fraction(-4, 128)
-    )
-    return t1 + t2 + t3
+    return Expression(PHI_RING, [
+        (Monomial([(1, 4)], h=-11, e=2), Fraction(49, 128)),
+        (Monomial([(1, 4)], h=-9, e=1), Fraction(-140, 3 * 128)),
+        (Monomial([(1, 1), (3, 1)], h=-7, e=1), Fraction(-4, 128)),
+    ])

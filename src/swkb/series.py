@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .algebra import Expression, F_factor, PHI_RING, Ring, i_times
+from .algebra import DX, Expression, F_factor, Monomial, PHI_RING, Ring, i_times
 from .errors import StructuralTheoremViolation
 
 HALF = Fraction(1, 2)
@@ -43,9 +43,9 @@ def series_log(a: List[Expression], lead_inv: Expression,
         raise StructuralTheoremViolation("lead_inv is not the exact inverse of a[0]")
     l: List[Optional[Expression]] = [None]
     for m in range(1, order + 1):
-        inner = a[m].scale(m) + Expression.sum_of_products(
-            ring, [(-k, l[k], a[m - k]) for k in range(1, m)])
-        l.append((lead_inv * inner).scale(Fraction(1, m)))
+        inner = Expression.sum_of_products(
+            ring, [(m, a[m])] + [(-k, l[k], a[m - k]) for k in range(1, m)])
+        l.append(Expression.sum_of_products(ring, [(Fraction(1, m), lead_inv, inner)]))
     return l
 
 
@@ -77,14 +77,13 @@ class HbarSeries:
         pairs = [(2, c[k], c[n - k]) for k in range((n + 1) // 2) if n - k <= self.order]
         if n % 2 == 0 and n // 2 <= self.order:
             pairs.append((1, c[n // 2], c[n // 2]))
-        acc = Expression.sum_of_products(ring, pairs)
         if n == 0:
-            return acc - Expression.u_pow(2, ring)
-        acc = acc + c[n - 1].differentiate()
+            pairs.append((-1, Expression.u_pow(2, ring)))
+        else:
+            pairs.append((1, c[n - 1], DX))
         if n == 1 and ring.relation_power == 2:
-            src = i_times(Expression.sym(1, 1, ring))
-            acc = acc - src if self.sign == "minus" else acc + src
-        return acc
+            pairs.append(((0, -1 if self.sign == "minus" else 1), Expression.sym(1, 1, ring)))
+        return Expression.sum_of_products(ring, pairs)
 
 
 @dataclass(frozen=True)
@@ -138,11 +137,11 @@ def generate_series(order: int, sign: str = "minus", ring: Ring = PHI_RING) -> H
         pairs = [(-2, coeffs[k], coeffs[n - k]) for k in range(1, (n + 1) // 2)]
         if n % 2 == 0:
             pairs.append((-1, coeffs[n // 2], coeffs[n // 2]))
-        acc = Expression.sum_of_products(ring, pairs) - coeffs[n - 1].differentiate()
+        pairs.append((-1, coeffs[n - 1], DX))
         if n == 1 and ring.relation_power == 2:
-            src = i_times(Expression.sym(1, 1, ring))
-            acc = acc + src if sign == "minus" else acc - src
-        coeffs.append((um12 * acc).scale(HALF))
+            pairs.append(((0, 1 if sign == "minus" else -1), Expression.sym(1, 1, ring)))
+        acc = Expression.sum_of_products(ring, pairs)
+        coeffs.append(Expression.sum_of_products(ring, [(HALF, um12, acc)]))
     return HbarSeries(coeffs, sign)
 
 
@@ -157,7 +156,7 @@ def split_series(s: HbarSeries) -> SplitSeries:
 
 def inverse_lead_factor() -> Expression:
     """(f + i u^(1/2))^(-1) realized exactly as (f - i u^(1/2)) / E."""
-    return (Expression.sym(0, 1) - i_times(Expression.u_pow(1))) * Expression.e_pow(-1)
+    return Expression(PHI_RING, [(Monomial([(0, 1)], e=-1), 1), (Monomial(h=1, e=-1), (0, -1))])
 
 
 def _lead_log_argument(s: HbarSeries, order: int) -> List[Expression]:
@@ -186,7 +185,7 @@ def l_sequence(order: int, s: HbarSeries) -> LSequence:
 def check_l_identity(l_prime: List[Optional[Expression]], split: SplitSeries, n: int) -> bool:
     """q_{n+1} == (i/2) l[n]' exactly, with ``l_prime`` the
     ``LSequence.derivatives`` of the l-sequence."""
-    return i_times(l_prime[n]).scale(HALF) == split.q[n + 1]
+    return l_prime[n].scale((0, HALF)) == split.q[n + 1]
 
 
 def partner_via_log_identity(s: HbarSeries, l_prime: List[Optional[Expression]],
@@ -211,7 +210,7 @@ def partner_via_imag_shift(s: HbarSeries, split: SplitSeries, order: int) -> Hba
     """The term-by-term relation c_n^(+) = c_n - 2 i q_n."""
     out = [s.coeffs[0]]
     for n in range(1, order + 1):
-        out.append(s.coeffs[n] - i_times(split.q[n]).scale(2))
+        out.append(Expression.sum_of_products(s.ring, [(1, s.coeffs[n]), ((0, -2), split.q[n])]))
     return HbarSeries(out, "plus")
 
 
@@ -237,8 +236,8 @@ def pbar_series(order: int) -> List[Expression]:
         pairs = [(-2, pb[k], pb[n - k]) for k in range(1, (n + 1) // 2)]
         if n % 2 == 0:
             pairs.append((-1, pb[n // 2], pb[n // 2]))
-        acc = Expression.sum_of_products(PHI_RING, pairs) - pb[n - 1].differentiate().scale(HALF)
-        pb.append(um12 * acc)
+        pairs.append((-HALF, pb[n - 1], DX))
+        pb.append(um12 * Expression.sum_of_products(PHI_RING, pairs))
     return pb
 
 
@@ -290,14 +289,14 @@ def generating_system_check(order: int, split: SplitSeries) -> CheckReport:
     report = CheckReport()
     for n in range(1, order + 1):
         ks = range(n + 1)
-        conv_pp_qq = Expression.sum_of_products(
-            PHI_RING, [(1, p[k], p[n - k]) for k in ks] + [(-1, q[k], q[n - k]) for k in ks])
-        conv_2pq = Expression.sum_of_products(PHI_RING, [(2, p[k], q[n - k]) for k in ks])
-        r1 = p[n - 1].differentiate() + conv_pp_qq
-        r2 = q[n - 1].differentiate() + conv_2pq
+        r1 = Expression.sum_of_products(
+            PHI_RING, [(1, p[n - 1], DX)] + [(1, p[k], p[n - k]) for k in ks]
+            + [(-1, q[k], q[n - k]) for k in ks])
+        r2_terms = [(1, q[n - 1], DX)] + [(2, p[k], q[n - k]) for k in ks]
         if n == 1:
-            r2 = r2 - Expression.sym(1, 1)
-        efq = p[n] - F * q[n]
+            r2_terms.append((-1, Expression.sym(1, 1)))
+        r2 = Expression.sum_of_products(PHI_RING, r2_terms)
+        efq = Expression.sum_of_products(PHI_RING, [(1, p[n]), (-1, F, q[n])])
         e_ok = efq.is_zero() or efq.min_e_degree() >= 1
         ok = r1.is_zero() and r2.is_zero() and e_ok
         report.add(n, ok, f"eq1={r1.is_zero()} eq2={r2.is_zero()} e_factor={e_ok}")
@@ -316,9 +315,9 @@ def real_imag_hbar_series(split: SplitSeries, order: int):
     R, I = [], []
     for m in range(order + 1):
         src = split.p[m] if _R_PICK[m % 4] == "p" else split.q[m]
-        R.append(src.scale(_R_SIGN[m % 4]))
+        R.append(src if _R_SIGN[m % 4] > 0 else -src)
         src = split.q[m] if _I_PICK[m % 4] == "q" else split.p[m]
-        I.append(src.scale(_I_SIGN[m % 4]))
+        I.append(src if _I_SIGN[m % 4] > 0 else -src)
     return R, I
 
 
@@ -342,10 +341,11 @@ def imag_relation_check(order: int, split: SplitSeries,
     if len(ln_r) < order:
         raise ValueError("ln R not taken far enough")
     R, I = real_imag_hbar_series(split, order)
-    log_d = [R[0].differentiate() * Expression.u_pow(-1)]
-    log_d += [x.differentiate() for x in ln_r[1:order]]
+    half_log_d = [Expression.sum_of_products(PHI_RING, [(HALF, R[0].differentiate(),
+                                                         Expression.u_pow(-1))])]
+    half_log_d += [Expression.sum_of_products(PHI_RING, [(HALF, x, DX)]) for x in ln_r[1:order]]
     report = CheckReport()
     report.add(0, I[0].is_zero(), "vacuous")
     for m in range(1, order + 1):
-        report.add(m, I[m] == log_d[m - 1].scale(HALF))
+        report.add(m, I[m] == half_log_d[m - 1])
     return report

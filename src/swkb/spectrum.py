@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import Expression
+from .algebra import Expression, PHI_RING
 from .errors import ConvergenceError, OutOfValidatedRangeError, StructuralTheoremViolation
 from .quadrature import (
     IntegrandTable,
@@ -74,14 +74,13 @@ class ActionTables:
         table = self.compiled.get((degree, sp.hbar))
         if table is None:
             hbar = Fraction(sp.hbar)
-            rows, lhs = [], Expression.zero()
-            for c in self.corrections:
-                lhs = lhs + c.integrand.scale(c.sign_factor * hbar ** c.order)
-                if c.order in self.orders:
-                    kept = Expression(lhs.ring, [(m, x) for m, x in lhs.terms.items()
-                                                 if all(k <= degree for k, _ in m.derivs)])
-                    slope = kept.diff_E()
-                    rows += [kept, slope, slope.diff_E()]
+            weighted = [(c.sign_factor * hbar ** c.order, c.integrand) for c in self.corrections]
+            rows = []
+            for order in self.orders:
+                lhs = Expression.sum_of_products(PHI_RING, weighted[: order // 2 + 1])
+                kept = lhs.derivs_at_most(degree)
+                slope = kept.diff_E()
+                rows += [kept, slope, slope.diff_E()]
             table = self.compiled[(degree, sp.hbar)] = compile_integrands(rows)
         return table
 

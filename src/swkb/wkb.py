@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .algebra import Expression, PHI_RING, V_RING
+from .algebra import DX, FIELD_BITS, Expression, PHI_RING, V_RING, key_fields
 from .antiderivative import antiderivative
 from .errors import StructuralTheoremViolation
 from .series import (
@@ -42,45 +42,61 @@ class Substitution:
         # the x-derivatives of f^2 = E - u, taken as far as a factor asks
         self._sq = [Expression.e_pow(1) - Expression.u_pow(2)]
         one = [Expression.const(1)] + [Expression.zero(PHI_RING)] * order
-        self._products: Dict[tuple, List[Expression]] = {((), 0): one}
+        self._products: Dict[Tuple[int, int], List[Expression]] = {(0, 0): one}
 
-    def _product_series(self, derivs: tuple, h: int) -> List[Expression]:
-        """The substituted product of V^(k)^a over the (k, a) pairs of
-        ``derivs`` and of u_V^(h/2), built once per (derivs, h) and shared
-        by every term and every check that substitutes it.  A derivative
-        product is its prefix with one factor fewer times one factor
+    def _product_series(self, syms: int, h: int) -> List[Expression]:
+        """The substituted product of the V^(k)^a of ``syms``, the
+        derivative fields of a packed key (``key_fields``), and of
+        u_V^(h/2), built once per (syms, h) and shared by every term and
+        every check that substitutes it.  A derivative product is its
+        prefix with one factor of the highest order k fewer times one factor
         V^(k) -> (f^2)^(k) - i nu f^(k+1); u_V^(h/2) -> u^(h/2) (1 + hbar
         f'/u)^(h/2), binomially re-expanded, has the nu^j coefficient
         C(h/2, j) i^j f'^j u^(h/2 - j), the one before it times
         i (h/2 - j + 1)/j f'/u."""
-        out = self._products.get((derivs, h))
+        out = self._products.get((syms, h))
         if out is None:
-            if derivs and h:
-                out = series_mul(self._product_series(derivs, 0),
-                                 self._product_series((), h), self.order)
+            if syms and h:
+                out = series_mul(self._product_series(syms, 0),
+                                 self._product_series(0, h), self.order)
             elif h:
                 ratio = Expression.sym(1, 1) * Expression.u_pow(-2)
                 out = [Expression.u_pow(h)]
                 for j in range(1, self.order + 1):
-                    out.append((out[-1] * ratio).scale((0, Fraction(h - 2 * j + 2, 2 * j))))
+                    out.append(Expression.sum_of_products(
+                        PHI_RING, [((0, Fraction(h - 2 * j + 2, 2 * j)), out[-1], ratio)]))
             else:
-                k, a = derivs[-1]
+                k = (syms.bit_length() - 1) // FIELD_BITS
                 while len(self._sq) <= k:
                     self._sq.append(self._sq[-1].differentiate())
-                prefix = self._product_series(derivs[:-1] + (((k, a - 1),) if a > 1 else ()), 0)
-                factor = [self._sq[k], Expression.sym(k + 1, 1).scale((0, -1))]
-                out = series_mul(prefix, factor, self.order)
-            self._products[derivs, h] = out
+                prefix = self._product_series(syms - (1 << k * FIELD_BITS), 0)
+                sq, step = self._sq[k], Expression.sym(k + 1, 1)
+                out = [Expression.sum_of_products(PHI_RING, [(1, prefix[0], sq)])]
+                for n in range(1, self.order + 1):
+                    out.append(Expression.sum_of_products(
+                        PHI_RING, [(1, prefix[n], sq), ((0, -1), prefix[n - 1], step)]))
+            self._products[syms, h] = out
         return out
 
     def apply(self, x: Expression) -> List[Expression]:
-        if x.ring != V_RING:
-            raise ValueError("substitution applies to potential-ring expressions")
-        total = [Expression.zero(PHI_RING)] * (self.order + 1)
-        for m, c in x.terms.items():
-            fac = self._product_series(m.derivs, m.h)
-            total = [t + f.scale(c).shift_e(m.e) for t, f in zip(total, fac)]
-        return total
+        return self.apply_orders({0: x})
+
+    def apply_orders(self, pieces: Dict[int, Expression]) -> List[Expression]:
+        """sum_m nu^m * apply(pieces[m]) as a nu-series truncated at
+        ``order``: each term c E^e V-product of each piece, read off its
+        packed key, weights the substituted product series, and each order
+        is one accumulation."""
+        terms = []
+        for m, x in pieces.items():
+            if x.ring != V_RING:
+                raise ValueError("substitution applies to potential-ring expressions")
+            for key, (re, im) in x.num.items():
+                syms, h, e = key_fields(key)
+                terms.append((m, (Fraction(re, x.den), Fraction(im, x.den)),
+                              self._product_series(syms, h), Expression.e_pow(e)))
+        return [Expression.sum_of_products(
+                    PHI_RING, [(c, fac[n - m], E) for m, c, fac, E in terms if m <= n])
+                for n in range(self.order + 1)]
 
 
 def wkb_series(order: int) -> HbarSeries:
@@ -122,20 +138,10 @@ def log_term_expansion_check(sub: Substitution) -> CheckReport:
     for n in range(1, sub.order + 1):
         if n > 1:
             pw = pw * base
-        closed = pw.scale(_i_pow_times(-n, Fraction(1, n)))
-        ok = got[n] == closed.differentiate()
+        weight = _i_pow_times(-n, Fraction(1, n))
+        ok = got[n] == Expression.sum_of_products(PHI_RING, [(weight, pw, DX)])
         report.add(n, ok, f"closed-form={ok}")
     return report
-
-
-def _substitute_orders(sub: Substitution, pieces: Dict[int, Expression]) -> List[Expression]:
-    """sum_m nu^m * sub(pieces[m]) as a nu-series truncated at ``sub.order``."""
-    total = [Expression.zero(PHI_RING) for _ in range(sub.order + 1)]
-    for m, expr in pieces.items():
-        piece = sub.apply(expr)
-        for n in range(m, sub.order + 1):
-            total[n] = total[n] + piece[n - m]
-    return total
 
 
 def substitution_series_check(sub: Substitution, w: HbarSeries, s: HbarSeries) -> CheckReport:
@@ -143,7 +149,7 @@ def substitution_series_check(sub: Substitution, w: HbarSeries, s: HbarSeries) -
     ``s``, exactly, order by order up to ``sub.order`` (solution uniqueness
     of the shared identity)."""
     order = sub.order
-    total = _substitute_orders(sub, dict(enumerate(w.coeffs[:order + 1])))
+    total = sub.apply_orders(dict(enumerate(w.coeffs[:order + 1])))
     report = CheckReport()
     for n in range(order + 1):
         report.add(n, total[n] == s.coeffs[n])
@@ -156,7 +162,7 @@ def substituted_condition_check(sub: Substitution, w: HbarSeries, s: HbarSeries)
     ``sub.order``: the order-n difference must be a certified total
     derivative (exactly zero at orders 0 and 1)."""
     order = sub.order
-    total = _substitute_orders(sub, simplify_wkb_condition(w, order))
+    total = sub.apply_orders(simplify_wkb_condition(w, order))
     report = CheckReport()
     for n in range(order + 1):
         diff = total[n] - s.coeffs[n]

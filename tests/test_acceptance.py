@@ -10,6 +10,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+import swkb.algebra
 import swkb.antiderivative
 import swkb.series
 import swkb.spectrum
@@ -226,18 +227,22 @@ def test_verify_work_budget(capsys, monkeypatch):
     # 7 searches when it searched them), and each series built once.  The
     # log-fixed-point route of each order extends the F*Q route's sweep, so
     # a generator row is eliminated once per order (583 rows when the
-    # second route swept its whole window again)
+    # second route swept its whole window again).  Each exact result is one
+    # accumulation with one gcd normalization (1,321 ``_reduced`` calls when
+    # sums, scalings and the wkb substitution normalized every step)
     swept = count_calls(monkeypatch, swkb.antiderivative, "_sweep")
     searched = count_calls(monkeypatch, swkb.antiderivative, "antiderivative")
     series = count_calls(monkeypatch, swkb.series, "generate_series")
     rows = count_calls(monkeypatch, swkb.antiderivative, "_derivative_row")
+    reduced = count_calls(monkeypatch, swkb.algebra, "_reduced")
     assert main(["verify", "--order", "8"]) == 0
     assert capsys.readouterr().out.endswith("verification PASSED at order 8\n")
     assert len(swept) <= 14 and len(searched) <= 4 and len(series) <= 3
-    assert len(rows) <= 344
+    assert len(rows) <= 344 and len(reduced) <= 707
     print(f"\nverify --order 8: PASS ({len(swept)} sweeps, budget 14; {len(searched)} "
           f"antiderivative calls, budget 4; {len(series)} series, budget 3; "
-          f"{len(rows)} generator rows, budget 344)")
+          f"{len(rows)} generator rows, budget 344; {len(reduced)} gcd normalizations, "
+          f"budget 707)")
 
 
 @pytest.mark.parametrize("coefficients, hbar, argv, compiles", [

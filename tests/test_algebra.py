@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swkb.algebra import (
+    DX,
     Expression,
     F_factor,
     Monomial,
@@ -401,6 +402,39 @@ def textbook_sum_of_products(triples):
     return {key: c for key, c in total.items() if c != (0, 0)}
 
 
+@st.composite
+def accumulations(draw):
+    """(ring, terms, chain): up to six linear (w, a), product (w, a, b),
+    E-shifted (w, a, E^e) and derivative (w, a, DX) terms, with int,
+    Fraction and Gaussian weights and operands drawn from a small pool, so
+    that terms repeat and cancel, and the chain of +, scale, shift_e, * and
+    the textbook derivative that their accumulation replaces."""
+    ring = draw(st.sampled_from([PHI_RING, V_RING]))
+    operands = st.sampled_from(draw(st.lists(ring_expressions(ring, max_terms=3),
+                                             min_size=1, max_size=3)))
+    terms, chain = [], Expression.zero(ring)
+    for _ in range(draw(st.integers(0, 6))):
+        w, a = draw(scalars), draw(operands)
+        kind = draw(st.sampled_from(["linear", "product", "shifted", "derivative"]))
+        if kind == "linear":
+            terms.append((w, a))
+            chain = chain + a.scale(w)
+        elif kind == "product":
+            b = draw(operands)
+            terms.append((w, a, b))
+            chain = chain + (a * b).scale(w)
+        elif kind == "shifted":
+            e = draw(st.integers(-3, 3))
+            terms.append((w, a, Expression.e_pow(e, ring)))
+            chain = chain + a.scale(w).shift_e(e)
+        else:
+            # the derivative from the textbook Leibniz rule, since
+            # ``differentiate`` is itself a one-term accumulation
+            terms.append((w, a, DX))
+            chain = chain + Expression(ring, list(textbook_derivative(a).items())).scale(w)
+    return ring, terms, chain
+
+
 class TestCanonicalKernel:
     @examples(80)
     @given(operand_pairs())
@@ -472,6 +506,24 @@ class TestCanonicalKernel:
             Expression.sum_of_products(PHI_RING, [(1, v, v)])
         with pytest.raises(TypeError):
             Expression.sum_of_products(PHI_RING, [(1, phi(), 3)])
+
+    @examples(150)
+    @given(accumulations())
+    def test_accumulation_is_the_chain_it_replaces(self, case):
+        # one accumulation over the lcm denominator, one fold and one gcd
+        # give the very numerators and denominator of the step-by-step chain
+        ring, terms, chain = case
+        got = Expression.sum_of_products(ring, terms)
+        assert got.ring == ring and (got.den, got.num) == (chain.den, chain.num)
+        assert_canonical(got)
+
+    def test_accumulation_of_linear_terms_rescales_to_the_lcm(self):
+        # weights and operands over different denominators, and a Gaussian
+        # weight whose imaginary part meets an imaginary numerator
+        a = Expression(PHI_RING, [(Monomial([(1, 1)], h=-1), Fr(1, 3))])
+        b = Expression(PHI_RING, [(Monomial([(1, 1)], h=-1), (0, Fr(1, 4)))])
+        got = Expression.sum_of_products(PHI_RING, [(Fr(1, 2), a), ((0, 2), b)])
+        assert got.terms == {Monomial([(1, 1)], h=-1): (Fr(1, 6) - Fr(1, 2), 0)}
 
     @examples(60)
     @given(operand_pairs(), scalars)
@@ -661,6 +713,22 @@ class TestPackedKeys:
         assert decode(key) == m and type(decode(key)) is Monomial
         for key in x.num:
             assert encode(decode(key)) == key
+
+    @examples(100)
+    @given(_rings.flatmap(packed_monomials))
+    def test_key_fields_are_the_decoded_monomial(self, m):
+        syms, h, e = swkb.algebra.key_fields(encode(m))
+        fields = {k: (syms >> k * swkb.algebra.FIELD_BITS) & ((1 << swkb.algebra.FIELD_BITS) - 1)
+                  for k in range(syms.bit_length() // swkb.algebra.FIELD_BITS + 1)}
+        assert ({k: a for k, a in fields.items() if a}, h, e) == (dict(m.derivs), m.h, m.e)
+
+    @examples(60)
+    @given(_rings.flatmap(ring_expressions), st.integers(0, 4))
+    def test_derivs_at_most_keeps_the_terms_of_low_orders(self, x, order):
+        got = x.derivs_at_most(order)
+        assert got == Expression(x.ring, [(m, c) for m, c in x.terms.items()
+                                          if all(k <= order for k, _ in m.derivs)])
+        assert_canonical(got)
 
     @examples(100)
     @given(_rings.flatmap(lambda ring: st.tuples(packed_monomials(ring), packed_monomials(ring))))

@@ -313,8 +313,9 @@ def test_engine_matches_fraction_oracle_on_series_parts(split10, n):
 
 
 def test_verify_unpacks_keys_only_for_output(capsys, monkeypatch):
-    # the exact layer runs on packed keys: during verify --order 8 a key is
-    # decoded only by ``terms`` for output, the sweep's generators and
+    # the exact layer runs on packed keys: during verify --order 8, which
+    # prints no expression, no key is decoded (the wkb substitution keys its
+    # product cache on the key fields), the sweep's generators and
     # pivot priorities are read from the key fields (each priority at most
     # once per sweep), and no monomial tuple is packed, unpacked or built
     # while the product, derivative, fold or elimination loop runs
@@ -370,7 +371,7 @@ def test_verify_unpacks_keys_only_for_output(capsys, monkeypatch):
     by_name = {}
     for name, caller in calls:
         by_name.setdefault(name, set()).add(caller)
-    assert by_name["decode"] == {"terms"}
+    assert "decode" not in by_name
     assert Counter(sweeps) == {"built": 10, "extended": 4} and max(priorities.values()) == 1
     assert by_name.get("encode", set()) <= {"__init__"}
 

@@ -390,6 +390,55 @@ def test_missing_required_flag():
     assert exc.value.code == 2
 
 
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["nonsense"], ["-h", "verify"],
+    *([command, "--help"] for command in swkb.cli.COMMANDS),
+    ["quantize"], ["compare", "--orders", "0,2"], ["oracle", "--config"],
+    ["quantize", "--config", "{missing}"], ["compare", "--config", "{not_json}"],
+    ["oracle", "--config", "{not_json}", "--count", "0"],
+    ["verify", "--order", "1"], ["verify", "--unknown"],
+])
+def test_a_run_parses_as_the_full_parser_does(capsys, monkeypatch, tmp_path, argv):
+    # a run that names its command builds that subparser alone; its help,
+    # its errors and its exit code are those of the parser of every command
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{")
+    argv = [a.format(missing=tmp_path / "missing.json", not_json=not_json) for a in argv]
+    built = []
+    honest = swkb.cli.build_parser
+    monkeypatch.setattr(swkb.cli, "build_parser",
+                        lambda command=None: built.append(command) or honest(command))
+    lazy = _outcome(capsys, argv)
+    monkeypatch.setattr(swkb.cli, "build_parser", lambda command=None: honest())
+    assert lazy == _outcome(capsys, argv)
+    assert lazy[0] in (0, 2) and built == [argv[0] if argv and argv[0] in swkb.cli.COMMANDS
+                                           else None]
+
+
+def test_a_missing_or_unknown_command_is_named_command(capsys, tmp_path):
+    # argparse's default name for the subcommand argument, ``command``, in
+    # the errors of a missing or unknown command, and the six commands in
+    # every usage line
+    usage = "usage: swkb [-h] {series,reduce,verify,quantize,compare,oracle} ...\n"
+    assert _outcome(capsys, []) == (2, "", usage + "swkb: error: the following arguments "
+                                           "are required: command\n")
+    code, _, err = _outcome(capsys, ["nonsense"])
+    assert code == 2 and err.startswith(usage + "swkb: error: argument command: invalid "
+                                        "choice: 'nonsense'")
+    code, _, err = _outcome(capsys, ["quantize", "--config", str(tmp_path / "missing.json")])
+    assert code == 2 and err.startswith(usage + "swkb: error: cannot load --config")
+
+
 @pytest.mark.parametrize("argv", [
     ["quantize", "--config", "{cubic}", "--order", "3"],
     ["quantize", "--config", "{cubic}", "--levels", "-1"],
